@@ -127,10 +127,12 @@ def cmd_stats(args, cfg: RunConfig) -> int:
     corpus = segment_corpus(traces, stop=cfg.stop)
     out = Path(args.out)
 
-    rows = []
-    for trace in traces:
-        ps = pipeline_stats(trace)
-        rows.append(
+    stats = [pipeline_stats(trace) for trace in traces]
+    _write_table(
+        out / "pipelines.tsv",
+        ["pipeline_id", "lifespan_days", "models_per_day", "feature_count",
+         "categorical_fraction", "mean_categorical_domain"],
+        [
             [
                 ps.pipeline_id,
                 ps.lifespan_days,
@@ -139,17 +141,13 @@ def cmd_stats(args, cfg: RunConfig) -> int:
                 ps.categorical_fraction,
                 ps.mean_categorical_domain,
             ]
-        )
-    _write_table(
-        out / "pipelines.tsv",
-        ["pipeline_id", "lifespan_days", "models_per_day", "feature_count",
-         "categorical_fraction", "mean_categorical_domain"],
-        rows,
+            for ps in stats
+        ],
     )
 
     analyzers: dict = {}
-    for trace in traces:
-        for a, c in pipeline_stats(trace).analyzer_usage.items():
+    for ps in stats:
+        for a, c in ps.analyzer_usage.items():
             analyzers[a] = analyzers.get(a, 0) + c
     _write_table(
         out / "analyzer_usage.tsv",

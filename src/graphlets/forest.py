@@ -10,6 +10,13 @@ fraction.  Everything is reproducible from the config seed:
   the identical stream;
 * Gini ties break toward the lower feature index, then the lower threshold.
 
+Split search scores all of a node's candidate features in one pass: it
+gathers their values for the node's rows from a feature-major copy of the
+matrix, sorts each row, and scores every cut between distinct adjacent
+values that ``min_leaf`` allows.  The cuts are listed in row-major (feature,
+position) order, so the first minimum score is the tie-break above.
+``fit`` and ``scores`` reject NaN and infinite feature values.
+
 Balanced class weights (n / (2 * n_class), computed on the full training
 labels) keep leaf fractions meaningful under the heavy label imbalance of
 push prediction.
@@ -82,8 +89,8 @@ class Forest:
 
 
 class _TreeBuilder:
-    def __init__(self, X, y, w0, w1, cfg, rng, mtry):
-        self.X = X
+    def __init__(self, XT, y, w0, w1, cfg, rng, mtry):
+        self.XT = XT
         self.y = y
         self.w0 = w0
         self.w1 = w1
@@ -97,7 +104,8 @@ class _TreeBuilder:
         self.fraction: list[float] = []
         self.count: list[int] = []
 
-    def _new_node(self, idx: np.ndarray) -> int:
+    def _new_node(self, idx: np.ndarray) -> tuple[int, int]:
+        """Append a leaf for rows ``idx``; return its id and positive count."""
         node = len(self.feature)
         n = len(idx)
         n1 = int(self.y[idx].sum())
@@ -109,75 +117,67 @@ class _TreeBuilder:
         self.right.append(-1)
         self.fraction.append(pos / (pos + neg) if pos + neg > 0 else 0.0)
         self.count.append(n)
-        return node
+        return node, n1
 
-    def _best_split(self, idx: np.ndarray) -> tuple[int, float] | None:
-        X, y = self.X, self.y
+    def _best_split(self, idx: np.ndarray, n1: int) -> tuple[int, float] | None:
+        XT, w0, w1 = self.XT, self.w0, self.w1
         n = len(idx)
-        n1 = int(y[idx].sum())
-        w0, w1 = self.w0, self.w1
-        d = X.shape[1]
+        d = XT.shape[0]
         feats = np.sort(self.rng.choice(d, size=min(self.mtry, d), replace=False))
-        best: tuple[float, int, float] | None = None
-        min_leaf = self.cfg.min_leaf
-        yi = y[idx]
-        for f in feats:
-            vals = X[idx, f]
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            cum1 = np.cumsum(yi[order])
-            cut = np.nonzero(sv[1:] != sv[:-1])[0]
-            if len(cut) == 0:
-                continue
-            keep = (cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)
-            cut = cut[keep]
-            if len(cut) == 0:
-                continue
-            nl1 = cum1[cut]
-            nl0 = cut + 1 - nl1
-            nr1 = n1 - nl1
-            nr0 = (n - n1) - nl0
-            wl = w1 * nl1 + w0 * nl0
-            wr = w1 * nr1 + w0 * nr0
-            # Weighted Gini numerator; the shared denominator is constant.
-            score_arr = (wl - ((w1 * nl1) ** 2 + (w0 * nl0) ** 2) / wl) + (
-                wr - ((w1 * nr1) ** 2 + (w0 * nr0) ** 2) / wr
-            )
-            k = int(np.argmin(score_arr))
-            cand = float(score_arr[k])
-            if best is None or cand < best[0]:
-                pos = int(cut[k])
-                best = (cand, int(f), (float(sv[pos]) + float(sv[pos + 1])) / 2.0)
-        if best is None:
+        # Cut p puts sorted rows 0..p on the left; min_leaf bounds p to [lo, hi].
+        lo = self.cfg.min_leaf - 1
+        hi = n - self.cfg.min_leaf - 1
+        if hi < lo:
             return None
-        return best[1], best[2]
+        vals = XT.take(feats, axis=0).take(idx, axis=1)
+        order = vals.argsort(axis=1, kind="stable")
+        sv = np.take_along_axis(vals, order, axis=1)
+        cum1 = self.y[idx][order].cumsum(axis=1)
+        rows, cut = np.nonzero(sv[:, lo + 1 : hi + 2] != sv[:, lo : hi + 1])
+        if len(cut) == 0:
+            return None
+        cut += lo
+        nl1 = cum1[rows, cut]
+        nl0 = cut + 1 - nl1
+        nr1 = n1 - nl1
+        nr0 = (n - n1) - nl0
+        wl = w1 * nl1 + w0 * nl0
+        wr = w1 * nr1 + w0 * nr0
+        # Weighted Gini numerator; the shared denominator is constant.
+        score = (wl - ((w1 * nl1) ** 2 + (w0 * nl0) ** 2) / wl) + (
+            wr - ((w1 * nr1) ** 2 + (w0 * nr0) ** 2) / wr
+        )
+        # nonzero lists cuts in row-major order, so the first minimum is at
+        # the lowest feature index, then the lowest threshold.
+        k = int(np.argmin(score))
+        row, pos = rows[k], cut[k]
+        return int(feats[row]), (float(sv[row, pos]) + float(sv[row, pos + 1])) / 2.0
 
     def build(self, idx: np.ndarray) -> None:
         # Explicit preorder stack; pushing right before left keeps the RNG
         # stream aligned with recursive construction order.
-        root = self._new_node(idx)
-        stack: list[tuple[int, np.ndarray, int]] = [(root, idx, 0)]
+        root, n1 = self._new_node(idx)
+        stack: list[tuple[int, np.ndarray, int, int]] = [(root, idx, n1, 0)]
         while stack:
-            node, node_idx, depth = stack.pop()
+            node, node_idx, n1, depth = stack.pop()
             n = len(node_idx)
-            n1 = int(self.y[node_idx].sum())
             if depth >= self.cfg.max_depth or n1 == 0 or n1 == n or n < 2 * self.cfg.min_leaf:
                 continue
-            split = self._best_split(node_idx)
+            split = self._best_split(node_idx, n1)
             if split is None:
                 continue
             f, thr = split
-            go_left = self.X[node_idx, f] <= thr
+            go_left = self.XT[f, node_idx] <= thr
             left_idx = node_idx[go_left]
             right_idx = node_idx[~go_left]
             self.feature[node] = f
             self.threshold[node] = thr
-            left_node = self._new_node(left_idx)
-            right_node = self._new_node(right_idx)
+            left_node, left_n1 = self._new_node(left_idx)
+            right_node, right_n1 = self._new_node(right_idx)
             self.left[node] = left_node
             self.right[node] = right_node
-            stack.append((right_node, right_idx, depth + 1))
-            stack.append((left_node, left_idx, depth + 1))
+            stack.append((right_node, right_idx, right_n1, depth + 1))
+            stack.append((left_node, left_idx, left_n1, depth + 1))
 
     def freeze(self) -> Tree:
         return Tree(
@@ -188,6 +188,11 @@ class _TreeBuilder:
             fraction=np.asarray(self.fraction, dtype=float),
             count=np.asarray(self.count, dtype=np.int64),
         )
+
+
+def _check_finite(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        raise ValueError("feature matrix contains NaN or infinite values")
 
 
 def fit(
@@ -205,17 +210,19 @@ def fit(
         raise ValueError("feature matrix and labels disagree on row count")
     if feature_names is not None and len(feature_names) != X.shape[1]:
         raise ValueError("feature names do not match matrix width")
+    _check_finite(X)
     n = len(y)
     n1 = int(y.sum())
     n0 = n - n1
     w1 = n / (2.0 * n1) if n1 else 1.0
     w0 = n / (2.0 * n0) if n0 else 1.0
     mtry = max(1, math.isqrt(X.shape[1]) + (0 if math.isqrt(X.shape[1]) ** 2 == X.shape[1] else 1))
+    XT = np.ascontiguousarray(X.T)
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(splitmix64((cfg.seed & _MASK64) + t))
         sample = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(X, y, w0, w1, cfg, rng, mtry)
+        builder = _TreeBuilder(XT, y, w0, w1, cfg, rng, mtry)
         builder.build(np.asarray(sample))
         trees.append(builder.freeze())
     return Forest(
@@ -253,6 +260,7 @@ def scores(forest: Forest, X: np.ndarray, feature_names: Sequence[str] | None = 
         and tuple(feature_names) != forest.feature_names
     ):
         raise ValueError("feature schema does not match the model")
+    _check_finite(X)
     total = np.zeros(len(X))
     for tree in forest.trees:
         total += _apply_tree(tree, X)

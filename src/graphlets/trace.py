@@ -15,6 +15,7 @@ are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -163,7 +164,9 @@ class FeatureStats:
             else:
                 if len(self.numerical_hist) != 10:
                     bad.append(f"feature {self.name!r} histogram must have 10 bins")
-                if any(b < 0 for b in self.numerical_hist):
+                if not all(math.isfinite(b) for b in self.numerical_hist):
+                    bad.append(f"feature {self.name!r} histogram has non-finite mass")
+                elif any(b < 0 for b in self.numerical_hist):
                     bad.append(f"feature {self.name!r} histogram has negative mass")
                 elif abs(sum(self.numerical_hist) - 1.0) > 1e-9:
                     bad.append(f"feature {self.name!r} histogram mass != 1")
@@ -482,6 +485,11 @@ def parse_trace_file(path: str | Path) -> Trace:
         return parse_trace(fh, source=str(path))
 
 
+def _is_finite(x: float) -> bool:
+    # Python ints are always finite; math.isfinite overflows on huge ones.
+    return isinstance(x, int) or math.isfinite(x)
+
+
 def validate_trace(trace: Trace) -> list[str]:
     """Check all trace invariants; each violation names the node/edge and rule.
 
@@ -489,7 +497,9 @@ def validate_trace(trace: Trace) -> list[str]:
     """
     bad: list[str] = []
     for art in trace.artifacts.values():
-        if art.created_at <= 0:
+        if not _is_finite(art.created_at):
+            bad.append(f"artifact {art.id}: created_at must be finite")
+        elif art.created_at <= 0:
             bad.append(f"artifact {art.id}: created_at must be positive")
         if art.artifact_type is ArtifactType.DATA_SPAN:
             if art.span_stats is None:
@@ -501,6 +511,9 @@ def validate_trace(trace: Trace) -> list[str]:
 
     trainer_seen = False
     for ex in trace.executions.values():
+        for key in ("start_at", "end_at", "cpu_cost"):
+            if not _is_finite(getattr(ex, key)):
+                bad.append(f"execution {ex.id}: {key} must be finite")
         if ex.end_at < ex.start_at:
             bad.append(f"execution {ex.id}: end_at precedes start_at")
         if ex.start_at <= 0:

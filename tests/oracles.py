@@ -2,14 +2,17 @@
 
 These deliberately favor obviousness over speed: the segmentation oracle
 re-scans every edge until nothing changes, the transport oracle enumerates
-integer contingency tables, and the sweep oracle rebuilds each confusion set
-from scratch.
+integer contingency tables, the sweep oracle rebuilds each confusion set
+from scratch, and the split oracle scores one candidate feature at a time.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
+from graphlets import forest
 from graphlets.segmentation import StopSet
 from graphlets.trace import (
     Artifact,
@@ -216,3 +219,55 @@ def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
 
     m = (p + q) / 2.0
     return entropy(m) - (entropy(p) + entropy(q)) / 2.0
+
+
+def loop_best_split(builder, idx: np.ndarray, n1: int) -> tuple[int, float] | None:
+    """Best split of rows ``idx``, scanning the candidate features one by one.
+
+    A drop-in for ``_TreeBuilder._best_split``: it draws the candidates from
+    the builder's RNG identically and keeps the first strictly better score,
+    so ties go to the lower feature index, then the lower threshold.
+    """
+    XT, y = builder.XT, builder.y
+    n = len(idx)
+    w0, w1 = builder.w0, builder.w1
+    d = XT.shape[0]
+    feats = np.sort(builder.rng.choice(d, size=min(builder.mtry, d), replace=False))
+    best: tuple[float, int, float] | None = None
+    min_leaf = builder.cfg.min_leaf
+    yi = y[idx]
+    for f in feats:
+        vals = XT[f, idx]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        cum1 = np.cumsum(yi[order])
+        cut = np.nonzero(sv[1:] != sv[:-1])[0]
+        if len(cut) == 0:
+            continue
+        keep = (cut + 1 >= min_leaf) & (n - cut - 1 >= min_leaf)
+        cut = cut[keep]
+        if len(cut) == 0:
+            continue
+        nl1 = cum1[cut]
+        nl0 = cut + 1 - nl1
+        nr1 = n1 - nl1
+        nr0 = (n - n1) - nl0
+        wl = w1 * nl1 + w0 * nl0
+        wr = w1 * nr1 + w0 * nr0
+        score_arr = (wl - ((w1 * nl1) ** 2 + (w0 * nl0) ** 2) / wl) + (
+            wr - ((w1 * nr1) ** 2 + (w0 * nr0) ** 2) / wr
+        )
+        k = int(np.argmin(score_arr))
+        cand = float(score_arr[k])
+        if best is None or cand < best[0]:
+            pos = int(cut[k])
+            best = (cand, int(f), (float(sv[pos]) + float(sv[pos + 1])) / 2.0)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def fit_with_loop_split(*args, **kwargs) -> forest.Forest:
+    """``forest.fit`` with the per-feature split search swapped in."""
+    with mock.patch.object(forest._TreeBuilder, "_best_split", loop_best_split):
+        return forest.fit(*args, **kwargs)

@@ -4,9 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import fit_with_loop_split, loop_best_split
+
+from graphlets.features import STAGES, Featurizer, build_arch_vocab, featurize_corpus
 from graphlets.forest import (
     ForestConfig,
+    _TreeBuilder,
     balanced_accuracy,
     fit,
     forest_from_dict,
@@ -16,6 +23,8 @@ from graphlets.forest import (
     split_corpus,
     splitmix64,
 )
+from graphlets.segmentation import filter_warmstart
+from graphlets.workflow import split_pipelines
 
 
 def test_forced_split_on_two_points():
@@ -155,3 +164,81 @@ def test_split_corpus_deterministic():
     assert a == b
     assert set(a.train_pipeline_ids) | set(a.test_pipeline_ids) == {p for p, _ in pipelines}
     assert not (set(a.train_pipeline_ids) & set(a.test_pipeline_ids))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    X = np.array([[0.0], [1.0], [bad], [2.0], [3.0], [bad]] * 5)
+    y = [False, True] * 15
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        fit(X, y, ForestConfig(n_trees=2))
+    forest = fit(np.where(np.isfinite(X), X, 0.0), y, ForestConfig(n_trees=2))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        scores(forest, X)
+
+
+# Few distinct values per column, so split search meets many ties.
+_values = st.one_of(st.integers(-2, 2).map(float), st.integers(-400, 400).map(lambda k: k / 8))
+
+
+@st.composite
+def _split_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 9))
+    X = draw(arrays(np.float64, (n, d), elements=_values))
+    constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
+    X[:, constant] = X[0, constant]
+    y = draw(arrays(np.bool_, n))
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 3)),
+        max_depth=draw(st.integers(1, 6)),
+        min_leaf=draw(st.integers(1, 25)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return X, y, cfg
+
+
+def _forest_json(forest) -> str:
+    return json.dumps(forest_to_dict(forest))
+
+
+_TIES = np.array([[0.0, 5.0], [1.0, 5.0], [1.0, 5.0], [2.0, 5.0]] * 3)
+_MIXED = np.array([False, True, True, False] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_problems())
+@example((_TIES, np.zeros(12, dtype=bool), ForestConfig(n_trees=2, min_leaf=1)))
+@example((_TIES, _MIXED, ForestConfig(n_trees=2, max_depth=1, min_leaf=1)))
+@example((_TIES, _MIXED, ForestConfig(n_trees=2, min_leaf=7)))
+def test_fit_matches_loop_split_oracle(problem):
+    X, y, cfg = problem
+    assert _forest_json(fit(X, y, cfg)) == _forest_json(fit_with_loop_split(X, y, cfg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_problems(), st.integers(1, 12))
+def test_best_split_matches_loop_for_any_mtry(problem, mtry):
+    # fit never asks for more candidates than columns; the search still
+    # caps the draw at d when it is given mtry > d.
+    X, y, cfg = problem
+    XT = np.ascontiguousarray(X.T)
+    idx = np.arange(len(y))
+
+    def builder():
+        return _TreeBuilder(XT, y, 0.75, 1.5, cfg, np.random.default_rng(cfg.seed), mtry)
+
+    n1 = int(y.sum())
+    assert builder()._best_split(idx, n1) == loop_best_split(builder(), idx, n1)
+
+
+def test_stage_forests_match_loop_split_oracle(small_corpus):
+    _, _, _, corpus = small_corpus
+    _, train, _ = split_pipelines(filter_warmstart(corpus), seed=3)
+    feats = featurize_corpus(train, featurizer=Featurizer(arch_vocab=build_arch_vocab(train)))
+    cfg = ForestConfig(n_trees=10, seed=2)
+    for stage in STAGES:
+        names, X, _ = feats.stage_view(stage)
+        fast = fit(X, feats.y, cfg, feature_names=names)
+        slow = fit_with_loop_split(X, feats.y, cfg, feature_names=names)
+        assert _forest_json(fast) == _forest_json(slow), stage

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -165,6 +166,32 @@ def test_validate_flags_analyzers_outside_transform():
     lines = [_exec("t", "trainer", 1, 2, model_type="dnn", analyzers=["mean"])]
     violations = validate_trace(parse_trace(lines))
     assert any("analyzers only allowed" in v for v in violations)
+
+
+def test_validate_flags_non_finite_cost_and_histogram():
+    # Python's json reads NaN and Infinity; neither may pass validation.
+    trainer = json.loads(_exec("t", "trainer", 1, 2, model_type="dnn"))
+    trainer["cpu_cost"] = float("nan")
+    other = json.loads(MINIMAL[0])
+    other["cpu_cost"] = float("inf")
+    span = json.loads(MINIMAL[1])
+    span["properties"]["span_stats"]["features"][0]["hist"] = [float("nan")] + [0.1] * 9
+    trace = parse_trace([json.dumps(trainer), json.dumps(other), json.dumps(span), MINIMAL[2]])
+    violations = validate_trace(trace)
+    assert "execution t: cpu_cost must be finite" in violations
+    assert "execution eg: cpu_cost must be finite" in violations
+    assert "artifact s: feature 'x' histogram has non-finite mass" in violations
+
+
+def test_validate_flags_non_finite_timestamps():
+    trace = parse_trace(MINIMAL)
+    ex = dataclasses.replace(trace.executions["eg"], start_at=float("-inf"), end_at=float("nan"))
+    art = dataclasses.replace(trace.artifacts["s"], created_at=float("inf"))
+    trace = dataclasses.replace(trace, executions={"eg": ex}, artifacts={"s": art})
+    violations = validate_trace(trace)
+    assert "execution eg: start_at must be finite" in violations
+    assert "execution eg: end_at must be finite" in violations
+    assert "artifact s: created_at must be finite" in violations
 
 
 def test_index_orders_trainers_by_end_time():
