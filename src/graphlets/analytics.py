@@ -7,10 +7,11 @@ corpus shards can be aggregated independently and merged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .segmentation import Graphlet, consecutive_pairs
-from .similarity import LshParams, SimWeights, jaccard, sequence_sim
+from .similarity import LshParams, SimWeights, jaccard, sequence_sim, span_sequence
 from .trace import (
     Analyzer,
     ArtifactType,
@@ -20,7 +21,6 @@ from .trace import (
     MS_PER_HOUR,
     OperatorGroup,
     OperatorKind,
-    SpanStats,
     Trace,
 )
 
@@ -28,9 +28,11 @@ __all__ = [
     "PipelineStats",
     "CadenceStats",
     "DriftCodeTable",
+    "PairSimilarity",
     "pipeline_stats",
     "cost_breakdown",
     "cadence_stats",
+    "pair_similarities",
     "drift_code_table",
     "similarity_table",
 ]
@@ -173,6 +175,44 @@ def cadence_stats(corpus: Sequence[tuple[Trace, list[Graphlet]]]) -> CadenceStat
 
 
 @dataclass(frozen=True)
+class PairSimilarity:
+    """Reuse, drift and code match between two consecutive graphlets."""
+
+    pipeline_id: str
+    anchor_a: str  # the earlier graphlet
+    anchor_b: str  # its successor
+    jaccard: float
+    dataset_sim: float
+    code_match: float
+    pushed: bool  # the successor's label
+
+
+def pair_similarities(
+    corpus: Sequence[tuple[Trace, list[Graphlet]]],
+    params: LshParams,
+    weights: SimWeights,
+) -> list[PairSimilarity]:
+    """Every consecutive graphlet pair of every pipeline, in corpus order."""
+    pairs = []
+    for trace, graphlets in corpus:
+        for prev, cur in consecutive_pairs(graphlets):
+            pairs.append(
+                PairSimilarity(
+                    pipeline_id=trace.pipeline_id,
+                    anchor_a=prev.anchor,
+                    anchor_b=cur.anchor,
+                    jaccard=jaccard(cur, prev),
+                    dataset_sim=sequence_sim(
+                        span_sequence(cur, trace), span_sequence(prev, trace), params, weights
+                    ),
+                    code_match=1.0 if cur.trainer_code_version == prev.trainer_code_version else 0.0,
+                    pushed=cur.pushed,
+                )
+            )
+    return pairs
+
+
+@dataclass(frozen=True)
 class DriftCodeTable:
     """Mean input-sequence similarity and code match, split by push label.
 
@@ -189,31 +229,13 @@ class DriftCodeTable:
     pair_count: int
 
 
-def _spans_of(g: Graphlet, trace: Trace) -> tuple[SpanStats, ...]:
-    out = []
-    for span_id in g.input_spans:
-        stats = trace.artifacts[span_id].span_stats
-        if stats is not None:
-            out.append(stats)
-    return tuple(out)
-
-
-def drift_code_table(
-    corpus: Sequence[tuple[Trace, list[Graphlet]]],
-    params: LshParams,
-    weights: SimWeights,
-) -> DriftCodeTable:
+def drift_code_table(pairs: Sequence[PairSimilarity]) -> DriftCodeTable:
     sims: dict[str, list[float]] = {"pushed": [], "unpushed": []}
     codes: dict[str, list[float]] = {"pushed": [], "unpushed": []}
-    for trace, graphlets in corpus:
-        for prev, cur in consecutive_pairs(graphlets):
-            label = "pushed" if cur.pushed else "unpushed"
-            sims[label].append(
-                sequence_sim(_spans_of(cur, trace), _spans_of(prev, trace), params, weights)
-            )
-            codes[label].append(
-                1.0 if cur.trainer_code_version == prev.trainer_code_version else 0.0
-            )
+    for pair in pairs:
+        label = "pushed" if pair.pushed else "unpushed"
+        sims[label].append(pair.dataset_sim)
+        codes[label].append(pair.code_match)
 
     def mean(values: list[float]) -> float | None:
         return sum(values) / len(values) if values else None
@@ -229,9 +251,6 @@ def drift_code_table(
         code_match_all=mean(all_codes),
         pair_count=len(all_sims),
     )
-
-
-SIMILARITY_BUCKETS = (0.25, 0.5, 0.75)
 
 
 def bucketize(values: Sequence[float]) -> tuple[float, float, float, float]:
@@ -252,24 +271,15 @@ def bucketize(values: Sequence[float]) -> tuple[float, float, float, float]:
     return tuple(c / n for c in counts)  # type: ignore[return-value]
 
 
-def similarity_table(
-    corpus: Sequence[tuple[Trace, list[Graphlet]]],
-    params: LshParams,
-    weights: SimWeights,
-) -> dict[str, dict]:
-    """Jaccard / dataset / per-pipeline-average dataset similarity histograms."""
-    jac: list[float] = []
-    dat: list[float] = []
-    per_pipeline_means: list[float] = []
-    for trace, graphlets in corpus:
-        pipe_vals = []
-        for prev, cur in consecutive_pairs(graphlets):
-            jac.append(jaccard(cur, prev))
-            sim = sequence_sim(_spans_of(cur, trace), _spans_of(prev, trace), params, weights)
-            dat.append(sim)
-            pipe_vals.append(sim)
-        if pipe_vals:
-            per_pipeline_means.append(sum(pipe_vals) / len(pipe_vals))
+def similarity_table(pairs: Sequence[PairSimilarity]) -> dict[str, dict]:
+    """Jaccard / dataset / per-pipeline-average dataset similarity histograms;
+    pipelines are told apart by id, which a validated corpus never repeats."""
+    jac = [pair.jaccard for pair in pairs]
+    dat = [pair.dataset_sim for pair in pairs]
+    per_pipeline_means = []
+    for _, group in groupby(pairs, key=lambda pair: pair.pipeline_id):
+        sims = [pair.dataset_sim for pair in group]
+        per_pipeline_means.append(sum(sims) / len(sims))
 
     def row(values: list[float]) -> dict:
         shares = bucketize(values)

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when trace validation fails (violations are
-printed one per line), 2 on usage errors.  All outputs are deterministic
-given the inputs, the seed, and the config file; tabular outputs start with
-a format-version comment line followed by a header row.
+printed one per line), 2 on usage errors, on a malformed trace file (the
+message reads ``<path>: line N: <message>``) and on a corpus directory
+without trace files.  All outputs are deterministic given the inputs, the
+seed, and the config file; tabular outputs start with a format-version
+comment line followed by a header row.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .analytics import (
     cadence_stats,
     cost_breakdown,
     drift_code_table,
+    pair_similarities,
     pipeline_stats,
     similarity_table,
 )
@@ -35,16 +38,17 @@ from .features import (
 )
 from .forest import SplitSpec, balanced_accuracy, fit, forest_from_dict, forest_to_dict
 from .policy import sweep
-from .segmentation import consecutive_pairs, dump_graphlets, segment_corpus
-from .similarity import LshParams, SimWeights, jaccard, sequence_sim
+from .segmentation import dump_graphlets, segment_corpus
+from .similarity import LshParams, SimWeights
 from .synth import generate, preset
 from .trace import load_corpus
 from .workflow import (
+    CorpusValidationError,
     eval_records,
     policy_report,
     prepare_ml_corpus,
+    require_valid,
     split_pipelines,
-    validate_corpus,
 )
 
 TABLE_VERSION = "# graphlets-table v1"
@@ -70,14 +74,20 @@ def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write("\t".join(_fmt(v) for v in row) + "\n")
 
 
-def _load_validated(corpus_dir: str) -> list:
-    traces = load_corpus(corpus_dir)
-    violations = validate_corpus(traces)
-    if violations:
-        for v in violations:
-            print(v)
-        raise SystemExit(1)
-    return traces
+def _write_similarity_table(path: Path, pairs) -> None:
+    table = similarity_table(pairs)
+    _write_table(
+        path,
+        ["metric", "b_0_25", "b_25_50", "b_50_75", "b_75_100", "mean", "count"],
+        [[name, *row["buckets"], row["mean"], row["count"]] for name, row in table.items()],
+    )
+
+
+def _segmented(args, cfg: RunConfig) -> tuple[list, list]:
+    """The validated traces and all their graphlets, warmstart pipelines included."""
+    traces = load_corpus(args.corpus)
+    require_valid(traces)
+    return traces, segment_corpus(traces, stop=cfg.stop)
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
@@ -99,22 +109,18 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def cmd_validate(args, cfg: RunConfig) -> int:
     traces = load_corpus(args.corpus)
-    violations = validate_corpus(traces)
-    if violations:
-        for v in violations:
-            print(v)
-        return 1
+    require_valid(traces)
     print(f"{len(traces)} traces valid")
     return 0
 
 
 def cmd_segment(args, cfg: RunConfig) -> int:
-    traces = _load_validated(args.corpus)
+    _, corpus = _segmented(args, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with out.open("w", encoding="utf-8") as fh:
-        for trace, graphlets in segment_corpus(traces, stop=cfg.stop):
+        for trace, graphlets in corpus:
             for line in dump_graphlets(graphlets):
                 fh.write(line + "\n")
                 count += 1
@@ -123,8 +129,7 @@ def cmd_segment(args, cfg: RunConfig) -> int:
 
 
 def cmd_stats(args, cfg: RunConfig) -> int:
-    traces = _load_validated(args.corpus)
-    corpus = segment_corpus(traces, stop=cfg.stop)
+    traces, corpus = _segmented(args, cfg)
     out = Path(args.out)
 
     stats = [pipeline_stats(trace) for trace in traces]
@@ -196,14 +201,10 @@ def cmd_stats(args, cfg: RunConfig) -> int:
         [[mt.value, r] for mt, r in cad.push_rate_by_model_type.items()],
     )
 
-    table = similarity_table(corpus, cfg.lsh, cfg.weights)
-    _write_table(
-        out / "similarity_table.tsv",
-        ["metric", "b_0_25", "b_25_50", "b_50_75", "b_75_100", "mean", "count"],
-        [[name, *row["buckets"], row["mean"], row["count"]] for name, row in table.items()],
-    )
+    pairs = pair_similarities(corpus, cfg.lsh, cfg.weights)
+    _write_similarity_table(out / "similarity_table.tsv", pairs)
 
-    drift = drift_code_table(corpus, cfg.lsh, cfg.weights)
+    drift = drift_code_table(pairs)
     _write_table(
         out / "drift_code.tsv",
         ["measure", "mu_pushed", "mu_unpushed", "mu_all"],
@@ -219,42 +220,23 @@ def cmd_stats(args, cfg: RunConfig) -> int:
 
 
 def cmd_similarity(args, cfg: RunConfig) -> int:
-    traces = _load_validated(args.corpus)
-    corpus = segment_corpus(traces, stop=cfg.stop)
+    _, corpus = _segmented(args, cfg)
     out = Path(args.out)
 
-    rows = []
-    for trace, graphlets in corpus:
-        spans = {
-            a.id: a.span_stats for a in trace.artifacts.values() if a.span_stats is not None
-        }
-        for prev, cur in consecutive_pairs(graphlets):
-            seq_prev = tuple(spans[s] for s in prev.input_spans if s in spans)
-            seq_cur = tuple(spans[s] for s in cur.input_spans if s in spans)
-            rows.append(
-                [
-                    trace.pipeline_id,
-                    prev.anchor,
-                    cur.anchor,
-                    jaccard(prev, cur),
-                    sequence_sim(seq_cur, seq_prev, cfg.lsh, cfg.weights),
-                ]
-            )
-    _write_table(out / "pairs.tsv", ["pipeline_id", "anchor_a", "anchor_b", "jaccard", "dataset_sim"], rows)
-
-    table = similarity_table(corpus, cfg.lsh, cfg.weights)
+    pairs = pair_similarities(corpus, cfg.lsh, cfg.weights)
     _write_table(
-        out / "histogram.tsv",
-        ["metric", "b_0_25", "b_25_50", "b_50_75", "b_75_100", "mean", "count"],
-        [[name, *row["buckets"], row["mean"], row["count"]] for name, row in table.items()],
+        out / "pairs.tsv",
+        ["pipeline_id", "anchor_a", "anchor_b", "jaccard", "dataset_sim"],
+        [[p.pipeline_id, p.anchor_a, p.anchor_b, p.jaccard, p.dataset_sim] for p in pairs],
     )
-    print(f"wrote {len(rows)} pair records -> {out}")
+
+    _write_similarity_table(out / "histogram.tsv", pairs)
+    print(f"wrote {len(pairs)} pair records -> {out}")
     return 0
 
 
 def cmd_featurize(args, cfg: RunConfig) -> int:
-    traces = _load_validated(args.corpus)
-    corpus = prepare_ml_corpus(traces, stop=cfg.stop)
+    corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
     feats = featurize_corpus(corpus, window=cfg.window, lsh=cfg.lsh, weights=cfg.weights)
     stage = FeatureStage(args.stage)
     names, X, costs = feats.stage_view(stage)
@@ -292,8 +274,7 @@ def _featurizer_from_payload(payload: dict) -> Featurizer:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    traces = _load_validated(args.corpus)
-    corpus = prepare_ml_corpus(traces, stop=cfg.stop)
+    corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
     spec, train, _ = split_pipelines(corpus, seed=cfg.split_seed)
     featurizer = Featurizer(
         window=cfg.window, lsh=cfg.lsh, weights=cfg.weights, arch_vocab=build_arch_vocab(train)
@@ -343,8 +324,7 @@ def _load_model(path: str):
 
 
 def _test_records(args, cfg: RunConfig):
-    traces = _load_validated(args.corpus)
-    corpus = prepare_ml_corpus(traces, stop=cfg.stop)
+    corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
     stage, featurizer, split, model = _load_model(args.model)
     test_ids = set(split.test_pipeline_ids)
     test = [(t, gs) for t, gs in corpus if t.pipeline_id in test_ids]
@@ -387,8 +367,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_report(args, cfg: RunConfig) -> int:
-    traces = _load_validated(args.corpus)
-    corpus = prepare_ml_corpus(traces, stop=cfg.stop)
+    corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
     report = policy_report(
         corpus,
         window=cfg.window,
@@ -508,8 +487,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, seed=args.seed)
         return COMMANDS[args.command](args, cfg)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except CorpusValidationError as exc:
+        for v in exc.violations:
+            print(v)
+        return 1
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,12 +26,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .segmentation import Graphlet
-from .similarity import LshParams, SimWeights, jaccard, sequence_sim
+from .similarity import LshParams, SimWeights, jaccard, sequence_sim, span_sequence
 from .trace import (
     ModelType,
     OperatorGroup,
     OperatorKind,
-    SpanStats,
     Trace,
     TraceIndex,
     index_trace,
@@ -40,7 +39,6 @@ from .trace import (
 __all__ = [
     "FeatureStage",
     "WindowConfig",
-    "FeatureVector",
     "Featurizer",
     "CorpusFeatures",
     "MISSING",
@@ -53,29 +51,15 @@ ARCH_VOCAB_CAP = 32
 
 
 class FeatureStage(str, Enum):
+    """Scheduler intervention points, declared in pipeline order."""
+
     INPUT = "input"
     INPUT_PRE = "input_pre"
     INPUT_PRE_TRAINER = "input_pre_trainer"
     VALIDATION = "validation"
 
-    @property
-    def order(self) -> int:
-        return _STAGE_ORDER[self]
 
-
-_STAGE_ORDER = {
-    FeatureStage.INPUT: 0,
-    FeatureStage.INPUT_PRE: 1,
-    FeatureStage.INPUT_PRE_TRAINER: 2,
-    FeatureStage.VALIDATION: 3,
-}
-
-STAGES = (
-    FeatureStage.INPUT,
-    FeatureStage.INPUT_PRE,
-    FeatureStage.INPUT_PRE_TRAINER,
-    FeatureStage.VALIDATION,
-)
+STAGES = tuple(FeatureStage)
 
 PRE_TRAINER_KINDS = (
     OperatorKind.EXAMPLE_GEN,
@@ -125,14 +109,6 @@ class WindowConfig:
     def __post_init__(self) -> None:
         if self.w < 1:
             raise ValueError("window must be at least 1")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    names: tuple[str, ...]
-    values: tuple[float, ...]
-    label: bool
-    cost_to_acquire: float
 
 
 def build_arch_vocab(graphlets_by_trace: Iterable[tuple[Trace, Sequence[Graphlet]]]) -> tuple[str, ...]:
@@ -194,20 +170,12 @@ class Featurizer:
         return tuple(names)
 
     def stage_slice(self, stage: FeatureStage) -> slice:
-        base = len(self.model_names()) + len(self.history_names())
-        pre = len(_shape_block(PRE_TRAINER_KINDS))
-        tr = len(_shape_block(TRAINER_KINDS))
-        post = len(_shape_block(POST_TRAINER_KINDS))
-        ends = {
-            FeatureStage.INPUT: base,
-            FeatureStage.INPUT_PRE: base + pre,
-            FeatureStage.INPUT_PRE_TRAINER: base + pre + tr,
-            FeatureStage.VALIDATION: base + pre + tr + post,
-        }
-        return slice(0, ends[stage])
-
-    def stage_names(self, stage: FeatureStage) -> tuple[str, ...]:
-        return self.full_names()[self.stage_slice(stage)]
+        """Columns of ``full_names`` that exist at ``stage``: a prefix."""
+        if not isinstance(stage, FeatureStage):
+            raise ValueError(f"unknown feature stage: {stage!r}")
+        shape = (PRE_TRAINER_KINDS, TRAINER_KINDS, POST_TRAINER_KINDS)[: STAGES.index(stage)]
+        end = len(self.model_names()) + len(self.history_names())
+        return slice(0, end + sum(len(_shape_block(kinds)) for kinds in shape))
 
     # -- feature groups -------------------------------------------------
 
@@ -252,23 +220,13 @@ class Featurizer:
     ) -> list[float]:
         """Per ordinal position back in time: jaccard, dataset similarity,
         code match.  ``predecessors`` is most recent first."""
-        spans_cache: dict[str, tuple[SpanStats, ...]] = {}
-
-        def spans(gl: Graphlet) -> tuple[SpanStats, ...]:
-            if gl.anchor not in spans_cache:
-                spans_cache[gl.anchor] = tuple(
-                    trace.artifacts[s].span_stats
-                    for s in gl.input_spans
-                    if trace.artifacts[s].span_stats is not None
-                )
-            return spans_cache[gl.anchor]
-
+        spans = span_sequence(g, trace)
         values: list[float] = []
         for i in range(self.window.w):
             if i < len(predecessors):
                 prev = predecessors[i]
                 values.append(jaccard(g, prev))
-                values.append(sequence_sim(spans(g), spans(prev), self.lsh, self.weights))
+                values.append(sequence_sim(spans, span_sequence(prev, trace), self.lsh, self.weights))
                 values.append(1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0)
             else:
                 values.extend((MISSING, MISSING, MISSING))
@@ -288,27 +246,6 @@ class Featurizer:
 
     def stage_cost(self, g: Graphlet, stage: FeatureStage) -> float:
         return sum(g.costs.get(group, 0.0) for group in STAGE_COST_GROUPS[stage])
-
-    def assemble(
-        self,
-        g: Graphlet,
-        predecessors: Sequence[Graphlet],
-        stage: FeatureStage,
-        trace: Trace,
-        idx: TraceIndex | None = None,
-    ) -> FeatureVector:
-        if not isinstance(stage, FeatureStage):
-            raise ValueError(f"unknown feature stage: {stage!r}")
-        if idx is None:
-            idx = index_trace(trace)
-        row = self.full_row(g, predecessors, trace, idx)
-        sl = self.stage_slice(stage)
-        return FeatureVector(
-            names=self.stage_names(stage),
-            values=tuple(row[sl]),
-            label=g.pushed,
-            cost_to_acquire=self.stage_cost(g, stage),
-        )
 
 
 @dataclass

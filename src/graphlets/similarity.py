@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .segmentation import Graphlet
-from .trace import FeatureKind, FeatureStats, SpanStats
+from .trace import FeatureKind, FeatureStats, SpanStats, Trace
 from .transport import MAX_SIDE, transport_cost
 
 __all__ = [
@@ -34,8 +34,9 @@ __all__ = [
     "LshParams",
     "SimWeights",
     "jaccard",
+    "span_sequence",
     "canonicalize",
-    "lsh_hash",
+    "hash_distributions",
     "feature_sim",
     "span_sim",
     "sequence_sim",
@@ -106,6 +107,13 @@ def jaccard(a: Graphlet, b: Graphlet) -> float:
     if not sa and not sb:
         return 1.0
     return len(sa & sb) / len(sa | sb)
+
+
+def span_sequence(g: Graphlet, trace: Trace) -> tuple[SpanStats, ...]:
+    """Statistics of a graphlet's input spans, oldest first; spans without
+    statistics are skipped.  This is the sequence ``sequence_sim`` compares."""
+    stats = (trace.artifacts[span_id].span_stats for span_id in g.input_spans)
+    return tuple(st for st in stats if st is not None)
 
 
 def canonicalize(f: FeatureStats) -> CanonicalDistribution:
@@ -188,28 +196,22 @@ def _projections(k: int, w: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return directions, offsets
 
 
-def lsh_hash(dist: CanonicalDistribution, params: LshParams) -> tuple[int, ...]:
-    """Integer hash of a distribution; nearby distributions tend to collide.
-
-    Component j is floor((a_j . sqrt(d) + b_j) / w) with a_j standard normal
-    and b_j uniform in [0, w), both a pure function of (seed, j).
-    """
-    directions, offsets = _projections(params.k, params.w, params.seed)
-    root = np.sqrt(np.asarray(dist.bins))
-    values = np.floor((directions @ root + offsets) / params.w)
-    return tuple(int(x) for x in values)
-
-
 def hash_distributions(bins_matrix: np.ndarray, params: LshParams) -> np.ndarray:
-    """Vectorized ``lsh_hash`` over rows of a (n, BINS) matrix."""
+    """Integer hashes of the rows of a (n, BINS) distribution matrix.
+
+    Row i, component j is floor((a_j . sqrt(d_i) + b_j) / w) with a_j
+    standard normal and b_j uniform in [0, w), both a pure function of
+    (seed, j).  Nearby distributions tend to collide.
+    """
     directions, offsets = _projections(params.k, params.w, params.seed)
     root = np.sqrt(np.asarray(bins_matrix, dtype=float))
     return np.floor((root @ directions.T + offsets) / params.w).astype(np.int64)
 
 
-@lru_cache(maxsize=262144)
-def _feature_hash(f: FeatureStats, params: LshParams) -> tuple[int, ...]:
-    return lsh_hash(canonicalize(f), params)
+def _feature_hashes(features, params: LshParams) -> list[tuple[int, ...]]:
+    """Canonicalize features and hash them in one batch, one tuple per feature."""
+    bins = np.array([canonicalize(f).bins for f in features], dtype=float).reshape(-1, BINS)
+    return [tuple(row) for row in hash_distributions(bins, params).tolist()]
 
 
 def feature_sim(
@@ -219,7 +221,8 @@ def feature_sim(
     if f1.kind is not f2.kind:
         return 0.0
     score = 0.0
-    if _feature_hash(f1, params) == _feature_hash(f2, params):
+    h1, h2 = _feature_hashes((f1, f2), params)
+    if h1 == h2:
         score += weights.alpha
     if f1.name == f2.name:
         score += weights.beta
@@ -230,8 +233,7 @@ def feature_sim(
 def _span_signature(d: SpanStats, params: LshParams):
     names = tuple(f.name for f in d.features)
     kinds = tuple(f.kind.value for f in d.features)
-    hashes = tuple(_feature_hash(f, params) for f in d.features)
-    return names, kinds, hashes
+    return names, kinds, tuple(_feature_hashes(d.features, params))
 
 
 def _cost_matrix(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeights):

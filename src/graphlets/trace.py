@@ -183,8 +183,12 @@ class FeatureStats:
                 elif any(c <= 0 for c in self.cat_top10):
                     bad.append(f"feature {self.name!r} has non-positive top-term counts")
                 else:
-                    if sum(self.cat_top10) > self.cat_total:
+                    top_sum = sum(self.cat_top10)
+                    if top_sum > self.cat_total:
                         bad.append(f"feature {self.name!r} top-term counts exceed total")
+                    elif top_sum < self.cat_total and len(self.cat_top10) == self.cat_unique:
+                        # Every term is a top term, so their counts make up the whole total.
+                        bad.append(f"feature {self.name!r} top-term counts do not cover the total")
                     if len(self.cat_top10) > min(10, self.cat_unique):
                         bad.append(f"feature {self.name!r} has too many top-term counts")
                     if self.cat_unique > self.cat_total:
@@ -290,10 +294,9 @@ def _timestamp(record: Mapping[str, Any], key: str, line: int) -> int:
     return value
 
 
-_SPAN_STATS_KEYS = {"name", "type", "hist", "top10", "unique", "total"}
-
-
 def parse_span_stats(payload: Mapping[str, Any], line: int = 0) -> SpanStats:
+    if not isinstance(payload, Mapping):
+        raise TraceParseError("span_stats must be an object", line)
     raw = payload.get("features")
     if not isinstance(raw, list):
         raise TraceParseError("span_stats must contain a feature list", line)
@@ -306,11 +309,17 @@ def parse_span_stats(payload: Mapping[str, Any], line: int = 0) -> SpanStats:
             hist = entry.get("hist")
             if not isinstance(hist, list):
                 raise TraceParseError(f"numerical feature {entry['name']!r} missing hist", line)
+            try:
+                numerical_hist = tuple(float(x) for x in hist)
+            except (TypeError, ValueError, OverflowError):
+                raise TraceParseError(
+                    f"numerical feature {entry['name']!r} hist must hold numbers", line
+                ) from None
             feats.append(
                 FeatureStats(
                     name=str(entry["name"]),
                     kind=kind,
-                    numerical_hist=tuple(float(x) for x in hist),
+                    numerical_hist=numerical_hist,
                 )
             )
         else:
@@ -324,7 +333,7 @@ def parse_span_stats(payload: Mapping[str, Any], line: int = 0) -> SpanStats:
                         cat_total=int(entry["total"]),
                     )
                 )
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise TraceParseError(
                     f"categorical feature {entry.get('name')!r} missing top10/unique/total", line
                 ) from None
@@ -383,8 +392,14 @@ def _parse_execution(record: Mapping[str, Any], line: int) -> Execution:
     cost = record.get("cpu_cost", 0.0)
     if not isinstance(cost, (int, float)) or isinstance(cost, bool):
         raise TraceParseError("cpu_cost must be a number", line)
+    try:
+        cost = float(cost)
+    except OverflowError:
+        raise TraceParseError("cpu_cost is out of float range", line) from None
     model_type = props.get("model_type")
     analyzers = props.get("analyzers")
+    if analyzers is not None and not isinstance(analyzers, list):
+        raise TraceParseError("analyzers must be a list", line)
     extra = tuple(sorted((k, v) for k, v in props.items() if k not in _EXEC_PROP_KEYS))
     return Execution(
         id=node_id,
@@ -393,7 +408,7 @@ def _parse_execution(record: Mapping[str, Any], line: int) -> Execution:
         start_at=_timestamp(record, "start_at", line),
         end_at=_timestamp(record, "end_at", line),
         state=_enum(record.get("state"), ExecutionState, "execution state", line),
-        cpu_cost=float(cost),
+        cpu_cost=cost,
         code_version=None if props.get("code_version") is None else str(props["code_version"]),
         model_type=None if model_type is None else _enum(model_type, ModelType, "model type", line),
         architecture=None if props.get("architecture") is None else str(props["architecture"]),
@@ -404,7 +419,7 @@ def _parse_execution(record: Mapping[str, Any], line: int) -> Execution:
     )
 
 
-def parse_trace(lines: Iterable[str], source: str = "<memory>") -> Trace:
+def parse_trace(lines: Iterable[str]) -> Trace:
     """Parse newline-delimited trace records into a fully linked ``Trace``.
 
     Record order is irrelevant to the result.  Raises ``TraceParseError`` on a
@@ -422,8 +437,9 @@ def parse_trace(lines: Iterable[str], source: str = "<memory>") -> Trace:
             continue
         try:
             record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"invalid JSON ({exc.msg})", line_no) from None
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, over-long integer literals, too-deep nesting
+            raise TraceParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from None
         if not isinstance(record, Mapping):
             raise TraceParseError("record must be a JSON object", line_no)
         kind = record.get("kind")
@@ -470,7 +486,7 @@ def parse_trace(lines: Iterable[str], source: str = "<memory>") -> Trace:
         edges.add(edge)
 
     if pipeline_id is None:
-        raise TraceParseError(f"no node records in {source}")
+        raise TraceParseError("no node records")
     return Trace(
         pipeline_id=pipeline_id,
         artifacts=dict(sorted(artifacts.items())),
@@ -480,9 +496,14 @@ def parse_trace(lines: Iterable[str], source: str = "<memory>") -> Trace:
 
 
 def parse_trace_file(path: str | Path) -> Trace:
+    """``parse_trace`` on a file; errors read ``<path>: line N: <message>``."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        return parse_trace(fh, source=str(path))
+        try:
+            return parse_trace(fh)
+        except TraceParseError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _is_finite(x: float) -> bool:
@@ -664,19 +685,15 @@ def serialize_trace(trace: Trace) -> Iterator[str]:
         )
 
 
-def write_trace(trace: Trace, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for line in serialize_trace(trace):
-            fh.write(line + "\n")
-
-
 def load_corpus(directory: str | Path) -> list[Trace]:
-    """Parse every ``*.ndjson`` trace file in a corpus directory, sorted by name."""
+    """Parse every ``*.ndjson`` trace file in a corpus directory, sorted by name.
+
+    A directory without trace files is an error, not an empty corpus.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {directory}")
-    traces = []
-    for path in sorted(directory.glob("*.ndjson")):
-        traces.append(parse_trace_file(path))
-    return traces
+    paths = sorted(directory.glob("*.ndjson"))
+    if not paths:
+        raise ValueError(f"no trace files in {directory}")
+    return [parse_trace_file(path) for path in paths]

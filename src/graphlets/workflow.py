@@ -31,6 +31,8 @@ __all__ = [
     "CorpusValidationError",
     "StageReport",
     "PolicyReport",
+    "validate_corpus",
+    "require_valid",
     "prepare_ml_corpus",
     "split_pipelines",
     "eval_records",
@@ -48,17 +50,27 @@ class CorpusValidationError(ValueError):
 
 
 def validate_corpus(traces: list[Trace]) -> list[str]:
+    """Every trace's violations, plus one per pipeline id that a trace repeats."""
     violations = []
+    seen: set[str] = set()
     for trace in traces:
+        if trace.pipeline_id in seen:
+            violations.append(f"{trace.pipeline_id}: pipeline id used by more than one trace")
+        seen.add(trace.pipeline_id)
         violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace))
     return violations
 
 
-def prepare_ml_corpus(traces: list[Trace], stop: StopSet = DEFAULT_STOP_SET) -> Corpus:
-    """Validate, segment, and drop warmstart pipelines."""
+def require_valid(traces: list[Trace]) -> None:
+    """Raise ``CorpusValidationError`` carrying every violation, if any."""
     violations = validate_corpus(traces)
     if violations:
         raise CorpusValidationError(violations)
+
+
+def prepare_ml_corpus(traces: list[Trace], stop: StopSet = DEFAULT_STOP_SET) -> Corpus:
+    """Validate, segment, and drop warmstart pipelines."""
+    require_valid(traces)
     return filter_warmstart(segment_corpus(traces, stop=stop))
 
 

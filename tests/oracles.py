@@ -3,7 +3,8 @@
 These deliberately favor obviousness over speed: the segmentation oracle
 re-scans every edge until nothing changes, the transport oracle enumerates
 integer contingency tables, the sweep oracle rebuilds each confusion set
-from scratch, and the split oracle scores one candidate feature at a time.
+from scratch, the split oracle scores one candidate feature at a time, and
+the hash oracle projects one distribution at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from graphlets import forest
 from graphlets.segmentation import StopSet
+from graphlets.similarity import LshParams, _projections
 from graphlets.trace import (
     Artifact,
     ArtifactType,
@@ -219,6 +221,14 @@ def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
 
     m = (p + q) / 2.0
     return entropy(m) - (entropy(p) + entropy(q)) / 2.0
+
+
+def scalar_lsh_hash(bins, params: LshParams) -> tuple[int, ...]:
+    """Hash of one distribution: component j is floor((a_j . sqrt(d) + b_j) / w)."""
+    directions, offsets = _projections(params.k, params.w, params.seed)
+    root = np.sqrt(np.asarray(bins, dtype=float))
+    values = np.floor((directions @ root + offsets) / params.w)
+    return tuple(int(x) for x in values)
 
 
 def loop_best_split(builder, idx: np.ndarray, n1: int) -> tuple[int, float] | None:

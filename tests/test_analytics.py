@@ -11,6 +11,7 @@ from graphlets.analytics import (
     cadence_stats,
     cost_breakdown,
     drift_code_table,
+    pair_similarities,
     pipeline_stats,
     similarity_table,
 )
@@ -137,7 +138,7 @@ def test_geometric_corpus_mean_gap(tmp_path):
 
 def test_drift_code_table_all_code_equal(warm_pair_trace, warm_pair_graphlets):
     table = drift_code_table(
-        [(warm_pair_trace, warm_pair_graphlets)], LshParams(), SimWeights()
+        pair_similarities([(warm_pair_trace, warm_pair_graphlets)], LshParams(), SimWeights())
     )
     assert table.code_match_all == 1.0
     assert table.pair_count == 1
@@ -168,7 +169,7 @@ def test_drift_code_table_alternating_versions():
             )
         )
     trace = parse_trace(lines)
-    table = drift_code_table([(trace, graphlets)], LshParams(), SimWeights())
+    table = drift_code_table(pair_similarities([(trace, graphlets)], LshParams(), SimWeights()))
     assert table.code_match_all == 0.0
 
 
@@ -180,7 +181,7 @@ def test_drift_code_table_planted_code_stability(tmp_path):
     )
     generate(cfg, tmp_path)
     corpus = segment_corpus(load_corpus(tmp_path))
-    table = drift_code_table(corpus, LshParams(), SimWeights())
+    table = drift_code_table(pair_similarities(corpus, LshParams(), SimWeights()))
     assert table.code_match_all == pytest.approx(cfg.code_stability, abs=0.02)
 
 
@@ -222,7 +223,27 @@ def test_bucketize_edges():
 
 def test_similarity_table_shares_sum_to_one(small_corpus):
     _, _, _, corpus = small_corpus
-    table = similarity_table(corpus, LshParams(), SimWeights())
+    table = similarity_table(pair_similarities(corpus, LshParams(), SimWeights()))
     for row in table.values():
         assert sum(row["buckets"]) == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= row["mean"] <= 1.0
+
+
+def test_pair_similarities_one_record_per_consecutive_pair(small_corpus):
+    _, _, _, corpus = small_corpus
+    pairs = pair_similarities(corpus[:3], LshParams(), SimWeights())
+    assert len(pairs) == sum(len(gs) - 1 for _, gs in corpus[:3] if gs)
+    for pair in pairs:
+        assert 0.0 <= pair.jaccard <= 1.0
+        assert 0.0 <= pair.dataset_sim <= 1.0
+        assert pair.code_match in (0.0, 1.0)
+    trace, graphlets = corpus[0]
+    ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
+    first = pairs[0]
+    assert (first.pipeline_id, first.anchor_a, first.anchor_b) == (
+        trace.pipeline_id, ordered[0].anchor, ordered[1].anchor
+    )
+    assert first.pushed == ordered[1].pushed
+    table = drift_code_table(pairs)
+    assert table.pair_count == len(pairs)
+    assert table.code_match_all == pytest.approx(sum(p.code_match for p in pairs) / len(pairs))

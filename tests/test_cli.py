@@ -51,6 +51,52 @@ def test_validate_broken_corpus_exits_1(tmp_path, capsys):
     assert "missing model_type" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["report", "train"])
+def test_invalid_trace_exits_1_for_model_commands(command, warm_pair_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    good = warm_pair_dir / "warmstart_pair.ndjson"
+    (corpus / good.name).write_text(good.read_text())
+    (corpus / "q.ndjson").write_text(
+        '{"kind": "execution", "id": "t", "operator": "trainer", "pipeline_id": "q", '
+        '"start_at": 1, "end_at": 2, "state": "complete", "cpu_cost": 1.0, "properties": {}}\n'
+    )
+    out = tmp_path / "out"
+    assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["q: trainer t missing model_type"]
+    assert not out.exists()
+
+
+def test_repeated_pipeline_id_exits_1(warm_pair_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    text = (warm_pair_dir / "warmstart_pair.ndjson").read_text()
+    (corpus / "a.ndjson").write_text(text)
+    (corpus / "b.ndjson").write_text(text)
+    assert main(["validate", "--corpus", str(corpus)]) == 1
+    assert "pipeline id used by more than one trace" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_empty_corpus_exits_2(command, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = [command, "--corpus", str(empty)]
+    if command == "stats":
+        argv += ["--out", str(tmp_path / "stats")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: no trace files in {empty}\n"
+
+
+def test_malformed_record_names_file_and_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "p.ndjson").write_text('{"kind": "artifact", "id": "a"}\n{broken\n')
+    assert main(["validate", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus / 'p.ndjson'}: line 1: ")
+
+
 def test_validate_cyclic_trace_exits_1(tmp_path, capsys):
     bad = tmp_path / "cyclic"
     bad.mkdir()

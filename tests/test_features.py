@@ -19,27 +19,40 @@ def featurizer_for(trace, graphlets, **kw):
     return Featurizer(arch_vocab=build_arch_vocab([(trace, graphlets)]), **kw)
 
 
+def stage_row(f, g, predecessors, stage, trace, idx=None):
+    """Feature name -> value at ``stage``, built by the production row path."""
+    sl = f.stage_slice(stage)
+    values = f.full_row(g, predecessors, trace, idx or index_trace(trace))[sl]
+    return dict(zip(f.full_names()[sl], values))
+
+
 def test_stage_vectors_nest_and_grow(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     idx = index_trace(warm_pair_trace)
     g = warm_pair_graphlets[1]
+    full = f.full_row(g, [warm_pair_graphlets[0]], warm_pair_trace, idx)
+    assert len(full) == len(f.full_names())
     lengths = []
     prev_values = None
     for stage in STAGES:
-        vec = f.assemble(g, [warm_pair_graphlets[0]], stage, warm_pair_trace, idx)
-        lengths.append(len(vec.values))
-        assert len(vec.values) == len(vec.names)
+        sl = f.stage_slice(stage)
+        names, values = f.full_names()[sl], full[sl]
+        lengths.append(len(values))
+        assert len(values) == len(names)
         if prev_values is not None:
-            assert vec.values[: len(prev_values)] == prev_values
-        prev_values = vec.values
+            assert values[: len(prev_values)] == prev_values
+        prev_values = values
+    assert lengths[-1] == len(full)
     assert lengths == sorted(lengths) and len(set(lengths)) == len(lengths)
 
 
 def test_shape_features_of_consumer_graphlet(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     idx = index_trace(warm_pair_trace)
-    vec = f.assemble(warm_pair_graphlets[1], [warm_pair_graphlets[0]], FeatureStage.VALIDATION, warm_pair_trace, idx)
-    row = dict(zip(vec.names, vec.values))
+    row = stage_row(
+        f, warm_pair_graphlets[1], [warm_pair_graphlets[0]], FeatureStage.VALIDATION,
+        warm_pair_trace, idx,
+    )
     assert row["shape_example_gen_count"] == 2.0
     assert row["shape_example_gen_avg_out"] == 1.0
     assert row["shape_trainer_count"] == 1.0
@@ -47,14 +60,13 @@ def test_shape_features_of_consumer_graphlet(warm_pair_trace, warm_pair_graphlet
     assert row["shape_trainer_avg_out"] == 1.0
     assert row["shape_evaluator_count"] == 1.0
     assert row["shape_transform_count"] == 0.0
-    assert not any(name.startswith("shape_pusher") for name in vec.names)
+    assert not any(name.startswith("shape_pusher") for name in row)
 
 
 def test_post_trainer_features_zero_when_absent(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     idx = index_trace(warm_pair_trace)
-    vec = f.assemble(warm_pair_graphlets[0], [], FeatureStage.VALIDATION, warm_pair_trace, idx)
-    row = dict(zip(vec.names, vec.values))
+    row = stage_row(f, warm_pair_graphlets[0], [], FeatureStage.VALIDATION, warm_pair_trace, idx)
     assert row["shape_evaluator_count"] == 0.0
     assert row["shape_model_validator_count"] == 0.0
     assert row["shape_model_validator_avg_in"] == 0.0
@@ -79,16 +91,14 @@ def test_evaluator_with_three_inputs():
     trace = parse_trace(lines)
     (g,) = extract_graphlets(trace)
     f = Featurizer()
-    vec = f.assemble(g, [], FeatureStage.VALIDATION, trace)
-    row = dict(zip(vec.names, vec.values))
+    row = stage_row(f, g, [], FeatureStage.VALIDATION, trace)
     assert row["shape_evaluator_avg_in"] == 3.0
 
 
 def test_model_features_one_hot(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     idx = index_trace(warm_pair_trace)
-    vec = f.assemble(warm_pair_graphlets[1], [], FeatureStage.INPUT, warm_pair_trace, idx)
-    row = dict(zip(vec.names, vec.values))
+    row = stage_row(f, warm_pair_graphlets[1], [], FeatureStage.INPUT, warm_pair_trace, idx)
     assert row["model_type_dnn"] == 1.0
     assert row["model_type_linear"] == 0.0
     assert row["arch_feedforward"] == 1.0
@@ -98,8 +108,7 @@ def test_model_features_one_hot(warm_pair_trace, warm_pair_graphlets):
 def test_unseen_architecture_maps_to_other(warm_pair_trace, warm_pair_graphlets):
     f = Featurizer(arch_vocab=("some_other_arch",))
     idx = index_trace(warm_pair_trace)
-    vec = f.assemble(warm_pair_graphlets[1], [], FeatureStage.INPUT, warm_pair_trace, idx)
-    row = dict(zip(vec.names, vec.values))
+    row = stage_row(f, warm_pair_graphlets[1], [], FeatureStage.INPUT, warm_pair_trace, idx)
     assert row["arch_some_other_arch"] == 0.0
     assert row["arch_other"] == 1.0
 
@@ -107,8 +116,7 @@ def test_unseen_architecture_maps_to_other(warm_pair_trace, warm_pair_graphlets)
 def test_history_sentinels_for_first_graphlet(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     idx = index_trace(warm_pair_trace)
-    vec = f.assemble(warm_pair_graphlets[0], [], FeatureStage.INPUT, warm_pair_trace, idx)
-    row = dict(zip(vec.names, vec.values))
+    row = stage_row(f, warm_pair_graphlets[0], [], FeatureStage.INPUT, warm_pair_trace, idx)
     for i in (1, 2, 3):
         assert row[f"jaccard_{i}"] == MISSING
         assert row[f"dataset_sim_{i}"] == MISSING
@@ -119,8 +127,7 @@ def test_history_identical_predecessor(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     idx = index_trace(warm_pair_trace)
     g = warm_pair_graphlets[1]
-    vec = f.assemble(g, [g], FeatureStage.INPUT, warm_pair_trace, idx)
-    row = dict(zip(vec.names, vec.values))
+    row = stage_row(f, g, [g], FeatureStage.INPUT, warm_pair_trace, idx)
     assert row["jaccard_1"] == 1.0
     assert row["dataset_sim_1"] == pytest.approx(1.0, abs=1e-9)
     assert row["code_match_1"] == 1.0
@@ -133,35 +140,31 @@ def test_history_disjoint_and_changed(warm_pair_trace, warm_pair_graphlets):
     import dataclasses
 
     prev = dataclasses.replace(warm_pair_graphlets[0], trainer_code_version="v999")
-    vec = f.assemble(warm_pair_graphlets[1], [prev], FeatureStage.INPUT, warm_pair_trace, idx)
-    row = dict(zip(vec.names, vec.values))
+    row = stage_row(f, warm_pair_graphlets[1], [prev], FeatureStage.INPUT, warm_pair_trace, idx)
     assert row["jaccard_1"] == 0.0  # span_b vs span_a
     assert row["code_match_1"] == 0.0
 
 
 def test_cost_to_acquire_monotone(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
     for g in warm_pair_graphlets:
-        costs = [
-            f.assemble(g, [], stage, warm_pair_trace, idx).cost_to_acquire for stage in STAGES
-        ]
+        costs = [f.stage_cost(g, stage) for stage in STAGES]
         assert costs == sorted(costs)
 
 
 def test_validation_cost_equals_trainer_stage_when_no_validators(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
     g = warm_pair_graphlets[0]  # no evaluator/model_validator
-    a = f.assemble(g, [], FeatureStage.INPUT_PRE_TRAINER, warm_pair_trace, idx)
-    b = f.assemble(g, [], FeatureStage.VALIDATION, warm_pair_trace, idx)
-    assert a.cost_to_acquire == b.cost_to_acquire
+    assert f.stage_cost(g, FeatureStage.INPUT_PRE_TRAINER) == f.stage_cost(g, FeatureStage.VALIDATION)
 
 
 def test_unknown_stage_rejected(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    with pytest.raises(ValueError):
-        f.assemble(warm_pair_graphlets[0], [], "not_a_stage", warm_pair_trace)
+    with pytest.raises(ValueError, match="unknown feature stage"):
+        f.stage_slice("not_a_stage")
+    feats = featurize_corpus([(warm_pair_trace, warm_pair_graphlets)], featurizer=f)
+    with pytest.raises(ValueError, match="unknown feature stage"):
+        feats.stage_view("not_a_stage")
 
 
 def test_schema_is_pure_function_of_vocab_and_window():
@@ -177,11 +180,21 @@ def test_arch_vocab_caps_and_sorts(warm_pair_trace, warm_pair_graphlets):
     assert vocab == ("feedforward",)
 
 
-def test_featurize_corpus_matches_assemble(small_corpus):
+def test_featurize_corpus_matches_full_row(small_corpus):
     _, _, traces, corpus = small_corpus
     feats = featurize_corpus(corpus[:3])
     assert feats.X.shape[0] == sum(len(gs) for _, gs in corpus[:3])
     assert feats.X.shape[1] == len(feats.names)
+    f = feats.featurizer
+    trace, graphlets = corpus[0]
+    ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
+    idx = index_trace(trace)
+    for pos, g in enumerate(ordered):
+        predecessors = ordered[max(0, pos - f.window.w): pos][::-1]
+        assert feats.X[pos].tolist() == f.full_row(g, predecessors, trace, idx)
+        assert feats.anchors[pos] == g.anchor
+        for stage in STAGES:
+            assert feats.stage_costs[stage][pos] == f.stage_cost(g, stage)
     # sentinel only in history columns, and only near pipeline starts
     history_cols = [i for i, n in enumerate(feats.names) if n.startswith(("jaccard", "dataset", "code"))]
     non_history = [i for i in range(len(feats.names)) if i not in history_cols]

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_span_sim_square, jensen_shannon
+from oracles import brute_span_sim_square, jensen_shannon, scalar_lsh_hash
 
 from graphlets.similarity import (
     BINS,
-    CanonicalDistribution,
     LshParams,
     SimWeights,
+    _span_signature,
     canonicalize,
     feature_sim,
     hash_distributions,
     jaccard,
-    lsh_hash,
     sequence_sim,
     span_sim,
 )
@@ -147,6 +146,13 @@ def test_canonicalize_conserves_mass(counts, unique_extra, total_extra):
     if unique > total:
         total = unique + total_extra
     f = cat_feature("x", sorted(counts, reverse=True), unique=unique, total=total)
+    if unique == len(counts) and total != sum(counts):
+        # Every term is a top term, yet the counts miss part of the total: the
+        # feature contradicts itself, and both validation and canonicalize say so.
+        assert any("do not cover the total" in m for m in f.check())
+        with pytest.raises(ValueError, match="do not cover the total"):
+            canonicalize(f)
+        return
     dist = canonicalize(f)
     assert abs(sum(dist.bins) - 1.0) <= 1e-9
 
@@ -155,16 +161,16 @@ def test_canonicalize_conserves_mass(counts, unique_extra, total_extra):
 
 
 def test_lsh_deterministic():
-    dist = CanonicalDistribution(bins=tuple([0.1] * 10))
-    assert lsh_hash(dist, PARAMS) == lsh_hash(dist, PARAMS)
-    assert len(lsh_hash(dist, PARAMS)) == PARAMS.k
+    dist = np.full((1, BINS), 0.1)
+    assert (hash_distributions(dist, PARAMS) == hash_distributions(dist, PARAMS)).all()
+    assert hash_distributions(dist, PARAMS).shape == (1, PARAMS.k)
 
 
 def test_lsh_seed_changes_projections():
-    dist = CanonicalDistribution(bins=tuple([0.1] * 10))
+    dist = np.full((1, BINS), 0.1)
     other = LshParams(seed=43)
     # no equality assertion between seeds; only that both are valid hashes
-    assert len(lsh_hash(dist, other)) == other.k
+    assert hash_distributions(dist, other).shape == (1, other.k)
 
 
 def test_lsh_batch_matches_scalar():
@@ -173,7 +179,22 @@ def test_lsh_batch_matches_scalar():
     mats = mats / mats.sum(axis=1, keepdims=True)
     batch = hash_distributions(mats, PARAMS)
     for row, hashed in zip(mats, batch):
-        assert tuple(hashed.tolist()) == lsh_hash(CanonicalDistribution(bins=tuple(row)), PARAMS)
+        assert tuple(hashed.tolist()) == scalar_lsh_hash(row, PARAMS)
+
+
+def test_span_hashes_match_scalar(small_corpus):
+    # The production path: each span's features canonicalized and hashed in one batch.
+    _, _, traces, _ = small_corpus
+    checked = 0
+    for trace in traces[:4]:
+        for art in trace.artifacts.values():
+            if art.span_stats is None or not art.span_stats.features:
+                continue
+            _, _, hashes = _span_signature(art.span_stats, PARAMS)
+            for f, h in zip(art.span_stats.features, hashes):
+                assert h == scalar_lsh_hash(canonicalize(f).bins, PARAMS)
+                checked += 1
+    assert checked > 100
 
 
 def test_lsh_collision_rate_decreases_with_jsd():

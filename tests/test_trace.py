@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from graphlets.trace import (
     TraceParseError,
     index_trace,
+    load_corpus,
     parse_trace,
+    parse_trace_file,
     serialize_trace,
     validate_trace,
 )
@@ -117,6 +120,112 @@ def test_parse_rejects_missing_timestamps():
         parse_trace([json.dumps(bad)])
 
 
+def _with(line, path, value):
+    """``line`` re-encoded with the field at ``path`` (keys and list indexes) set."""
+    record = json.loads(line)
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(record)
+
+
+TRANSFORM = _exec("tf", "transform", 1, 2, analyzers=["mean"])
+SPAN_STATS = ("properties", "span_stats")
+HIST = SPAN_STATS + ("features", 0, "hist")
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([_with(MINIMAL[0], ("cpu_cost",), 10**400)] + MINIMAL[1:], "line 1: cpu_cost"),
+        ([MINIMAL[0], _with(MINIMAL[1], SPAN_STATS, [1]), MINIMAL[2]],
+         "line 2: span_stats must be an object"),
+        ([MINIMAL[0], _with(MINIMAL[1], HIST, ["x"] + [0.1] * 9), MINIMAL[2]],
+         "line 2: numerical feature 'x' hist must hold numbers"),
+        ([_with(TRANSFORM, ("properties", "analyzers"), 5)], "line 1: analyzers must be a list"),
+        ([MINIMAL[0], '{"kind": ' + "1" * 5000 + "}"], "line 2: invalid JSON"),
+        ([MINIMAL[0], "[" * 100_000 + "]" * 100_000], "line 2: invalid JSON"),
+    ],
+    ids=[
+        "huge_cpu_cost", "span_stats_not_object", "hist_not_numbers", "analyzers_not_list",
+        "integer_literal_over_digit_limit", "nesting_too_deep",
+    ],
+)
+def test_parse_malformed_field_raises_typed_error(lines, message):
+    with pytest.raises(TraceParseError, match=message):
+        parse_trace(lines)
+
+
+FUZZ_LINES = [
+    _exec("t", "trainer", 1, 4, model_type="dnn", architecture="ff", code_version="v1"),
+    TRANSFORM,
+    _with(
+        MINIMAL[1],
+        SPAN_STATS + ("features",),
+        [
+            {"name": "x", "type": "numerical", "hist": [0.1] * 10},
+            {"name": "y", "type": "categorical", "top10": [5, 3], "unique": 12, "total": 20},
+        ],
+    ),
+    _edge("tf", "s", "output"),
+    _edge("s", "t", "input"),
+]
+
+
+def _field_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _field_paths(child, prefix + (key,))
+
+
+FUZZ_FIELDS = [
+    (i, path) for i, line in enumerate(FUZZ_LINES) for path in _field_paths(json.loads(line))
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def test_fuzz_base_record_set_is_valid():
+    assert validate_trace(parse_trace(FUZZ_LINES)) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=JSON_VALUES)
+def test_any_field_value_parses_or_raises_parse_error(field, value):
+    index, path = field
+    lines = copy.copy(FUZZ_LINES)
+    lines[index] = _with(lines[index], path, value) if path else json.dumps(value)
+    try:
+        parse_trace(lines)
+    except TraceParseError as exc:
+        assert exc.line is not None, exc
+
+
+def test_parse_trace_file_names_path_and_line(tmp_path):
+    path = tmp_path / "p.ndjson"
+    path.write_text(MINIMAL[0] + "\n{broken\n")
+    with pytest.raises(TraceParseError) as err:
+        parse_trace_file(path)
+    assert str(err.value).startswith(f"{path}: line 2: invalid JSON")
+    assert err.value.line == 2
+
+
+def test_load_corpus_rejects_directory_without_traces(tmp_path):
+    (tmp_path / "truth.json").write_text("{}")
+    with pytest.raises(ValueError, match="no trace files in"):
+        load_corpus(tmp_path)
+
+
 def test_parse_order_independent():
     a = parse_trace(MINIMAL)
     b = parse_trace(list(reversed(MINIMAL)))
@@ -181,6 +290,17 @@ def test_validate_flags_non_finite_cost_and_histogram():
     assert "execution t: cpu_cost must be finite" in violations
     assert "execution eg: cpu_cost must be finite" in violations
     assert "artifact s: feature 'x' histogram has non-finite mass" in violations
+
+
+def test_validate_flags_top_terms_short_of_total():
+    # All ten terms are top terms, so their counts must add up to the total.
+    span = _with(
+        MINIMAL[1],
+        SPAN_STATS + ("features",),
+        [{"name": "c", "type": "categorical", "top10": [1] * 10, "unique": 10, "total": 11}],
+    )
+    violations = validate_trace(parse_trace([MINIMAL[0], span, MINIMAL[2]]))
+    assert "artifact s: feature 'c' top-term counts do not cover the total" in violations
 
 
 def test_validate_flags_non_finite_timestamps():
