@@ -11,7 +11,7 @@ from itertools import groupby
 from typing import Iterable, Sequence
 
 from .segmentation import Graphlet, consecutive_pairs
-from .similarity import LshParams, SimWeights, jaccard, sequence_sim, span_sequence
+from .similarity import LshParams, SimWeights, SpanSimilarity
 from .trace import (
     Analyzer,
     ArtifactType,
@@ -195,19 +195,11 @@ def pair_similarities(
     """Every consecutive graphlet pair of every pipeline, in corpus order."""
     pairs = []
     for trace, graphlets in corpus:
+        sims = SpanSimilarity(trace, params, weights)
         for prev, cur in consecutive_pairs(graphlets):
             pairs.append(
-                PairSimilarity(
-                    pipeline_id=trace.pipeline_id,
-                    anchor_a=prev.anchor,
-                    anchor_b=cur.anchor,
-                    jaccard=jaccard(cur, prev),
-                    dataset_sim=sequence_sim(
-                        span_sequence(cur, trace), span_sequence(prev, trace), params, weights
-                    ),
-                    code_match=1.0 if cur.trainer_code_version == prev.trainer_code_version else 0.0,
-                    pushed=cur.pushed,
-                )
+                PairSimilarity(trace.pipeline_id, prev.anchor, cur.anchor,
+                               *sims.compare(cur, prev), pushed=cur.pushed)
             )
     return pairs
 

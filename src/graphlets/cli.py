@@ -2,10 +2,11 @@
 
 Exit codes: 0 on success, 1 when trace validation fails (violations are
 printed one per line), 2 on usage errors, on a malformed trace file (the
-message reads ``<path>: line N: <message>``) and on a corpus directory
-without trace files.  All outputs are deterministic given the inputs, the
-seed, and the config file; tabular outputs start with a format-version
-comment line followed by a header row.
+message reads ``<path>: line N: <message>``), on a corpus directory
+without trace files, on a bad config file (the message names the section
+and key) and on a model file that is not valid.  All outputs are
+deterministic given the inputs, the seed, and the config file; tabular
+outputs start with a format-version comment line followed by a header row.
 """
 
 from __future__ import annotations
@@ -235,9 +236,16 @@ def cmd_similarity(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _featurizer(cfg: RunConfig, corpus) -> Featurizer:
+    """The configured featurizer, its architecture vocabulary taken from ``corpus``."""
+    return Featurizer(
+        window=cfg.window, lsh=cfg.lsh, weights=cfg.weights, arch_vocab=build_arch_vocab(corpus)
+    )
+
+
 def cmd_featurize(args, cfg: RunConfig) -> int:
     corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
-    feats = featurize_corpus(corpus, window=cfg.window, lsh=cfg.lsh, weights=cfg.weights)
+    feats = featurize_corpus(corpus, _featurizer(cfg, corpus))
     stage = FeatureStage(args.stage)
     names, X, costs = feats.stage_view(stage)
     rows = []
@@ -269,17 +277,21 @@ def _featurizer_from_payload(payload: dict) -> Featurizer:
         window=WindowConfig(w=int(payload["window"])),
         lsh=LshParams(**payload["lsh"]),
         weights=SimWeights(**payload["weights"]),
-        arch_vocab=tuple(payload["arch_vocab"]),
+        arch_vocab=_strings(payload["arch_vocab"]),
     )
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
     corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
     spec, train, _ = split_pipelines(corpus, seed=cfg.split_seed)
-    featurizer = Featurizer(
-        window=cfg.window, lsh=cfg.lsh, weights=cfg.weights, arch_vocab=build_arch_vocab(train)
-    )
-    feats = featurize_corpus(train, featurizer=featurizer)
+    featurizer = _featurizer(cfg, train)
+    feats = featurize_corpus(train, featurizer)
     stage = FeatureStage(args.stage)
     names, X, _ = feats.stage_view(stage)
     model = fit(X, feats.y, cfg.forest, feature_names=names)
@@ -308,19 +320,31 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def _load_model(path: str):
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-    stage = FeatureStage(payload["stage"])
-    featurizer = _featurizer_from_payload(payload["featurizer"])
-    split = SplitSpec(
-        train_pipeline_ids=tuple(payload["split"]["train_pipeline_ids"]),
-        test_pipeline_ids=tuple(payload["split"]["test_pipeline_ids"]),
-        train_fraction=float(payload["split"]["train_fraction"]),
-        train_rate=float(payload["split"]["train_rate"]),
-        test_rate=float(payload["split"]["test_rate"]),
-    )
-    return stage, featurizer, split, forest_from_dict(payload["forest"])
+    """A model file's stage, featurizer, split and forest; a file that is not
+    one raises ``ValueError`` naming the path and the first bad key."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError("payload is not an object")
+        if payload.get("format") != MODEL_FORMAT:
+            raise ValueError(f"format is {payload.get('format')!r}")
+        if not isinstance(payload["version"], str):
+            raise ValueError("version is not a string")
+        stage = FeatureStage(payload["stage"])
+        featurizer = _featurizer_from_payload(payload["featurizer"])
+        split = payload["split"]
+        spec = SplitSpec(
+            train_pipeline_ids=_strings(split["train_pipeline_ids"]),
+            test_pipeline_ids=_strings(split["test_pipeline_ids"]),
+            train_fraction=float(split["train_fraction"]),
+            train_rate=float(split["train_rate"]),
+            test_rate=float(split["test_rate"]),
+        )
+        return stage, featurizer, spec, forest_from_dict(payload["forest"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: not a valid {MODEL_FORMAT} file: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{path}: not a valid {MODEL_FORMAT} file: {exc}") from None
 
 
 def _test_records(args, cfg: RunConfig):

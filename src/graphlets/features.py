@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .segmentation import Graphlet
-from .similarity import LshParams, SimWeights, jaccard, sequence_sim, span_sequence
+from .similarity import LshParams, SimWeights, SpanSimilarity
 from .trace import (
     ModelType,
     OperatorGroup,
@@ -73,30 +73,10 @@ PRE_TRAINER_KINDS = (
 TRAINER_KINDS = (OperatorKind.TRAINER,)
 POST_TRAINER_KINDS = (OperatorKind.EVALUATOR, OperatorKind.MODEL_VALIDATOR)
 
-# Compute a policy must have spent before each stage's features exist.
+# Compute a policy must have spent before each stage's features exist: the
+# first two to five operator groups, which are declared in pipeline order.
 STAGE_COST_GROUPS: dict[FeatureStage, tuple[OperatorGroup, ...]] = {
-    FeatureStage.INPUT: (
-        OperatorGroup.DATA_INGESTION,
-        OperatorGroup.DATA_ANALYSIS_VALIDATION,
-    ),
-    FeatureStage.INPUT_PRE: (
-        OperatorGroup.DATA_INGESTION,
-        OperatorGroup.DATA_ANALYSIS_VALIDATION,
-        OperatorGroup.DATA_PREPROCESSING,
-    ),
-    FeatureStage.INPUT_PRE_TRAINER: (
-        OperatorGroup.DATA_INGESTION,
-        OperatorGroup.DATA_ANALYSIS_VALIDATION,
-        OperatorGroup.DATA_PREPROCESSING,
-        OperatorGroup.TRAINING,
-    ),
-    FeatureStage.VALIDATION: (
-        OperatorGroup.DATA_INGESTION,
-        OperatorGroup.DATA_ANALYSIS_VALIDATION,
-        OperatorGroup.DATA_PREPROCESSING,
-        OperatorGroup.TRAINING,
-        OperatorGroup.MODEL_ANALYSIS_VALIDATION,
-    ),
+    stage: tuple(OperatorGroup)[:n] for stage, n in zip(STAGES, (2, 3, 4, 5))
 }
 
 
@@ -213,21 +193,15 @@ class Featurizer:
         return values + hot
 
     def history_features(
-        self,
-        g: Graphlet,
-        predecessors: Sequence[Graphlet],
-        trace: Trace,
+        self, g: Graphlet, predecessors: Sequence[Graphlet], sims: SpanSimilarity
     ) -> list[float]:
         """Per ordinal position back in time: jaccard, dataset similarity,
-        code match.  ``predecessors`` is most recent first."""
-        spans = span_sequence(g, trace)
+        code match.  ``predecessors`` is most recent first; ``sims`` is the
+        trace's ``SpanSimilarity`` under this featurizer's LSH and weights."""
         values: list[float] = []
         for i in range(self.window.w):
             if i < len(predecessors):
-                prev = predecessors[i]
-                values.append(jaccard(g, prev))
-                values.append(sequence_sim(spans, span_sequence(prev, trace), self.lsh, self.weights))
-                values.append(1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0)
+                values.extend(sims.compare(g, predecessors[i]))
             else:
                 values.extend((MISSING, MISSING, MISSING))
         return values
@@ -235,10 +209,15 @@ class Featurizer:
     # -- assembly --------------------------------------------------------
 
     def full_row(
-        self, g: Graphlet, predecessors: Sequence[Graphlet], trace: Trace, idx: TraceIndex
+        self,
+        g: Graphlet,
+        predecessors: Sequence[Graphlet],
+        trace: Trace,
+        idx: TraceIndex,
+        sims: SpanSimilarity,
     ) -> list[float]:
         row = self.model_features(g, trace)
-        row += self.history_features(g, predecessors, trace)
+        row += self.history_features(g, predecessors, sims)
         row += self.shape_features(g, trace, idx, PRE_TRAINER_KINDS)
         row += self.shape_features(g, trace, idx, TRAINER_KINDS)
         row += self.shape_features(g, trace, idx, POST_TRAINER_KINDS)
@@ -270,22 +249,13 @@ class CorpusFeatures:
 
 
 def featurize_corpus(
-    corpus: Sequence[tuple[Trace, Sequence[Graphlet]]],
-    featurizer: Featurizer | None = None,
-    window: WindowConfig = WindowConfig(),
-    lsh: LshParams = LshParams(),
-    weights: SimWeights = SimWeights(),
+    corpus: Sequence[tuple[Trace, Sequence[Graphlet]]], featurizer: Featurizer
 ) -> CorpusFeatures:
     """Featurize every graphlet of a corpus against its own pipeline history.
 
-    When no ``featurizer`` is given, the architecture vocabulary is derived
-    from this corpus; pass the training featurizer when scoring held-out
-    pipelines so unseen architectures map to "other".
+    Pass the training featurizer when scoring held-out pipelines, so that
+    unseen architectures map to "other".
     """
-    if featurizer is None:
-        featurizer = Featurizer(
-            window=window, lsh=lsh, weights=weights, arch_vocab=build_arch_vocab(corpus)
-        )
     rows: list[list[float]] = []
     labels: list[bool] = []
     costs: dict[FeatureStage, list[float]] = {stage: [] for stage in STAGES}
@@ -294,10 +264,11 @@ def featurize_corpus(
     model_types: list[str] = []
     for trace, graphlets in corpus:
         idx = index_trace(trace)
+        sims = SpanSimilarity(trace, featurizer.lsh, featurizer.weights)
         ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
         for pos, g in enumerate(ordered):
             predecessors = ordered[max(0, pos - featurizer.window.w): pos][::-1]
-            rows.append(featurizer.full_row(g, predecessors, trace, idx))
+            rows.append(featurizer.full_row(g, predecessors, trace, idx, sims))
             labels.append(g.pushed)
             for stage in STAGES:
                 costs[stage].append(featurizer.stage_cost(g, stage))

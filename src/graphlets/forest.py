@@ -79,6 +79,15 @@ class Tree:
     count: np.ndarray
 
 
+_TREE_DTYPES = {"feature": np.int32, "threshold": float, "left": np.int32,
+                "right": np.int32, "fraction": float, "count": np.int64}
+
+
+def _tree(arrays) -> Tree:
+    """A ``Tree`` from per-node sequences, keyed by field name."""
+    return Tree(**{name: np.asarray(arrays[name], dtype=dt) for name, dt in _TREE_DTYPES.items()})
+
+
 @dataclass
 class Forest:
     config: ForestConfig
@@ -180,14 +189,7 @@ class _TreeBuilder:
             stack.append((left_node, left_idx, left_n1, depth + 1))
 
     def freeze(self) -> Tree:
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int32),
-            threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=np.int32),
-            right=np.asarray(self.right, dtype=np.int32),
-            fraction=np.asarray(self.fraction, dtype=float),
-            count=np.asarray(self.count, dtype=np.int64),
-        )
+        return _tree(vars(self))
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -378,33 +380,13 @@ def forest_to_dict(forest: Forest) -> dict[str, Any]:
         "n_features": forest.n_features,
         "class_weights": list(forest.class_weights),
         "feature_names": None if forest.feature_names is None else list(forest.feature_names),
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "fraction": t.fraction.tolist(),
-                "count": t.count.tolist(),
-            }
-            for t in forest.trees
-        ],
+        "trees": [{name: getattr(t, name).tolist() for name in _TREE_DTYPES} for t in forest.trees],
     }
 
 
 def forest_from_dict(payload: dict[str, Any]) -> Forest:
     cfg = ForestConfig(**payload["config"])
-    trees = [
-        Tree(
-            feature=np.asarray(t["feature"], dtype=np.int32),
-            threshold=np.asarray(t["threshold"], dtype=float),
-            left=np.asarray(t["left"], dtype=np.int32),
-            right=np.asarray(t["right"], dtype=np.int32),
-            fraction=np.asarray(t["fraction"], dtype=float),
-            count=np.asarray(t["count"], dtype=np.int64),
-        )
-        for t in payload["trees"]
-    ]
+    trees = [_tree(t) for t in payload["trees"]]
     names = payload.get("feature_names")
     return Forest(
         config=cfg,

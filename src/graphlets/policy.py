@@ -33,7 +33,6 @@ __all__ = [
     "sweep",
     "eq1_loss",
     "heuristic_baselines",
-    "elimination_at_full_freshness",
 ]
 
 _ENDPOINT_EPS = 1e-9
@@ -114,10 +113,6 @@ def sweep(records: Sequence[EvalRecord]) -> TradeoffCurve:
             CurvePoint(threshold=t, wasted_fraction=wasted, freshness=tpr, fpr=fpr, tpr=tpr)
         )
     return TradeoffCurve(points=tuple(points))
-
-
-def elimination_at_full_freshness(curve: TradeoffCurve, freshness_floor: float = 0.999) -> float:
-    return curve.elimination_at_full_freshness(freshness_floor)
 
 
 class PolicyAction(str, Enum):

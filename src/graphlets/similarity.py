@@ -14,13 +14,15 @@ Two complementary views of "did the data change":
   by ordinal position, normalized by the longer sequence.
 
 With ``alpha + beta = 1`` the span metric satisfies S(D, D) = 1, S(empty, D)
-= 0, symmetry, and range [0, 1].
+= 0, symmetry, and range [0, 1].  Symmetry is exact for any weights: every
+span pair is compared in one canonical order, that of its signatures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,8 +35,8 @@ __all__ = [
     "CanonicalDistribution",
     "LshParams",
     "SimWeights",
+    "SpanSimilarity",
     "jaccard",
-    "span_sequence",
     "canonicalize",
     "hash_distributions",
     "feature_sim",
@@ -109,13 +111,6 @@ def jaccard(a: Graphlet, b: Graphlet) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
-def span_sequence(g: Graphlet, trace: Trace) -> tuple[SpanStats, ...]:
-    """Statistics of a graphlet's input spans, oldest first; spans without
-    statistics are skipped.  This is the sequence ``sequence_sim`` compares."""
-    stats = (trace.artifacts[span_id].span_stats for span_id in g.input_spans)
-    return tuple(st for st in stats if st is not None)
-
-
 def canonicalize(f: FeatureStats) -> CanonicalDistribution:
     """Re-express a feature's summary statistics as a 10-cell distribution.
 
@@ -151,7 +146,8 @@ def canonicalize(f: FeatureStats) -> CanonicalDistribution:
 
     if n_unique == BINS:
         # Source bins align exactly with the cells; skip the float splitting.
-        tail = [rest_mass / rest_bins] * rest_bins if rest_bins else []
+        # A remainder rounded a hair below zero is empty, as in ``spread``.
+        tail = [max(rest_mass, 0.0) / rest_bins] * rest_bins if rest_bins else []
         return CanonicalDistribution(bins=tuple(top + tail))
 
     cells = np.zeros(BINS)
@@ -229,16 +225,16 @@ def feature_sim(
     return score
 
 
-@lru_cache(maxsize=None)
 def _span_signature(d: SpanStats, params: LshParams):
+    """Feature names, kinds and hashes: all of a span that its similarity reads."""
     names = tuple(f.name for f in d.features)
     kinds = tuple(f.kind.value for f in d.features)
     return names, kinds, tuple(_feature_hashes(d.features, params))
 
 
-def _cost_matrix(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeights):
-    names1, kinds1, h1 = _span_signature(d1, params)
-    names2, kinds2, h2 = _span_signature(d2, params)
+def _cost_matrix(a, b, weights: SimWeights) -> np.ndarray:
+    names1, kinds1, h1 = a
+    names2, kinds2, h2 = b
     interned: dict = {}
 
     def intern(key) -> int:
@@ -254,15 +250,20 @@ def _cost_matrix(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWe
     hash_eq = sig1[:, None] == sig2[None, :]
     name_eq = name1[:, None] == name2[None, :]
     sim = np.where(kind_eq, weights.alpha * hash_eq + weights.beta * name_eq, 0.0)
-    return 1.0 - sim, names1, names2
+    return 1.0 - sim
 
 
-def _span_sim_uncached(
-    d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeights
-) -> float:
-    if len(d1.features) > MAX_SIDE or len(d2.features) > MAX_SIDE:
+def _signature_sim(sig1, sig2, weights: SimWeights) -> float:
+    """Span similarity from two signatures, taken in sorted order so that both
+    argument orders of a pair build the same cost matrix."""
+    if sig1 > sig2:
+        sig1, sig2 = sig2, sig1
+    names1, names2 = sig1[0], sig2[0]
+    if not names1 or not names2:
+        return 0.0
+    if len(names1) > MAX_SIDE or len(names2) > MAX_SIDE:
         raise ValueError(f"span feature count exceeds {MAX_SIDE}")
-    cost, names1, names2 = _cost_matrix(d1, d2, params, weights)
+    cost = _cost_matrix(sig1, sig2, weights)
     n, m = cost.shape
     # Any feasible plan whose cost reaches the row/column-min lower bound is
     # optimal; the name-aligned plan almost always does, so the simplex only
@@ -277,27 +278,24 @@ def _span_sim_uncached(
     return min(1.0, max(0.0, value))
 
 
-# Keyed by the unordered span pair, so both argument orders share one entry
-# and the metric is bit-for-bit symmetric.
-_SPAN_SIM_CACHE: dict = {}
-
-
 def span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeights) -> float:
     """Transport-based similarity between two spans' feature sets.
 
     Features act as equally weighted clusters; moving mass between features
     costs one minus their similarity, and the span score is one minus the
     optimal transport cost.  An empty span is never similar to anything,
-    including another empty span.
+    including another empty span.  The pair is compared in the order of its
+    signatures, so the result is bit-for-bit symmetric for any weights.
     """
-    if not d1.features or not d2.features:
+    return _signature_sim(_span_signature(d1, params), _span_signature(d2, params), weights)
+
+
+def _aligned_mean(a: Sequence, b: Sequence, sim: Callable) -> float:
+    if not a or not b:
         return 0.0
-    key = (frozenset((d1, d2)), params, weights)
-    hit = _SPAN_SIM_CACHE.get(key)
-    if hit is None:
-        hit = _span_sim_uncached(d1, d2, params, weights)
-        _SPAN_SIM_CACHE[key] = hit
-    return hit
+    n, m = len(a), len(b)
+    total = sum(sim(a[i], b[i]) for i in range(min(n, m)))
+    return total / max(n, m)
 
 
 def sequence_sim(
@@ -311,8 +309,42 @@ def sequence_sim(
     Sequences must be ordered by span creation time ascending.  Matching by
     position rather than identity keeps rolling windows comparable.
     """
-    if not a or not b:
-        return 0.0
-    n, m = len(a), len(b)
-    total = sum(span_sim(a[i], b[i], params, weights) for i in range(min(n, m)))
-    return total / max(n, m)
+    return _aligned_mean(a, b, lambda d1, d2: span_sim(d1, d2, params, weights))
+
+
+class SpanSimilarity:
+    """Graphlet-to-predecessor comparison over one trace, memoized by span id.
+
+    Each input span is hashed once and each unordered pair of span ids is
+    compared once.  The memo lives as long as the object; create one per
+    trace and drop it with the trace.
+    """
+
+    def __init__(self, trace: Trace, params: LshParams, weights: SimWeights) -> None:
+        self.trace = trace
+        self.params = params
+        self.weights = weights
+        self._signatures: dict[str, tuple] = {}
+        self._pairs: dict[tuple[str, str], float] = {}
+
+    def _spans(self, g: Graphlet) -> list[str]:
+        # Input spans oldest first; spans without statistics are skipped.
+        return [s for s in g.input_spans if self.trace.artifacts[s].span_stats is not None]
+
+    def _signature(self, span_id: str):
+        if span_id not in self._signatures:
+            stats = self.trace.artifacts[span_id].span_stats
+            self._signatures[span_id] = _span_signature(stats, self.params)
+        return self._signatures[span_id]
+
+    def _span_sim(self, a: str, b: str) -> float:
+        key = (a, b) if a <= b else (b, a)
+        if key not in self._pairs:
+            self._pairs[key] = _signature_sim(self._signature(a), self._signature(b), self.weights)
+        return self._pairs[key]
+
+    def compare(self, g: Graphlet, prev: Graphlet) -> tuple[float, float, float]:
+        """``(jaccard, dataset_sim, code_match)`` of ``g`` against a predecessor."""
+        dataset_sim = _aligned_mean(self._spans(g), self._spans(prev), self._span_sim)
+        code_match = 1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0
+        return jaccard(g, prev), dataset_sim, code_match

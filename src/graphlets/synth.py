@@ -32,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from .trace import MS_PER_HOUR, OperatorGroup
+from .trace import MS_PER_HOUR, OPERATOR_GROUPS, OperatorGroup, OperatorKind
 
 __all__ = [
     "PushModel",
@@ -80,18 +80,6 @@ COST_MIX: dict[OperatorGroup, float] = {
 }
 
 ARCHITECTURES = ("feedforward", "wide_deep", "recurrent", "attention")
-
-KIND_GROUP: dict[str, OperatorGroup] = {
-    "example_gen": OperatorGroup.DATA_INGESTION,
-    "statistics_gen": OperatorGroup.DATA_ANALYSIS_VALIDATION,
-    "schema_gen": OperatorGroup.DATA_ANALYSIS_VALIDATION,
-    "example_validator": OperatorGroup.DATA_ANALYSIS_VALIDATION,
-    "transform": OperatorGroup.DATA_PREPROCESSING,
-    "trainer": OperatorGroup.TRAINING,
-    "evaluator": OperatorGroup.MODEL_ANALYSIS_VALIDATION,
-    "model_validator": OperatorGroup.MODEL_ANALYSIS_VALIDATION,
-    "pusher": OperatorGroup.DEPLOYMENT,
-}
 
 
 @dataclass(frozen=True, eq=True)
@@ -350,7 +338,7 @@ class _PipelineBuild:
                 "properties": {k: v for k, v in props.items() if v is not None},
             }
         )
-        self.exec_costs[node_id] = (KIND_GROUP[operator], raw_cost)
+        self.exec_costs[node_id] = (OPERATOR_GROUPS[OperatorKind(operator)], raw_cost)
         return node_id
 
     def edge(self, src: str, dst: str, role: str) -> None:
@@ -570,7 +558,7 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> PlantedTruth:
         with path.open("w", encoding="utf-8") as fh:
             for record in build.records:
                 if record["kind"] == "execution":
-                    group = KIND_GROUP[record["operator"]]
+                    group = OPERATOR_GROUPS[OperatorKind(record["operator"])]
                     record = dict(record)
                     record["cpu_cost"] = record["cpu_cost"] * scale[group]
                 fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -504,6 +504,8 @@ def parse_trace_file(path: str | Path) -> Trace:
         except TraceParseError as exc:
             exc.args = (f"{path}: {exc}",)
             raise
+        except UnicodeDecodeError as exc:
+            raise TraceParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _is_finite(x: float) -> bool:
@@ -607,7 +609,6 @@ class TraceIndex:
     parents: dict[str, tuple[str, ...]]
     children: dict[str, tuple[str, ...]]
     trainers: tuple[str, ...]
-    nodes_by_time: tuple[str, ...]
 
     def in_degree(self, node_id: str) -> int:
         return len(self.parents.get(node_id, ()))
@@ -626,18 +627,10 @@ def index_trace(trace: Trace) -> TraceIndex:
         (ex for ex in trace.executions.values() if ex.operator is OperatorKind.TRAINER),
         key=lambda ex: (ex.end_at, ex.id),
     )
-
-    def node_time(node_id: str) -> int:
-        if node_id in trace.artifacts:
-            return trace.artifacts[node_id].created_at
-        return trace.executions[node_id].end_at
-
-    by_time = sorted(trace.node_ids(), key=lambda n: (node_time(n), n))
     return TraceIndex(
         parents={n: tuple(sorted(v)) for n, v in parents.items()},
         children={n: tuple(sorted(v)) for n, v in children.items()},
         trainers=tuple(ex.id for ex in trainers),
-        nodes_by_time=tuple(by_time),
     )
 
 

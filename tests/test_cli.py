@@ -88,6 +88,31 @@ def test_empty_corpus_exits_2(command, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: no trace files in {empty}\n"
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"lsh": {"bogus": 1}}, "config section 'lsh': unknown key 'bogus'"),
+        ({"gen": {"n_pipeline": 3}}, "config section 'gen': unknown key 'n_pipeline'"),
+        ({"stop_set": 5}, "config section 'stop_set' must be a list"),
+        ({"forest": {"n_trees": "x"}}, "config section 'forest': 'n_trees' must be int, got 'x'"),
+        ({"lsh": {"seed": 1.5}}, "config section 'lsh': 'seed' must be int"),
+        ({"window": {"w": True}}, "config section 'window': 'w' must be int"),
+        ({"weights": {"alpha": 0.9}}, "config section 'weights': alpha + beta must equal 1"),
+        ({"gen": {"graphlets_per_pipeline": [3]}},
+         "config section 'gen': 'graphlets_per_pipeline' must be tuple"),
+        ({"gen": {"push": {}}}, "config section 'gen': 'push' must be PushModel"),
+        ({"lsh": []}, "config section 'lsh' must be an object"),
+        ({"forrest": {"n_trees": 3}}, "config file: unknown section 'forrest'"),
+        ({"split_seed": "x"}, "config key 'split_seed' must be int"),
+    ],
+)
+def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_dir, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["validate", "--corpus", str(warm_pair_dir), "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_malformed_record_names_file_and_line(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -204,6 +229,59 @@ def test_train_evaluate_sweep_chain(small_cli_corpus, tmp_path, capsys):
     last = lines[-1].split("\t")
     assert (float(first[1]), float(first[2])) == (1.0, 1.0)
     assert (float(last[1]), float(last[2])) == (0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def trained_model(small_cli_corpus, tmp_path_factory):
+    corpus, cfg = small_cli_corpus
+    model = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(["train", "--corpus", str(corpus), "--out", str(model), "--config", str(cfg),
+                 "--seed", "9"]) == 0
+    return json.loads(model.read_text())
+
+
+@pytest.mark.parametrize(
+    "drop", ["format", "version", "stage", "featurizer", "split", "forest", None]
+)
+def test_bad_model_file_exits_2(drop, trained_model, small_cli_corpus, tmp_path, capsys):
+    corpus, cfg = small_cli_corpus
+    payload = dict(trained_model)
+    if drop is None:
+        payload = [payload]  # not an object
+    else:
+        del payload[drop]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    for command in ("evaluate", "sweep"):
+        assert main([command, "--corpus", str(corpus), "--model", str(model),
+                     "--out", str(tmp_path / "out.tsv"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: not a valid graphlets-model-v1 file: "), err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "stage", "bogus"),
+        (None, "version", 1),
+        ("split", "test_pipeline_ids", "p1"),
+        ("split", "train_rate", [0.5]),
+        ("featurizer", "arch_vocab", 3),
+        ("featurizer", "lsh", {"bogus": 1}),
+        ("forest", "trees", 7),
+    ],
+)
+def test_ill_typed_model_file_exits_2(section, key, value, trained_model, small_cli_corpus,
+                                      tmp_path, capsys):
+    corpus, cfg = small_cli_corpus
+    payload = json.loads(json.dumps(trained_model))
+    (payload if section is None else payload[section])[key] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    assert main(["evaluate", "--corpus", str(corpus), "--model", str(model),
+                 "--out", str(tmp_path / "out.tsv"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: not a valid graphlets-model-v1 file: "), err
 
 
 def test_report_outputs(small_cli_corpus, tmp_path):

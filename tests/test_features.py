@@ -12,6 +12,7 @@ from graphlets.features import (
     featurize_corpus,
 )
 from graphlets.segmentation import extract_graphlets
+from graphlets.similarity import SpanSimilarity
 from graphlets.trace import index_trace, parse_trace
 
 
@@ -19,10 +20,18 @@ def featurizer_for(trace, graphlets, **kw):
     return Featurizer(arch_vocab=build_arch_vocab([(trace, graphlets)]), **kw)
 
 
+def corpus_featurizer(corpus):
+    return Featurizer(arch_vocab=build_arch_vocab(corpus))
+
+
+def sims_for(f, trace):
+    return SpanSimilarity(trace, f.lsh, f.weights)
+
+
 def stage_row(f, g, predecessors, stage, trace, idx=None):
     """Feature name -> value at ``stage``, built by the production row path."""
     sl = f.stage_slice(stage)
-    values = f.full_row(g, predecessors, trace, idx or index_trace(trace))[sl]
+    values = f.full_row(g, predecessors, trace, idx or index_trace(trace), sims_for(f, trace))[sl]
     return dict(zip(f.full_names()[sl], values))
 
 
@@ -30,7 +39,9 @@ def test_stage_vectors_nest_and_grow(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     idx = index_trace(warm_pair_trace)
     g = warm_pair_graphlets[1]
-    full = f.full_row(g, [warm_pair_graphlets[0]], warm_pair_trace, idx)
+    full = f.full_row(
+        g, [warm_pair_graphlets[0]], warm_pair_trace, idx, sims_for(f, warm_pair_trace)
+    )
     assert len(full) == len(f.full_names())
     lengths = []
     prev_values = None
@@ -182,16 +193,17 @@ def test_arch_vocab_caps_and_sorts(warm_pair_trace, warm_pair_graphlets):
 
 def test_featurize_corpus_matches_full_row(small_corpus):
     _, _, traces, corpus = small_corpus
-    feats = featurize_corpus(corpus[:3])
+    feats = featurize_corpus(corpus[:3], corpus_featurizer(corpus[:3]))
     assert feats.X.shape[0] == sum(len(gs) for _, gs in corpus[:3])
     assert feats.X.shape[1] == len(feats.names)
     f = feats.featurizer
     trace, graphlets = corpus[0]
     ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
     idx = index_trace(trace)
+    sims = sims_for(f, trace)
     for pos, g in enumerate(ordered):
         predecessors = ordered[max(0, pos - f.window.w): pos][::-1]
-        assert feats.X[pos].tolist() == f.full_row(g, predecessors, trace, idx)
+        assert feats.X[pos].tolist() == f.full_row(g, predecessors, trace, idx, sims)
         assert feats.anchors[pos] == g.anchor
         for stage in STAGES:
             assert feats.stage_costs[stage][pos] == f.stage_cost(g, stage)
@@ -207,7 +219,7 @@ def test_featurize_corpus_matches_full_row(small_corpus):
 
 def test_sentinels_only_in_first_w_rows_of_each_pipeline(small_corpus):
     _, _, traces, corpus = small_corpus
-    feats = featurize_corpus(corpus)
+    feats = featurize_corpus(corpus, corpus_featurizer(corpus))
     w = feats.featurizer.window.w
     history_cols = [
         i for i, n in enumerate(feats.names) if n.startswith(("jaccard", "dataset", "code"))
@@ -225,7 +237,7 @@ def test_sentinels_only_in_first_w_rows_of_each_pipeline(small_corpus):
 
 def test_stage_cost_ratios_increase_to_one(small_corpus):
     _, _, traces, corpus = small_corpus
-    feats = featurize_corpus(corpus)
+    feats = featurize_corpus(corpus, corpus_featurizer(corpus))
     means = [float(feats.stage_costs[stage].mean()) for stage in STAGES]
     ratios = [m / means[-1] for m in means]
     assert ratios == sorted(ratios)

@@ -220,6 +220,14 @@ def test_parse_trace_file_names_path_and_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_parse_trace_file_rejects_non_utf8_with_path(tmp_path):
+    path = tmp_path / "p.ndjson"
+    path.write_bytes(b"\xff\xfe" + MINIMAL[0].encode("utf-16-le"))
+    with pytest.raises(TraceParseError) as err:
+        parse_trace_file(path)
+    assert str(err.value).startswith(f"{path}: not UTF-8 text")
+
+
 def test_load_corpus_rejects_directory_without_traces(tmp_path):
     (tmp_path / "truth.json").write_text("{}")
     with pytest.raises(ValueError, match="no trace files in"):
