@@ -195,7 +195,7 @@ def pair_similarities(
     """Every consecutive graphlet pair of every pipeline, in corpus order."""
     pairs = []
     for trace, graphlets in corpus:
-        sims = SpanSimilarity(trace, params, weights)
+        sims = SpanSimilarity(trace, graphlets, params, weights)
         for prev, cur in consecutive_pairs(graphlets):
             pairs.append(
                 PairSimilarity(trace.pipeline_id, prev.anchor, cur.anchor,

@@ -18,6 +18,7 @@ The CLI --seed flag fills every seed that the file does not set explicitly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
@@ -69,6 +70,8 @@ def _apply(name: str, base: Any, overrides: dict[str, Any]) -> Any:
         if not _fits(value, known[key]):
             kind = type(known[key]).__name__
             raise ValueError(f"config section {name!r}: {key!r} must be {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"config section {name!r}: {key!r} must be finite")
     try:
         return replace(base, **{k: tuple(v) if isinstance(v, list) else v
                                 for k, v in overrides.items()})

@@ -264,7 +264,7 @@ def featurize_corpus(
     model_types: list[str] = []
     for trace, graphlets in corpus:
         idx = index_trace(trace)
-        sims = SpanSimilarity(trace, featurizer.lsh, featurizer.weights)
+        sims = SpanSimilarity(trace, graphlets, featurizer.lsh, featurizer.weights)
         ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
         for pos, g in enumerate(ordered):
             predecessors = ordered[max(0, pos - featurizer.window.w): pos][::-1]

@@ -16,6 +16,16 @@ Two complementary views of "did the data change":
 With ``alpha + beta = 1`` the span metric satisfies S(D, D) = 1, S(empty, D)
 = 0, symmetry, and range [0, 1].  Symmetry is exact for any weights: every
 span pair is compared in one canonical order, that of its signatures.
+
+Per-trace work is done in bulk.  ``SpanSimilarity`` canonicalizes the
+features of every span its graphlets read in one vectorized pass, which
+repeats the one-feature float operations in the same order, so each row is
+bit-for-bit ``canonicalize``'s.  Each span is then hashed on its own, and
+feature names and (kind, hash) pairs become int codes once per trace, so a
+pair's cost matrix is three broadcast compares.  Square cost matrices are
+mostly settled by ``transport_cost``'s certificate: a permutation on row- or
+column-minimum cells meets the row- or column-minimum lower bound on any
+plan, so it is optimal without the simplex.
 """
 
 from __future__ import annotations
@@ -122,60 +132,125 @@ def canonicalize(f: FeatureStats) -> CanonicalDistribution:
     proportionally, which makes the result independent of N's scale while
     conserving mass exactly.
     """
-    if f.kind is FeatureKind.NUMERICAL:
-        if f.numerical_hist is None or len(f.numerical_hist) != BINS:
-            raise ValueError(f"feature {f.name!r}: histogram must have {BINS} bins")
-        return CanonicalDistribution(bins=tuple(float(x) for x in f.numerical_hist))
+    return CanonicalDistribution(bins=tuple(_canonical_bins((f,))[0].tolist()))
 
-    if f.cat_unique is None or f.cat_top10 is None or f.cat_total is None:
-        raise ValueError(f"feature {f.name!r}: missing categorical counts")
-    n_unique, total = f.cat_unique, f.cat_total
-    if n_unique <= 0:
-        raise ValueError(f"feature {f.name!r}: unique term count must be positive")
-    if total <= 0:
-        raise ValueError(f"feature {f.name!r}: total count must be positive")
 
-    top = sorted((c / total for c in f.cat_top10), reverse=True)
-    top_mass = sum(top)
-    rest_bins = n_unique - len(top)
-    rest_mass = 1.0 - top_mass
-    if rest_bins == 0 and abs(rest_mass) > _MASS_TOL:
-        raise ValueError(f"feature {f.name!r}: top-term counts do not cover the total")
-    if rest_mass < -_MASS_TOL:
-        raise ValueError(f"feature {f.name!r}: top-term mass exceeds 1")
+def _canonical_bins(features: Sequence[FeatureStats]) -> np.ndarray:
+    """``canonicalize`` for many features at once: a (len(features), BINS) matrix.
 
-    if n_unique == BINS:
-        # Source bins align exactly with the cells; skip the float splitting.
-        # A remainder rounded a hair below zero is empty, as in ``spread``.
-        tail = [max(rest_mass, 0.0) / rest_bins] * rest_bins if rest_bins else []
-        return CanonicalDistribution(bins=tuple(top + tail))
+    Per-feature bookkeeping (the sorted top-term frequencies, their sum, the
+    range checks) runs in Python exactly as for one feature; the categorical
+    layout is vectorized across features with the same float operations in
+    the same order, so every row is bit-for-bit the one-feature result.  The
+    first invalid feature raises the ``ValueError`` that ``canonicalize``
+    raises for it.
+    """
+    out = np.zeros((len(features), BINS))
+    errors: dict[int, str] = {}
+    direct: list[int] = []  # rows laid out here: numerical and N == BINS
+    direct_rows: list[list[float]] = []
+    spread: list[int] = []  # rows that need the N-bin to 10-cell split
+    tops: list[list[float]] = []
+    widths: list[float] = []
+    tail_mass: list[float] = []
+    for i, f in enumerate(features):
+        if f.kind is FeatureKind.NUMERICAL:
+            if f.numerical_hist is None or len(f.numerical_hist) != BINS:
+                errors[i] = f"feature {f.name!r}: histogram must have {BINS} bins"
+                continue
+            row = [float(x) for x in f.numerical_hist]
+        else:
+            if f.cat_unique is None or f.cat_top10 is None or f.cat_total is None:
+                errors[i] = f"feature {f.name!r}: missing categorical counts"
+                continue
+            n_unique, total = f.cat_unique, f.cat_total
+            if n_unique <= 0:
+                errors[i] = f"feature {f.name!r}: unique term count must be positive"
+                continue
+            if total <= 0:
+                errors[i] = f"feature {f.name!r}: total count must be positive"
+                continue
+            top = sorted((c / total for c in f.cat_top10), reverse=True)
+            rest_bins = n_unique - len(top)
+            rest_mass = 1.0 - sum(top)
+            if rest_bins == 0 and abs(rest_mass) > _MASS_TOL:
+                errors[i] = f"feature {f.name!r}: top-term counts do not cover the total"
+                continue
+            if rest_mass < -_MASS_TOL:
+                errors[i] = f"feature {f.name!r}: top-term mass exceeds 1"
+                continue
+            if n_unique != BINS:
+                spread.append(i)
+                tops.append(top)
+                widths.append(1.0 / n_unique)
+                # The tail bins all hold the same mass, so they form one block.
+                tail_mass.append(rest_mass if rest_bins > 0 else 0.0)
+                continue
+            # Source bins align exactly with the cells; skip the float splitting.
+            # A remainder rounded a hair below zero is empty, as in the split.
+            row = top + ([max(rest_mass, 0.0) / rest_bins] * rest_bins if rest_bins else [])
+            if len(row) != BINS:
+                errors[i] = f"expected {BINS} cells, got {len(row)}"
+                continue
+        if any(b < 0 for b in row):
+            errors[i] = "cell mass must be non-negative"
+        elif abs(sum(row) - 1.0) > _MASS_TOL:
+            errors[i] = "cell mass must sum to 1"
+        else:
+            direct.append(i)
+            direct_rows.append(row)
+    if direct:
+        out[direct] = direct_rows
+    if spread:
+        cells = _spread_cells(tops, np.array(widths), np.array(tail_mass))
+        mass = cells.sum(axis=1)
+        for j in np.flatnonzero(np.abs(mass - 1.0) > _MASS_TOL).tolist():
+            errors[spread[j]] = (
+                f"feature {features[spread[j]].name!r}: mass not conserved ({mass[j]})"
+            )
+        out[spread] = cells / mass[:, None]
+    if errors:
+        raise ValueError(errors[min(errors)])
+    return out
 
-    cells = np.zeros(BINS)
-    width = 1.0 / n_unique
 
-    def spread(lo: float, hi: float, mass: float) -> None:
-        # Split [lo, hi) mass proportionally over the cells it overlaps.
-        if mass <= 0.0 or hi <= lo:
-            return
+def _spread_cells(tops: list[list[float]], width: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Cell masses of categorical layouts, one row per feature.
+
+    Feature r has intervals [k w, (k + 1) w) holding ``tops[r][k]``, then the
+    tail block [len(tops[r]) w, 1) holding ``tail[r]``.  Each interval with
+    positive mass and length puts density * overlap into the cells from
+    int(lo * BINS) to int(nextafter(hi, 0) * BINS) that it overlaps, and
+    every cell sums its contributions in interval order, tops then tail.
+    """
+    n_top = np.array([len(t) for t in tops])
+    k = max(n_top.max(), 1)
+    mass = np.zeros((len(tops), k + 1))
+    for r, t in enumerate(tops):
+        mass[r, : len(t)] = t
+    mass[:, k] = tail
+    steps = np.arange(k)
+    lo = np.concatenate([steps * width[:, None], (n_top * width)[:, None]], axis=1)
+    hi = np.concatenate([(steps + 1) * width[:, None], np.ones((len(tops), 1))], axis=1)
+    active = ~((mass <= 0.0) | (hi <= lo))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         density = mass / (hi - lo)
-        first = min(int(lo * BINS), BINS - 1)
-        last = min(int(np.nextafter(hi, 0.0) * BINS), BINS - 1)
-        for c in range(first, last + 1):
-            overlap = min(hi, (c + 1) / BINS) - max(lo, c / BINS)
-            if overlap > 0:
-                cells[c] += density * overlap
-
-    for i, mass in enumerate(top):
-        spread(i * width, (i + 1) * width, mass)
-    if rest_bins > 0:
-        # The tail bins all hold the same mass, so they form one uniform block.
-        spread(len(top) * width, 1.0, rest_mass)
-
-    out = cells.sum()
-    if abs(out - 1.0) > _MASS_TOL:
-        raise ValueError(f"feature {f.name!r}: mass not conserved ({out})")
-    cells /= out
-    return CanonicalDistribution(bins=tuple(float(x) for x in cells))
+    first = np.minimum((lo * BINS).astype(np.int64), BINS - 1)
+    last = np.minimum((np.nextafter(hi, 0.0) * BINS).astype(np.int64), BINS - 1)
+    cell = np.arange(BINS)
+    overlap = np.minimum(hi[..., None], (cell + 1) / BINS) - np.maximum(lo[..., None], cell / BINS)
+    take = (
+        active[..., None]
+        & (cell >= first[..., None])
+        & (cell <= last[..., None])
+        & (overlap > 0)
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        part = np.where(take, density[..., None] * overlap, 0.0)
+    cells = np.zeros((len(tops), BINS))
+    for interval in range(k + 1):
+        cells += part[:, interval]
+    return cells
 
 
 @lru_cache(maxsize=None)
@@ -204,12 +279,6 @@ def hash_distributions(bins_matrix: np.ndarray, params: LshParams) -> np.ndarray
     return np.floor((root @ directions.T + offsets) / params.w).astype(np.int64)
 
 
-def _feature_hashes(features, params: LshParams) -> list[tuple[int, ...]]:
-    """Canonicalize features and hash them in one batch, one tuple per feature."""
-    bins = np.array([canonicalize(f).bins for f in features], dtype=float).reshape(-1, BINS)
-    return [tuple(row) for row in hash_distributions(bins, params).tolist()]
-
-
 def feature_sim(
     f1: FeatureStats, f2: FeatureStats, params: LshParams, weights: SimWeights
 ) -> float:
@@ -217,7 +286,7 @@ def feature_sim(
     if f1.kind is not f2.kind:
         return 0.0
     score = 0.0
-    h1, h2 = _feature_hashes((f1, f2), params)
+    h1, h2 = hash_distributions(_canonical_bins((f1, f2)), params).tolist()
     if h1 == h2:
         score += weights.alpha
     if f1.name == f2.name:
@@ -225,57 +294,54 @@ def feature_sim(
     return score
 
 
-def _span_signature(d: SpanStats, params: LshParams):
-    """Feature names, kinds and hashes: all of a span that its similarity reads."""
-    names = tuple(f.name for f in d.features)
-    kinds = tuple(f.kind.value for f in d.features)
-    return names, kinds, tuple(_feature_hashes(d.features, params))
+def _sign_spans(spans: Sequence[SpanStats], params: LshParams) -> list[tuple]:
+    """All of each span that its similarity reads: ``(key, names, kinds, sigs)``.
+
+    ``key`` is the tuple (feature names, kinds, hashes), which fixes the
+    order in which a pair is compared.  ``names``, ``kinds`` and ``sigs``
+    are int codes of each feature's name, kind and (kind, hash), interned
+    over all of ``spans``.  The features of every span are canonicalized in
+    one batch; each span is hashed on its own, as a matrix of its own rows.
+    """
+    bins = _canonical_bins([f for d in spans for f in d.features])
+    codes: dict = {}
+
+    def intern(keys) -> np.ndarray:
+        return np.array([codes.setdefault(k, len(codes)) for k in keys], dtype=np.int64)
+
+    signed = []
+    start = 0
+    for d in spans:
+        stop = start + len(d.features)
+        hashes = tuple(map(tuple, hash_distributions(bins[start:stop], params).tolist()))
+        names = tuple(f.name for f in d.features)
+        kinds = tuple(f.kind.value for f in d.features)
+        signed.append((
+            (names, kinds, hashes),
+            intern(("name", x) for x in names),
+            intern(("kind", x) for x in kinds),
+            intern(zip(kinds, hashes)),
+        ))
+        start = stop
+    return signed
 
 
-def _cost_matrix(a, b, weights: SimWeights) -> np.ndarray:
-    names1, kinds1, h1 = a
-    names2, kinds2, h2 = b
-    interned: dict = {}
-
-    def intern(key) -> int:
-        return interned.setdefault(key, len(interned))
-
-    name1 = np.array([intern(("name", x)) for x in names1])
-    name2 = np.array([intern(("name", x)) for x in names2])
-    kind1 = np.array([intern(("kind", x)) for x in kinds1])
-    kind2 = np.array([intern(("kind", x)) for x in kinds2])
-    sig1 = np.array([intern((k, h)) for k, h in zip(kinds1, h1)])
-    sig2 = np.array([intern((k, h)) for k, h in zip(kinds2, h2)])
+def _signed_sim(a: tuple, b: tuple, weights: SimWeights) -> float:
+    """Span similarity of two signed spans, taken in key order so that both
+    argument orders of a pair build the same cost matrix."""
+    if a[0] > b[0]:
+        a, b = b, a
+    _, name1, kind1, sig1 = a
+    _, name2, kind2, sig2 = b
+    if not len(name1) or not len(name2):
+        return 0.0
+    if len(name1) > MAX_SIDE or len(name2) > MAX_SIDE:
+        raise ValueError(f"span feature count exceeds {MAX_SIDE}")
     kind_eq = kind1[:, None] == kind2[None, :]
     hash_eq = sig1[:, None] == sig2[None, :]
     name_eq = name1[:, None] == name2[None, :]
     sim = np.where(kind_eq, weights.alpha * hash_eq + weights.beta * name_eq, 0.0)
-    return 1.0 - sim
-
-
-def _signature_sim(sig1, sig2, weights: SimWeights) -> float:
-    """Span similarity from two signatures, taken in sorted order so that both
-    argument orders of a pair build the same cost matrix."""
-    if sig1 > sig2:
-        sig1, sig2 = sig2, sig1
-    names1, names2 = sig1[0], sig2[0]
-    if not names1 or not names2:
-        return 0.0
-    if len(names1) > MAX_SIDE or len(names2) > MAX_SIDE:
-        raise ValueError(f"span feature count exceeds {MAX_SIDE}")
-    cost = _cost_matrix(sig1, sig2, weights)
-    n, m = cost.shape
-    # Any feasible plan whose cost reaches the row/column-min lower bound is
-    # optimal; the name-aligned plan almost always does, so the simplex only
-    # runs on genuinely scrambled pairs.
-    lower = max(float(cost.min(axis=1).mean()), float(cost.min(axis=0).mean()))
-    if n == m and len(set(names1)) == n and set(names1) == set(names2):
-        pos = {name: j for j, name in enumerate(names2)}
-        aligned = float(np.mean([cost[i, pos[name]] for i, name in enumerate(names1)]))
-        if aligned - lower <= 1e-12:
-            return min(1.0, max(0.0, 1.0 - aligned))
-    value = 1.0 - transport_cost(cost)
-    return min(1.0, max(0.0, value))
+    return min(1.0, max(0.0, 1.0 - transport_cost(1.0 - sim)))
 
 
 def span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeights) -> float:
@@ -287,7 +353,7 @@ def span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeight
     including another empty span.  The pair is compared in the order of its
     signatures, so the result is bit-for-bit symmetric for any weights.
     """
-    return _signature_sim(_span_signature(d1, params), _span_signature(d2, params), weights)
+    return _signed_sim(*_sign_spans((d1, d2), params), weights)
 
 
 def _aligned_mean(a: Sequence, b: Sequence, sim: Callable) -> float:
@@ -315,32 +381,30 @@ def sequence_sim(
 class SpanSimilarity:
     """Graphlet-to-predecessor comparison over one trace, memoized by span id.
 
-    Each input span is hashed once and each unordered pair of span ids is
-    compared once.  The memo lives as long as the object; create one per
-    trace and drop it with the trace.
+    Every input span of ``graphlets`` is signed up front, in one batch; each
+    unordered pair of span ids is compared once.  ``compare`` takes only
+    graphlets from that list.  The memo lives as long as the object; create
+    one per trace and drop it with the trace.
     """
 
-    def __init__(self, trace: Trace, params: LshParams, weights: SimWeights) -> None:
+    def __init__(
+        self, trace: Trace, graphlets: Sequence[Graphlet], params: LshParams, weights: SimWeights
+    ) -> None:
         self.trace = trace
-        self.params = params
         self.weights = weights
-        self._signatures: dict[str, tuple] = {}
+        spans = list(dict.fromkeys(s for g in graphlets for s in self._spans(g)))
+        stats = [trace.artifacts[s].span_stats for s in spans]
+        self._signed = dict(zip(spans, _sign_spans(stats, params)))
         self._pairs: dict[tuple[str, str], float] = {}
 
     def _spans(self, g: Graphlet) -> list[str]:
         # Input spans oldest first; spans without statistics are skipped.
         return [s for s in g.input_spans if self.trace.artifacts[s].span_stats is not None]
 
-    def _signature(self, span_id: str):
-        if span_id not in self._signatures:
-            stats = self.trace.artifacts[span_id].span_stats
-            self._signatures[span_id] = _span_signature(stats, self.params)
-        return self._signatures[span_id]
-
     def _span_sim(self, a: str, b: str) -> float:
         key = (a, b) if a <= b else (b, a)
         if key not in self._pairs:
-            self._pairs[key] = _signature_sim(self._signature(a), self._signature(b), self.weights)
+            self._pairs[key] = _signed_sim(self._signed[a], self._signed[b], self.weights)
         return self._pairs[key]
 
     def compare(self, g: Graphlet, prev: Graphlet) -> tuple[float, float, float]:

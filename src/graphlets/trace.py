@@ -681,7 +681,9 @@ def serialize_trace(trace: Trace) -> Iterator[str]:
 def load_corpus(directory: str | Path) -> list[Trace]:
     """Parse every ``*.ndjson`` trace file in a corpus directory, sorted by name.
 
-    A directory without trace files is an error, not an empty corpus.
+    A directory without trace files is an error, not an empty corpus.  Every
+    file is parsed even after one fails; the ``TraceParseError`` raised then
+    lists each malformed file's ``<path>: line N: <message>`` on its own line.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -689,4 +691,15 @@ def load_corpus(directory: str | Path) -> list[Trace]:
     paths = sorted(directory.glob("*.ndjson"))
     if not paths:
         raise ValueError(f"no trace files in {directory}")
-    return [parse_trace_file(path) for path in paths]
+    traces: list[Trace] = []
+    errors: list[TraceParseError] = []
+    for path in paths:
+        try:
+            traces.append(parse_trace_file(path))
+        except TraceParseError as exc:
+            errors.append(exc)
+    if len(errors) == 1:
+        raise errors[0]
+    if errors:
+        raise TraceParseError("\n".join(str(exc) for exc in errors))
+    return traces

@@ -1,7 +1,17 @@
 """Exact optimal transport between uniform marginals.
 
 Solves min_P sum_ij P_ij * C_ij over plans P with row sums 1/n and column
-sums 1/m, using the classic transportation simplex (northwest-corner start,
+sums 1/m.
+
+Square problems first try a certificate.  Every row ships 1/n, so any plan
+costs at least the mean of the row minima, and likewise of the column
+minima.  A permutation whose cells all attain their row minimum (or all
+their column minimum) meets that lower bound and is therefore optimal; its
+cost is the mean of its cells in row order.  Such a permutation is looked
+for as the row argmins, then as a perfect matching (Kuhn's augmenting
+paths) on the row-minimum cells, then on the column-minimum cells.
+
+Otherwise the classic transportation simplex runs (northwest-corner start,
 potentials, cycle pivots).  Marginals are scaled to integers internally
 (supply m per row, demand n per column) so flows stay exact; only the costs
 are floating point.
@@ -167,6 +177,53 @@ def _solve(cost: np.ndarray) -> tuple[dict[tuple[int, int], int], float]:
     raise TransportError(f"no convergence after {max_pivots} pivots")
 
 
+def _perfect_matching(tight: np.ndarray) -> np.ndarray | None:
+    """Column of each row in a perfect matching on the True cells of a square
+    boolean matrix, or None; Kuhn's augmenting paths, searched iteratively."""
+    n = tight.shape[0]
+    if not tight.any(axis=0).all() or not tight.any(axis=1).all():
+        return None
+    adj = [np.flatnonzero(row).tolist() for row in tight]
+    row_of = [-1] * n  # column -> matched row
+    col_of = [-1] * n  # row -> matched column
+    for root in range(n):
+        via = [-1] * n  # column -> the row whose search reached it
+        stack = [iter(adj[root])]
+        rows = [root]
+        free = -1
+        while stack and free < 0:
+            for col in stack[-1]:
+                if via[col] < 0:
+                    via[col] = rows[-1]
+                    if row_of[col] < 0:
+                        free = col
+                    else:
+                        rows.append(row_of[col])
+                        stack.append(iter(adj[row_of[col]]))
+                    break
+            else:
+                stack.pop()
+                rows.pop()
+        if free < 0:
+            return None
+        while free >= 0:  # flip the path back to the root
+            row = via[free]
+            row_of[free], col_of[row], free = row, free, col_of[row]
+    return np.array(col_of)
+
+
+def _tight_permutation(cost: np.ndarray) -> np.ndarray | None:
+    """A permutation on row-minimum cells, else on column-minimum cells."""
+    perm = cost.argmin(axis=1)
+    if len(set(perm.tolist())) == len(perm):
+        return perm
+    for tight in (cost == cost.min(axis=1, keepdims=True), cost == cost.min(axis=0)):
+        perm = _perfect_matching(tight)
+        if perm is not None:
+            return perm
+    return None
+
+
 def _check(cost: np.ndarray) -> np.ndarray:
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] == 0 or cost.shape[1] == 0:
@@ -185,6 +242,10 @@ def transport_cost(cost: np.ndarray) -> float:
     n, m = cost.shape
     if n == 1 or m == 1:
         return float(cost.mean())
+    if n == m:
+        perm = _tight_permutation(cost)
+        if perm is not None:
+            return float(cost[np.arange(n), perm].mean())
     _, total = _solve(cost)
     return total / (n * m)
 

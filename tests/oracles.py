@@ -3,8 +3,9 @@
 These deliberately favor obviousness over speed: the segmentation oracle
 re-scans every edge until nothing changes, the transport oracle enumerates
 integer contingency tables, the sweep oracle rebuilds each confusion set
-from scratch, the split oracle scores one candidate feature at a time, and
-the hash oracle projects one distribution at a time.
+from scratch, the split oracle scores one candidate feature at a time, the
+hash oracle projects one distribution at a time, and the canonicalization
+oracle lays out one feature at a time in scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from graphlets import forest
 from graphlets.segmentation import StopSet
-from graphlets.similarity import LshParams, _projections
+from graphlets.similarity import BINS, CanonicalDistribution, LshParams, _projections
 from graphlets.trace import (
     Artifact,
     ArtifactType,
@@ -186,15 +187,18 @@ def brute_transport_cost(cost: np.ndarray) -> float:
     return best[0] / (n * m)
 
 
-def brute_span_sim_square(cost: np.ndarray) -> float:
+def brute_assignment_cost(cost: np.ndarray) -> float:
     """For n == m, the optimum is an assignment; try every permutation."""
     import itertools
 
     n = cost.shape[0]
-    best = min(
+    return min(
         sum(cost[i, p[i]] for i in range(n)) / n for p in itertools.permutations(range(n))
     )
-    return 1.0 - best
+
+
+def brute_span_sim_square(cost: np.ndarray) -> float:
+    return 1.0 - brute_assignment_cost(cost)
 
 
 def brute_confusion(records, threshold):
@@ -229,6 +233,66 @@ def scalar_lsh_hash(bins, params: LshParams) -> tuple[int, ...]:
     root = np.sqrt(np.asarray(bins, dtype=float))
     values = np.floor((directions @ root + offsets) / params.w)
     return tuple(int(x) for x in values)
+
+
+def scalar_canonicalize(f: FeatureStats) -> CanonicalDistribution:
+    """One feature's 10-cell distribution, cell by cell in scalar arithmetic.
+
+    Categorical features are laid out over N bins of width 1/N (the sorted
+    top-term frequencies, then the leftover mass as one uniform block), and
+    each bin's mass is split over the cells it overlaps.
+    """
+    tol = 1e-9
+    if f.kind is FeatureKind.NUMERICAL:
+        if f.numerical_hist is None or len(f.numerical_hist) != BINS:
+            raise ValueError(f"feature {f.name!r}: histogram must have {BINS} bins")
+        return CanonicalDistribution(bins=tuple(float(x) for x in f.numerical_hist))
+
+    if f.cat_unique is None or f.cat_top10 is None or f.cat_total is None:
+        raise ValueError(f"feature {f.name!r}: missing categorical counts")
+    n_unique, total = f.cat_unique, f.cat_total
+    if n_unique <= 0:
+        raise ValueError(f"feature {f.name!r}: unique term count must be positive")
+    if total <= 0:
+        raise ValueError(f"feature {f.name!r}: total count must be positive")
+
+    top = sorted((c / total for c in f.cat_top10), reverse=True)
+    top_mass = sum(top)
+    rest_bins = n_unique - len(top)
+    rest_mass = 1.0 - top_mass
+    if rest_bins == 0 and abs(rest_mass) > tol:
+        raise ValueError(f"feature {f.name!r}: top-term counts do not cover the total")
+    if rest_mass < -tol:
+        raise ValueError(f"feature {f.name!r}: top-term mass exceeds 1")
+
+    if n_unique == BINS:
+        tail = [max(rest_mass, 0.0) / rest_bins] * rest_bins if rest_bins else []
+        return CanonicalDistribution(bins=tuple(top + tail))
+
+    cells = np.zeros(BINS)
+    width = 1.0 / n_unique
+
+    def spread(lo: float, hi: float, mass: float) -> None:
+        if mass <= 0.0 or hi <= lo:
+            return
+        density = mass / (hi - lo)
+        first = min(int(lo * BINS), BINS - 1)
+        last = min(int(np.nextafter(hi, 0.0) * BINS), BINS - 1)
+        for c in range(first, last + 1):
+            overlap = min(hi, (c + 1) / BINS) - max(lo, c / BINS)
+            if overlap > 0:
+                cells[c] += density * overlap
+
+    for i, mass in enumerate(top):
+        spread(i * width, (i + 1) * width, mass)
+    if rest_bins > 0:
+        spread(len(top) * width, 1.0, rest_mass)
+
+    out = cells.sum()
+    if abs(out - 1.0) > tol:
+        raise ValueError(f"feature {f.name!r}: mass not conserved ({out})")
+    cells /= out
+    return CanonicalDistribution(bins=tuple(float(x) for x in cells))
 
 
 def loop_best_split(builder, idx: np.ndarray, n1: int) -> tuple[int, float] | None:

@@ -104,6 +104,9 @@ def test_empty_corpus_exits_2(command, tmp_path, capsys):
         ({"lsh": []}, "config section 'lsh' must be an object"),
         ({"forrest": {"n_trees": 3}}, "config file: unknown section 'forrest'"),
         ({"split_seed": "x"}, "config key 'split_seed' must be int"),
+        ({"lsh": {"w": float("nan")}}, "config section 'lsh': 'w' must be finite"),
+        ({"lsh": {"w": float("inf")}}, "config section 'lsh': 'w' must be finite"),
+        ({"gen": {"drift_rate": float("-inf")}}, "config section 'gen': 'drift_rate' must be finite"),
     ],
 )
 def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_dir, tmp_path, capsys):
@@ -120,6 +123,22 @@ def test_malformed_record_names_file_and_line(tmp_path, capsys):
     assert main(["validate", "--corpus", str(corpus)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {corpus / 'p.ndjson'}: line 1: ")
+
+
+def test_every_malformed_file_is_named_once(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.ndjson").write_text('{"kind": "artifact", "id": "a"}\n')
+    (corpus / "b.ndjson").write_text(
+        '{"kind": "edge", "from": "x", "to": "y", "role": "input"}\n{broken\n'
+    )
+    (corpus / "c.ndjson").write_bytes(b"\xff\xfe")
+    assert main(["validate", "--corpus", str(corpus)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith(f"error: {corpus / 'a.ndjson'}: line 1: ")
+    assert lines[1].startswith(f"{corpus / 'b.ndjson'}: line 2: invalid JSON")
+    assert lines[2].startswith(f"{corpus / 'c.ndjson'}: not UTF-8 text")
 
 
 def test_validate_cyclic_trace_exits_1(tmp_path, capsys):

@@ -24,14 +24,15 @@ def corpus_featurizer(corpus):
     return Featurizer(arch_vocab=build_arch_vocab(corpus))
 
 
-def sims_for(f, trace):
-    return SpanSimilarity(trace, f.lsh, f.weights)
+def sims_for(f, trace, graphlets):
+    return SpanSimilarity(trace, graphlets, f.lsh, f.weights)
 
 
 def stage_row(f, g, predecessors, stage, trace, idx=None):
     """Feature name -> value at ``stage``, built by the production row path."""
     sl = f.stage_slice(stage)
-    values = f.full_row(g, predecessors, trace, idx or index_trace(trace), sims_for(f, trace))[sl]
+    sims = sims_for(f, trace, [g, *predecessors])
+    values = f.full_row(g, predecessors, trace, idx or index_trace(trace), sims)[sl]
     return dict(zip(f.full_names()[sl], values))
 
 
@@ -40,7 +41,8 @@ def test_stage_vectors_nest_and_grow(warm_pair_trace, warm_pair_graphlets):
     idx = index_trace(warm_pair_trace)
     g = warm_pair_graphlets[1]
     full = f.full_row(
-        g, [warm_pair_graphlets[0]], warm_pair_trace, idx, sims_for(f, warm_pair_trace)
+        g, [warm_pair_graphlets[0]], warm_pair_trace, idx,
+        sims_for(f, warm_pair_trace, warm_pair_graphlets),
     )
     assert len(full) == len(f.full_names())
     lengths = []
@@ -200,7 +202,7 @@ def test_featurize_corpus_matches_full_row(small_corpus):
     trace, graphlets = corpus[0]
     ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
     idx = index_trace(trace)
-    sims = sims_for(f, trace)
+    sims = sims_for(f, trace, graphlets)
     for pos, g in enumerate(ordered):
         predecessors = ordered[max(0, pos - f.window.w): pos][::-1]
         assert feats.X[pos].tolist() == f.full_row(g, predecessors, trace, idx, sims)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -202,11 +202,14 @@ def _forest_json(forest) -> str:
     return json.dumps(forest_to_dict(forest))
 
 
+# Without the shrink phase a failing split search is reported in seconds;
+# shrinking refits two forests per step and takes minutes.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 _TIES = np.array([[0.0, 5.0], [1.0, 5.0], [1.0, 5.0], [2.0, 5.0]] * 3)
 _MIXED = np.array([False, True, True, False] * 3)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
 @given(_split_problems())
 @example((_TIES, np.zeros(12, dtype=bool), ForestConfig(n_trees=2, min_leaf=1)))
 @example((_TIES, _MIXED, ForestConfig(n_trees=2, max_depth=1, min_leaf=1)))
@@ -216,7 +219,7 @@ def test_fit_matches_loop_split_oracle(problem):
     assert _forest_json(fit(X, y, cfg)) == _forest_json(fit_with_loop_split(X, y, cfg))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
 @given(_split_problems(), st.integers(1, 12))
 def test_best_split_matches_loop_for_any_mtry(problem, mtry):
     # fit never asks for more candidates than columns; the search still

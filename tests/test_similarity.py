@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_span_sim_square, jensen_shannon, scalar_lsh_hash
+from oracles import brute_span_sim_square, jensen_shannon, scalar_canonicalize, scalar_lsh_hash
 
 import graphlets.similarity as similarity
 from graphlets.analytics import pair_similarities
@@ -20,7 +20,8 @@ from graphlets.similarity import (
     LshParams,
     SimWeights,
     SpanSimilarity,
-    _span_signature,
+    _canonical_bins,
+    _sign_spans,
     canonicalize,
     feature_sim,
     hash_distributions,
@@ -170,6 +171,86 @@ def test_canonicalize_conserves_mass(counts, unique_extra, total_extra):
     assert abs(sum(dist.bins) - 1.0) <= 1e-9
 
 
+_FLAWS = ["none"] * 24 + [
+    "short", "unscaled", "negative",  # numerical
+    "missing", "no_unique", "no_total", "over_total", "uncovered", "few_unique",
+    "bad_count", "eleven_tops",  # categorical
+]
+
+
+@st.composite
+def _numerical_row(draw, flaw):
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=BINS, max_size=BINS))
+    total = sum(weights)
+    hist = [w / total for w in weights] if total > 0 else [0.1] * BINS
+    if flaw == "short":
+        hist = hist[1:]
+    elif flaw == "unscaled":
+        hist = [2 * h for h in hist]
+    elif flaw == "negative":
+        hist = [-hist[0] - 0.1, *hist[1:]]
+    return num_feature("f", hist)
+
+
+@st.composite
+def _categorical_row(draw, flaw):
+    counts = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=BINS))
+    unique = draw(st.one_of(
+        st.integers(max(len(counts), 11), 1000), st.just(len(counts)),
+        st.just(BINS), st.integers(len(counts), BINS),
+    ))
+    extra = 0 if unique == len(counts) else draw(st.one_of(st.just(0), st.integers(0, 10**9)))
+    total = sum(counts) + extra
+    if flaw == "missing":
+        return FeatureStats(name="f", kind=FeatureKind.CATEGORICAL, cat_top10=tuple(counts))
+    if flaw == "no_unique":
+        unique = draw(st.integers(-1, 0))
+    elif flaw == "no_total":
+        total = draw(st.integers(-1, 0))
+    elif flaw == "over_total":
+        total = max(1, sum(counts) - draw(st.integers(1, 1000)))
+    elif flaw == "uncovered":
+        unique, total = len(counts), sum(counts) + draw(st.integers(1, 10**6))
+    elif flaw == "few_unique":
+        unique = draw(st.integers(1, len(counts)))
+    elif flaw == "bad_count":
+        counts[draw(st.integers(0, len(counts) - 1))] = draw(st.integers(-2, 0))
+    elif flaw == "eleven_tops":
+        counts, unique, total = counts + [1] * (BINS + 1 - len(counts)), BINS, total + BINS
+    return cat_feature("f", counts, unique=unique, total=total)
+
+
+@st.composite
+def _batches(draw):
+    """1-8 features, mostly valid; about one in three carries a flaw."""
+    features = []
+    for i in range(draw(st.integers(1, 8))):
+        flaw = draw(st.sampled_from(_FLAWS))
+        numerical = flaw in ("short", "unscaled", "negative") or (
+            flaw == "none" and draw(st.booleans()))
+        f = draw(_numerical_row(flaw) if numerical else _categorical_row(flaw))
+        features.append(dataclasses.replace(f, name=f"f{i}"))
+    return features
+
+
+@settings(max_examples=400, deadline=None)
+# The aligned layout with a remainder a hair below zero.
+@example(features=[cat_feature("f0", [1, 12, 186, 521], unique=10, total=720)])
+@given(features=_batches())
+def test_canonical_bins_matches_scalar_oracle_bitwise(features):
+    try:
+        expected = np.array([scalar_canonicalize(f).bins for f in features])
+    except ValueError as exc:
+        # The batch raises what the scalar path raises at the first bad feature.
+        with pytest.raises(ValueError) as err:
+            _canonical_bins(features)
+        assert str(err.value) == str(exc)
+        return
+    got = _canonical_bins(features)
+    assert got.shape == (len(features), BINS)
+    assert got.tobytes() == expected.tobytes()
+
+
 # -- lsh ---------------------------------------------------------------------
 
 
@@ -196,16 +277,16 @@ def test_lsh_batch_matches_scalar():
 
 
 def test_span_hashes_match_scalar(small_corpus):
-    # The production path: each span's features canonicalized and hashed in one batch.
+    # The production path: a trace's spans canonicalized in one batch, each
+    # span then hashed on its own.
     _, _, traces, _ = small_corpus
     checked = 0
     for trace in traces[:4]:
-        for art in trace.artifacts.values():
-            if art.span_stats is None or not art.span_stats.features:
-                continue
-            _, _, hashes = _span_signature(art.span_stats, PARAMS)
-            for f, h in zip(art.span_stats.features, hashes):
-                assert h == scalar_lsh_hash(canonicalize(f).bins, PARAMS)
+        spans = [a.span_stats for a in trace.artifacts.values()
+                 if a.span_stats is not None and a.span_stats.features]
+        for d, (key, *_) in zip(spans, _sign_spans(spans, PARAMS)):
+            for f, h in zip(d.features, key[2]):
+                assert h == scalar_lsh_hash(scalar_canonicalize(f).bins, PARAMS)
                 checked += 1
     assert checked > 100
 
@@ -394,7 +475,7 @@ def test_span_similarity_matches_module_functions(small_corpus, weights):
     _, _, _, corpus = small_corpus
     checked = 0
     for trace, graphlets in corpus[:3]:
-        sims = SpanSimilarity(trace, PARAMS, weights)
+        sims = SpanSimilarity(trace, graphlets, PARAMS, weights)
         for prev, cur in consecutive_pairs(graphlets):
             expected = sequence_sim(
                 span_stats_of(cur, trace), span_stats_of(prev, trace), PARAMS, weights
@@ -410,19 +491,25 @@ def test_span_similarity_hashes_each_span_and_compares_each_pair_once(
 ):
     _, _, _, corpus = small_corpus
     trace, graphlets = corpus[0]
-    counts = {"canonicalize": 0, "pairs": 0}
+    counts = {"batches": 0, "rows": 0, "hashes": 0, "pairs": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, rows=False):
         def wrapper(*args):
             counts[name] += 1
+            if rows:
+                counts["rows"] += len(args[0])
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(similarity, "canonicalize", counted("canonicalize", canonicalize))
     monkeypatch.setattr(
-        similarity, "_signature_sim", counted("pairs", similarity._signature_sim)
+        similarity, "_canonical_bins", counted("batches", _canonical_bins, rows=True)
     )
-    sims = SpanSimilarity(trace, PARAMS, W)
+    monkeypatch.setattr(
+        similarity, "hash_distributions", counted("hashes", hash_distributions)
+    )
+    monkeypatch.setattr(similarity, "_signed_sim", counted("pairs", similarity._signed_sim))
+    sims = SpanSimilarity(trace, graphlets, PARAMS, W)
+    signed = dict(counts)
     pairs = list(consecutive_pairs(graphlets))
     for prev, cur in pairs:
         sims.compare(cur, prev)
@@ -430,11 +517,16 @@ def test_span_similarity_hashes_each_span_and_compares_each_pair_once(
     for prev, cur in pairs:
         sims.compare(prev, cur)  # the same span pairs, in the other order
     assert counts == first
+    assert first["pairs"] > 0
+    # Every span is signed at construction, in one batch, and never again.
+    assert {k: first[k] for k in ("batches", "rows", "hashes")} == {
+        k: signed[k] for k in ("batches", "rows", "hashes")
+    }
     spans = {s for prev, cur in pairs for g in (prev, cur) for s in g.input_spans
              if trace.artifacts[s].span_stats is not None}
-    assert first["canonicalize"] == sum(
-        len(trace.artifacts[s].span_stats.features) for s in spans
-    )
+    assert signed["batches"] == 1
+    assert signed["hashes"] == len(spans)
+    assert signed["rows"] == sum(len(trace.artifacts[s].span_stats.features) for s in spans)
 
 
 def _featurize_and_compare(out):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from oracles import brute_transport_cost
+from oracles import brute_assignment_cost, brute_transport_cost
 
+from graphlets import transport
 from graphlets.transport import transport_cost, transport_plan
 
 
@@ -51,6 +54,79 @@ def test_matches_brute_force_on_tied_costs():
                 assert transport_cost(cost) == pytest.approx(
                     brute_transport_cost(cost), abs=1e-9
                 )
+
+
+def _brute_square(cost: np.ndarray) -> float:
+    # Table enumeration gets slow beyond 3 x 3; a square optimum is always
+    # attained at a permutation (Birkhoff), so larger sides use the
+    # assignment oracle.
+    n = cost.shape[0]
+    return brute_transport_cost(cost) if n <= 3 else brute_assignment_cost(cost)
+
+
+def test_square_matches_brute_force_on_levels_and_floats():
+    rng = np.random.default_rng(11)
+    for n in range(2, 7):
+        for _ in range(30):
+            # At the metric's default weights every cost is 0, 1/2 or 1:
+            # every plan sum is exact, so the value is too.
+            tied = rng.choice(np.array([0.0, 0.5, 1.0]), size=(n, n))
+            assert transport_cost(tied) == _brute_square(tied)
+            floats = rng.random((n, n))
+            assert transport_cost(floats) == pytest.approx(_brute_square(floats), abs=1e-12)
+
+
+def test_perfect_matching_agrees_with_permutation_search():
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        tight = rng.random((n, n)) < rng.uniform(0.15, 0.6)
+        exists = any(
+            all(tight[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n))
+        )
+        match = transport._perfect_matching(tight)
+        assert (match is not None) == exists
+        if match is not None:
+            assert sorted(match.tolist()) == list(range(n))
+            assert tight[np.arange(n), match].all()
+
+
+def _counting_solve(monkeypatch) -> list:
+    calls = []
+    solve = transport._solve
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(transport, "_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "cost, value",
+    [
+        ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], 0.0),  # row argmins
+        ([[0.0, 0.0], [0.0, 1.0]], 0.0),  # a matching on the row-minimum cells
+        ([[0.0, 1.0], [0.0, 5.0]], 0.5),  # only on the column-minimum cells
+    ],
+)
+def test_square_tight_matching_skips_the_simplex(cost, value, monkeypatch):
+    calls = _counting_solve(monkeypatch)
+    cost = np.array(cost)
+    assert transport_cost(cost) == value == brute_transport_cost(cost)
+    assert calls == []
+
+
+def test_square_without_tight_matching_runs_the_simplex(monkeypatch):
+    # Rows 0 and 1 both have their minimum only in column 0; columns 1 and 2
+    # both have theirs only in row 2.  Neither set of cells holds a
+    # permutation, so no lower bound is met and the simplex must decide.
+    calls = _counting_solve(monkeypatch)
+    cost = np.array([[0.0, 5.0, 5.0], [0.0, 5.0, 5.0], [3.0, 1.0, 1.0]])
+    assert transport_cost(cost) == pytest.approx(2.0, abs=1e-12)
+    assert transport_cost(cost) == pytest.approx(brute_transport_cost(cost), abs=1e-12)
+    assert calls == [(3, 3), (3, 3)]
 
 
 def test_plan_satisfies_marginals():
