@@ -12,7 +12,6 @@ outputs start with a format-version comment line followed by a header row.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,31 +28,24 @@ from .analytics import (
     similarity_table,
 )
 from .config import RunConfig, load_config
-from .features import (
-    STAGES,
-    FeatureStage,
-    Featurizer,
-    WindowConfig,
-    build_arch_vocab,
-    featurize_corpus,
-)
-from .forest import SplitSpec, balanced_accuracy, fit, forest_from_dict, forest_to_dict
+from .features import STAGES, FeatureStage, featurize_corpus
+from .forest import balanced_accuracy, fit
 from .policy import sweep
 from .segmentation import dump_graphlets, segment_corpus
-from .similarity import LshParams, SimWeights
 from .synth import generate, preset
 from .trace import load_corpus
 from .workflow import (
     CorpusValidationError,
-    eval_records,
+    corpus_featurizer,
+    held_out_records,
     policy_report,
     prepare_ml_corpus,
     require_valid,
+    save_model,
     split_pipelines,
 )
 
 TABLE_VERSION = "# graphlets-table v1"
-MODEL_FORMAT = "graphlets-model-v1"
 
 
 def _fmt(x) -> str:
@@ -73,6 +65,14 @@ def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_curve(path: Path, curve) -> None:
+    _write_table(
+        path,
+        ["threshold", "wasted_fraction", "freshness", "fpr", "tpr"],
+        [[p.threshold, p.wasted_fraction, p.freshness, p.fpr, p.tpr] for p in curve.points],
+    )
 
 
 def _write_similarity_table(path: Path, pairs) -> None:
@@ -95,11 +95,16 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     gen = cfg.gen
     if args.preset:
         gen = preset(args.preset, seed=args.seed)
-    if args.pipelines:
+    if args.pipelines is not None:
         gen = replace(gen, n_pipelines=args.pipelines)
-    if args.graphlets:
+    if args.graphlets is not None:
         lo, _, hi = args.graphlets.partition(":")
-        gen = replace(gen, graphlets_per_pipeline=(int(lo), int(hi or lo)))
+        try:
+            gen = replace(gen, graphlets_per_pipeline=(int(lo), int(hi or lo)))
+        except ValueError:
+            raise ValueError(
+                f"--graphlets must be N or LO:HI with 1 <= LO <= HI, got {args.graphlets!r}"
+            ) from None
     truth = generate(gen, args.out)
     print(
         f"wrote {gen.n_pipelines} pipelines, {len(truth.entries)} graphlets, "
@@ -236,16 +241,9 @@ def cmd_similarity(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _featurizer(cfg: RunConfig, corpus) -> Featurizer:
-    """The configured featurizer, its architecture vocabulary taken from ``corpus``."""
-    return Featurizer(
-        window=cfg.window, lsh=cfg.lsh, weights=cfg.weights, arch_vocab=build_arch_vocab(corpus)
-    )
-
-
 def cmd_featurize(args, cfg: RunConfig) -> int:
     corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
-    feats = featurize_corpus(corpus, _featurizer(cfg, corpus))
+    feats = featurize_corpus(corpus, corpus_featurizer(corpus, cfg.window, cfg.lsh, cfg.weights))
     stage = FeatureStage(args.stage)
     names, X, costs = feats.stage_view(stage)
     rows = []
@@ -263,101 +261,25 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _featurizer_payload(f: Featurizer) -> dict:
-    return {
-        "window": f.window.w,
-        "lsh": {"k": f.lsh.k, "w": f.lsh.w, "seed": f.lsh.seed},
-        "weights": {"alpha": f.weights.alpha, "beta": f.weights.beta},
-        "arch_vocab": list(f.arch_vocab),
-    }
-
-
-def _featurizer_from_payload(payload: dict) -> Featurizer:
-    return Featurizer(
-        window=WindowConfig(w=int(payload["window"])),
-        lsh=LshParams(**payload["lsh"]),
-        weights=SimWeights(**payload["weights"]),
-        arch_vocab=_strings(payload["arch_vocab"]),
-    )
-
-
-def _strings(value) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ValueError(f"expected a list of strings, got {value!r}")
-    return tuple(value)
-
-
 def cmd_train(args, cfg: RunConfig) -> int:
     corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
     spec, train, _ = split_pipelines(corpus, seed=cfg.split_seed)
-    featurizer = _featurizer(cfg, train)
+    featurizer = corpus_featurizer(train, cfg.window, cfg.lsh, cfg.weights)
     feats = featurize_corpus(train, featurizer)
     stage = FeatureStage(args.stage)
     names, X, _ = feats.stage_view(stage)
     model = fit(X, feats.y, cfg.forest, feature_names=names)
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": __version__,
-        "stage": stage.value,
-        "featurizer": _featurizer_payload(featurizer),
-        "split": {
-            "train_pipeline_ids": list(spec.train_pipeline_ids),
-            "test_pipeline_ids": list(spec.test_pipeline_ids),
-            "train_fraction": spec.train_fraction,
-            "train_rate": spec.train_rate,
-            "test_rate": spec.test_rate,
-        },
-        "forest": forest_to_dict(model),
-    }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    save_model(args.out, stage, featurizer, spec, model)
     print(
         f"trained {stage.value} model on {len(feats.y)} graphlets "
-        f"({len(spec.train_pipeline_ids)} pipelines) -> {out}"
+        f"({len(spec.train_pipeline_ids)} pipelines) -> {Path(args.out)}"
     )
     return 0
 
 
-def _load_model(path: str):
-    """A model file's stage, featurizer, split and forest; a file that is not
-    one raises ``ValueError`` naming the path and the first bad key."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("payload is not an object")
-        if payload.get("format") != MODEL_FORMAT:
-            raise ValueError(f"format is {payload.get('format')!r}")
-        if not isinstance(payload["version"], str):
-            raise ValueError("version is not a string")
-        stage = FeatureStage(payload["stage"])
-        featurizer = _featurizer_from_payload(payload["featurizer"])
-        split = payload["split"]
-        spec = SplitSpec(
-            train_pipeline_ids=_strings(split["train_pipeline_ids"]),
-            test_pipeline_ids=_strings(split["test_pipeline_ids"]),
-            train_fraction=float(split["train_fraction"]),
-            train_rate=float(split["train_rate"]),
-            test_rate=float(split["test_rate"]),
-        )
-        return stage, featurizer, spec, forest_from_dict(payload["forest"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: not a valid {MODEL_FORMAT} file: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"{path}: not a valid {MODEL_FORMAT} file: {exc}") from None
-
-
 def _test_records(args, cfg: RunConfig):
     corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
-    stage, featurizer, split, model = _load_model(args.model)
-    test_ids = set(split.test_pipeline_ids)
-    test = [(t, gs) for t, gs in corpus if t.pipeline_id in test_ids]
-    if not test:
-        raise ValueError("corpus contains no pipelines from the model's test split")
-    feats = featurize_corpus(test, featurizer=featurizer)
-    cost_by_anchor = {g.anchor: g.total_cost for _, gs in test for g in gs}
-    records = eval_records(feats, stage, model, cost_by_anchor)
-    return stage, records
+    return held_out_records(corpus, args.model)
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
@@ -377,11 +299,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 def cmd_sweep(args, cfg: RunConfig) -> int:
     stage, records = _test_records(args, cfg)
     curve = sweep(records)
-    _write_table(
-        Path(args.out),
-        ["threshold", "wasted_fraction", "freshness", "fpr", "tpr"],
-        [[p.threshold, p.wasted_fraction, p.freshness, p.fpr, p.tpr] for p in curve.points],
-    )
+    _write_curve(Path(args.out), curve)
     print(
         f"{stage.value}: {len(curve.points)} thresholds, "
         f"waste elimination at full freshness {curve.elimination_at_full_freshness():.3f} "
@@ -416,11 +334,7 @@ def cmd_report(args, cfg: RunConfig) -> int:
         [[name, acc] for name, acc in sorted(report.heuristics.items())],
     )
     for s in report.stages:
-        _write_table(
-            out / f"curve_{s.stage.value}.tsv",
-            ["threshold", "wasted_fraction", "freshness", "fpr", "tpr"],
-            [[p.threshold, p.wasted_fraction, p.freshness, p.fpr, p.tpr] for p in s.curve.points],
-        )
+        _write_curve(out / f"curve_{s.stage.value}.tsv", s.curve)
     print(f"wrote staged report ({len(report.stages)} stages) -> {out}")
     return 0
 

@@ -37,7 +37,6 @@ __all__ = [
     "Forest",
     "SplitSpec",
     "fit",
-    "score",
     "scores",
     "balanced_accuracy",
     "split_corpus",
@@ -269,10 +268,6 @@ def scores(forest: Forest, X: np.ndarray, feature_names: Sequence[str] | None = 
     return total / len(forest.trees)
 
 
-def score(forest: Forest, x: Sequence[float]) -> float:
-    return float(scores(forest, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def balanced_accuracy(y_true: Sequence[bool], y_pred: Sequence[bool]) -> float:
     """(TPR + TNR) / 2; requires both classes present in ``y_true``."""
     yt = np.asarray(y_true, dtype=bool)
@@ -384,14 +379,40 @@ def forest_to_dict(forest: Forest) -> dict[str, Any]:
     }
 
 
+def _checked_tree(arrays: dict[str, Any], n_features: int) -> Tree:
+    """A ``Tree`` from its payload, rejected unless every walk ends at a leaf.
+
+    Trees are built in preorder, so each child id exceeds its parent's; with
+    that checked, ``_apply_tree`` always terminates.
+    """
+    n = len(arrays["feature"])
+    if n == 0 or any(len(arrays[name]) != n for name in _TREE_DTYPES):
+        raise ValueError("tree arrays must share one non-zero length")
+    tree = _tree(arrays)
+    ids = np.arange(n)
+    internal = tree.feature >= 0
+    if ((tree.feature < -1) | (tree.feature >= n_features)).any():
+        raise ValueError(f"tree feature index outside [-1, {n_features})")
+    for child in (tree.left, tree.right):
+        if ((child[internal] <= ids[internal]) | (child[internal] >= n)).any():
+            raise ValueError("tree child index does not follow its node")
+    if not ((tree.fraction >= 0.0) & (tree.fraction <= 1.0)).all():
+        raise ValueError("tree leaf fractions must lie in [0, 1]")
+    return tree
+
+
 def forest_from_dict(payload: dict[str, Any]) -> Forest:
+    """The inverse of ``forest_to_dict``; a structurally broken forest raises ``ValueError``."""
     cfg = ForestConfig(**payload["config"])
-    trees = [_tree(t) for t in payload["trees"]]
+    n_features = int(payload["n_features"])
+    trees = [_checked_tree(t, n_features) for t in payload["trees"]]
+    if not trees:
+        raise ValueError("forest has no trees")
     names = payload.get("feature_names")
     return Forest(
         config=cfg,
         trees=trees,
-        n_features=int(payload["n_features"]),
+        n_features=n_features,
         class_weights=tuple(payload["class_weights"]),  # type: ignore[arg-type]
         feature_names=None if names is None else tuple(names),
     )

@@ -15,20 +15,16 @@ run far enough to produce its stage's features.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .features import FeatureStage
 from .forest import balanced_accuracy
 
 __all__ = [
     "EvalRecord",
     "CurvePoint",
     "TradeoffCurve",
-    "PolicyAction",
-    "Policy",
     "HeuristicRow",
     "sweep",
     "eq1_loss",
@@ -113,23 +109,6 @@ def sweep(records: Sequence[EvalRecord]) -> TradeoffCurve:
             CurvePoint(threshold=t, wasted_fraction=wasted, freshness=tpr, fpr=fpr, tpr=tpr)
         )
     return TradeoffCurve(points=tuple(points))
-
-
-class PolicyAction(str, Enum):
-    SKIP = "skip"
-    RUN = "run"
-
-
-@dataclass(frozen=True)
-class Policy:
-    """A concrete execution policy: intervene at ``stage`` and skip every
-    graphlet whose score falls below ``threshold``."""
-
-    stage: FeatureStage
-    threshold: float
-
-    def decide(self, score: float) -> PolicyAction:
-        return PolicyAction.RUN if score >= self.threshold else PolicyAction.SKIP
 
 
 LossFn = Callable[[float, EvalRecord], float]

@@ -44,7 +44,6 @@ __all__ = [
     "label_pushed",
     "consecutive_pairs",
     "filter_warmstart",
-    "graphlet_costs",
     "overlap_adjusted_costs",
     "segment_corpus",
     "graphlet_record",
@@ -202,15 +201,6 @@ def _costs_for(trace: Trace, nodes: frozenset[str]) -> dict[OperatorGroup, float
             continue
         costs[ex.group] = costs.get(ex.group, 0.0) + ex.cpu_cost
     return costs
-
-
-def graphlet_costs(g: Graphlet, trace: Trace) -> dict[OperatorGroup, float]:
-    """Per-group cpu cost of the executions inside the graphlet.
-
-    Executions shared between overlapping graphlets are charged in full to
-    every graphlet that contains them.
-    """
-    return _costs_for(trace, g.nodes)
 
 
 def overlap_adjusted_costs(

@@ -42,10 +42,8 @@ __all__ = [
     "BayesReference",
     "generate",
     "preset",
-    "load_truth",
     "bayes_reference",
     "bayes_balanced_accuracy",
-    "sample_latent_probabilities",
 ]
 
 _MS_MIN = 60_000
@@ -138,6 +136,8 @@ class GenConfig:
     push: PushModel = field(default_factory=PushModel)
 
     def __post_init__(self) -> None:
+        if self.n_pipelines < 1:
+            raise ValueError(f"n_pipelines must be at least 1, got {self.n_pipelines}")
         for name, p in (
             ("drift_rate", self.drift_rate),
             ("code_stability", self.code_stability),
@@ -608,29 +608,6 @@ def _write_truth(truth: PlantedTruth, path: Path) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=None) + "\n", encoding="utf-8")
 
 
-def load_truth(path: str | Path) -> PlantedTruth:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != "graphlets-truth-v1":
-        raise ValueError("unrecognized truth file format")
-    entries = [
-        TruthEntry(
-            pipeline_id=e["pipeline_id"],
-            anchor=e["anchor"],
-            p=float(e["p"]),
-            label=bool(e["label"]),
-            cost=float(e["cost"]),
-            warmstart=bool(e["warmstart"]),
-        )
-        for e in payload["entries"]
-    ]
-    return PlantedTruth(
-        entries=entries,
-        bayes_balanced_accuracy=float(payload["bayes_balanced_accuracy"]),
-        oracle_elimination=float(payload["oracle_elimination"]),
-        push_rate=float(payload["push_rate"]),
-    )
-
-
 def bayes_balanced_accuracy(ps: np.ndarray) -> float:
     """Best achievable expected balanced accuracy when the true push
     probabilities are known: maximize (TPR + TNR)/2 over thresholds on p."""
@@ -665,40 +642,3 @@ def bayes_reference(truth: PlantedTruth) -> BayesReference:
         elimination_at_full_freshness=float(eliminated),
         push_rate=float(labels.mean()),
     )
-
-
-def sample_latent_probabilities(cfg: GenConfig, n: int, seed: int = 0) -> np.ndarray:
-    """Monte-Carlo draws from the planted push process, without building
-    traces; used to cross-check corpus-derived Bayes references.
-
-    The window drift/richness exposures are binomial means, matching the
-    i.i.d. per-span flags the trace generator plants.
-    """
-    rng = np.random.default_rng([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0xBA1E5, seed])
-    push = cfg.push
-    mix_names = sorted(cfg.model_mix)
-    mix_probs = np.array([cfg.model_mix[k] for k in mix_names])
-    types = rng.choice(len(mix_names), size=n, p=mix_probs / mix_probs.sum())
-    windows = rng.choice(
-        [cfg.window - 1, cfg.window, cfg.window + 1], size=n, p=[0.2, 0.6, 0.2]
-    )
-    windows = np.maximum(1, windows)
-    exposure = rng.binomial(windows, cfg.drift_rate) / windows
-    rich_exposure = rng.binomial(windows, cfg.rich_rate) / windows
-    code_changed = (rng.random(n) > cfg.code_stability).astype(float)
-    has_val = rng.random(n) < push.validator_rate
-
-    base = np.array([push.base_logit[name] for name in mix_names])
-    logit = base[types]
-    logit = logit + push.signal * (
-        push.drift_weight * exposure
-        + push.rich_weight * rich_exposure
-        + push.size_weight * (windows - cfg.window)
-    )
-    logit = logit + push.code_weight * code_changed
-    if push.hard_validator_gate:
-        p = np.where(has_val, 1.0 / (1.0 + np.exp(-logit)), 0.0)
-    else:
-        logit = np.where(has_val, logit, logit + push.no_validator_shift)
-        p = 1.0 / (1.0 + np.exp(-logit))
-    return p

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Mapping
 
 __all__ = [
     "ArtifactType",
@@ -43,7 +43,6 @@ __all__ = [
     "parse_trace_file",
     "validate_trace",
     "index_trace",
-    "serialize_trace",
     "load_corpus",
 ]
 
@@ -340,24 +339,6 @@ def parse_span_stats(payload: Mapping[str, Any], line: int = 0) -> SpanStats:
     return SpanStats(features=tuple(feats))
 
 
-def span_stats_payload(stats: SpanStats) -> dict[str, Any]:
-    feats = []
-    for f in stats.features:
-        if f.kind is FeatureKind.NUMERICAL:
-            feats.append({"name": f.name, "type": f.kind.value, "hist": list(f.numerical_hist or ())})
-        else:
-            feats.append(
-                {
-                    "name": f.name,
-                    "type": f.kind.value,
-                    "top10": list(f.cat_top10 or ()),
-                    "unique": f.cat_unique,
-                    "total": f.cat_total,
-                }
-            )
-    return {"features": feats}
-
-
 def _parse_artifact(record: Mapping[str, Any], line: int) -> Artifact:
     node_id = record.get("id")
     if not node_id or not isinstance(node_id, str):
@@ -632,50 +613,6 @@ def index_trace(trace: Trace) -> TraceIndex:
         children={n: tuple(sorted(v)) for n, v in children.items()},
         trainers=tuple(ex.id for ex in trainers),
     )
-
-
-def serialize_trace(trace: Trace) -> Iterator[str]:
-    """Yield the trace as newline-delimited records in a canonical order."""
-    for art in trace.artifacts.values():
-        props: dict[str, Any] = dict(art.extra)
-        if art.span_stats is not None:
-            props["span_stats"] = span_stats_payload(art.span_stats)
-        record = {
-            "kind": "artifact",
-            "id": art.id,
-            "type": art.artifact_type.value,
-            "created_at": art.created_at,
-            "pipeline_id": art.pipeline_id,
-            "properties": props,
-        }
-        yield json.dumps(record, sort_keys=True)
-    for ex in trace.executions.values():
-        props = dict(ex.extra)
-        if ex.code_version is not None:
-            props["code_version"] = ex.code_version
-        if ex.model_type is not None:
-            props["model_type"] = ex.model_type.value
-        if ex.architecture is not None:
-            props["architecture"] = ex.architecture
-        if ex.analyzers is not None:
-            props["analyzers"] = [a.value for a in ex.analyzers]
-        record = {
-            "kind": "execution",
-            "id": ex.id,
-            "operator": ex.operator.value,
-            "pipeline_id": ex.pipeline_id,
-            "start_at": ex.start_at,
-            "end_at": ex.end_at,
-            "state": ex.state.value,
-            "cpu_cost": ex.cpu_cost,
-            "properties": props,
-        }
-        yield json.dumps(record, sort_keys=True)
-    for edge in trace.edges:
-        yield json.dumps(
-            {"kind": "edge", "from": edge.src, "to": edge.dst, "role": edge.role.value},
-            sort_keys=True,
-        )
 
 
 def load_corpus(directory: str | Path) -> list[Trace]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["TransportError", "transport_cost", "transport_plan"]
+__all__ = ["TransportError", "transport_cost"]
 
 MAX_SIDE = 256
 _EPS = 1e-11
@@ -249,16 +249,3 @@ def transport_cost(cost: np.ndarray) -> float:
     _, total = _solve(cost)
     return total / (n * m)
 
-
-def transport_plan(cost: np.ndarray) -> tuple[np.ndarray, float]:
-    """Optimal plan (row sums 1/n, column sums 1/m) and its cost."""
-    cost = _check(cost)
-    n, m = cost.shape
-    if n == 1 or m == 1:
-        plan = np.full((n, m), 1.0 / (n * m))
-        return plan, float(cost.mean())
-    flow, total = _solve(cost)
-    plan = np.zeros((n, m))
-    for (i, j), q in flow.items():
-        plan[i, j] = q / (n * m)
-    return plan, total / (n * m)

@@ -3,15 +3,20 @@
 Glue between the pure modules, shared by the CLI and the test suite.  The
 train/test discipline lives here: pipelines are split whole, the
 architecture vocabulary comes from the training side only, and the staged
-models are column views over one featurization pass.
+models are column views over one featurization pass.  A model file carries
+one trained stage with the featurizer and split it needs to score the
+held-out pipelines; ``save_model`` and ``load_model`` are its only codec.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .features import (
     STAGES,
     CorpusFeatures,
@@ -21,7 +26,17 @@ from .features import (
     build_arch_vocab,
     featurize_corpus,
 )
-from .forest import Forest, ForestConfig, SplitSpec, balanced_accuracy, fit, scores, split_corpus
+from .forest import (
+    Forest,
+    ForestConfig,
+    SplitSpec,
+    balanced_accuracy,
+    fit,
+    forest_from_dict,
+    forest_to_dict,
+    scores,
+    split_corpus,
+)
 from .policy import EvalRecord, HeuristicRow, TradeoffCurve, heuristic_baselines, sweep
 from .segmentation import DEFAULT_STOP_SET, Graphlet, StopSet, filter_warmstart, segment_corpus
 from .similarity import LshParams, SimWeights
@@ -35,12 +50,17 @@ __all__ = [
     "require_valid",
     "prepare_ml_corpus",
     "split_pipelines",
+    "corpus_featurizer",
     "eval_records",
     "heuristic_rows",
     "policy_report",
+    "save_model",
+    "load_model",
+    "held_out_records",
 ]
 
 Corpus = list[tuple[Trace, list[Graphlet]]]
+MODEL_FORMAT = "graphlets-model-v1"
 
 
 class CorpusValidationError(ValueError):
@@ -81,6 +101,13 @@ def split_pipelines(corpus: Corpus, seed: int) -> tuple[SplitSpec, Corpus, Corpu
     train = [(t, gs) for t, gs in corpus if t.pipeline_id in train_ids]
     test = [(t, gs) for t, gs in corpus if t.pipeline_id not in train_ids]
     return spec, train, test
+
+
+def corpus_featurizer(
+    corpus: Corpus, window: WindowConfig, lsh: LshParams, weights: SimWeights
+) -> Featurizer:
+    """The featurizer whose architecture vocabulary is taken from ``corpus``."""
+    return Featurizer(window=window, lsh=lsh, weights=weights, arch_vocab=build_arch_vocab(corpus))
 
 
 def heuristic_rows(feats: CorpusFeatures) -> list[HeuristicRow]:
@@ -155,9 +182,7 @@ def policy_report(
     freshness-vs-waste curve, and the waste eliminated at full freshness.
     """
     spec, train, test = split_pipelines(corpus, seed=seed)
-    featurizer = Featurizer(
-        window=window, lsh=lsh, weights=weights, arch_vocab=build_arch_vocab(train)
-    )
+    featurizer = corpus_featurizer(train, window, lsh, weights)
     train_feats = featurize_corpus(train, featurizer=featurizer)
     test_feats = featurize_corpus(test, featurizer=featurizer)
     cost_by_anchor = {g.anchor: g.total_cost for _, gs in corpus for g in gs}
@@ -195,3 +220,88 @@ def policy_report(
         heuristics=dict(heuristics),
         test_push_rate=float(test_feats.y.mean()),
     )
+
+
+def save_model(
+    path: str | Path, stage: FeatureStage, featurizer: Featurizer, split: SplitSpec, model: Forest
+) -> None:
+    """Write one trained stage as a model file."""
+    payload = {
+        "format": MODEL_FORMAT,
+        "version": __version__,
+        "stage": stage.value,
+        "featurizer": {
+            "window": featurizer.window.w,
+            "lsh": {"k": featurizer.lsh.k, "w": featurizer.lsh.w, "seed": featurizer.lsh.seed},
+            "weights": {"alpha": featurizer.weights.alpha, "beta": featurizer.weights.beta},
+            "arch_vocab": list(featurizer.arch_vocab),
+        },
+        "split": {
+            "train_pipeline_ids": list(split.train_pipeline_ids),
+            "test_pipeline_ids": list(split.test_pipeline_ids),
+            "train_fraction": split.train_fraction,
+            "train_rate": split.train_rate,
+            "test_rate": split.test_rate,
+        },
+        "forest": forest_to_dict(model),
+    }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def load_model(path: str | Path) -> tuple[FeatureStage, Featurizer, SplitSpec, Forest]:
+    """A model file's stage, featurizer, split and forest; a file that is not
+    one raises ``ValueError`` naming the path and the first broken rule."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise ValueError("payload is not an object")
+        if payload.get("format") != MODEL_FORMAT:
+            raise ValueError(f"format is {payload.get('format')!r}")
+        if not isinstance(payload["version"], str):
+            raise ValueError("version is not a string")
+        stage = FeatureStage(payload["stage"])
+        feat = payload["featurizer"]
+        featurizer = Featurizer(
+            window=WindowConfig(w=int(feat["window"])),
+            lsh=LshParams(**feat["lsh"]),
+            weights=SimWeights(**feat["weights"]),
+            arch_vocab=_strings(feat["arch_vocab"]),
+        )
+        split = payload["split"]
+        spec = SplitSpec(
+            train_pipeline_ids=_strings(split["train_pipeline_ids"]),
+            test_pipeline_ids=_strings(split["test_pipeline_ids"]),
+            train_fraction=float(split["train_fraction"]),
+            train_rate=float(split["train_rate"]),
+            test_rate=float(split["test_rate"]),
+        )
+        model = forest_from_dict(payload["forest"])
+        names = featurizer.full_names()[featurizer.stage_slice(stage)]
+        if model.n_features != len(names) or model.feature_names not in (None, names):
+            raise ValueError(f"forest does not fit the {len(names)} columns of stage {stage.value}")
+        return stage, featurizer, spec, model
+    except KeyError as exc:
+        raise ValueError(f"{path}: not a valid {MODEL_FORMAT} file: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"{path}: not a valid {MODEL_FORMAT} file: {exc}") from None
+
+
+def held_out_records(corpus: Corpus, path: str | Path) -> tuple[FeatureStage, list[EvalRecord]]:
+    """The model file's stage and its scored records for the corpus's
+    pipelines from the model's test split."""
+    stage, featurizer, split, model = load_model(path)
+    test_ids = set(split.test_pipeline_ids)
+    test = [(t, gs) for t, gs in corpus if t.pipeline_id in test_ids]
+    if not test:
+        raise ValueError("corpus contains no pipelines from the model's test split")
+    feats = featurize_corpus(test, featurizer=featurizer)
+    cost_by_anchor = {g.anchor: g.total_cost for _, gs in test for g in gs}
+    return stage, eval_records(feats, stage, model, cost_by_anchor)

@@ -6,17 +6,26 @@ integer contingency tables, the sweep oracle rebuilds each confusion set
 from scratch, the split oracle scores one candidate feature at a time, the
 hash oracle projects one distribution at a time, and the canonicalization
 oracle lays out one feature at a time in scalar arithmetic.
+
+The rest are test-side counterparts of the library's writers and samplers:
+a trace serializer for parse round trips, a truth-file reader, a Monte-Carlo
+sampler of the planted push process, and the optimal plan behind
+``transport_cost``.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from typing import Any, Iterator
 from unittest import mock
 
 import numpy as np
 
-from graphlets import forest
+from graphlets import forest, transport
 from graphlets.segmentation import StopSet
 from graphlets.similarity import BINS, CanonicalDistribution, LshParams, _projections
+from graphlets.synth import GenConfig, PlantedTruth, TruthEntry
 from graphlets.trace import (
     Artifact,
     ArtifactType,
@@ -345,3 +354,140 @@ def fit_with_loop_split(*args, **kwargs) -> forest.Forest:
     """``forest.fit`` with the per-feature split search swapped in."""
     with mock.patch.object(forest._TreeBuilder, "_best_split", loop_best_split):
         return forest.fit(*args, **kwargs)
+
+
+def span_stats_payload(stats: SpanStats) -> dict[str, Any]:
+    feats = []
+    for f in stats.features:
+        if f.kind is FeatureKind.NUMERICAL:
+            hist = list(f.numerical_hist or ())
+            feats.append({"name": f.name, "type": f.kind.value, "hist": hist})
+        else:
+            feats.append(
+                {
+                    "name": f.name,
+                    "type": f.kind.value,
+                    "top10": list(f.cat_top10 or ()),
+                    "unique": f.cat_unique,
+                    "total": f.cat_total,
+                }
+            )
+    return {"features": feats}
+
+
+def serialize_trace(trace: Trace) -> Iterator[str]:
+    """Yield the trace as newline-delimited records in a canonical order."""
+    for art in trace.artifacts.values():
+        props: dict[str, Any] = dict(art.extra)
+        if art.span_stats is not None:
+            props["span_stats"] = span_stats_payload(art.span_stats)
+        record = {
+            "kind": "artifact",
+            "id": art.id,
+            "type": art.artifact_type.value,
+            "created_at": art.created_at,
+            "pipeline_id": art.pipeline_id,
+            "properties": props,
+        }
+        yield json.dumps(record, sort_keys=True)
+    for ex in trace.executions.values():
+        props = dict(ex.extra)
+        if ex.code_version is not None:
+            props["code_version"] = ex.code_version
+        if ex.model_type is not None:
+            props["model_type"] = ex.model_type.value
+        if ex.architecture is not None:
+            props["architecture"] = ex.architecture
+        if ex.analyzers is not None:
+            props["analyzers"] = [a.value for a in ex.analyzers]
+        record = {
+            "kind": "execution",
+            "id": ex.id,
+            "operator": ex.operator.value,
+            "pipeline_id": ex.pipeline_id,
+            "start_at": ex.start_at,
+            "end_at": ex.end_at,
+            "state": ex.state.value,
+            "cpu_cost": ex.cpu_cost,
+            "properties": props,
+        }
+        yield json.dumps(record, sort_keys=True)
+    for edge in trace.edges:
+        yield json.dumps(
+            {"kind": "edge", "from": edge.src, "to": edge.dst, "role": edge.role.value},
+            sort_keys=True,
+        )
+
+
+def load_truth(path: str | Path) -> PlantedTruth:
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if payload.get("format") != "graphlets-truth-v1":
+        raise ValueError("unrecognized truth file format")
+    entries = [
+        TruthEntry(
+            pipeline_id=e["pipeline_id"],
+            anchor=e["anchor"],
+            p=float(e["p"]),
+            label=bool(e["label"]),
+            cost=float(e["cost"]),
+            warmstart=bool(e["warmstart"]),
+        )
+        for e in payload["entries"]
+    ]
+    return PlantedTruth(
+        entries=entries,
+        bayes_balanced_accuracy=float(payload["bayes_balanced_accuracy"]),
+        oracle_elimination=float(payload["oracle_elimination"]),
+        push_rate=float(payload["push_rate"]),
+    )
+
+
+def sample_latent_probabilities(cfg: GenConfig, n: int, seed: int = 0) -> np.ndarray:
+    """Monte-Carlo draws from the planted push process, without building
+    traces; used to cross-check corpus-derived Bayes references.
+
+    The window drift/richness exposures are binomial means, matching the
+    i.i.d. per-span flags the trace generator plants.
+    """
+    rng = np.random.default_rng([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0xBA1E5, seed])
+    push = cfg.push
+    mix_names = sorted(cfg.model_mix)
+    mix_probs = np.array([cfg.model_mix[k] for k in mix_names])
+    types = rng.choice(len(mix_names), size=n, p=mix_probs / mix_probs.sum())
+    windows = rng.choice(
+        [cfg.window - 1, cfg.window, cfg.window + 1], size=n, p=[0.2, 0.6, 0.2]
+    )
+    windows = np.maximum(1, windows)
+    exposure = rng.binomial(windows, cfg.drift_rate) / windows
+    rich_exposure = rng.binomial(windows, cfg.rich_rate) / windows
+    code_changed = (rng.random(n) > cfg.code_stability).astype(float)
+    has_val = rng.random(n) < push.validator_rate
+
+    base = np.array([push.base_logit[name] for name in mix_names])
+    logit = base[types]
+    logit = logit + push.signal * (
+        push.drift_weight * exposure
+        + push.rich_weight * rich_exposure
+        + push.size_weight * (windows - cfg.window)
+    )
+    logit = logit + push.code_weight * code_changed
+    if push.hard_validator_gate:
+        p = np.where(has_val, 1.0 / (1.0 + np.exp(-logit)), 0.0)
+    else:
+        logit = np.where(has_val, logit, logit + push.no_validator_shift)
+        p = 1.0 / (1.0 + np.exp(-logit))
+    return p
+
+
+def transport_plan(cost: np.ndarray) -> tuple[np.ndarray, float]:
+    """Optimal plan (row sums 1/n, column sums 1/m) and its cost, from the
+    library's simplex; a single row or column splits uniformly."""
+    cost = transport._check(cost)
+    n, m = cost.shape
+    if n == 1 or m == 1:
+        return np.full((n, m), 1.0 / (n * m)), float(cost.mean())
+    flow, total = transport._solve(cost)
+    plan = np.zeros((n, m))
+    for (i, j), q in flow.items():
+        plan[i, j] = q / (n * m)
+    return plan, total / (n * m)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from graphlets.cli import main
+from graphlets.workflow import load_model, save_model
 
 CONFIG_SMALL = {
     "forest": {"n_trees": 12, "max_depth": 10, "min_leaf": 3},
@@ -107,6 +109,7 @@ def test_empty_corpus_exits_2(command, tmp_path, capsys):
         ({"lsh": {"w": float("nan")}}, "config section 'lsh': 'w' must be finite"),
         ({"lsh": {"w": float("inf")}}, "config section 'lsh': 'w' must be finite"),
         ({"gen": {"drift_rate": float("-inf")}}, "config section 'gen': 'drift_rate' must be finite"),
+        ({"gen": {"n_pipelines": 0}}, "config section 'gen': n_pipelines must be at least 1"),
     ],
 )
 def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_dir, tmp_path, capsys):
@@ -114,6 +117,22 @@ def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_di
     path.write_text(json.dumps(config))
     assert main(["validate", "--corpus", str(warm_pair_dir), "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--pipelines", "0"], "n_pipelines must be at least 1, got 0"),
+        (["--pipelines", "-2"], "n_pipelines must be at least 1, got -2"),
+        (["--graphlets", "x:4"], "--graphlets must be N or LO:HI with 1 <= LO <= HI, got 'x:4'"),
+        (["--graphlets", "5:2"], "--graphlets must be N or LO:HI with 1 <= LO <= HI, got '5:2'"),
+    ],
+)
+def test_bad_synth_flags_exit_2(flags, message, tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_malformed_record_names_file_and_line(tmp_path, capsys):
@@ -301,6 +320,61 @@ def test_ill_typed_model_file_exits_2(section, key, value, trained_model, small_
                  "--out", str(tmp_path / "out.tsv"), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model}: not a valid graphlets-model-v1 file: "), err
+
+
+def _set(tree, key, index, value):
+    tree[key][index] = value
+
+
+BROKEN_FORESTS = {
+    "child beyond the tree": lambda f: _set(f["trees"][0], "left", 0, 10**6),
+    "child index overflows": lambda f: _set(f["trees"][0], "right", 0, 10**20),
+    "self-loop": lambda f: (_set(f["trees"][0], "left", 0, 0), _set(f["trees"][0], "right", 0, 0)),
+    "feature out of range": lambda f: _set(f["trees"][0], "feature", 0, 999),
+    "leaf feature below -1": lambda f: _set(f["trees"][0], "feature", -1, -2),
+    "truncated fraction": lambda f: f["trees"][0]["fraction"].pop(),
+    "empty tree": lambda f: f["trees"][0].update({k: [] for k in f["trees"][0]}),
+    "fraction above 1": lambda f: _set(f["trees"][0], "fraction", -1, 1.5),
+    "no trees": lambda f: f.update(trees=[]),
+    "wider than the stage": lambda f: f.update(n_features=f["n_features"] + 1),
+    "renamed column": lambda f: _set(f, "feature_names", 0, "bogus"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FORESTS))
+def test_structurally_broken_forest_is_not_a_model(case, trained_model, tmp_path):
+    payload = json.loads(json.dumps(trained_model))
+    assert payload["forest"]["trees"][0]["feature"][0] >= 0  # the root splits
+    BROKEN_FORESTS[case](payload["forest"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    prefix = f"{model}: not a valid graphlets-model-v1 file: "
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
+        load_model(model)
+
+
+def test_model_with_a_stray_child_exits_2(trained_model, small_cli_corpus, tmp_path, capsys):
+    corpus, cfg = small_cli_corpus
+    payload = json.loads(json.dumps(trained_model))
+    payload["forest"]["trees"][0]["left"][0] = 10**6
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    assert main(["evaluate", "--corpus", str(corpus), "--model", str(model),
+                 "--out", str(tmp_path / "out.tsv"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {model}: not a valid graphlets-model-v1 file: "
+                   "tree child index does not follow its node\n")
+
+
+def test_saved_model_loads_back(trained_model, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(trained_model, sort_keys=True) + "\n")
+    stage, featurizer, split, forest = load_model(model)
+    assert stage.value == trained_model["stage"]
+    assert list(split.test_pipeline_ids) == trained_model["split"]["test_pipeline_ids"]
+    assert forest.n_features == len(forest.feature_names)
+    save_model(model, stage, featurizer, split, forest)
+    assert json.loads(model.read_text()) == trained_model
 
 
 def test_report_outputs(small_cli_corpus, tmp_path):

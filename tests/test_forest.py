@@ -18,7 +18,6 @@ from graphlets.forest import (
     fit,
     forest_from_dict,
     forest_to_dict,
-    score,
     scores,
     split_corpus,
     splitmix64,
@@ -55,7 +54,7 @@ def test_separable_data_reaches_perfect_training_accuracy():
     preds = scores(forest, X) >= 0.5
     assert balanced_accuracy(y, preds) == 1.0
     for x, label in zip(X[:5], y[:5]):
-        assert (score(forest, x) >= 0.5) == label
+        assert (scores(forest, x[None, :])[0] >= 0.5) == label
 
 
 def test_determinism_same_config_same_forest():

@@ -9,8 +9,6 @@ from graphlets.features import FeatureStage
 from graphlets.policy import (
     EvalRecord,
     HeuristicRow,
-    Policy,
-    PolicyAction,
     eq1_loss,
     heuristic_baselines,
     sweep,
@@ -176,10 +174,10 @@ def test_heuristic_code_match_near_half_when_independent():
 
 
 def test_policy_decides_by_threshold():
-    policy = Policy(stage=FeatureStage.INPUT_PRE, threshold=0.4)
-    assert policy.decide(0.39) is PolicyAction.SKIP
-    assert policy.decide(0.4) is PolicyAction.RUN
-    assert policy.decide(0.9) is PolicyAction.RUN
+    # a pushed record loses freshness exactly when the policy skips it
+    assert eq1_loss([rec(True, 0.39)], threshold=0.4) == 1.0
+    assert eq1_loss([rec(True, 0.4)], threshold=0.4) == 0.0
+    assert eq1_loss([rec(True, 0.9)], threshold=0.4) == 0.0
 
 
 def test_forest_beats_heuristics_on_planted_corpus(small_corpus):

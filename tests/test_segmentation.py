@@ -10,7 +10,6 @@ from graphlets.segmentation import (
     consecutive_pairs,
     extract_graphlets,
     filter_warmstart,
-    graphlet_costs,
     label_pushed,
     overlap_adjusted_costs,
 )
@@ -82,7 +81,7 @@ def test_fixture_push_labels(warm_pair_trace, warm_pair_graphlets):
 
 def test_consumer_graphlet_costs(warm_pair_trace, warm_pair_graphlets):
     consumer = warm_pair_graphlets[1]
-    assert graphlet_costs(consumer, warm_pair_trace) == {
+    assert consumer.costs == {
         OperatorGroup.DATA_INGESTION: 2.0,
         OperatorGroup.DATA_ANALYSIS_VALIDATION: 1.0,
         OperatorGroup.TRAINING: 1.0,
@@ -100,8 +99,8 @@ def test_input_spans_are_direct_trainer_inputs(warm_pair_graphlets):
 def test_shared_execution_charged_to_both(warm_pair_trace, warm_pair_graphlets):
     first, consumer = warm_pair_graphlets
     # both graphlets contain both ExampleGen runs, full cost each
-    assert graphlet_costs(first, warm_pair_trace)[OperatorGroup.DATA_INGESTION] == 2.0
-    assert graphlet_costs(consumer, warm_pair_trace)[OperatorGroup.DATA_INGESTION] == 2.0
+    assert first.costs[OperatorGroup.DATA_INGESTION] == 2.0
+    assert consumer.costs[OperatorGroup.DATA_INGESTION] == 2.0
     merged = overlap_adjusted_costs([first, consumer], warm_pair_trace)
     assert merged[OperatorGroup.DATA_INGESTION] == 2.0
 

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import load_truth, sample_latent_probabilities
+
 from graphlets.segmentation import filter_warmstart, segment_corpus
 from graphlets.synth import (
     GenConfig,
@@ -12,9 +14,7 @@ from graphlets.synth import (
     bayes_reference,
     generate,
     iid_config,
-    load_truth,
     preset,
-    sample_latent_probabilities,
 )
 from graphlets.trace import load_corpus
 from graphlets.workflow import validate_corpus
@@ -164,6 +164,9 @@ def test_presets():
 
 
 def test_invalid_config_rejected():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n_pipelines must be at least 1"):
+            GenConfig(n_pipelines=n)
     with pytest.raises(ValueError):
         GenConfig(drift_rate=1.4)
     with pytest.raises(ValueError):

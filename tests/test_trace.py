@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import serialize_trace
+
 from graphlets.trace import (
     TraceParseError,
     index_trace,
     load_corpus,
     parse_trace,
     parse_trace_file,
-    serialize_trace,
     validate_trace,
 )
 

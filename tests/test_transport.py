@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import brute_assignment_cost, brute_transport_cost
+from oracles import brute_assignment_cost, brute_transport_cost, transport_plan
 
 from graphlets import transport
-from graphlets.transport import transport_cost, transport_plan
+from graphlets.transport import transport_cost
 
 
 def test_rejects_empty_and_oversized():
