@@ -29,7 +29,7 @@ from .analytics import (
 )
 from .config import RunConfig, load_config
 from .features import STAGES, FeatureStage, featurize_corpus
-from .forest import balanced_accuracy, fit
+from .forest import fit
 from .policy import sweep
 from .segmentation import dump_graphlets, segment_corpus
 from .synth import generate, preset
@@ -40,6 +40,7 @@ from .workflow import (
     held_out_records,
     policy_report,
     prepare_ml_corpus,
+    push_balanced_accuracy,
     require_valid,
     save_model,
     split_pipelines,
@@ -285,8 +286,7 @@ def _test_records(args, cfg: RunConfig):
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     stage, records = _test_records(args, cfg)
     labels = [r.label for r in records]
-    preds = [r.score >= 0.5 for r in records]
-    acc = balanced_accuracy(labels, preds)
+    acc = push_balanced_accuracy(records)
     _write_table(
         Path(args.out),
         ["stage", "n_test", "test_push_rate", "balanced_accuracy"],

@@ -14,7 +14,9 @@ Split search scores all of a node's candidate features in one pass: it
 gathers their values for the node's rows from a feature-major copy of the
 matrix, sorts each row, and scores every cut between distinct adjacent
 values that ``min_leaf`` allows.  The cuts are listed in row-major (feature,
-position) order, so the first minimum score is the tie-break above.
+position) order, so the first minimum score is the tie-break above; rows are
+partitioned by ``value <= threshold``.  ``scores`` walks all (tree, row) pairs
+down one node array whose leaves loop to themselves, summing trees in order.
 ``fit`` and ``scores`` reject NaN and infinite feature values.
 
 Balanced class weights (n / (2 * n_class), computed on the full training
@@ -44,6 +46,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_SIDES = np.array(((1,), (-1,)))  # a cut's left count, then total minus it
 
 
 def splitmix64(x: int) -> int:
@@ -84,7 +87,13 @@ _TREE_DTYPES = {"feature": np.int32, "threshold": float, "left": np.int32,
 
 def _tree(arrays) -> Tree:
     """A ``Tree`` from per-node sequences, keyed by field name."""
-    return Tree(**{name: np.asarray(arrays[name], dtype=dt) for name, dt in _TREE_DTYPES.items()})
+    fields = {}
+    for name, dt in _TREE_DTYPES.items():
+        try:
+            fields[name] = np.asarray(arrays[name], dtype=dt)
+        except OverflowError as exc:
+            raise ValueError(f"tree array {name!r} does not fit {np.dtype(dt)}: {exc}") from None
+    return Tree(**fields)
 
 
 @dataclass
@@ -112,11 +121,9 @@ class _TreeBuilder:
         self.fraction: list[float] = []
         self.count: list[int] = []
 
-    def _new_node(self, idx: np.ndarray) -> tuple[int, int]:
-        """Append a leaf for rows ``idx``; return its id and positive count."""
+    def _new_node(self, n: int, n1: int) -> int:
+        """Append a leaf for ``n`` rows, ``n1`` of them positive; return its id."""
         node = len(self.feature)
-        n = len(idx)
-        n1 = int(self.y[idx].sum())
         pos = self.w1 * n1
         neg = self.w0 * (n - n1)
         self.feature.append(-1)
@@ -125,47 +132,48 @@ class _TreeBuilder:
         self.right.append(-1)
         self.fraction.append(pos / (pos + neg) if pos + neg > 0 else 0.0)
         self.count.append(n)
-        return node, n1
+        return node
 
     def _best_split(self, idx: np.ndarray, n1: int) -> tuple[int, float] | None:
         XT, w0, w1 = self.XT, self.w0, self.w1
         n = len(idx)
         d = XT.shape[0]
-        feats = np.sort(self.rng.choice(d, size=min(self.mtry, d), replace=False))
+        feats = self.rng.choice(d, size=min(self.mtry, d), replace=False)
+        feats.sort()
         # Cut p puts sorted rows 0..p on the left; min_leaf bounds p to [lo, hi].
         lo = self.cfg.min_leaf - 1
         hi = n - self.cfg.min_leaf - 1
         if hi < lo:
             return None
-        vals = XT.take(feats, axis=0).take(idx, axis=1)
-        order = vals.argsort(axis=1, kind="stable")
-        sv = np.take_along_axis(vals, order, axis=1)
-        cum1 = self.y[idx][order].cumsum(axis=1)
-        rows, cut = np.nonzero(sv[:, lo + 1 : hi + 2] != sv[:, lo : hi + 1])
+        sv = XT.take(feats, axis=0).take(idx, axis=1)
+        # Cuts fall only between distinct values, so the order of tied rows
+        # (which an unstable argsort leaves open) never changes a count at a cut.
+        cum1 = self.y.take(idx).take(sv.argsort(axis=1)).cumsum(axis=1)
+        sv.sort(axis=1)
+        rows, cut = (sv[:, lo + 1 : hi + 2] != sv[:, lo : hi + 1]).nonzero()
         if len(cut) == 0:
             return None
         cut += lo
+        # a and b weigh the positives and negatives on each side of each cut:
+        # row 0 holds the left side, row 1 the right.
         nl1 = cum1[rows, cut]
-        nl0 = cut + 1 - nl1
-        nr1 = n1 - nl1
-        nr0 = (n - n1) - nl0
-        wl = w1 * nl1 + w0 * nl0
-        wr = w1 * nr1 + w0 * nr0
-        # Weighted Gini numerator; the shared denominator is constant.
-        score = (wl - ((w1 * nl1) ** 2 + (w0 * nl0) ** 2) / wl) + (
-            wr - ((w1 * nr1) ** 2 + (w0 * nr0) ** 2) / wr
-        )
+        a = w1 * (_SIDES * nl1 + np.array(((0,), (n1,))))
+        b = w0 * (_SIDES * (cut + 1 - nl1) + np.array(((0,), (n - n1,))))
+        w = a + b
+        # Weighted Gini numerator per side; the shared denominator is constant.
+        side = w - (a**2 + b**2) / w
+        score = side[0] + side[1]
         # nonzero lists cuts in row-major order, so the first minimum is at
         # the lowest feature index, then the lowest threshold.
-        k = int(np.argmin(score))
-        row, pos = rows[k], cut[k]
-        return int(feats[row]), (float(sv[row, pos]) + float(sv[row, pos + 1])) / 2.0
+        k = int(score.argmin())
+        row, at = rows[k], cut[k]
+        return int(feats[row]), (float(sv[row, at]) + float(sv[row, at + 1])) / 2.0
 
     def build(self, idx: np.ndarray) -> None:
         # Explicit preorder stack; pushing right before left keeps the RNG
         # stream aligned with recursive construction order.
-        root, n1 = self._new_node(idx)
-        stack: list[tuple[int, np.ndarray, int, int]] = [(root, idx, n1, 0)]
+        n1 = int(np.count_nonzero(self.y.take(idx)))
+        stack: list[tuple[int, np.ndarray, int, int]] = [(self._new_node(len(idx), n1), idx, n1, 0)]
         while stack:
             node, node_idx, n1, depth = stack.pop()
             n = len(node_idx)
@@ -175,16 +183,19 @@ class _TreeBuilder:
             if split is None:
                 continue
             f, thr = split
-            go_left = self.XT[f, node_idx] <= thr
+            # Partition by value, not by sorted position: the midpoint of two
+            # adjacent floats can round up to the larger one.
+            go_left = self.XT[f].take(node_idx) <= thr
             left_idx = node_idx[go_left]
             right_idx = node_idx[~go_left]
+            left_n1 = int(np.count_nonzero(self.y.take(left_idx)))
             self.feature[node] = f
             self.threshold[node] = thr
-            left_node, left_n1 = self._new_node(left_idx)
-            right_node, right_n1 = self._new_node(right_idx)
+            left_node = self._new_node(len(left_idx), left_n1)
+            right_node = self._new_node(len(right_idx), n1 - left_n1)
             self.left[node] = left_node
             self.right[node] = right_node
-            stack.append((right_node, right_idx, right_n1, depth + 1))
+            stack.append((right_node, right_idx, n1 - left_n1, depth + 1))
             stack.append((left_node, left_idx, left_n1, depth + 1))
 
     def freeze(self) -> Tree:
@@ -235,18 +246,6 @@ def fit(
     )
 
 
-def _apply_tree(tree: Tree, X: np.ndarray) -> np.ndarray:
-    node = np.zeros(len(X), dtype=np.int32)
-    active = tree.feature[node] >= 0
-    while active.any():
-        rows = np.nonzero(active)[0]
-        cur = node[rows]
-        go_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
-        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
-        active = tree.feature[node] >= 0
-    return tree.fraction[node]
-
-
 def scores(forest: Forest, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
     """Mean leaf positive-fraction across trees, for each row of X."""
     X = np.asarray(X, dtype=float)
@@ -262,10 +261,28 @@ def scores(forest: Forest, X: np.ndarray, feature_names: Sequence[str] | None = 
     ):
         raise ValueError("feature schema does not match the model")
     _check_finite(X)
+    # All trees as one node array; each leaf points to itself on both sides.
+    trees = forest.trees
+    start = np.cumsum([0] + [len(t.feature) for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    own = np.flatnonzero(feature < 0)
+    left = np.concatenate([t.left + s for t, s in zip(trees, start)])
+    right = np.concatenate([t.right + s for t, s in zip(trees, start)])
+    left[own] = own
+    right[own] = own
+    feature[own] = 0
+    threshold = np.concatenate([t.threshold for t in trees])
+    # Walk every (tree, row) pair down together, however deep the trees are.
+    node = np.repeat(start, len(X))
+    row = np.tile(np.arange(len(X)), len(trees))
+    while (left[node] != node).any():
+        node = np.where(X[row, feature[node]] <= threshold[node], left[node], right[node])
+    fraction = np.concatenate([t.fraction for t in trees])[node].reshape(len(trees), len(X))
+    # Sum tree by tree, in index order, so the float total never changes.
     total = np.zeros(len(X))
-    for tree in forest.trees:
-        total += _apply_tree(tree, X)
-    return total / len(forest.trees)
+    for tree_fraction in fraction:
+        total += tree_fraction
+    return total / len(trees)
 
 
 def balanced_accuracy(y_true: Sequence[bool], y_pred: Sequence[bool]) -> float:
@@ -383,7 +400,7 @@ def _checked_tree(arrays: dict[str, Any], n_features: int) -> Tree:
     """A ``Tree`` from its payload, rejected unless every walk ends at a leaf.
 
     Trees are built in preorder, so each child id exceeds its parent's; with
-    that checked, ``_apply_tree`` always terminates.
+    that checked, every walk in ``scores`` reaches a leaf.
     """
     n = len(arrays["feature"])
     if n == 0 or any(len(arrays[name]) != n for name in _TREE_DTYPES):

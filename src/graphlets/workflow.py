@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +53,7 @@ __all__ = [
     "split_pipelines",
     "corpus_featurizer",
     "eval_records",
+    "push_balanced_accuracy",
     "heuristic_rows",
     "policy_report",
     "save_model",
@@ -148,6 +150,11 @@ def eval_records(
     return records
 
 
+def push_balanced_accuracy(records: Sequence[EvalRecord]) -> float:
+    """Balanced accuracy of pushing exactly the records scored at least 0.5."""
+    return balanced_accuracy([r.label for r in records], [r.score >= 0.5 for r in records])
+
+
 @dataclass
 class StageReport:
     stage: FeatureStage
@@ -198,14 +205,12 @@ def policy_report(
         names, X_train, _ = train_feats.stage_view(stage)
         model = fit(X_train, train_feats.y, forest_cfg, feature_names=names)
         records = eval_records(test_feats, stage, model, cost_by_anchor)
-        preds = [r.score >= 0.5 for r in records]
-        acc = balanced_accuracy([r.label for r in records], preds)
         curve = sweep(records)
         ratio = float(all_costs[stage].mean()) / validation_mean if validation_mean > 0 else 0.0
         reports.append(
             StageReport(
                 stage=stage,
-                balanced_accuracy=acc,
+                balanced_accuracy=push_balanced_accuracy(records),
                 feature_cost_ratio=ratio,
                 elimination_at_full_freshness=curve.elimination_at_full_freshness(),
                 curve=curve,

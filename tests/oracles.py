@@ -4,8 +4,9 @@ These deliberately favor obviousness over speed: the segmentation oracle
 re-scans every edge until nothing changes, the transport oracle enumerates
 integer contingency tables, the sweep oracle rebuilds each confusion set
 from scratch, the split oracle scores one candidate feature at a time, the
-hash oracle projects one distribution at a time, and the canonicalization
-oracle lays out one feature at a time in scalar arithmetic.
+fit oracle grows each tree recursively around it, the score oracle walks one
+tree at a time, the hash oracle projects one distribution at a time, and the
+canonicalization oracle lays out one feature at a time in scalar arithmetic.
 
 The rest are test-side counterparts of the library's writers and samplers:
 a trace serializer for parse round trips, a truth-file reader, a Monte-Carlo
@@ -16,7 +17,9 @@ sampler of the planted push process, and the optimal plan behind
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Iterator
 from unittest import mock
 
@@ -354,6 +357,79 @@ def fit_with_loop_split(*args, **kwargs) -> forest.Forest:
     """``forest.fit`` with the per-feature split search swapped in."""
     with mock.patch.object(forest._TreeBuilder, "_best_split", loop_best_split):
         return forest.fit(*args, **kwargs)
+
+
+def reference_fit(
+    X: np.ndarray, y: np.ndarray, cfg: forest.ForestConfig, feature_names=None
+) -> forest.Forest:
+    """``forest.fit`` rebuilt recursively around ``loop_best_split``.
+
+    It shares no tree-building code with the library: each node counts its
+    own rows and positives, the rows split by ``value <= threshold``, a split
+    numbers both children before growing either, and the recursion visits
+    node, left subtree, right subtree, the order in which the library draws
+    each node's candidate features.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=bool)
+    n, d = X.shape
+    n1 = int(y.sum())
+    w1 = n / (2.0 * n1) if n1 else 1.0
+    w0 = n / (2.0 * (n - n1)) if n - n1 else 1.0
+    mtry = math.isqrt(d - 1) + 1  # ceil(sqrt(d))
+    XT = X.T.copy()
+    trees = []
+    for t in range(cfg.n_trees):
+        rng = np.random.default_rng(forest.splitmix64(cfg.seed + t))
+        sample = rng.integers(0, n, size=n)
+        ctx = SimpleNamespace(XT=XT, y=y, w0=w0, w1=w1, cfg=cfg, rng=rng, mtry=mtry)
+        nodes: list[dict[str, Any]] = []
+
+        def leaf(idx: np.ndarray) -> int:
+            pos = w1 * int(y[idx].sum())
+            neg = w0 * int((~y[idx]).sum())
+            nodes.append({"feature": -1, "threshold": 0.0, "left": -1, "right": -1,
+                          "fraction": pos / (pos + neg) if pos + neg > 0 else 0.0,
+                          "count": len(idx)})
+            return len(nodes) - 1
+
+        def grow(node: int, idx: np.ndarray, depth: int) -> None:
+            pure = y[idx].all() or not y[idx].any()
+            if depth >= cfg.max_depth or pure or len(idx) < 2 * cfg.min_leaf:
+                return
+            split = loop_best_split(ctx, idx, int(y[idx].sum()))
+            if split is None:
+                return
+            f, thr = split
+            mask = X[idx, f] <= thr
+            # Both children get their ids before either subtree grows.
+            left, right = leaf(idx[mask]), leaf(idx[~mask])
+            nodes[node].update(feature=f, threshold=thr, left=left, right=right)
+            grow(left, idx[mask], depth + 1)
+            grow(right, idx[~mask], depth + 1)
+
+        grow(leaf(sample), sample, 0)
+        trees.append(forest._tree({key: [nd[key] for nd in nodes] for key in nodes[0]}))
+    names = None if feature_names is None else tuple(feature_names)
+    return forest.Forest(cfg, trees, d, (w0, w1), names)
+
+
+def loop_scores(model: forest.Forest, X: np.ndarray) -> np.ndarray:
+    """``forest.scores`` one tree at a time: walk every row down the tree,
+    then add that tree's leaf fractions to the running total."""
+    X = np.asarray(X, dtype=float)
+    total = np.zeros(len(X))
+    for tree in model.trees:
+        node = np.zeros(len(X), dtype=np.int64)
+        active = tree.feature[node] >= 0
+        while active.any():
+            rows = np.nonzero(active)[0]
+            cur = node[rows]
+            go_left = X[rows, tree.feature[cur]] <= tree.threshold[cur]
+            node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+            active = tree.feature[node] >= 0
+        total += tree.fraction[node]
+    return total / len(model.trees)
 
 
 def span_stats_payload(stats: SpanStats) -> dict[str, Any]:

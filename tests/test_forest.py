@@ -8,7 +8,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import fit_with_loop_split, loop_best_split
+from oracles import fit_with_loop_split, loop_best_split, loop_scores, reference_fit
 
 from graphlets.features import STAGES, Featurizer, build_arch_vocab, featurize_corpus
 from graphlets.forest import (
@@ -181,10 +181,10 @@ _values = st.one_of(st.integers(-2, 2).map(float), st.integers(-400, 400).map(la
 
 
 @st.composite
-def _split_problems(draw):
+def _split_problems(draw, values=_values):
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 9))
-    X = draw(arrays(np.float64, (n, d), elements=_values))
+    X = draw(arrays(np.float64, (n, d), elements=values))
     constant = np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d)))
     X[:, constant] = X[0, constant]
     y = draw(arrays(np.bool_, n))
@@ -244,3 +244,67 @@ def test_stage_forests_match_loop_split_oracle(small_corpus):
         fast = fit(X, feats.y, cfg, feature_names=names)
         slow = fit_with_loop_split(X, feats.y, cfg, feature_names=names)
         assert _forest_json(fast) == _forest_json(slow), stage
+
+
+# Adjacent floats whose midpoint rounds up to the larger: a split between
+# them sends every row left, so only a value-based partition is right.
+_A = np.nextafter(1.0, 2.0)
+_B = np.nextafter(_A, 2.0)
+assert (_A + _B) / 2 == _B
+_ADJACENT = np.array([[_A]] * 60 + [[_B]] * 50)
+_ADJACENT_Y = np.arange(110) >= 60
+
+
+@settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
+@given(_split_problems(values=st.one_of(_values, st.sampled_from([_A, _B]))))
+@example((_ADJACENT, _ADJACENT_Y, ForestConfig(n_trees=2, min_leaf=5)))
+@example((_TIES, _MIXED, ForestConfig(n_trees=2, min_leaf=1)))
+def test_fit_matches_recursive_reference_fit(problem):
+    X, y, cfg = problem
+    assert _forest_json(fit(X, y, cfg)) == _forest_json(reference_fit(X, y, cfg))
+
+
+@settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
+@given(_split_problems(), st.data())
+def test_scores_match_per_tree_oracle_bitwise(problem, data):
+    X, y, cfg = problem
+    model = fit(X, y, cfg)
+    rows = data.draw(st.integers(0, 12))
+    other = data.draw(arrays(np.float64, (rows, X.shape[1]), elements=_values))
+    for M in (X, other):
+        assert scores(model, M).tobytes() == loop_scores(model, M).tobytes()
+
+
+def _leaf(fraction):
+    return {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "fraction": fraction, "count": 1}
+
+
+def _split(threshold, left, right):
+    return {"feature": 0, "threshold": threshold, "left": left, "right": right,
+            "fraction": 0.5, "count": 2}
+
+
+def _tree_payload(nodes):
+    return {key: [node[key] for node in nodes] for key in nodes[0]}
+
+
+def test_scores_walk_loaded_trees_deeper_than_max_depth():
+    # A chain of three splits and a stump, in a forest whose config says depth 1.
+    chain = [_split(3.0, 1, 6), _split(2.0, 2, 5), _split(1.0, 3, 4),
+             _leaf(0.125), _leaf(0.25), _leaf(0.375), _leaf(0.5)]
+    stump = [_split(0.0, 1, 2), _leaf(0.0), _leaf(1.0)]
+    model = forest_from_dict({
+        "config": {"n_trees": 2, "max_depth": 1, "min_leaf": 1, "seed": 0},
+        "n_features": 1,
+        "class_weights": [1.0, 1.0],
+        "feature_names": None,
+        "trees": [_tree_payload(chain), _tree_payload(stump)],
+    })
+    X = np.array([[0.5], [1.5], [2.5], [10.0], [-1.0]])
+    got = scores(model, X)
+    assert got.tolist() == [(0.125 + 1.0) / 2, (0.25 + 1.0) / 2, (0.375 + 1.0) / 2,
+                            (0.5 + 1.0) / 2, 0.125 / 2]
+    assert got.tobytes() == loop_scores(model, X).tobytes()
+    empty = scores(model, np.zeros((0, 1)))
+    assert empty.shape == (0,)
+    assert empty.tobytes() == loop_scores(model, np.zeros((0, 1))).tobytes()
