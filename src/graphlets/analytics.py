@@ -1,7 +1,9 @@
 """Corpus statistics: lifespans, cadence, feature shapes, costs, drift.
 
 Everything here is an associative reduction over traces or graphlets, so
-corpus shards can be aggregated independently and merged.
+corpus shards can be aggregated independently and merged.  Per-pipeline
+graphlet lists are taken in ``extract_graphlets`` order, by
+``(trainer_end_at, anchor)``, and never re-sorted.
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ class PipelineStats:
     categorical_fraction: float | None
     mean_categorical_domain: float | None
     analyzer_usage: dict[Analyzer, int]
-    group_costs: dict[OperatorGroup, float]
 
 
 def pipeline_stats(trace: Trace) -> PipelineStats:
-    """Lifespan, training rate, input shape, and cost profile of one trace.
+    """Lifespan, training rate, input shape and analyzer usage of one trace.
 
     Lifespan spans the newest and oldest node timestamps (artifact creation
     plus execution start/end).  The models-per-day denominator is clamped to
@@ -98,10 +99,6 @@ def pipeline_stats(trace: Trace) -> PipelineStats:
             for a in ex.analyzers:
                 analyzer_usage[a] = analyzer_usage.get(a, 0) + 1
 
-    group_costs: dict[OperatorGroup, float] = {}
-    for ex in trace.executions.values():
-        group_costs[ex.group] = group_costs.get(ex.group, 0.0) + ex.cpu_cost
-
     return PipelineStats(
         pipeline_id=trace.pipeline_id,
         lifespan_days=lifespan_days,
@@ -110,7 +107,6 @@ def pipeline_stats(trace: Trace) -> PipelineStats:
         categorical_fraction=categorical_fraction,
         mean_categorical_domain=mean_categorical_domain,
         analyzer_usage=analyzer_usage,
-        group_costs=group_costs,
     )
 
 
@@ -143,20 +139,20 @@ class CadenceStats:
 
 
 def cadence_stats(corpus: Sequence[tuple[Trace, list[Graphlet]]]) -> CadenceStats:
-    """Training/push cadence measurements over per-pipeline graphlet lists."""
+    """Training/push cadence measurements over per-pipeline graphlet lists,
+    each in ``extract_graphlets`` order."""
     stats = CadenceStats()
     type_counts: dict[ModelType, list[int]] = {}
     for trace, graphlets in corpus:
-        ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
-        for a, b in zip(ordered, ordered[1:]):
+        for a, b in zip(graphlets, graphlets[1:]):
             stats.hours_between_all.append((b.trainer_end_at - a.trainer_end_at) / MS_PER_HOUR)
-        pushed = [g for g in ordered if g.pushed]
+        pushed = [g for g in graphlets if g.pushed]
         for a, b in zip(pushed, pushed[1:]):
             stats.hours_between_pushed.append((b.trainer_end_at - a.trainer_end_at) / MS_PER_HOUR)
-        pushed_positions = [i for i, g in enumerate(ordered) if g.pushed]
+        pushed_positions = [i for i, g in enumerate(graphlets) if g.pushed]
         for p, q in zip(pushed_positions, pushed_positions[1:]):
             stats.graphlets_between_pushes.append(q - p - 1)
-        for g in ordered:
+        for g in graphlets:
             starts = [
                 trace.executions[n].start_at for n in g.nodes if n in trace.executions
             ]

@@ -15,6 +15,11 @@ stage carries the compute cost a policy would pay to obtain its features.
 
 History slots without an i-th predecessor hold the sentinel -1, which lies
 outside every legal metric range so trees can isolate it.
+
+A row reads only its graphlet, the graphlet's predecessors and the trace's
+``SpanSimilarity``: shape, architecture and costs travel on the graphlet.
+Per-pipeline graphlet lists are taken in ``extract_graphlets`` order, by
+``(trainer_end_at, anchor)``, and never re-sorted.
 """
 
 from __future__ import annotations
@@ -27,14 +32,7 @@ import numpy as np
 
 from .segmentation import Graphlet
 from .similarity import LshParams, SimWeights, SpanSimilarity
-from .trace import (
-    ModelType,
-    OperatorGroup,
-    OperatorKind,
-    Trace,
-    TraceIndex,
-    index_trace,
-)
+from .trace import ModelType, OperatorGroup, OperatorKind, Trace
 
 __all__ = [
     "FeatureStage",
@@ -98,11 +96,10 @@ def build_arch_vocab(graphlets_by_trace: Iterable[tuple[Trace, Sequence[Graphlet
     the shared "other" slot.
     """
     counts: dict[str, int] = {}
-    for trace, graphlets in graphlets_by_trace:
+    for _, graphlets in graphlets_by_trace:
         for g in graphlets:
-            arch = trace.executions[g.anchor].architecture
-            if arch:
-                counts[arch] = counts.get(arch, 0) + 1
+            if g.architecture:
+                counts[g.architecture] = counts.get(g.architecture, 0) + 1
     keep = sorted(counts, key=lambda a: (-counts[a], a))[:ARCH_VOCAB_CAP]
     return tuple(sorted(keep))
 
@@ -159,35 +156,23 @@ class Featurizer:
 
     # -- feature groups -------------------------------------------------
 
-    def shape_features(
-        self, g: Graphlet, trace: Trace, idx: TraceIndex, kinds: tuple[OperatorKind, ...]
-    ) -> list[float]:
+    def shape_features(self, g: Graphlet, kinds: tuple[OperatorKind, ...]) -> list[float]:
         """Execution count and mean in/out degree per operator kind; zeros
         when a kind is absent from the graphlet."""
-        per_kind: dict[OperatorKind, list[tuple[int, int]]] = {}
-        for node in g.nodes:
-            ex = trace.executions.get(node)
-            if ex is None or ex.operator not in kinds:
-                continue
-            per_kind.setdefault(ex.operator, []).append(
-                (idx.in_degree(node), idx.out_degree(node))
-            )
         values: list[float] = []
         for kind in kinds:
-            rows = per_kind.get(kind, [])
-            count = len(rows)
+            count, fan_in, fan_out = g.shape.get(kind, (0, 0, 0))
             values.append(float(count))
-            values.append(sum(r[0] for r in rows) / count if count else 0.0)
-            values.append(sum(r[1] for r in rows) / count if count else 0.0)
+            values.append(fan_in / count if count else 0.0)
+            values.append(fan_out / count if count else 0.0)
         return values
 
-    def model_features(self, g: Graphlet, trace: Trace) -> list[float]:
+    def model_features(self, g: Graphlet) -> list[float]:
         values = [1.0 if g.model_type is mt else 0.0 for mt in ModelType]
-        arch = trace.executions[g.anchor].architecture
         hot = [0.0] * (len(self.arch_vocab) + 1)
-        if arch:
-            if arch in self.arch_vocab:
-                hot[self.arch_vocab.index(arch)] = 1.0
+        if g.architecture:
+            if g.architecture in self.arch_vocab:
+                hot[self.arch_vocab.index(g.architecture)] = 1.0
             else:
                 hot[-1] = 1.0
         return values + hot
@@ -209,18 +194,15 @@ class Featurizer:
     # -- assembly --------------------------------------------------------
 
     def full_row(
-        self,
-        g: Graphlet,
-        predecessors: Sequence[Graphlet],
-        trace: Trace,
-        idx: TraceIndex,
-        sims: SpanSimilarity,
+        self, g: Graphlet, predecessors: Sequence[Graphlet], sims: SpanSimilarity
     ) -> list[float]:
-        row = self.model_features(g, trace)
+        """The validation-stage row: reads only ``g``, its predecessors and
+        the trace's ``SpanSimilarity``."""
+        row = self.model_features(g)
         row += self.history_features(g, predecessors, sims)
-        row += self.shape_features(g, trace, idx, PRE_TRAINER_KINDS)
-        row += self.shape_features(g, trace, idx, TRAINER_KINDS)
-        row += self.shape_features(g, trace, idx, POST_TRAINER_KINDS)
+        row += self.shape_features(g, PRE_TRAINER_KINDS)
+        row += self.shape_features(g, TRAINER_KINDS)
+        row += self.shape_features(g, POST_TRAINER_KINDS)
         return row
 
     def stage_cost(self, g: Graphlet, stage: FeatureStage) -> float:
@@ -239,6 +221,7 @@ class CorpusFeatures:
     pipeline_ids: list[str]
     anchors: list[str]
     model_types: list[str]
+    total_costs: list[float]  # each row's graphlet cost over all operator groups
 
     def stage_view(self, stage: FeatureStage) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         sl = self.featurizer.stage_slice(stage)
@@ -253,8 +236,9 @@ def featurize_corpus(
 ) -> CorpusFeatures:
     """Featurize every graphlet of a corpus against its own pipeline history.
 
-    Pass the training featurizer when scoring held-out pipelines, so that
-    unseen architectures map to "other".
+    Each graphlet list must be in ``extract_graphlets`` order, oldest
+    trainer first; rows follow that order.  Pass the training featurizer when
+    scoring held-out pipelines, so that unseen architectures map to "other".
     """
     rows: list[list[float]] = []
     labels: list[bool] = []
@@ -262,19 +246,19 @@ def featurize_corpus(
     pipeline_ids: list[str] = []
     anchors: list[str] = []
     model_types: list[str] = []
+    total_costs: list[float] = []
     for trace, graphlets in corpus:
-        idx = index_trace(trace)
         sims = SpanSimilarity(trace, graphlets, featurizer.lsh, featurizer.weights)
-        ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
-        for pos, g in enumerate(ordered):
-            predecessors = ordered[max(0, pos - featurizer.window.w): pos][::-1]
-            rows.append(featurizer.full_row(g, predecessors, trace, idx, sims))
+        for pos, g in enumerate(graphlets):
+            predecessors = graphlets[max(0, pos - featurizer.window.w): pos][::-1]
+            rows.append(featurizer.full_row(g, predecessors, sims))
             labels.append(g.pushed)
             for stage in STAGES:
                 costs[stage].append(featurizer.stage_cost(g, stage))
             pipeline_ids.append(g.pipeline_id)
             anchors.append(g.anchor)
             model_types.append(g.model_type.value)
+            total_costs.append(g.total_cost)
     X = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(featurizer.full_names())))
     return CorpusFeatures(
         featurizer=featurizer,
@@ -285,4 +269,5 @@ def featurize_corpus(
         pipeline_ids=pipeline_ids,
         anchors=anchors,
         model_types=model_types,
+        total_costs=total_costs,
     )

@@ -18,6 +18,14 @@ three rules, seeded with the anchor trainer ``n``:
 
 Graphlets from one trace may overlap; shared executions contribute their full
 cost to every graphlet that contains them.
+
+Segmentation indexes each trace once and keeps on the graphlet what later
+layers need: its shape, the anchor trainer's model type and architecture, and
+whether that trainer reads a model artifact (warmstart).  ``extract_graphlets``
+returns a trace's graphlets ordered by ``(trainer_end_at, anchor)``.  Every
+consumer of a trace's graphlet list (``consecutive_pairs``,
+``filter_warmstart``, features, analytics) expects the whole list in that
+order and never re-sorts it.
 """
 
 from __future__ import annotations
@@ -76,6 +84,10 @@ class Graphlet:
     trainer_end_at: int
     trainer_code_version: str | None
     model_type: ModelType
+    architecture: str | None
+    # operator kind -> (executions, summed in-degree, summed out-degree)
+    shape: dict[OperatorKind, tuple[int, int, int]]
+    warmstart: bool  # the anchor trainer reads a model artifact
 
     @property
     def total_cost(self) -> float:
@@ -109,6 +121,28 @@ def _grow(trace: Trace, idx: TraceIndex, anchor: str, stop: StopSet) -> frozense
     return frozenset(nodes)
 
 
+def _shape(
+    trace: Trace, idx: TraceIndex, nodes: frozenset[str]
+) -> dict[OperatorKind, tuple[int, int, int]]:
+    shape: dict[OperatorKind, tuple[int, int, int]] = {}
+    for node in nodes:
+        ex = trace.executions.get(node)
+        if ex is None:
+            continue
+        count, fan_in, fan_out = shape.get(ex.operator, (0, 0, 0))
+        shape[ex.operator] = (
+            count + 1, fan_in + idx.in_degree(node), fan_out + idx.out_degree(node)
+        )
+    return shape
+
+
+def _reads_model(trace: Trace, idx: TraceIndex, anchor: str) -> bool:
+    return any(
+        p in trace.artifacts and trace.artifacts[p].artifact_type is ArtifactType.MODEL
+        for p in idx.parents[anchor]
+    )
+
+
 def _input_spans(trace: Trace, idx: TraceIndex, anchor: str) -> tuple[str, ...]:
     """Data spans read directly by the anchor trainer, oldest first."""
     spans = [
@@ -120,12 +154,9 @@ def _input_spans(trace: Trace, idx: TraceIndex, anchor: str) -> tuple[str, ...]:
     return tuple(a.id for a in spans)
 
 
-def extract_graphlets(
-    trace: Trace, idx: TraceIndex | None = None, stop: StopSet = DEFAULT_STOP_SET
-) -> list[Graphlet]:
-    """Extract one graphlet per trainer execution, in chronological order."""
-    if idx is None:
-        idx = index_trace(trace)
+def extract_graphlets(trace: Trace, stop: StopSet = DEFAULT_STOP_SET) -> list[Graphlet]:
+    """One graphlet per trainer execution, ordered by ``(trainer_end_at, anchor)``."""
+    idx = index_trace(trace)
     graphlets = []
     for anchor in idx.trainers:
         trainer = trace.executions[anchor]
@@ -140,6 +171,9 @@ def extract_graphlets(
             trainer_end_at=trainer.end_at,
             trainer_code_version=trainer.code_version,
             model_type=trainer.model_type or ModelType.OTHER,
+            architecture=trainer.architecture,
+            shape=_shape(trace, idx, nodes),
+            warmstart=_reads_model(trace, idx, anchor),
         )
         graphlets.append(replace(g, pushed=label_pushed(g, trace)))
     return graphlets
@@ -162,22 +196,8 @@ def label_pushed(g: Graphlet, trace: Trace) -> bool:
 
 
 def consecutive_pairs(graphlets: Sequence[Graphlet]) -> list[tuple[Graphlet, Graphlet]]:
-    """Pair up graphlets whose trainers are adjacent in chronological order."""
-    ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
-    return list(zip(ordered, ordered[1:]))
-
-
-def _has_warmstart(trace: Trace) -> bool:
-    model_ids = {
-        a.id for a in trace.artifacts.values() if a.artifact_type is ArtifactType.MODEL
-    }
-    trainer_ids = {
-        e.id for e in trace.executions.values() if e.operator is OperatorKind.TRAINER
-    }
-    for edge in trace.edges:
-        if edge.dst in trainer_ids and edge.src in model_ids:
-            return True
-    return False
+    """Pair each graphlet with its successor in ``extract_graphlets`` order."""
+    return list(zip(graphlets, graphlets[1:]))
 
 
 def filter_warmstart(
@@ -186,9 +206,10 @@ def filter_warmstart(
     """Drop pipelines where any trainer consumes a model artifact directly.
 
     Unpushed graphlets in warmstart pipelines can still be useful to later
-    training runs, so they must not be counted as waste.
+    training runs, so they must not be counted as waste.  Each graphlet list
+    must hold every graphlet of its trace, as ``segment_corpus`` returns it.
     """
-    return [(trace, gs) for trace, gs in corpus if not _has_warmstart(trace)]
+    return [(trace, gs) for trace, gs in corpus if not any(g.warmstart for g in gs)]
 
 
 def _costs_for(trace: Trace, nodes: frozenset[str]) -> dict[OperatorGroup, float]:

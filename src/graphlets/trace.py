@@ -286,22 +286,22 @@ def _enum(value: Any, enum_cls: type, what: str, line: int) -> Any:
         raise TraceParseError(f"unknown {what}: {value!r}", line) from None
 
 
-def _timestamp(record: Mapping[str, Any], key: str, line: int) -> int:
+def _timestamp(record: dict[str, Any], key: str, line: int) -> int:
     value = record.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise TraceParseError(f"missing or non-integer timestamp {key!r}", line)
     return value
 
 
-def parse_span_stats(payload: Mapping[str, Any], line: int = 0) -> SpanStats:
-    if not isinstance(payload, Mapping):
+def parse_span_stats(payload: Any, line: int = 0) -> SpanStats:
+    if not isinstance(payload, dict):
         raise TraceParseError("span_stats must be an object", line)
     raw = payload.get("features")
     if not isinstance(raw, list):
         raise TraceParseError("span_stats must contain a feature list", line)
     feats = []
     for entry in raw:
-        if not isinstance(entry, Mapping) or "name" not in entry or "type" not in entry:
+        if not isinstance(entry, dict) or "name" not in entry or "type" not in entry:
             raise TraceParseError("span_stats feature missing name/type", line)
         kind = _enum(entry["type"], FeatureKind, "feature type", line)
         if kind is FeatureKind.NUMERICAL:
@@ -339,12 +339,12 @@ def parse_span_stats(payload: Mapping[str, Any], line: int = 0) -> SpanStats:
     return SpanStats(features=tuple(feats))
 
 
-def _parse_artifact(record: Mapping[str, Any], line: int) -> Artifact:
+def _parse_artifact(record: dict[str, Any], line: int) -> Artifact:
     node_id = record.get("id")
     if not node_id or not isinstance(node_id, str):
         raise TraceParseError("artifact missing id", line)
     props = record.get("properties") or {}
-    if not isinstance(props, Mapping):
+    if not isinstance(props, dict):
         raise TraceParseError("artifact properties must be an object", line)
     stats = None
     if "span_stats" in props and props["span_stats"] is not None:
@@ -363,12 +363,12 @@ def _parse_artifact(record: Mapping[str, Any], line: int) -> Artifact:
 _EXEC_PROP_KEYS = {"code_version", "model_type", "architecture", "analyzers"}
 
 
-def _parse_execution(record: Mapping[str, Any], line: int) -> Execution:
+def _parse_execution(record: dict[str, Any], line: int) -> Execution:
     node_id = record.get("id")
     if not node_id or not isinstance(node_id, str):
         raise TraceParseError("execution missing id", line)
     props = record.get("properties") or {}
-    if not isinstance(props, Mapping):
+    if not isinstance(props, dict):
         raise TraceParseError("execution properties must be an object", line)
     cost = record.get("cpu_cost", 0.0)
     if not isinstance(cost, (int, float)) or isinstance(cost, bool):
@@ -421,7 +421,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, over-long integer literals, too-deep nesting
             raise TraceParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from None
-        if not isinstance(record, Mapping):
+        if not isinstance(record, dict):
             raise TraceParseError("record must be a JSON object", line_no)
         kind = record.get("kind")
         if kind == "artifact":
@@ -472,7 +472,8 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         pipeline_id=pipeline_id,
         artifacts=dict(sorted(artifacts.items())),
         executions=dict(sorted(executions.items())),
-        edges=tuple(sorted(edges)),
+        # The key is Edge's own field order, without a dataclass __lt__ per comparison.
+        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.role))),
     )
 
 

@@ -126,24 +126,18 @@ def heuristic_rows(feats: CorpusFeatures) -> list[HeuristicRow]:
     ]
 
 
-def eval_records(
-    feats: CorpusFeatures,
-    stage: FeatureStage,
-    model: Forest,
-    cost_by_anchor: dict[str, float],
-) -> list[EvalRecord]:
+def eval_records(feats: CorpusFeatures, stage: FeatureStage, model: Forest) -> list[EvalRecord]:
     names, X, stage_costs = feats.stage_view(stage)
     s = scores(model, X, feature_names=names)
     records = []
     for i, anchor in enumerate(feats.anchors):
         label = bool(feats.y[i])
-        total = cost_by_anchor[anchor]
         records.append(
             EvalRecord(
                 anchor=anchor,
                 label=label,
                 score=float(s[i]),
-                unpushed_cost=0.0 if label else total,
+                unpushed_cost=0.0 if label else feats.total_costs[i],
                 stage_feature_cost=float(stage_costs[i]),
             )
         )
@@ -192,7 +186,6 @@ def policy_report(
     featurizer = corpus_featurizer(train, window, lsh, weights)
     train_feats = featurize_corpus(train, featurizer=featurizer)
     test_feats = featurize_corpus(test, featurizer=featurizer)
-    cost_by_anchor = {g.anchor: g.total_cost for _, gs in corpus for g in gs}
 
     all_costs = {
         stage: np.concatenate([train_feats.stage_costs[stage], test_feats.stage_costs[stage]])
@@ -204,7 +197,7 @@ def policy_report(
     for stage in stages:
         names, X_train, _ = train_feats.stage_view(stage)
         model = fit(X_train, train_feats.y, forest_cfg, feature_names=names)
-        records = eval_records(test_feats, stage, model, cost_by_anchor)
+        records = eval_records(test_feats, stage, model)
         curve = sweep(records)
         ratio = float(all_costs[stage].mean()) / validation_mean if validation_mean > 0 else 0.0
         reports.append(
@@ -307,6 +300,4 @@ def held_out_records(corpus: Corpus, path: str | Path) -> tuple[FeatureStage, li
     test = [(t, gs) for t, gs in corpus if t.pipeline_id in test_ids]
     if not test:
         raise ValueError("corpus contains no pipelines from the model's test split")
-    feats = featurize_corpus(test, featurizer=featurizer)
-    cost_by_anchor = {g.anchor: g.total_cost for _, gs in test for g in gs}
-    return stage, eval_records(feats, stage, model, cost_by_anchor)
+    return stage, eval_records(featurize_corpus(test, featurizer=featurizer), stage, model)

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from graphlets.segmentation import extract_graphlets, segment_corpus
 from graphlets.synth import GenConfig, generate
-from graphlets.trace import index_trace, load_corpus, parse_trace_file
+from graphlets.trace import load_corpus, parse_trace_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -27,7 +27,7 @@ def warm_pair_trace():
 
 @pytest.fixture(scope="session")
 def warm_pair_graphlets(warm_pair_trace):
-    return extract_graphlets(warm_pair_trace, index_trace(warm_pair_trace))
+    return extract_graphlets(warm_pair_trace)
 
 
 @pytest.fixture(scope="session")

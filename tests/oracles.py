@@ -1,7 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 These deliberately favor obviousness over speed: the segmentation oracle
-re-scans every edge until nothing changes, the transport oracle enumerates
+re-scans every edge until nothing changes, the warmstart oracle scans every
+edge once, the shape oracle walks a graphlet one node at a time over a fresh
+``index_trace``, the transport oracle enumerates
 integer contingency tables, the sweep oracle rebuilds each confusion set
 from scratch, the split oracle scores one candidate feature at a time, the
 fit oracle grows each tree recursively around it, the score oracle walks one
@@ -26,7 +28,7 @@ from unittest import mock
 import numpy as np
 
 from graphlets import forest, transport
-from graphlets.segmentation import StopSet
+from graphlets.segmentation import Graphlet, StopSet
 from graphlets.similarity import BINS, CanonicalDistribution, LshParams, _projections
 from graphlets.synth import GenConfig, PlantedTruth, TruthEntry
 from graphlets.trace import (
@@ -42,6 +44,7 @@ from graphlets.trace import (
     OperatorKind,
     SpanStats,
     Trace,
+    index_trace,
 )
 
 
@@ -67,6 +70,44 @@ def naive_graphlet_nodes(trace: Trace, anchor: str, stop: StopSet) -> frozenset[
                     nodes.add(e.dst)
                     changed = True
     return frozenset(nodes)
+
+
+def has_warmstart(trace: Trace) -> bool:
+    """True iff some edge runs from a model artifact into a trainer execution."""
+    model_ids = {
+        a.id for a in trace.artifacts.values() if a.artifact_type is ArtifactType.MODEL
+    }
+    trainer_ids = {
+        e.id for e in trace.executions.values() if e.operator is OperatorKind.TRAINER
+    }
+    for edge in trace.edges:
+        if edge.dst in trainer_ids and edge.src in model_ids:
+            return True
+    return False
+
+
+def loop_shape_features(
+    g: Graphlet, trace: Trace, kinds: tuple[OperatorKind, ...]
+) -> list[float]:
+    """Execution count and mean in/out degree per operator kind, one graphlet
+    node at a time; zeros when a kind is absent from the graphlet."""
+    idx = index_trace(trace)
+    per_kind: dict[OperatorKind, list[tuple[int, int]]] = {}
+    for node in g.nodes:
+        ex = trace.executions.get(node)
+        if ex is None or ex.operator not in kinds:
+            continue
+        per_kind.setdefault(ex.operator, []).append(
+            (idx.in_degree(node), idx.out_degree(node))
+        )
+    values: list[float] = []
+    for kind in kinds:
+        rows = per_kind.get(kind, [])
+        count = len(rows)
+        values.append(float(count))
+        values.append(sum(r[0] for r in rows) / count if count else 0.0)
+        values.append(sum(r[1] for r in rows) / count if count else 0.0)
+    return values
 
 
 _PRODUCES = {

@@ -76,8 +76,7 @@ def test_criterion_1_segmentation_oracle(warm_pair_trace, warm_pair_graphlets):
     checked = 0
     for _ in range(1000):
         trace = random_trace(rng, max_execs=40)
-        idx = index_trace(trace)
-        for g in extract_graphlets(trace, idx, stop):
+        for g in extract_graphlets(trace, stop):
             assert g.nodes == naive_graphlet_nodes(trace, g.anchor, stop)
             checked += 1
 

@@ -98,7 +98,7 @@ def test_cadence_gap_counting(warm_pair_graphlets, warm_pair_trace):
 def test_cadence_pushes_at_1_and_5():
     # five graphlets, pushes at positions 1 and 5: three unpushed in between
     from graphlets.segmentation import Graphlet
-    from graphlets.trace import ModelType
+    from graphlets.trace import ModelType, OperatorKind
 
     def g(i, pushed):
         return Graphlet(
@@ -111,6 +111,9 @@ def test_cadence_pushes_at_1_and_5():
             trainer_end_at=i * 1000,
             trainer_code_version="v0",
             model_type=ModelType.DNN,
+            architecture=None,
+            shape={OperatorKind.TRAINER: (1, 0, 0)},
+            warmstart=False,
         )
 
     lines = [_exec_line(f"t{i}", "trainer", 1, i * 1000, model_type="dnn") for i in range(1, 6)]
@@ -147,7 +150,7 @@ def test_drift_code_table_all_code_equal(warm_pair_trace, warm_pair_graphlets):
 
 def test_drift_code_table_alternating_versions():
     from graphlets.segmentation import Graphlet
-    from graphlets.trace import ModelType
+    from graphlets.trace import ModelType, OperatorKind
 
     lines = []
     graphlets = []
@@ -166,6 +169,9 @@ def test_drift_code_table_alternating_versions():
                 trainer_end_at=i * 1000,
                 trainer_code_version=f"v{i % 2}",
                 model_type=ModelType.DNN,
+                architecture=None,
+                shape={OperatorKind.TRAINER: (1, 0, 0)},
+                warmstart=False,
             )
         )
     trace = parse_trace(lines)

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import json
 import re
+import sys
+from collections import Counter
 
 import pytest
 
+from graphlets import segmentation
 from graphlets.cli import main
 from graphlets.workflow import load_model, save_model
 
@@ -379,6 +382,45 @@ def test_saved_model_loads_back(trained_model, tmp_path):
     assert forest.n_features == len(forest.feature_names)
     save_model(model, stage, featurizer, split, forest)
     assert json.loads(model.read_text()) == trained_model
+
+
+def test_each_segmenting_command_indexes_every_trace_once(
+    small_cli_corpus, tmp_path, monkeypatch
+):
+    corpus, cfg = small_cli_corpus
+    indexed: list[str] = []
+    original = segmentation.index_trace
+
+    def counting(trace):
+        indexed.append(trace.pipeline_id)
+        return original(trace)
+
+    # Patch every package module that binds the function, so that a second
+    # indexing path anywhere in the package is counted too.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("graphlets.") and getattr(module, "index_trace", None) is original:
+            monkeypatch.setattr(module, "index_trace", counting)
+    assert segmentation.index_trace is counting
+
+    files = len(list(corpus.glob("*.ndjson")))
+    model = tmp_path / "model.json"
+    common = ["--corpus", str(corpus), "--config", str(cfg), "--seed", "9"]
+    commands = {
+        "segment": ["--out", str(tmp_path / "g.ndjson")],
+        "stats": ["--out", str(tmp_path / "stats")],
+        "similarity": ["--out", str(tmp_path / "sim")],
+        "featurize": ["--out", str(tmp_path / "f.tsv")],
+        "train": ["--out", str(model)],
+        "evaluate": ["--model", str(model), "--out", str(tmp_path / "eval.tsv")],
+        "sweep": ["--model", str(model), "--out", str(tmp_path / "curve.tsv")],
+        "report": ["--out", str(tmp_path / "report")],
+    }
+    for command, flags in commands.items():
+        indexed.clear()
+        assert main([command, *common, *flags]) == 0
+        counts = Counter(indexed)
+        assert len(counts) == files, command
+        assert set(counts.values()) == {1}, command
 
 
 def test_report_outputs(small_cli_corpus, tmp_path):

@@ -13,7 +13,7 @@ from graphlets.features import (
 )
 from graphlets.segmentation import extract_graphlets
 from graphlets.similarity import SpanSimilarity
-from graphlets.trace import index_trace, parse_trace
+from graphlets.trace import parse_trace
 
 
 def featurizer_for(trace, graphlets, **kw):
@@ -28,21 +28,19 @@ def sims_for(f, trace, graphlets):
     return SpanSimilarity(trace, graphlets, f.lsh, f.weights)
 
 
-def stage_row(f, g, predecessors, stage, trace, idx=None):
+def stage_row(f, g, predecessors, stage, trace):
     """Feature name -> value at ``stage``, built by the production row path."""
     sl = f.stage_slice(stage)
     sims = sims_for(f, trace, [g, *predecessors])
-    values = f.full_row(g, predecessors, trace, idx or index_trace(trace), sims)[sl]
+    values = f.full_row(g, predecessors, sims)[sl]
     return dict(zip(f.full_names()[sl], values))
 
 
 def test_stage_vectors_nest_and_grow(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
     g = warm_pair_graphlets[1]
     full = f.full_row(
-        g, [warm_pair_graphlets[0]], warm_pair_trace, idx,
-        sims_for(f, warm_pair_trace, warm_pair_graphlets),
+        g, [warm_pair_graphlets[0]], sims_for(f, warm_pair_trace, warm_pair_graphlets)
     )
     assert len(full) == len(f.full_names())
     lengths = []
@@ -61,10 +59,9 @@ def test_stage_vectors_nest_and_grow(warm_pair_trace, warm_pair_graphlets):
 
 def test_shape_features_of_consumer_graphlet(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
     row = stage_row(
         f, warm_pair_graphlets[1], [warm_pair_graphlets[0]], FeatureStage.VALIDATION,
-        warm_pair_trace, idx,
+        warm_pair_trace,
     )
     assert row["shape_example_gen_count"] == 2.0
     assert row["shape_example_gen_avg_out"] == 1.0
@@ -78,8 +75,7 @@ def test_shape_features_of_consumer_graphlet(warm_pair_trace, warm_pair_graphlet
 
 def test_post_trainer_features_zero_when_absent(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
-    row = stage_row(f, warm_pair_graphlets[0], [], FeatureStage.VALIDATION, warm_pair_trace, idx)
+    row = stage_row(f, warm_pair_graphlets[0], [], FeatureStage.VALIDATION, warm_pair_trace)
     assert row["shape_evaluator_count"] == 0.0
     assert row["shape_model_validator_count"] == 0.0
     assert row["shape_model_validator_avg_in"] == 0.0
@@ -110,8 +106,7 @@ def test_evaluator_with_three_inputs():
 
 def test_model_features_one_hot(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
-    row = stage_row(f, warm_pair_graphlets[1], [], FeatureStage.INPUT, warm_pair_trace, idx)
+    row = stage_row(f, warm_pair_graphlets[1], [], FeatureStage.INPUT, warm_pair_trace)
     assert row["model_type_dnn"] == 1.0
     assert row["model_type_linear"] == 0.0
     assert row["arch_feedforward"] == 1.0
@@ -120,16 +115,14 @@ def test_model_features_one_hot(warm_pair_trace, warm_pair_graphlets):
 
 def test_unseen_architecture_maps_to_other(warm_pair_trace, warm_pair_graphlets):
     f = Featurizer(arch_vocab=("some_other_arch",))
-    idx = index_trace(warm_pair_trace)
-    row = stage_row(f, warm_pair_graphlets[1], [], FeatureStage.INPUT, warm_pair_trace, idx)
+    row = stage_row(f, warm_pair_graphlets[1], [], FeatureStage.INPUT, warm_pair_trace)
     assert row["arch_some_other_arch"] == 0.0
     assert row["arch_other"] == 1.0
 
 
 def test_history_sentinels_for_first_graphlet(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
-    row = stage_row(f, warm_pair_graphlets[0], [], FeatureStage.INPUT, warm_pair_trace, idx)
+    row = stage_row(f, warm_pair_graphlets[0], [], FeatureStage.INPUT, warm_pair_trace)
     for i in (1, 2, 3):
         assert row[f"jaccard_{i}"] == MISSING
         assert row[f"dataset_sim_{i}"] == MISSING
@@ -138,9 +131,8 @@ def test_history_sentinels_for_first_graphlet(warm_pair_trace, warm_pair_graphle
 
 def test_history_identical_predecessor(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
     g = warm_pair_graphlets[1]
-    row = stage_row(f, g, [g], FeatureStage.INPUT, warm_pair_trace, idx)
+    row = stage_row(f, g, [g], FeatureStage.INPUT, warm_pair_trace)
     assert row["jaccard_1"] == 1.0
     assert row["dataset_sim_1"] == pytest.approx(1.0, abs=1e-9)
     assert row["code_match_1"] == 1.0
@@ -149,11 +141,10 @@ def test_history_identical_predecessor(warm_pair_trace, warm_pair_graphlets):
 
 def test_history_disjoint_and_changed(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
-    idx = index_trace(warm_pair_trace)
     import dataclasses
 
     prev = dataclasses.replace(warm_pair_graphlets[0], trainer_code_version="v999")
-    row = stage_row(f, warm_pair_graphlets[1], [prev], FeatureStage.INPUT, warm_pair_trace, idx)
+    row = stage_row(f, warm_pair_graphlets[1], [prev], FeatureStage.INPUT, warm_pair_trace)
     assert row["jaccard_1"] == 0.0  # span_b vs span_a
     assert row["code_match_1"] == 0.0
 
@@ -201,11 +192,10 @@ def test_featurize_corpus_matches_full_row(small_corpus):
     f = feats.featurizer
     trace, graphlets = corpus[0]
     ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
-    idx = index_trace(trace)
     sims = sims_for(f, trace, graphlets)
     for pos, g in enumerate(ordered):
         predecessors = ordered[max(0, pos - f.window.w): pos][::-1]
-        assert feats.X[pos].tolist() == f.full_row(g, predecessors, trace, idx, sims)
+        assert feats.X[pos].tolist() == f.full_row(g, predecessors, sims)
         assert feats.anchors[pos] == g.anchor
         for stage in STAGES:
             assert feats.stage_costs[stage][pos] == f.stage_cost(g, stage)

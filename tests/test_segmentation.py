@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_graphlet_nodes, random_trace
+from oracles import has_warmstart, loop_shape_features, naive_graphlet_nodes, random_trace
 
+from graphlets.features import Featurizer
 from graphlets.segmentation import (
     StopSet,
     consecutive_pairs,
@@ -13,7 +18,14 @@ from graphlets.segmentation import (
     label_pushed,
     overlap_adjusted_costs,
 )
-from graphlets.trace import OperatorGroup, OperatorKind, index_trace, parse_trace, validate_trace
+from graphlets.trace import (
+    ArtifactType,
+    OperatorGroup,
+    OperatorKind,
+    index_trace,
+    parse_trace,
+    validate_trace,
+)
 
 
 def exec_kinds(trace, graphlet):
@@ -200,8 +212,7 @@ def test_matches_naive_fixpoint_on_random_traces():
     for _ in range(200):
         trace = random_trace(rng, max_execs=40)
         assert validate_trace(trace) == []
-        idx = index_trace(trace)
-        for g in extract_graphlets(trace, idx, stop):
+        for g in extract_graphlets(trace, stop):
             assert g.nodes == naive_graphlet_nodes(trace, g.anchor, stop)
 
 
@@ -220,12 +231,63 @@ def test_segmentation_independent_of_record_order(warm_pair_dir):
 def test_custom_stop_set_changes_cuts(warm_pair_trace):
     # stopping only at trainers lets the transform leak into the consumer
     # graphlet through the shared span
-    idx = index_trace(warm_pair_trace)
     trainer_only = StopSet(kinds=frozenset({OperatorKind.TRAINER}))
-    consumer = extract_graphlets(warm_pair_trace, idx, trainer_only)[1]
+    consumer = extract_graphlets(warm_pair_trace, trainer_only)[1]
     assert "tf1" in consumer.nodes
 
 
 def test_stop_set_must_be_non_empty():
     with pytest.raises(ValueError):
         StopSet(kinds=frozenset())
+
+
+def _with_architectures(trace, rng):
+    """``trace`` with each trainer's architecture drawn from None, "a" and "b"."""
+    names = (None, "a", "b")
+    executions = {
+        k: dataclasses.replace(ex, architecture=names[int(rng.integers(0, 3))])
+        if ex.operator is OperatorKind.TRAINER else ex
+        for k, ex in trace.executions.items()
+    }
+    return dataclasses.replace(trace, executions=executions)
+
+
+def _check_carried_facts(trace):
+    graphlets = extract_graphlets(trace)
+    trainers = sorted(
+        (ex for ex in trace.executions.values() if ex.operator is OperatorKind.TRAINER),
+        key=lambda ex: (ex.end_at, ex.id),
+    )
+    assert [g.anchor for g in graphlets] == [ex.id for ex in trainers]
+    assert graphlets == sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
+    featurizer = Featurizer()
+    every_kind = tuple(OperatorKind)
+    for g in graphlets:
+        assert g.architecture == trace.executions[g.anchor].architecture
+        assert featurizer.shape_features(g, every_kind) == loop_shape_features(g, trace, every_kind)
+        assert all(count > 0 for count, _, _ in g.shape.values())
+        reads_model = any(
+            e.dst == g.anchor
+            and e.src in trace.artifacts
+            and trace.artifacts[e.src].artifact_type is ArtifactType.MODEL
+            for e in trace.edges
+        )
+        assert g.warmstart == reads_model
+    warm = has_warmstart(trace)
+    assert any(g.warmstart for g in graphlets) == warm
+    assert filter_warmstart([(trace, graphlets)]) == ([] if warm else [(trace, graphlets)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_graphlets_carry_shape_architecture_warmstart_and_order(seed):
+    rng = np.random.default_rng(seed)
+    _check_carried_facts(_with_architectures(random_trace(rng, max_execs=40), rng))
+
+
+def test_fixture_graphlets_carry_shape_architecture_warmstart(warm_pair_trace):
+    _check_carried_facts(warm_pair_trace)
+    first, consumer = extract_graphlets(warm_pair_trace)
+    assert (first.warmstart, consumer.warmstart) == (False, True)
+    assert consumer.architecture == "feedforward"
+    assert consumer.shape[OperatorKind.TRAINER] == (1, 2, 1)
