@@ -5,19 +5,25 @@ midpoint thresholds, and leaf scores equal to the class-weighted positive
 fraction.  Everything is reproducible from the config seed:
 
 * tree t draws its RNG seed as ``splitmix64(seed + t)``;
-* each node draws its candidate features from the tree RNG in depth-first
+* each node draws its candidate features from its tree's RNG in depth-first
   preorder (node, left subtree, right subtree), so identical inputs replay
-  the identical stream;
+  the identical stream, and tree t of a forest seeded s is the only tree of
+  a forest seeded s + t;
 * Gini ties break toward the lower feature index, then the lower threshold.
 
-Split search scores all of a node's candidate features in one pass: it
-gathers their values for the node's rows from a feature-major copy of the
-matrix, sorts each row, and scores every cut between distinct adjacent
-values that ``min_leaf`` allows.  The cuts are listed in row-major (feature,
-position) order, so the first minimum score is the tie-break above; rows are
-partitioned by ``value <= threshold``.  ``scores`` walks all (tree, row) pairs
-down one node array whose leaves loop to themselves, summing trees in order.
-``fit`` and ``scores`` reject NaN and infinite feature values.
+Trees grow in lockstep.  Each keeps a preorder stack of its nodes that may
+still split; every round pops the next node of each growing tree and draws
+its candidates from that tree's RNG, then searches the round's nodes
+together.  Sorted by row count and cut into chunks of bounded size, each
+chunk gathers one (node x candidate) x width block of values for only its
+nodes' rows, pads shorter nodes with +inf, sorts each block row, and scores
+every cut between distinct adjacent values that ``min_leaf`` allows.  A
+node's cuts are listed in (feature, position) order, so its first minimum
+score is the tie-break above; rows are partitioned by ``value <= threshold``.
+
+``scores`` walks all (tree, row) pairs down one node array whose leaves loop
+to themselves, summing trees in order.  ``fit`` and ``scores`` reject NaN and
+infinite feature values.
 
 Balanced class weights (n / (2 * n_class), computed on the full training
 labels) keep leaf fractions meaningful under the heavy label imbalance of
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -46,7 +53,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_SIDES = np.array(((1,), (-1,)))  # a cut's left count, then total minus it
 
 
 def splitmix64(x: int) -> int:
@@ -105,101 +111,158 @@ class Forest:
     feature_names: tuple[str, ...] | None = None
 
 
-class _TreeBuilder:
-    def __init__(self, XT, y, w0, w1, cfg, rng, mtry):
-        self.XT = XT
+# A search block holds at most this many (node x candidate x row) cells,
+# unless one node alone needs more.
+_CHUNK_CELLS = 1 << 14
+
+
+class _Splitter:
+    """Best splits of many nodes at once, over one padded value block.
+
+    Each node is padded to the block's width with +inf, which sorts after
+    every real value, so no cut that ``min_leaf`` allows reaches a pad.
+    Row ids are stored as ``index`` integers: 32 bits unless the matrix has
+    more rows, since every growing tree holds about one bootstrap sample of
+    them at a time.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, w0: float, w1: float, min_leaf: int):
+        self.X = X
         self.y = y
+        self.index = np.int32 if len(y) <= np.iinfo(np.int32).max else np.intp
         self.w0 = w0
         self.w1 = w1
-        self.cfg = cfg
-        self.rng = rng
-        self.mtry = mtry
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.fraction: list[float] = []
-        self.count: list[int] = []
+        self.min_leaf = min_leaf
 
-    def _new_node(self, n: int, n1: int) -> int:
-        """Append a leaf for ``n`` rows, ``n1`` of them positive; return its id."""
-        node = len(self.feature)
-        pos = self.w1 * n1
-        neg = self.w0 * (n - n1)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.fraction.append(pos / (pos + neg) if pos + neg > 0 else 0.0)
-        self.count.append(n)
-        return node
-
-    def _best_split(self, idx: np.ndarray, n1: int) -> tuple[int, float] | None:
-        XT, w0, w1 = self.XT, self.w0, self.w1
-        n = len(idx)
-        d = XT.shape[0]
-        feats = self.rng.choice(d, size=min(self.mtry, d), replace=False)
-        feats.sort()
-        # Cut p puts sorted rows 0..p on the left; min_leaf bounds p to [lo, hi].
-        lo = self.cfg.min_leaf - 1
-        hi = n - self.cfg.min_leaf - 1
-        if hi < lo:
-            return None
-        sv = XT.take(feats, axis=0).take(idx, axis=1)
+    def split(self, idxs: list[np.ndarray], n1: np.ndarray, feats: np.ndarray) -> list:
+        """Node k holds rows ``idxs[k]``, ``n1[k]`` of them positive, and is
+        searched over the sorted candidate features ``feats[k]``.  Returns, per
+        node, None if no cut is allowed, else (feature, threshold, left rows,
+        left positives, right rows)."""
+        k, m = feats.shape
+        n = np.array([len(i) for i in idxs])
+        width = int(n.max())
+        real = np.arange(width) < n[:, None]
+        rows = np.zeros((k, width), dtype=self.index)
+        rows[real] = np.concatenate(idxs)
+        # Row k * m + j of the block holds node k's values of feature feats[k, j].
+        sv = self.X[rows[:, None, :], feats[:, :, None]]
+        np.copyto(sv, np.inf, where=~real[:, None, :])
+        sv = sv.reshape(k * m, width)
+        labels = self.y.take(rows)
         # Cuts fall only between distinct values, so the order of tied rows
         # (which an unstable argsort leaves open) never changes a count at a cut.
-        cum1 = self.y.take(idx).take(sv.argsort(axis=1)).cumsum(axis=1)
+        order = sv.argsort(axis=1)
+        order += (np.arange(k) * width).repeat(m)[:, None]
+        cum1 = labels.take(order).cumsum(axis=1)
         sv.sort(axis=1)
-        rows, cut = (sv[:, lo + 1 : hi + 2] != sv[:, lo : hi + 1]).nonzero()
+        # Cut p puts sorted rows 0..p on the left; min_leaf bounds p to
+        # [lo, n - min_leaf - 1].
+        lo = self.min_leaf - 1
+        allowed = sv[:, lo + 1 :] != sv[:, lo : width - 1]
+        allowed &= np.arange(lo, width - 1) < (n - self.min_leaf).repeat(m)[:, None]
+        r, cut = allowed.nonzero()
+        out: list = [None] * k
         if len(cut) == 0:
-            return None
+            return out
         cut += lo
+        node = r // m
+        nl1 = cum1[r, cut]
+        n1c = n1[node]
+        nl0 = cut + 1 - nl1
         # a and b weigh the positives and negatives on each side of each cut:
         # row 0 holds the left side, row 1 the right.
-        nl1 = cum1[rows, cut]
-        a = w1 * (_SIDES * nl1 + np.array(((0,), (n1,))))
-        b = w0 * (_SIDES * (cut + 1 - nl1) + np.array(((0,), (n - n1,))))
+        a = self.w1 * np.stack((nl1, n1c - nl1))
+        b = self.w0 * np.stack((nl0, n[node] - n1c - nl0))
         w = a + b
         # Weighted Gini numerator per side; the shared denominator is constant.
         side = w - (a**2 + b**2) / w
         score = side[0] + side[1]
-        # nonzero lists cuts in row-major order, so the first minimum is at
-        # the lowest feature index, then the lowest threshold.
-        k = int(score.argmin())
-        row, at = rows[k], cut[k]
-        return int(feats[row]), (float(sv[row, at]) + float(sv[row, at + 1])) / 2.0
+        # nonzero lists each node's cuts together, in (feature, position)
+        # order, so its first minimum is at the lowest feature index, then
+        # the lowest threshold.
+        per_node = np.bincount(node, minlength=k)
+        node = per_node.nonzero()[0]
+        starts = (per_node.cumsum() - per_node)[node]
+        lowest = np.minimum.reduceat(score, starts).repeat(per_node[node])
+        first = np.minimum.reduceat(np.where(score == lowest, np.arange(len(score)), len(score)), starts)
+        r, cut = r[first], cut[first]
+        feature = feats.ravel()[r]
+        threshold = (sv[r, cut] + sv[r, cut + 1]) / 2.0
+        # Partition by value, not by sorted position: the midpoint of two
+        # adjacent floats can round up to the larger one.
+        rows, real = rows[node], real[node]
+        go_left = self.X[rows, feature[:, None]] <= threshold[:, None]
+        go_left &= real
+        go_right = real & ~go_left
+        lefts = _rows_where(rows, go_left)
+        rights = _rows_where(rows, go_right)
+        left_n1 = (labels[node] & go_left).sum(axis=1)
+        for j, at in enumerate(node.tolist()):
+            out[at] = (int(feature[j]), float(threshold[j]), lefts[j], int(left_n1[j]), rights[j])
+        return out
 
-    def build(self, idx: np.ndarray) -> None:
-        # Explicit preorder stack; pushing right before left keeps the RNG
-        # stream aligned with recursive construction order.
-        n1 = int(np.count_nonzero(self.y.take(idx)))
-        stack: list[tuple[int, np.ndarray, int, int]] = [(self._new_node(len(idx), n1), idx, n1, 0)]
-        while stack:
-            node, node_idx, n1, depth = stack.pop()
-            n = len(node_idx)
-            if depth >= self.cfg.max_depth or n1 == 0 or n1 == n or n < 2 * self.cfg.min_leaf:
-                continue
-            split = self._best_split(node_idx, n1)
-            if split is None:
-                continue
-            f, thr = split
-            # Partition by value, not by sorted position: the midpoint of two
-            # adjacent floats can round up to the larger one.
-            go_left = self.XT[f].take(node_idx) <= thr
-            left_idx = node_idx[go_left]
-            right_idx = node_idx[~go_left]
-            left_n1 = int(np.count_nonzero(self.y.take(left_idx)))
-            self.feature[node] = f
-            self.threshold[node] = thr
-            left_node = self._new_node(len(left_idx), left_n1)
-            right_node = self._new_node(len(right_idx), n1 - left_n1)
-            self.left[node] = left_node
-            self.right[node] = right_node
-            stack.append((right_node, right_idx, n1 - left_n1, depth + 1))
-            stack.append((left_node, left_idx, left_n1, depth + 1))
 
-    def freeze(self) -> Tree:
-        return _tree(vars(self))
+def _rows_where(rows: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+    """For each row of the block, its entries where ``mask`` holds."""
+    flat = rows[mask]
+    ends = mask.sum(axis=1).cumsum().tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
+class _Growth:
+    """One tree while it grows: its generator, its node arrays, and the
+    preorder stack of its nodes that may still split."""
+
+    def __init__(self, rng: np.random.Generator, cfg: ForestConfig, idx: np.ndarray, n1: int):
+        self.rng = rng
+        self.cfg = cfg
+        self.stack: list[tuple[int, np.ndarray, int, int]] = []
+        # Typed arrays: a forest's trees all grow at once, and Python lists
+        # would hold every node's numbers as objects until the last finishes.
+        self.feature = array("i", (-1,))
+        self.threshold = array("d", (0.0,))
+        self.left = array("i", (-1,))
+        self.right = array("i", (-1,))
+        self.count = array("q", (len(idx),))
+        self.positives = array("q", (n1,))
+        self._queue(0, idx, n1, 0)
+
+    def _queue(self, node: int, idx: np.ndarray, n1: int, depth: int) -> None:
+        cfg = self.cfg
+        if depth < cfg.max_depth and 0 < n1 < len(idx) and len(idx) >= 2 * cfg.min_leaf:
+            self.stack.append((node, idx, n1, depth))
+
+    def grow(self, popped: tuple[int, np.ndarray, int, int], split) -> None:
+        """Apply ``split`` (from ``_Splitter.split``) to the node just popped;
+        both children get their ids before either is searched."""
+        if split is None:
+            return
+        node, _, n1, depth = popped
+        f, thr, left_idx, left_n1, right_idx = split
+        left = len(self.feature)
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.left[node] = left
+        self.right[node] = left + 1
+        self.feature.extend((-1, -1))
+        self.threshold.extend((0.0, 0.0))
+        self.left.extend((-1, -1))
+        self.right.extend((-1, -1))
+        self.count.extend((len(left_idx), len(right_idx)))
+        self.positives.extend((left_n1, n1 - left_n1))
+        # Right before left, so the next pop is the left child: preorder.
+        self._queue(left + 1, right_idx, n1 - left_n1, depth + 1)
+        self._queue(left, left_idx, left_n1, depth + 1)
+
+    def freeze(self, w0: float, w1: float) -> Tree:
+        """The grown tree; each node's fraction is its class-weighted positive share."""
+        count = np.asarray(self.count)
+        positives = np.asarray(self.positives)
+        pos = w1 * positives
+        total = pos + w0 * (count - positives)
+        fraction = np.divide(pos, total, out=np.zeros_like(pos), where=total > 0)
+        return _tree({**vars(self), "fraction": fraction})
 
 
 def _check_finite(X: np.ndarray) -> None:
@@ -229,14 +292,33 @@ def fit(
     w1 = n / (2.0 * n1) if n1 else 1.0
     w0 = n / (2.0 * n0) if n0 else 1.0
     mtry = max(1, math.isqrt(X.shape[1]) + (0 if math.isqrt(X.shape[1]) ** 2 == X.shape[1] else 1))
-    XT = np.ascontiguousarray(X.T)
+    splitter = _Splitter(X, y, w0, w1, cfg.min_leaf)
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(splitmix64((cfg.seed & _MASK64) + t))
-        sample = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(XT, y, w0, w1, cfg, rng, mtry)
-        builder.build(np.asarray(sample))
-        trees.append(builder.freeze())
+        sample = rng.integers(0, n, size=n).astype(splitter.index)
+        trees.append(_Growth(rng, cfg, sample, int(np.count_nonzero(y.take(sample)))))
+    # Lockstep rounds: each growing tree pops its next node in preorder and
+    # draws its candidates from its own generator, so every tree sees the
+    # stream it would alone.  A round's nodes are searched together, smallest
+    # first, in chunks of at most _CHUNK_CELLS padded cells.
+    growing = trees
+    while growing := [t for t in growing if t.stack]:
+        sizes = sorted((len(t.stack[-1][1]), i) for i, t in enumerate(growing))
+        start = 0
+        while start < len(sizes):
+            stop = start + 1
+            while stop < len(sizes) and (stop + 1 - start) * mtry * sizes[stop][0] <= _CHUNK_CELLS:
+                stop += 1
+            chunk = [growing[i] for _, i in sizes[start:stop]]
+            popped = [t.stack.pop() for t in chunk]
+            feats = np.array([t.rng.choice(X.shape[1], size=mtry, replace=False) for t in chunk])
+            feats.sort(axis=1)
+            splits = splitter.split([p[1] for p in popped], np.array([p[2] for p in popped]), feats)
+            for t, node, split in zip(chunk, popped, splits):
+                t.grow(node, split)
+            start = stop
+    trees = [t.freeze(w0, w1) for t in trees]
     return Forest(
         config=cfg,
         trees=trees,
@@ -325,7 +407,8 @@ def split_corpus(
     Shuffles until the train side holds 78-82% of graphlets and the pushed
     rates of the two sides agree within 0.02; after 1000 failed shuffles the
     label tolerance relaxes to 0.05 with a warning, and if that fails too the
-    corpus is too lopsided to split.
+    corpus is too lopsided to split.  The seed is taken modulo 2**64, so any
+    integer seeds the shuffles.
     """
     if len(pipelines) < 2:
         raise ValueError("need at least two pipelines to split")
@@ -334,7 +417,7 @@ def split_corpus(
     total = sizes.sum()
     if total == 0:
         raise ValueError("corpus has no graphlets")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & _MASK64)
 
     def attempt(tolerance: float) -> SplitSpec | None:
         order = rng.permutation(len(pipelines))

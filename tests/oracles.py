@@ -21,9 +21,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Iterator
-from unittest import mock
 
 import numpy as np
 
@@ -348,20 +346,18 @@ def scalar_canonicalize(f: FeatureStats) -> CanonicalDistribution:
     return CanonicalDistribution(bins=tuple(float(x) for x in cells))
 
 
-def loop_best_split(builder, idx: np.ndarray, n1: int) -> tuple[int, float] | None:
-    """Best split of rows ``idx``, scanning the candidate features one by one.
+def loop_best_split(
+    XT: np.ndarray, y: np.ndarray, idx: np.ndarray, n1: int, feats: np.ndarray,
+    min_leaf: int, w0: float, w1: float,
+) -> tuple[int, float] | None:
+    """Best split of rows ``idx`` over the sorted candidate features ``feats``,
+    scanning them one by one.
 
-    A drop-in for ``_TreeBuilder._best_split``: it draws the candidates from
-    the builder's RNG identically and keeps the first strictly better score,
-    so ties go to the lower feature index, then the lower threshold.
+    It keeps the first strictly better score, so ties go to the lower feature
+    index, then the lower threshold.
     """
-    XT, y = builder.XT, builder.y
     n = len(idx)
-    w0, w1 = builder.w0, builder.w1
-    d = XT.shape[0]
-    feats = np.sort(builder.rng.choice(d, size=min(builder.mtry, d), replace=False))
     best: tuple[float, int, float] | None = None
-    min_leaf = builder.cfg.min_leaf
     yi = y[idx]
     for f in feats:
         vals = XT[f, idx]
@@ -394,12 +390,6 @@ def loop_best_split(builder, idx: np.ndarray, n1: int) -> tuple[int, float] | No
     return best[1], best[2]
 
 
-def fit_with_loop_split(*args, **kwargs) -> forest.Forest:
-    """``forest.fit`` with the per-feature split search swapped in."""
-    with mock.patch.object(forest._TreeBuilder, "_best_split", loop_best_split):
-        return forest.fit(*args, **kwargs)
-
-
 def reference_fit(
     X: np.ndarray, y: np.ndarray, cfg: forest.ForestConfig, feature_names=None
 ) -> forest.Forest:
@@ -407,9 +397,10 @@ def reference_fit(
 
     It shares no tree-building code with the library: each node counts its
     own rows and positives, the rows split by ``value <= threshold``, a split
-    numbers both children before growing either, and the recursion visits
-    node, left subtree, right subtree, the order in which the library draws
-    each node's candidate features.
+    numbers both children before growing either, and one tree grows fully
+    before the next, visiting node, left subtree, right subtree: the order in
+    which each tree draws its nodes' candidate features from its own
+    generator.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=bool)
@@ -423,7 +414,6 @@ def reference_fit(
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(forest.splitmix64(cfg.seed + t))
         sample = rng.integers(0, n, size=n)
-        ctx = SimpleNamespace(XT=XT, y=y, w0=w0, w1=w1, cfg=cfg, rng=rng, mtry=mtry)
         nodes: list[dict[str, Any]] = []
 
         def leaf(idx: np.ndarray) -> int:
@@ -438,7 +428,8 @@ def reference_fit(
             pure = y[idx].all() or not y[idx].any()
             if depth >= cfg.max_depth or pure or len(idx) < 2 * cfg.min_leaf:
                 return
-            split = loop_best_split(ctx, idx, int(y[idx].sum()))
+            feats = np.sort(rng.choice(d, size=min(mtry, d), replace=False))
+            split = loop_best_split(XT, y, idx, int(y[idx].sum()), feats, cfg.min_leaf, w0, w1)
             if split is None:
                 return
             f, thr = split

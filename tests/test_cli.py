@@ -440,6 +440,25 @@ def test_report_outputs(small_cli_corpus, tmp_path):
     assert len(heuristic_rows) == 3
 
 
+@pytest.mark.parametrize("command, flags, config", [
+    ("report", ["--seed", "-1"], {}),
+    ("train", [], {"split_seed": -5}),
+])
+def test_negative_split_seed_runs_deterministically(command, flags, config, small_cli_corpus,
+                                                     tmp_path):
+    corpus, small = small_cli_corpus
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**json.loads(small.read_text()), **config}))
+    outputs = []
+    for tag in ("a", "b"):
+        base = tmp_path / tag
+        base.mkdir()
+        assert main([command, "--corpus", str(corpus), "--out", str(base / "out"),
+                     "--config", str(cfg), *flags]) == 0
+        outputs.append({p.relative_to(base): p.read_bytes() for p in base.rglob("*") if p.is_file()})
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_chain_deterministic(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +10,13 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import fit_with_loop_split, loop_best_split, loop_scores, reference_fit
+from oracles import loop_best_split, loop_scores, reference_fit
 
+from graphlets import forest
 from graphlets.features import STAGES, Featurizer, build_arch_vocab, featurize_corpus
 from graphlets.forest import (
     ForestConfig,
-    _TreeBuilder,
+    _Splitter,
     balanced_accuracy,
     fit,
     forest_from_dict,
@@ -153,6 +156,11 @@ def test_split_corpus_single_giant_pipeline_fails():
             split_corpus(pipelines, seed=1)
 
 
+def test_split_corpus_masks_negative_seeds_to_64_bits():
+    pipelines = [(f"p{i}", [True, False] * 5) for i in range(10)]
+    assert split_corpus(pipelines, seed=-1) == split_corpus(pipelines, seed=2**64 - 1)
+
+
 def test_split_corpus_deterministic():
     rng = np.random.default_rng(5)
     pipelines = [
@@ -181,7 +189,7 @@ _values = st.one_of(st.integers(-2, 2).map(float), st.integers(-400, 400).map(la
 
 
 @st.composite
-def _split_problems(draw, values=_values):
+def _split_problems(draw, values=_values, trees=st.integers(1, 3)):
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 9))
     X = draw(arrays(np.float64, (n, d), elements=values))
@@ -189,7 +197,7 @@ def _split_problems(draw, values=_values):
     X[:, constant] = X[0, constant]
     y = draw(arrays(np.bool_, n))
     cfg = ForestConfig(
-        n_trees=draw(st.integers(1, 3)),
+        n_trees=draw(trees),
         max_depth=draw(st.integers(1, 6)),
         min_leaf=draw(st.integers(1, 25)),
         seed=draw(st.integers(0, 2**32)),
@@ -215,23 +223,31 @@ _MIXED = np.array([False, True, True, False] * 3)
 @example((_TIES, _MIXED, ForestConfig(n_trees=2, min_leaf=7)))
 def test_fit_matches_loop_split_oracle(problem):
     X, y, cfg = problem
-    assert _forest_json(fit(X, y, cfg)) == _forest_json(fit_with_loop_split(X, y, cfg))
+    assert _forest_json(fit(X, y, cfg)) == _forest_json(reference_fit(X, y, cfg))
 
 
 @settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
-@given(_split_problems(), st.integers(1, 12))
-def test_best_split_matches_loop_for_any_mtry(problem, mtry):
-    # fit never asks for more candidates than columns; the search still
-    # caps the draw at d when it is given mtry > d.
+@given(_split_problems(), st.integers(1, 12), st.integers(1, 4))
+def test_best_split_matches_loop_for_any_mtry(problem, mtry, nodes):
+    # One block holds several nodes of unequal size, some too small to cut,
+    # each with its own candidates: mtry of them, capped at the column count.
     X, y, cfg = problem
+    n, d = X.shape
+    rng = np.random.default_rng(cfg.seed)
+    idxs = [rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))) for _ in range(nodes)]
+    feats = np.array([np.sort(rng.choice(d, size=min(mtry, d), replace=False)) for _ in idxs])
+    n1 = np.array([int(y[idx].sum()) for idx in idxs])
+    splits = _Splitter(X, y, 0.75, 1.5, cfg.min_leaf).split(idxs, n1, feats)
     XT = np.ascontiguousarray(X.T)
-    idx = np.arange(len(y))
-
-    def builder():
-        return _TreeBuilder(XT, y, 0.75, 1.5, cfg, np.random.default_rng(cfg.seed), mtry)
-
-    n1 = int(y.sum())
-    assert builder()._best_split(idx, n1) == loop_best_split(builder(), idx, n1)
+    for idx, cand, node_n1, split in zip(idxs, feats, n1, splits):
+        expected = loop_best_split(XT, y, idx, node_n1, cand, cfg.min_leaf, 0.75, 1.5)
+        assert (None if split is None else split[:2]) == expected
+        if split is not None:
+            f, thr, left, left_n1, right = split
+            go_left = X[idx, f] <= thr
+            assert left.tolist() == idx[go_left].tolist()
+            assert right.tolist() == idx[~go_left].tolist()
+            assert left_n1 == int(y[left].sum())
 
 
 def test_stage_forests_match_loop_split_oracle(small_corpus):
@@ -242,7 +258,7 @@ def test_stage_forests_match_loop_split_oracle(small_corpus):
     for stage in STAGES:
         names, X, _ = feats.stage_view(stage)
         fast = fit(X, feats.y, cfg, feature_names=names)
-        slow = fit_with_loop_split(X, feats.y, cfg, feature_names=names)
+        slow = reference_fit(X, feats.y, cfg, feature_names=names)
         assert _forest_json(fast) == _forest_json(slow), stage
 
 
@@ -262,6 +278,31 @@ _ADJACENT_Y = np.arange(110) >= 60
 def test_fit_matches_recursive_reference_fit(problem):
     X, y, cfg = problem
     assert _forest_json(fit(X, y, cfg)) == _forest_json(reference_fit(X, y, cfg))
+
+
+@settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
+@given(_split_problems(values=st.one_of(_values, st.sampled_from([_A, _B])), trees=st.integers(2, 4)))
+@example((_ADJACENT, _ADJACENT_Y, ForestConfig(n_trees=3, min_leaf=5)))
+@example((_TIES, _MIXED, ForestConfig(n_trees=3, min_leaf=1)))
+def test_fit_does_not_depend_on_search_chunk_size(problem):
+    # One node per block, and every node of a round in one padded block.
+    X, y, cfg = problem
+    forests = []
+    for cells in (1, 2**40):
+        with mock.patch.object(forest, "_CHUNK_CELLS", cells):
+            forests.append(_forest_json(fit(X, y, cfg)))
+    assert forests[0] == forests[1]
+
+
+@settings(max_examples=50, deadline=None, phases=_NO_SHRINK)
+@given(_split_problems(trees=st.integers(2, 5)))
+def test_each_tree_replays_its_own_stream(problem):
+    # Tree t of a forest is the only tree of a forest seeded seed + t.
+    X, y, cfg = problem
+    trees = forest_to_dict(fit(X, y, cfg))["trees"]
+    for t, tree in enumerate(trees):
+        alone = fit(X, y, dataclasses.replace(cfg, n_trees=1, seed=cfg.seed + t))
+        assert forest_to_dict(alone)["trees"] == [tree]
 
 
 @settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
