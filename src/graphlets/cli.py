@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 when trace validation fails (violations are
 printed one per line), 2 on usage errors, on a malformed trace file (the
 message reads ``<path>: line N: <message>``), on a corpus directory
 without trace files, on a bad config file (the message names the section
-and key) and on a model file that is not valid.  All outputs are
+and key), on a model file that is not valid and on a path that cannot be
+read or written (the message names the path).  All outputs are
 deterministic given the inputs, the seed, and the config file; tabular
 outputs start with a format-version comment line followed by a header row.
 """
@@ -429,8 +430,14 @@ def main(argv: list[str] | None = None) -> int:
         for v in exc.violations:
             print(v)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # A path that cannot be read or written, such as a directory given
+        # for a file or an output under an existing file.
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        print(f"error: {reason}", file=sys.stderr)
         return 2
 
 

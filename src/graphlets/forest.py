@@ -12,14 +12,31 @@ fraction.  Everything is reproducible from the config seed:
 * Gini ties break toward the lower feature index, then the lower threshold.
 
 Trees grow in lockstep.  Each keeps a preorder stack of its nodes that may
-still split; every round pops the next node of each growing tree and draws
-its candidates from that tree's RNG, then searches the round's nodes
-together.  Sorted by row count and cut into chunks of bounded size, each
-chunk gathers one (node x candidate) x width block of values for only its
-nodes' rows, pads shorter nodes with +inf, sorts each block row, and scores
-every cut between distinct adjacent values that ``min_leaf`` allows.  A
-node's cuts are listed in (feature, position) order, so its first minimum
-score is the tie-break above; rows are partitioned by ``value <= threshold``.
+still split; every round pops the next node of each growing tree and
+searches the round's nodes together.  Sorted by row count and cut into
+chunks of bounded size, each chunk gathers one (node x candidate) x width
+block of integer keys ``rank << 1 | label`` for only its nodes' rows, where
+a value's rank is its place among its column's distinct values (so -0.0
+and 0.0 share one).  Shorter nodes are padded with the key dtype's largest
+value; one integer sort per block row orders rows by value, and a running
+count of the low bits gives the positives left of every cut.  Every cut
+between distinct ranks that ``min_leaf`` allows is scored, and its
+threshold is the midpoint of the two distinct values, read from a table of
+each column's sorted values.  A node's cuts are listed in (feature,
+position) order, so its first minimum score is the tie-break above; rows
+are partitioned by ``value <= threshold``.
+
+A node's candidates are the sorted result of one ``Generator.choice(d, m,
+replace=False)`` on its tree's generator.  With m = ceil(sqrt(d)), numpy
+2 runs Floyd's algorithm there at every width (its tail shuffle needs
+d > 10000 and m > d / 50): bounded draws on [0, j] for j = d - m ... d - 1,
+where a repeated value takes j, then a shuffle of the picks with draws on
+[0, i] for i = m - 1 ... 1.  ``fit`` replays those draws for many
+nodes of a tree in one ``integers`` call, which takes the same bounded
+draws from the stream, and discards the shuffle draws, since sorting undoes
+the shuffle.  The growing trees draw together, each for a batch of its
+next nodes that doubles from one draw to the next; drawing past a tree's
+last node only advances a generator that is then dropped.
 
 ``scores`` walks all (tree, row) pairs down one node array whose leaves loop
 to themselves, summing trees in order.  ``fit`` and ``scores`` reject NaN and
@@ -115,21 +132,47 @@ class Forest:
 # unless one node alone needs more.
 _CHUNK_CELLS = 1 << 14
 
+# A tree's first candidate draw covers this many of its nodes; each later
+# draw covers twice as many as the one before.
+_FIRST_DRAWS = 16
+
+
+def _key_dtype(n: int) -> type:
+    """The narrowest dtype for the keys of ``n`` rows: ranks lie below n, so
+    every key lies below 2n, under the dtype's largest value, which pads."""
+    return next(t for t in (np.int16, np.int32, np.int64) if 2 * n <= np.iinfo(t).max)
+
 
 class _Splitter:
-    """Best splits of many nodes at once, over one padded value block.
+    """Best splits of many nodes at once, over one padded key block.
 
-    Each node is padded to the block's width with +inf, which sorts after
-    every real value, so no cut that ``min_leaf`` allows reaches a pad.
-    Row ids are stored as ``index`` integers: 32 bits unless the matrix has
-    more rows, since every growing tree holds about one bootstrap sample of
-    them at a time.
+    ``key[f, i]`` holds row i's value in column f as ``rank << 1 | label``,
+    with ranks dense per column, and ``values[offset[f] + rank]`` is the
+    value of that rank in column f.  The key matrix lives as long as the fit,
+    so it is built one column at a time, in the narrowest dtype that fits,
+    without n x d temporaries.  Each node is padded to the block's
+    width with the dtype's largest value, which sorts after every real key,
+    so no cut that ``min_leaf`` allows reaches a pad.  Row ids are stored as
+    ``index`` integers: 32 bits unless the matrix has more rows, since every
+    growing tree holds about one bootstrap sample of them at a time.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, w0: float, w1: float, min_leaf: int):
         self.X = X
         self.y = y
-        self.index = np.int32 if len(y) <= np.iinfo(np.int32).max else np.intp
+        n, d = X.shape
+        self.index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+        dtype = _key_dtype(n)
+        self.pad = np.iinfo(dtype).max
+        self.key = np.empty((d, n), dtype=dtype)
+        values = []
+        for f in range(d):
+            distinct, self.key[f] = np.unique(X[:, f], return_inverse=True)
+            values.append(distinct)
+        self.key <<= 1
+        self.key |= y
+        self.values = np.concatenate(values)
+        self.offset = np.cumsum([0] + [len(v) for v in values[:-1]])
         self.w0 = w0
         self.w1 = w1
         self.min_leaf = min_leaf
@@ -145,21 +188,19 @@ class _Splitter:
         real = np.arange(width) < n[:, None]
         rows = np.zeros((k, width), dtype=self.index)
         rows[real] = np.concatenate(idxs)
-        # Row k * m + j of the block holds node k's values of feature feats[k, j].
-        sv = self.X[rows[:, None, :], feats[:, :, None]]
-        np.copyto(sv, np.inf, where=~real[:, None, :])
-        sv = sv.reshape(k * m, width)
-        labels = self.y.take(rows)
-        # Cuts fall only between distinct values, so the order of tied rows
-        # (which an unstable argsort leaves open) never changes a count at a cut.
-        order = sv.argsort(axis=1)
-        order += (np.arange(k) * width).repeat(m)[:, None]
-        cum1 = labels.take(order).cumsum(axis=1)
-        sv.sort(axis=1)
+        # Row k * m + j of the block holds node k's keys of feature feats[k, j].
+        key = self.key.take(feats[:, :, None] * len(self.y) + rows[:, None, :])
+        np.copyto(key, self.pad, where=~real[:, None, :])
+        key = key.reshape(k * m, width)
+        # Equal keys are equal (value, label) pairs, so the order of tied rows
+        # cannot change any count.
+        key.sort(axis=1)
+        cum1 = (key & 1).cumsum(axis=1)
+        key >>= 1
         # Cut p puts sorted rows 0..p on the left; min_leaf bounds p to
         # [lo, n - min_leaf - 1].
         lo = self.min_leaf - 1
-        allowed = sv[:, lo + 1 :] != sv[:, lo : width - 1]
+        allowed = key[:, lo + 1 :] != key[:, lo : width - 1]
         allowed &= np.arange(lo, width - 1) < (n - self.min_leaf).repeat(m)[:, None]
         r, cut = allowed.nonzero()
         out: list = [None] * k
@@ -188,7 +229,8 @@ class _Splitter:
         first = np.minimum.reduceat(np.where(score == lowest, np.arange(len(score)), len(score)), starts)
         r, cut = r[first], cut[first]
         feature = feats.ravel()[r]
-        threshold = (sv[r, cut] + sv[r, cut + 1]) / 2.0
+        base = self.offset[feature]
+        threshold = (self.values[base + key[r, cut]] + self.values[base + key[r, cut + 1]]) / 2.0
         # Partition by value, not by sorted position: the midpoint of two
         # adjacent floats can round up to the larger one.
         rows, real = rows[node], real[node]
@@ -197,7 +239,7 @@ class _Splitter:
         go_right = real & ~go_left
         lefts = _rows_where(rows, go_left)
         rights = _rows_where(rows, go_right)
-        left_n1 = (labels[node] & go_left).sum(axis=1)
+        left_n1 = (self.y.take(rows) & go_left).sum(axis=1)
         for j, at in enumerate(node.tolist()):
             out[at] = (int(feature[j]), float(threshold[j]), lefts[j], int(left_n1[j]), rights[j])
         return out
@@ -218,6 +260,7 @@ class _Growth:
         self.rng = rng
         self.cfg = cfg
         self.stack: list[tuple[int, np.ndarray, int, int]] = []
+        self.slot = 0  # its row in the forest's block of drawn candidates
         # Typed arrays: a forest's trees all grow at once, and Python lists
         # would hold every node's numbers as objects until the last finishes.
         self.feature = array("i", (-1,))
@@ -265,6 +308,24 @@ class _Growth:
         return _tree({**vars(self), "fraction": fraction})
 
 
+def _draw(rngs: list[np.random.Generator], batch: int, d: int, m: int) -> np.ndarray:
+    """Row t holds the sorted candidates of the next ``batch`` nodes drawn from
+    ``rngs[t]``, as one ``choice(d, m, replace=False)`` call per node returns
+    them."""
+    # One node's bounded draws: Floyd's picks, then the shuffle of the picks.
+    highs = np.tile(np.concatenate((np.arange(d - m, d), np.arange(m - 1, 0, -1))), batch)
+    picks = np.empty((len(rngs), batch, m), dtype=np.intp)
+    for rng, row in zip(rngs, picks):
+        row[:] = rng.integers(0, highs, endpoint=True).reshape(batch, -1)[:, :m]
+    flat = picks.reshape(-1, m)
+    for j in range(1, m):
+        # Floyd's rule: a value picked before is replaced by its bound d - m + j.
+        repeat = (flat[:, :j] == flat[:, j : j + 1]).any(axis=1)
+        flat[repeat, j] = d - m + j
+    flat.sort(axis=1)
+    return picks
+
+
 def _check_finite(X: np.ndarray) -> None:
     if not np.isfinite(X).all():
         raise ValueError("feature matrix contains NaN or infinite values")
@@ -298,12 +359,24 @@ def fit(
         rng = np.random.default_rng(splitmix64((cfg.seed & _MASK64) + t))
         sample = rng.integers(0, n, size=n).astype(splitter.index)
         trees.append(_Growth(rng, cfg, sample, int(np.count_nonzero(y.take(sample)))))
-    # Lockstep rounds: each growing tree pops its next node in preorder and
-    # draws its candidates from its own generator, so every tree sees the
-    # stream it would alone.  A round's nodes are searched together, smallest
-    # first, in chunks of at most _CHUNK_CELLS padded cells.
+    # Lockstep rounds: each growing tree pops its next node in preorder with
+    # the next candidates drawn from its own generator, so every tree sees
+    # the stream it would alone.  Every growing tree pops one node a round,
+    # so all of them use up their drawn candidates in the same round and
+    # draw again together, for twice as many nodes.  A round's nodes are
+    # searched together, smallest first, in chunks of at most _CHUNK_CELLS
+    # padded cells.
     growing = trees
+    batch = _FIRST_DRAWS
+    drawn = np.empty((0, 0, mtry), dtype=np.intp)
+    used = 0
     while growing := [t for t in growing if t.stack]:
+        if used == drawn.shape[1]:
+            drawn = _draw([t.rng for t in growing], batch, X.shape[1], mtry)
+            for slot, t in enumerate(growing):
+                t.slot = slot
+            batch *= 2
+            used = 0
         sizes = sorted((len(t.stack[-1][1]), i) for i, t in enumerate(growing))
         start = 0
         while start < len(sizes):
@@ -312,12 +385,12 @@ def fit(
                 stop += 1
             chunk = [growing[i] for _, i in sizes[start:stop]]
             popped = [t.stack.pop() for t in chunk]
-            feats = np.array([t.rng.choice(X.shape[1], size=mtry, replace=False) for t in chunk])
-            feats.sort(axis=1)
+            feats = drawn[[t.slot for t in chunk], used]
             splits = splitter.split([p[1] for p in popped], np.array([p[2] for p in popped]), feats)
             for t, node, split in zip(chunk, popped, splits):
                 t.grow(node, split)
             start = stop
+        used += 1
     trees = [t.freeze(w0, w1) for t in trees]
     return Forest(
         config=cfg,

@@ -138,6 +138,29 @@ def test_bad_synth_flags_exit_2(flags, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, unusable",
+    [
+        ("segment", "--config", "directory"),
+        ("evaluate", "--model", "directory"),
+        ("segment", "--out", "under a file"),
+    ],
+)
+def test_unusable_path_exits_2_naming_it(command, flag, unusable, small_cli_corpus, tmp_path,
+                                         capsys):
+    corpus, cfg = small_cli_corpus
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [command, "--corpus", str(corpus), "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--model", str(tmp_path / "model.json")]
+    path, named = (tmp_path, tmp_path) if unusable == "directory" else (blocker / "x", blocker)
+    argv[argv.index(flag) + 1] = str(path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1, err
+
+
 def test_malformed_record_names_file_and_line(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

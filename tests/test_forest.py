@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -269,12 +270,17 @@ _B = np.nextafter(_A, 2.0)
 assert (_A + _B) / 2 == _B
 _ADJACENT = np.array([[_A]] * 60 + [[_B]] * 50)
 _ADJACENT_Y = np.arange(110) >= 60
+# -0.0 and 0.0 are one value: they share a rank, and no cut falls between them.
+_SIGNED_ZEROS = np.array([[-0.0, 1.0], [0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 2.0]] * 4)
+_SIGNED_ZEROS_Y = np.array([True, False, False, True, True] * 4)
+_EDGE_VALUES = st.one_of(_values, st.sampled_from([_A, _B, -0.0]))
 
 
 @settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
-@given(_split_problems(values=st.one_of(_values, st.sampled_from([_A, _B]))))
+@given(_split_problems(values=_EDGE_VALUES))
 @example((_ADJACENT, _ADJACENT_Y, ForestConfig(n_trees=2, min_leaf=5)))
 @example((_TIES, _MIXED, ForestConfig(n_trees=2, min_leaf=1)))
+@example((_SIGNED_ZEROS, _SIGNED_ZEROS_Y, ForestConfig(n_trees=3, min_leaf=1)))
 def test_fit_matches_recursive_reference_fit(problem):
     X, y, cfg = problem
     assert _forest_json(fit(X, y, cfg)) == _forest_json(reference_fit(X, y, cfg))
@@ -292,6 +298,64 @@ def test_fit_does_not_depend_on_search_chunk_size(problem):
         with mock.patch.object(forest, "_CHUNK_CELLS", cells):
             forests.append(_forest_json(fit(X, y, cfg)))
     assert forests[0] == forests[1]
+
+
+@settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
+@given(_split_problems(values=_EDGE_VALUES, trees=st.integers(2, 4)))
+@example((_TIES, _MIXED, ForestConfig(n_trees=3, min_leaf=1)))
+def test_fit_does_not_depend_on_draw_batch(problem):
+    # A refill before every node, and one draw for every node of a tree.
+    X, y, cfg = problem
+    forests = []
+    for first in (1, 2**12):
+        with mock.patch.object(forest, "_FIRST_DRAWS", first):
+            forests.append(_forest_json(fit(X, y, cfg)))
+    assert forests[0] == forests[1] == _forest_json(reference_fit(X, y, cfg))
+
+
+@settings(max_examples=50, deadline=None, phases=_NO_SHRINK)
+@given(_split_problems(values=_EDGE_VALUES))
+@example((_SIGNED_ZEROS, _SIGNED_ZEROS_Y, ForestConfig(n_trees=3, min_leaf=1)))
+def test_fit_does_not_depend_on_key_dtype(problem):
+    # These matrices get int16 keys; force the wider ones with their pads.
+    X, y, cfg = problem
+    assert _Splitter(X, y, 1.0, 1.0, 1).key.dtype == np.int16
+    forests = [_forest_json(fit(X, y, cfg))]
+    for wide in (np.int32, np.int64):
+        with mock.patch.object(forest, "_key_dtype", lambda n: wide):
+            assert _Splitter(X, y, 1.0, 1.0, 1).key.dtype == wide
+            forests.append(_forest_json(fit(X, y, cfg)))
+    assert forests[0] == forests[1] == forests[2]
+
+
+def test_key_dtype_leaves_room_for_the_pad():
+    # Keys of n rows lie below 2n; the pad is the dtype's largest value.
+    assert forest._key_dtype(16383) == np.int16
+    assert forest._key_dtype(16384) == np.int32
+    assert forest._key_dtype(2**30 - 1) == np.int32
+    assert forest._key_dtype(2**30) == np.int64
+
+
+@pytest.mark.parametrize("d", [*range(1, 65), 2500, 10001])
+def test_bulk_draws_replay_choice_call_by_call(d):
+    # Each node's candidates are the sorted picks of one choice call on its
+    # tree's generator after the bootstrap draw, wherever the batches end.
+    m = math.isqrt(d - 1) + 1
+    plan = np.random.default_rng(d)
+    for seed in range(0, 60, 3):
+        rngs, expected = [], []
+        for s in range(seed, seed + 3):
+            rng, twin = np.random.default_rng(s), np.random.default_rng(s)
+            n = int(plan.integers(1, 50))
+            rng.integers(0, n, size=n)
+            twin.integers(0, n, size=n)
+            rngs.append(rng)
+            expected.append([np.sort(twin.choice(d, m, replace=False)) for _ in range(24)])
+        got = np.empty((3, 0, m), dtype=np.intp)
+        while got.shape[1] < 24:
+            batch = forest._draw(rngs, int(plan.integers(1, 8)), d, m)
+            got = np.concatenate((got, batch), axis=1)
+        assert np.array_equal(got[:, :24], expected)
 
 
 @settings(max_examples=50, deadline=None, phases=_NO_SHRINK)
