@@ -10,15 +10,26 @@ Traces are stored as newline-delimited records, one JSON object per line with
 a ``kind`` field in {"artifact", "execution", "edge"}.  One file holds one
 pipeline; a corpus is a directory of such files.  ``Trace`` and ``TraceIndex``
 are immutable after construction and safe to share across threads.
+
+Decoding: each stripped line takes one call of json's C scanner.  Only a line
+that fails to scan, or holds data after its first value, goes on to
+``json.loads``, which raises the message reported as ``invalid JSON (...)``.
+Enum fields are looked up in read-only ``{value: member}`` tables built at
+import.  Every field must have its documented JSON type: a wrong type raises
+``TraceParseError`` rather than being coerced, and ``null`` or an absent
+optional property means none.  Edges are checked and deduplicated as
+``(src, dst, role)`` tuples, sorted, and only then made into ``Edge`` objects.
 """
 
 from __future__ import annotations
 
 import json
+import json.scanner
 import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 __all__ = [
@@ -279,10 +290,30 @@ class TraceParseError(ValueError):
         super().__init__(message)
 
 
-def _enum(value: Any, enum_cls: type, what: str, line: int) -> Any:
+def _members(enum_cls: type[Enum]) -> Mapping[str, Any]:
+    """Read-only ``{value: member}`` table of one enum, built at import."""
+    return MappingProxyType({member.value: member for member in enum_cls})
+
+
+_ARTIFACT_TYPES = _members(ArtifactType)
+_OPERATORS = _members(OperatorKind)
+_STATES = _members(ExecutionState)
+_MODEL_TYPES = _members(ModelType)
+_ANALYZERS = _members(Analyzer)
+_ROLES = _members(EdgeRole)
+_FEATURE_KINDS = _members(FeatureKind)
+_NUMBER_TYPES = frozenset((int, float))
+_INT_TYPES = frozenset((int,))
+
+# The C scanner behind json.loads, called directly: one scan per line and no
+# Python-level decode/raw_decode frames. It keeps no state between calls.
+_scan_once = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _enum(value: Any, members: Mapping[str, Any], what: str, line: int) -> Any:
     try:
-        return enum_cls(value)
-    except (ValueError, KeyError):
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable list or object
         raise TraceParseError(f"unknown {what}: {value!r}", line) from None
 
 
@@ -293,83 +324,99 @@ def _timestamp(record: dict[str, Any], key: str, line: int) -> int:
     return value
 
 
-def parse_span_stats(payload: Any, line: int = 0) -> SpanStats:
+def _string(value: Any, what: str, line: int) -> str:
+    if not isinstance(value, str):
+        raise TraceParseError(f"{what} must be a string", line)
+    return value
+
+
+def _optional_string(props: dict[str, Any], key: str, line: int) -> str | None:
+    value = props.get(key)
+    return None if value is None else _string(value, key, line)
+
+
+def _properties(record: dict[str, Any], what: str, line: int) -> dict[str, Any]:
+    props = record.get("properties")
+    if props is None:
+        return {}
+    if not isinstance(props, dict):
+        raise TraceParseError(f"{what} properties must be an object", line)
+    return props
+
+
+def _feature(entry: Any, line: int) -> FeatureStats:
+    if not isinstance(entry, dict) or "name" not in entry or "type" not in entry:
+        raise TraceParseError("span_stats feature missing name/type", line)
+    name = entry["name"]
+    kind = _enum(entry["type"], _FEATURE_KINDS, "feature type", line)
+    if kind is FeatureKind.NUMERICAL:
+        hist = entry.get("hist")
+        if not isinstance(hist, list):
+            raise TraceParseError(f"numerical feature {name!r} missing hist", line)
+        numerical_hist = None
+        if _NUMBER_TYPES.issuperset(map(type, hist)):
+            try:
+                numerical_hist = tuple(map(float, hist))
+            except OverflowError:  # an integer beyond float range
+                pass
+        if numerical_hist is None:
+            raise TraceParseError(f"numerical feature {name!r} hist must hold numbers", line)
+        return FeatureStats(
+            name=_string(name, "span_stats feature name", line),
+            kind=kind,
+            numerical_hist=numerical_hist,
+        )
+    name = _string(name, "span_stats feature name", line)
+    top10, unique, total = entry.get("top10"), entry.get("unique"), entry.get("total")
+    if top10 is None or unique is None or total is None:
+        raise TraceParseError(f"categorical feature {name!r} missing top10/unique/total", line)
+    if not isinstance(top10, list) or not _INT_TYPES.issuperset(map(type, top10)):
+        raise TraceParseError(
+            f"categorical feature {name!r} top10 must be a list of integers", line
+        )
+    if type(unique) is not int or type(total) is not int:
+        raise TraceParseError(f"categorical feature {name!r} unique/total must be integers", line)
+    return FeatureStats(
+        name=name, kind=kind, cat_top10=tuple(top10), cat_unique=unique, cat_total=total
+    )
+
+
+def _span_stats(payload: Any, line: int) -> SpanStats:
     if not isinstance(payload, dict):
         raise TraceParseError("span_stats must be an object", line)
     raw = payload.get("features")
     if not isinstance(raw, list):
         raise TraceParseError("span_stats must contain a feature list", line)
-    feats = []
-    for entry in raw:
-        if not isinstance(entry, dict) or "name" not in entry or "type" not in entry:
-            raise TraceParseError("span_stats feature missing name/type", line)
-        kind = _enum(entry["type"], FeatureKind, "feature type", line)
-        if kind is FeatureKind.NUMERICAL:
-            hist = entry.get("hist")
-            if not isinstance(hist, list):
-                raise TraceParseError(f"numerical feature {entry['name']!r} missing hist", line)
-            try:
-                numerical_hist = tuple(float(x) for x in hist)
-            except (TypeError, ValueError, OverflowError):
-                raise TraceParseError(
-                    f"numerical feature {entry['name']!r} hist must hold numbers", line
-                ) from None
-            feats.append(
-                FeatureStats(
-                    name=str(entry["name"]),
-                    kind=kind,
-                    numerical_hist=numerical_hist,
-                )
-            )
-        else:
-            try:
-                feats.append(
-                    FeatureStats(
-                        name=str(entry["name"]),
-                        kind=kind,
-                        cat_top10=tuple(int(c) for c in entry["top10"]),
-                        cat_unique=int(entry["unique"]),
-                        cat_total=int(entry["total"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise TraceParseError(
-                    f"categorical feature {entry.get('name')!r} missing top10/unique/total", line
-                ) from None
-    return SpanStats(features=tuple(feats))
+    return SpanStats(features=tuple([_feature(entry, line) for entry in raw]))
 
 
 def _parse_artifact(record: dict[str, Any], line: int) -> Artifact:
     node_id = record.get("id")
     if not node_id or not isinstance(node_id, str):
         raise TraceParseError("artifact missing id", line)
-    props = record.get("properties") or {}
-    if not isinstance(props, dict):
-        raise TraceParseError("artifact properties must be an object", line)
+    props = _properties(record, "artifact", line)
     stats = None
-    if "span_stats" in props and props["span_stats"] is not None:
-        stats = parse_span_stats(props["span_stats"], line)
-    extra = tuple(sorted((k, v) for k, v in props.items() if k != "span_stats"))
+    if props.get("span_stats") is not None:
+        stats = _span_stats(props["span_stats"], line)
+    extra = tuple(sorted(item for item in props.items() if item[0] != "span_stats"))
     return Artifact(
         id=node_id,
-        artifact_type=_enum(record.get("type"), ArtifactType, "artifact type", line),
+        artifact_type=_enum(record.get("type"), _ARTIFACT_TYPES, "artifact type", line),
         created_at=_timestamp(record, "created_at", line),
-        pipeline_id=str(record.get("pipeline_id", "")),
+        pipeline_id=_string(record.get("pipeline_id", ""), "pipeline_id", line),
         span_stats=stats,
         extra=extra,
     )
 
 
-_EXEC_PROP_KEYS = {"code_version", "model_type", "architecture", "analyzers"}
+_EXEC_PROP_KEYS = frozenset({"code_version", "model_type", "architecture", "analyzers"})
 
 
 def _parse_execution(record: dict[str, Any], line: int) -> Execution:
     node_id = record.get("id")
     if not node_id or not isinstance(node_id, str):
         raise TraceParseError("execution missing id", line)
-    props = record.get("properties") or {}
-    if not isinstance(props, dict):
-        raise TraceParseError("execution properties must be an object", line)
+    props = _properties(record, "execution", line)
     cost = record.get("cpu_cost", 0.0)
     if not isinstance(cost, (int, float)) or isinstance(cost, bool):
         raise TraceParseError("cpu_cost must be a number", line)
@@ -381,23 +428,34 @@ def _parse_execution(record: dict[str, Any], line: int) -> Execution:
     analyzers = props.get("analyzers")
     if analyzers is not None and not isinstance(analyzers, list):
         raise TraceParseError("analyzers must be a list", line)
-    extra = tuple(sorted((k, v) for k, v in props.items() if k not in _EXEC_PROP_KEYS))
+    extra = tuple(sorted(item for item in props.items() if item[0] not in _EXEC_PROP_KEYS))
     return Execution(
         id=node_id,
-        operator=_enum(record.get("operator"), OperatorKind, "operator", line),
-        pipeline_id=str(record.get("pipeline_id", "")),
+        operator=_enum(record.get("operator"), _OPERATORS, "operator", line),
+        pipeline_id=_string(record.get("pipeline_id", ""), "pipeline_id", line),
         start_at=_timestamp(record, "start_at", line),
         end_at=_timestamp(record, "end_at", line),
-        state=_enum(record.get("state"), ExecutionState, "execution state", line),
+        state=_enum(record.get("state"), _STATES, "execution state", line),
         cpu_cost=cost,
-        code_version=None if props.get("code_version") is None else str(props["code_version"]),
-        model_type=None if model_type is None else _enum(model_type, ModelType, "model type", line),
-        architecture=None if props.get("architecture") is None else str(props["architecture"]),
+        code_version=_optional_string(props, "code_version", line),
+        model_type=None
+        if model_type is None
+        else _enum(model_type, _MODEL_TYPES, "model type", line),
+        architecture=_optional_string(props, "architecture", line),
         analyzers=None
         if analyzers is None
-        else tuple(_enum(a, Analyzer, "analyzer", line) for a in analyzers),
+        else tuple([_enum(a, _ANALYZERS, "analyzer", line) for a in analyzers]),
         extra=extra,
     )
+
+
+def _invalid_json(text: str, line: int) -> Any:
+    """Re-decode a line the scanner rejected with ``json.loads`` for its message."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, over-long integer literals, too-deep nesting
+        raise TraceParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line) from None
 
 
 def parse_trace(lines: Iterable[str]) -> Trace:
@@ -409,7 +467,8 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     """
     artifacts: dict[str, Artifact] = {}
     executions: dict[str, Execution] = {}
-    raw_edges: list[tuple[Edge, int]] = []
+    # (src, dst, role) -> the line of its first record; later duplicates add nothing.
+    edge_lines: dict[tuple[str, str, EdgeRole], int] = {}
     pipeline_id: str | None = None
 
     for line_no, raw in enumerate(lines, start=1):
@@ -417,10 +476,11 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         if not text:
             continue
         try:
-            record = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, over-long integer literals, too-deep nesting
-            raise TraceParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from None
+            record, end = _scan_once(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(text):  # a decode error, or data after the first value
+            record = _invalid_json(text, line_no)
         if not isinstance(record, dict):
             raise TraceParseError("record must be a JSON object", line_no)
         kind = record.get("kind")
@@ -432,8 +492,8 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             src, dst = record.get("from"), record.get("to")
             if not isinstance(src, str) or not isinstance(dst, str):
                 raise TraceParseError("edge missing from/to", line_no)
-            role = _enum(record.get("role"), EdgeRole, "edge role", line_no)
-            raw_edges.append((Edge(src=src, dst=dst, role=role), line_no))
+            role = _enum(record.get("role"), _ROLES, "edge role", line_no)
+            edge_lines.setdefault((src, dst, role), line_no)
             continue
         else:
             raise TraceParseError(f"unknown record kind: {kind!r}", line_no)
@@ -451,20 +511,20 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         else:
             executions[node.id] = node
 
-    edges: set[Edge] = set()
-    for edge, line_no in raw_edges:
-        for endpoint in (edge.src, edge.dst):
+    # A duplicate passes or fails with its first record, so checking each
+    # distinct edge at its first line raises the same first error.
+    for (src, dst, role), line_no in edge_lines.items():
+        for endpoint in (src, dst):
             if endpoint not in artifacts and endpoint not in executions:
                 raise TraceParseError(f"edge endpoint {endpoint!r} does not exist", line_no)
-        if edge.role is EdgeRole.INPUT:
-            ok = edge.src in artifacts and edge.dst in executions
+        if role is EdgeRole.INPUT:
+            ok = src in artifacts and dst in executions
         else:
-            ok = edge.src in executions and edge.dst in artifacts
+            ok = src in executions and dst in artifacts
         if not ok:
             raise TraceParseError(
-                f"edge {edge.src!r}->{edge.dst!r} role violates bipartite orientation", line_no
+                f"edge {src!r}->{dst!r} role violates bipartite orientation", line_no
             )
-        edges.add(edge)
 
     if pipeline_id is None:
         raise TraceParseError("no node records")
@@ -472,8 +532,8 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         pipeline_id=pipeline_id,
         artifacts=dict(sorted(artifacts.items())),
         executions=dict(sorted(executions.items())),
-        # The key is Edge's own field order, without a dataclass __lt__ per comparison.
-        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst, e.role))),
+        # Tuples sort in Edge's own field order.
+        edges=tuple([Edge(src, dst, role) for src, dst, role in sorted(edge_lines)]),
     )
 
 

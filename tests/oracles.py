@@ -7,8 +7,9 @@ edge once, the shape oracle walks a graphlet one node at a time over a fresh
 integer contingency tables, the sweep oracle rebuilds each confusion set
 from scratch, the split oracle scores one candidate feature at a time, the
 fit oracle grows each tree recursively around it, the score oracle walks one
-tree at a time, the hash oracle projects one distribution at a time, and the
-canonicalization oracle lays out one feature at a time in scalar arithmetic.
+tree at a time, the hash oracle projects one distribution at a time, the
+canonicalization oracle lays out one feature at a time in scalar arithmetic,
+and the parse oracle decodes one record at a time through ``json.loads``.
 
 The rest are test-side counterparts of the library's writers and samplers:
 a trace serializer for parse round trips, a truth-file reader, a Monte-Carlo
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from graphlets.segmentation import Graphlet, StopSet
 from graphlets.similarity import BINS, CanonicalDistribution, LshParams, _projections
 from graphlets.synth import GenConfig, PlantedTruth, TruthEntry
 from graphlets.trace import (
+    Analyzer,
     Artifact,
     ArtifactType,
     Edge,
@@ -42,6 +44,7 @@ from graphlets.trace import (
     OperatorKind,
     SpanStats,
     Trace,
+    TraceParseError,
     index_trace,
 )
 
@@ -526,6 +529,201 @@ def serialize_trace(trace: Trace) -> Iterator[str]:
             sort_keys=True,
         )
 
+
+
+def _ref_enum(value: Any, enum_cls: type, what: str, line: int) -> Any:
+    try:
+        return enum_cls(value)
+    except (ValueError, KeyError):
+        raise TraceParseError(f"unknown {what}: {value!r}", line) from None
+
+
+def _ref_timestamp(record: dict[str, Any], key: str, line: int) -> int:
+    value = record.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TraceParseError(f"missing or non-integer timestamp {key!r}", line)
+    return value
+
+
+def _ref_span_stats(payload: Any, line: int) -> SpanStats:
+    if not isinstance(payload, dict):
+        raise TraceParseError("span_stats must be an object", line)
+    raw = payload.get("features")
+    if not isinstance(raw, list):
+        raise TraceParseError("span_stats must contain a feature list", line)
+    feats = []
+    for entry in raw:
+        if not isinstance(entry, dict) or "name" not in entry or "type" not in entry:
+            raise TraceParseError("span_stats feature missing name/type", line)
+        kind = _ref_enum(entry["type"], FeatureKind, "feature type", line)
+        if kind is FeatureKind.NUMERICAL:
+            hist = entry.get("hist")
+            if not isinstance(hist, list):
+                raise TraceParseError(f"numerical feature {entry['name']!r} missing hist", line)
+            try:
+                numerical_hist = tuple(float(x) for x in hist)
+            except (TypeError, ValueError, OverflowError):
+                raise TraceParseError(
+                    f"numerical feature {entry['name']!r} hist must hold numbers", line
+                ) from None
+            feats.append(
+                FeatureStats(name=str(entry["name"]), kind=kind, numerical_hist=numerical_hist)
+            )
+        else:
+            try:
+                feats.append(
+                    FeatureStats(
+                        name=str(entry["name"]),
+                        kind=kind,
+                        cat_top10=tuple(int(c) for c in entry["top10"]),
+                        cat_unique=int(entry["unique"]),
+                        cat_total=int(entry["total"]),
+                    )
+                )
+            except (KeyError, TypeError, ValueError, OverflowError):
+                raise TraceParseError(
+                    f"categorical feature {entry.get('name')!r} missing top10/unique/total", line
+                ) from None
+    return SpanStats(features=tuple(feats))
+
+
+def _ref_artifact(record: dict[str, Any], line: int) -> Artifact:
+    node_id = record.get("id")
+    if not node_id or not isinstance(node_id, str):
+        raise TraceParseError("artifact missing id", line)
+    props = record.get("properties") or {}
+    if not isinstance(props, dict):
+        raise TraceParseError("artifact properties must be an object", line)
+    stats = None
+    if "span_stats" in props and props["span_stats"] is not None:
+        stats = _ref_span_stats(props["span_stats"], line)
+    extra = tuple(sorted((k, v) for k, v in props.items() if k != "span_stats"))
+    return Artifact(
+        id=node_id,
+        artifact_type=_ref_enum(record.get("type"), ArtifactType, "artifact type", line),
+        created_at=_ref_timestamp(record, "created_at", line),
+        pipeline_id=str(record.get("pipeline_id", "")),
+        span_stats=stats,
+        extra=extra,
+    )
+
+
+def _ref_execution(record: dict[str, Any], line: int) -> Execution:
+    node_id = record.get("id")
+    if not node_id or not isinstance(node_id, str):
+        raise TraceParseError("execution missing id", line)
+    props = record.get("properties") or {}
+    if not isinstance(props, dict):
+        raise TraceParseError("execution properties must be an object", line)
+    cost = record.get("cpu_cost", 0.0)
+    if not isinstance(cost, (int, float)) or isinstance(cost, bool):
+        raise TraceParseError("cpu_cost must be a number", line)
+    try:
+        cost = float(cost)
+    except OverflowError:
+        raise TraceParseError("cpu_cost is out of float range", line) from None
+    model_type = props.get("model_type")
+    analyzers = props.get("analyzers")
+    if analyzers is not None and not isinstance(analyzers, list):
+        raise TraceParseError("analyzers must be a list", line)
+    prop_keys = {"code_version", "model_type", "architecture", "analyzers"}
+    extra = tuple(sorted((k, v) for k, v in props.items() if k not in prop_keys))
+    return Execution(
+        id=node_id,
+        operator=_ref_enum(record.get("operator"), OperatorKind, "operator", line),
+        pipeline_id=str(record.get("pipeline_id", "")),
+        start_at=_ref_timestamp(record, "start_at", line),
+        end_at=_ref_timestamp(record, "end_at", line),
+        state=_ref_enum(record.get("state"), ExecutionState, "execution state", line),
+        cpu_cost=cost,
+        code_version=None if props.get("code_version") is None else str(props["code_version"]),
+        model_type=None
+        if model_type is None
+        else _ref_enum(model_type, ModelType, "model type", line),
+        architecture=None if props.get("architecture") is None else str(props["architecture"]),
+        analyzers=None
+        if analyzers is None
+        else tuple(_ref_enum(a, Analyzer, "analyzer", line) for a in analyzers),
+        extra=extra,
+    )
+
+
+def reference_parse_trace(lines: Iterable[str]) -> Trace:
+    """``parse_trace`` one record at a time: each line through ``json.loads``,
+    each enum looked up by calling its class, each edge an ``Edge`` from the
+    start, deduplicated in a set.
+
+    Unlike the library it coerces ill-typed fields: a non-string
+    ``pipeline_id``, feature name, ``code_version`` or ``architecture`` goes
+    through ``str``, counts through ``int``, histogram entries through
+    ``float``, and a falsy non-object ``properties`` reads as ``{}``.
+    """
+    artifacts: dict[str, Artifact] = {}
+    executions: dict[str, Execution] = {}
+    raw_edges: list[tuple[Edge, int]] = []
+    pipeline_id: str | None = None
+
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        try:
+            record = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise TraceParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from None
+        if not isinstance(record, dict):
+            raise TraceParseError("record must be a JSON object", line_no)
+        kind = record.get("kind")
+        if kind == "artifact":
+            node = _ref_artifact(record, line_no)
+        elif kind == "execution":
+            node = _ref_execution(record, line_no)
+        elif kind == "edge":
+            src, dst = record.get("from"), record.get("to")
+            if not isinstance(src, str) or not isinstance(dst, str):
+                raise TraceParseError("edge missing from/to", line_no)
+            role = _ref_enum(record.get("role"), EdgeRole, "edge role", line_no)
+            raw_edges.append((Edge(src=src, dst=dst, role=role), line_no))
+            continue
+        else:
+            raise TraceParseError(f"unknown record kind: {kind!r}", line_no)
+
+        if node.id in artifacts or node.id in executions:
+            raise TraceParseError(f"duplicate node id {node.id!r}", line_no)
+        if pipeline_id is None:
+            pipeline_id = node.pipeline_id
+        elif node.pipeline_id != pipeline_id:
+            raise TraceParseError(
+                f"conflicting pipeline_id {node.pipeline_id!r} (file is {pipeline_id!r})", line_no
+            )
+        if kind == "artifact":
+            artifacts[node.id] = node
+        else:
+            executions[node.id] = node
+
+    edges: set[Edge] = set()
+    for edge, line_no in raw_edges:
+        for endpoint in (edge.src, edge.dst):
+            if endpoint not in artifacts and endpoint not in executions:
+                raise TraceParseError(f"edge endpoint {endpoint!r} does not exist", line_no)
+        if edge.role is EdgeRole.INPUT:
+            ok = edge.src in artifacts and edge.dst in executions
+        else:
+            ok = edge.src in executions and edge.dst in artifacts
+        if not ok:
+            raise TraceParseError(
+                f"edge {edge.src!r}->{edge.dst!r} role violates bipartite orientation", line_no
+            )
+        edges.add(edge)
+
+    if pipeline_id is None:
+        raise TraceParseError("no node records")
+    return Trace(
+        pipeline_id=pipeline_id,
+        artifacts=dict(sorted(artifacts.items())),
+        executions=dict(sorted(executions.items())),
+        edges=tuple(sorted(edges)),
+    )
 
 def load_truth(path: str | Path) -> PlantedTruth:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -3,14 +3,17 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import serialize_trace
+from oracles import random_trace, reference_parse_trace, serialize_trace
 
 from graphlets.trace import (
+    ArtifactType,
     TraceParseError,
     index_trace,
     load_corpus,
@@ -147,10 +150,11 @@ HIST = SPAN_STATS + ("features", 0, "hist")
         ([_with(TRANSFORM, ("properties", "analyzers"), 5)], "line 1: analyzers must be a list"),
         ([MINIMAL[0], '{"kind": ' + "1" * 5000 + "}"], "line 2: invalid JSON"),
         ([MINIMAL[0], "[" * 100_000 + "]" * 100_000], "line 2: invalid JSON"),
+        ([MINIMAL[0], MINIMAL[2] + " {}"], r"line 2: invalid JSON \(Extra data\)"),
     ],
     ids=[
         "huge_cpu_cost", "span_stats_not_object", "hist_not_numbers", "analyzers_not_list",
-        "integer_literal_over_digit_limit", "nesting_too_deep",
+        "integer_literal_over_digit_limit", "nesting_too_deep", "data_after_the_record",
     ],
 )
 def test_parse_malformed_field_raises_typed_error(lines, message):
@@ -196,6 +200,139 @@ JSON_VALUES = st.recursive(
 )
 
 
+FEATURES = SPAN_STATS + ("features",)
+
+
+@pytest.mark.parametrize(
+    "index, path, value, message",
+    [
+        # ``index`` None: every node record, so that the file's pipeline ids agree.
+        (None, ("pipeline_id",), None, "line 1: pipeline_id must be a string"),
+        (None, ("pipeline_id",), 5, "line 1: pipeline_id must be a string"),
+        (2, FEATURES + (0, "name"), None, "line 3: span_stats feature name must be a string"),
+        (2, FEATURES + (1, "top10"), "21",
+         "line 3: categorical feature 'y' top10 must be a list of integers"),
+        (2, FEATURES + (1, "top10"), [2.9, 1.2],
+         "line 3: categorical feature 'y' top10 must be a list of integers"),
+        (2, FEATURES + (1, "unique"), True,
+         "line 3: categorical feature 'y' unique/total must be integers"),
+        (2, FEATURES + (1, "total"), "3",
+         "line 3: categorical feature 'y' unique/total must be integers"),
+        (2, FEATURES + (0, "hist", 0), True,
+         "line 3: numerical feature 'x' hist must hold numbers"),
+        (2, FEATURES + (0, "hist", 0), "1",
+         "line 3: numerical feature 'x' hist must hold numbers"),
+        (2, ("properties",), [], "line 3: artifact properties must be an object"),
+        (1, ("properties",), 0, "line 2: execution properties must be an object"),
+        (1, ("properties",), False, "line 2: execution properties must be an object"),
+        (1, ("properties",), "", "line 2: execution properties must be an object"),
+        (0, ("properties", "code_version"), {"a": 1}, "line 1: code_version must be a string"),
+        (0, ("properties", "architecture"), [1], "line 1: architecture must be a string"),
+    ],
+    ids=[
+        "pipeline_id_null", "pipeline_id_int", "feature_name_null", "top10_string",
+        "top10_floats", "unique_bool", "total_string", "hist_bool", "hist_string",
+        "properties_empty_list", "properties_zero", "properties_false", "properties_empty_string",
+        "code_version_object", "architecture_list",
+    ],
+)
+def test_ill_typed_field_is_rejected_not_coerced(index, path, value, message):
+    lines = copy.copy(FUZZ_LINES)
+    for i in range(3) if index is None else [index]:
+        lines[i] = _with(lines[i], path, value)
+    reference_parse_trace(lines)  # the reference parser coerced the value
+    with pytest.raises(TraceParseError, match=re.escape(message)):
+        parse_trace(lines)
+
+
+def test_null_or_absent_optional_field_means_none():
+    trainer, transform, span = (json.loads(line) for line in FUZZ_LINES[:3])
+    trainer["properties"].update(code_version=None, architecture=None)
+    del transform["properties"]
+    span["properties"] = None
+    for record in (trainer, transform, span):
+        del record["pipeline_id"]
+    trace = parse_trace([json.dumps(trainer), json.dumps(transform), json.dumps(span)])
+    assert trace.pipeline_id == ""
+    assert trace.executions["t"].code_version is None
+    assert trace.executions["t"].architecture is None
+    assert trace.executions["tf"].extra == () and trace.executions["tf"].analyzers is None
+    assert trace.artifacts["s"].span_stats is None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _ill_typed(record) -> bool:
+    """True if a node record holds a field of a JSON type the format does not
+    allow, of the kinds the reference parser coerced instead of rejecting."""
+    if not isinstance(record, dict) or record.get("kind") not in ("artifact", "execution"):
+        return False
+    if not isinstance(record.get("pipeline_id", ""), str):
+        return True
+    props = record.get("properties")
+    if props is not None and not isinstance(props, dict):
+        return True
+    props = props or {}
+    if record["kind"] == "execution":
+        return any(
+            props.get(key) is not None and not isinstance(props[key], str)
+            for key in ("code_version", "architecture")
+        )
+    stats = props.get("span_stats")
+    features = stats.get("features") if isinstance(stats, dict) else None
+    for f in features if isinstance(features, list) else ():
+        if not isinstance(f, dict):
+            continue
+        if "name" in f and not isinstance(f["name"], str):
+            return True
+        if f.get("type") == "numerical" and isinstance(f.get("hist"), list):
+            if not all(_is_int(b) or isinstance(b, float) for b in f["hist"]):
+                return True
+        elif f.get("type") == "categorical":
+            top10 = f.get("top10")
+            if top10 is not None and not (isinstance(top10, list) and all(map(_is_int, top10))):
+                return True
+            if any(f.get(key) is not None and not _is_int(f[key]) for key in ("unique", "total")):
+                return True
+    return False
+
+
+# The rules an ill-typed field breaks; the reference parser coerced such fields.
+TYPE_RULES = re.compile(
+    r"must be a string|must be a list of integers|must be integers|hist must hold numbers"
+    r"|properties must be an object"
+)
+
+
+def _outcome(parse, lines):
+    """The parsed trace's repr (NaN-safe, unlike ==), or the error's line and text."""
+    try:
+        return repr(parse(lines))
+    except TraceParseError as exc:
+        return exc.line, str(exc)
+
+
+def _records(lines):
+    for line in lines:
+        try:
+            yield json.loads(line)
+        except (ValueError, RecursionError):
+            pass
+
+
+def _assert_parses_like_reference(lines):
+    """Same trace or same error as ``reference_parse_trace``, except where a
+    record holds an ill-typed field: then the parser rejects it by its rule."""
+    got, want = _outcome(parse_trace, lines), _outcome(reference_parse_trace, lines)
+    if got == want:
+        return
+    assert isinstance(got, tuple), f"accepted a file the reference rejects: {want}"
+    assert TYPE_RULES.search(got[1]), (got, want)
+    assert any(_ill_typed(r) for r in _records(lines)), (got, want)
+
+
 def test_fuzz_base_record_set_is_valid():
     assert validate_trace(parse_trace(FUZZ_LINES)) == []
 
@@ -210,6 +347,51 @@ def test_any_field_value_parses_or_raises_parse_error(field, value):
         parse_trace(lines)
     except TraceParseError as exc:
         assert exc.line is not None, exc
+    _assert_parses_like_reference(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pyrandom=st.randoms(use_true_random=False),
+    blanks=st.lists(st.sampled_from(["", "   ", "\t", " \u3000 "]), max_size=4),
+    value=st.none() | JSON_VALUES,
+)
+def test_parse_matches_reference_on_shuffled_random_traces(pyrandom, blanks, value):
+    """Random valid traces, shuffled, with blank lines, one record repeated and,
+    when ``value`` is set, one field of one record replaced by it."""
+    rng = np.random.default_rng(pyrandom.randrange(2**32))
+    lines = list(serialize_trace(random_trace(rng, max_execs=25)))
+    lines.append(pyrandom.choice(lines))
+    pyrandom.shuffle(lines)
+    if value is not None:
+        i = pyrandom.randrange(len(lines))
+        path = pyrandom.choice(list(_field_paths(json.loads(lines[i]))))
+        lines[i] = _with(lines[i], path, value) if path else json.dumps(value)
+    for blank in blanks:
+        lines.insert(pyrandom.randrange(len(lines) + 1), blank)
+    _assert_parses_like_reference(lines)
+
+
+def test_valid_file_parses_without_json_loads_or_enum_calls(warm_pair_dir, monkeypatch):
+    calls = []
+    loads, enum_call = json.loads, type(ArtifactType).__call__
+
+    def counting_loads(*args, **kwargs):
+        calls.append("json.loads")
+        return loads(*args, **kwargs)
+
+    def counting_enum_call(cls, *args, **kwargs):
+        calls.append(cls.__name__)
+        return enum_call(cls, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    monkeypatch.setattr(type(ArtifactType), "__call__", counting_enum_call)
+    trace = parse_trace_file(warm_pair_dir / "warmstart_pair.ndjson")
+    assert calls == []
+    assert validate_trace(trace) == []
+    with pytest.raises(TraceParseError, match="line 2: invalid JSON"):
+        parse_trace([MINIMAL[0], "{broken", MINIMAL[1]])
+    assert calls == ["json.loads"]
 
 
 def test_parse_trace_file_names_path_and_line(tmp_path):
@@ -356,10 +538,6 @@ def test_every_edge_alternates_kinds(warm_pair_trace):
 @settings(max_examples=30, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_round_trip_random_traces(pyrandom):
-    import numpy as np
-
-    from oracles import random_trace
-
     rng = np.random.default_rng(pyrandom.randrange(2**32))
     trace = random_trace(rng, max_execs=25)
     assert validate_trace(trace) == []
