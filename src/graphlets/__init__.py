@@ -9,7 +9,7 @@ computation against model freshness.
 __version__ = "0.1.0"
 
 from .segmentation import Graphlet, StopSet, extract_graphlets
-from .trace import Trace, index_trace, load_corpus, parse_trace, validate_trace
+from .trace import Trace, index_trace, parse_corpus, parse_trace, validate_trace
 
 __all__ = [
     "__version__",
@@ -19,6 +19,6 @@ __all__ = [
     "parse_trace",
     "validate_trace",
     "index_trace",
-    "load_corpus",
+    "parse_corpus",
     "extract_graphlets",
 ]

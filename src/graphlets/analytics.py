@@ -1,7 +1,11 @@
 """Corpus statistics: lifespans, cadence, feature shapes, costs, drift.
 
-Everything here is an associative reduction over traces or graphlets, so
-corpus shards can be aggregated independently and merged.  Per-pipeline
+Each statistic reads one pipeline at a time, so a command folds every
+pipeline into its accumulators while that pipeline's trace is alive and
+then drops the trace.  The folds run in corpus (file name) order, one
+accumulator carried across all pipelines.  Float addition is not
+associative: summing per-shard partials and merging them afterwards could
+change the last bits of a result, so shards are not merged.  Per-pipeline
 graphlet lists are taken in ``extract_graphlets`` order, by
 ``(trainer_end_at, anchor)``, and never re-sorted.
 """
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .segmentation import Graphlet, consecutive_pairs
 from .similarity import LshParams, SimWeights, SpanSimilarity
@@ -32,8 +36,8 @@ __all__ = [
     "DriftCodeTable",
     "PairSimilarity",
     "pipeline_stats",
-    "cost_breakdown",
-    "cadence_stats",
+    "add_costs",
+    "cost_fractions",
     "pair_similarities",
     "drift_code_table",
     "similarity_table",
@@ -110,16 +114,19 @@ def pipeline_stats(trace: Trace) -> PipelineStats:
     )
 
 
-def cost_breakdown(traces: Iterable[Trace]) -> dict[OperatorGroup, float]:
-    """Fraction of total compute per operator group, over unique executions.
+def add_costs(totals: dict[OperatorGroup, float], trace: Trace) -> None:
+    """Add one trace's execution costs to running per-group totals.
 
-    Graphlet overlaps never double-count here because the reduction walks
-    trace executions directly.
+    Graphlet overlaps never double-count here because the fold walks trace
+    executions directly.  Fold every trace, in corpus order, into the same
+    dict: that order fixes the bits of the sums.
     """
-    totals: dict[OperatorGroup, float] = {}
-    for trace in traces:
-        for ex in trace.executions.values():
-            totals[ex.group] = totals.get(ex.group, 0.0) + ex.cpu_cost
+    for ex in trace.executions.values():
+        totals[ex.group] = totals.get(ex.group, 0.0) + ex.cpu_cost
+
+
+def cost_fractions(totals: dict[OperatorGroup, float]) -> dict[OperatorGroup, float]:
+    """Fraction of total compute per operator group, from ``add_costs`` totals."""
     grand = sum(totals.values())
     if grand <= 0.0:
         raise ValueError("corpus has no compute cost to break down")
@@ -128,6 +135,8 @@ def cost_breakdown(traces: Iterable[Trace]) -> dict[OperatorGroup, float]:
 
 @dataclass
 class CadenceStats:
+    """Training/push cadence measurements, folded one pipeline at a time."""
+
     hours_between_all: list[float] = field(default_factory=list)
     hours_between_pushed: list[float] = field(default_factory=list)
     graphlets_between_pushes: list[int] = field(default_factory=list)
@@ -135,39 +144,37 @@ class CadenceStats:
     trainer_cpu_by_label: dict[str, list[float]] = field(
         default_factory=lambda: {"pushed": [], "unpushed": []}
     )
-    push_rate_by_model_type: dict[ModelType, float] = field(default_factory=dict)
+    # model type -> [graphlets, pushed graphlets]
+    type_counts: dict[ModelType, list[int]] = field(default_factory=dict)
 
-
-def cadence_stats(corpus: Sequence[tuple[Trace, list[Graphlet]]]) -> CadenceStats:
-    """Training/push cadence measurements over per-pipeline graphlet lists,
-    each in ``extract_graphlets`` order."""
-    stats = CadenceStats()
-    type_counts: dict[ModelType, list[int]] = {}
-    for trace, graphlets in corpus:
+    def add(self, trace: Trace, graphlets: Sequence[Graphlet]) -> None:
+        """Fold in one trace's graphlets, in ``extract_graphlets`` order."""
         for a, b in zip(graphlets, graphlets[1:]):
-            stats.hours_between_all.append((b.trainer_end_at - a.trainer_end_at) / MS_PER_HOUR)
+            self.hours_between_all.append((b.trainer_end_at - a.trainer_end_at) / MS_PER_HOUR)
         pushed = [g for g in graphlets if g.pushed]
         for a, b in zip(pushed, pushed[1:]):
-            stats.hours_between_pushed.append((b.trainer_end_at - a.trainer_end_at) / MS_PER_HOUR)
+            self.hours_between_pushed.append((b.trainer_end_at - a.trainer_end_at) / MS_PER_HOUR)
         pushed_positions = [i for i, g in enumerate(graphlets) if g.pushed]
         for p, q in zip(pushed_positions, pushed_positions[1:]):
-            stats.graphlets_between_pushes.append(q - p - 1)
+            self.graphlets_between_pushes.append(q - p - 1)
         for g in graphlets:
             starts = [
                 trace.executions[n].start_at for n in g.nodes if n in trace.executions
             ]
             if starts:
-                stats.duration_hours.append((g.trainer_end_at - min(starts)) / MS_PER_HOUR)
+                self.duration_hours.append((g.trainer_end_at - min(starts)) / MS_PER_HOUR)
             trainer = trace.executions[g.anchor]
             label = "pushed" if g.pushed else "unpushed"
-            stats.trainer_cpu_by_label[label].append(trainer.cpu_cost)
-            seen = type_counts.setdefault(g.model_type, [0, 0])
+            self.trainer_cpu_by_label[label].append(trainer.cpu_cost)
+            seen = self.type_counts.setdefault(g.model_type, [0, 0])
             seen[0] += 1
             seen[1] += int(g.pushed)
-    stats.push_rate_by_model_type = {
-        mt: pushed / total for mt, (total, pushed) in sorted(type_counts.items()) if total
-    }
-    return stats
+
+    @property
+    def push_rate_by_model_type(self) -> dict[ModelType, float]:
+        return {
+            mt: pushed / total for mt, (total, pushed) in sorted(self.type_counts.items()) if total
+        }
 
 
 @dataclass(frozen=True)
@@ -184,20 +191,15 @@ class PairSimilarity:
 
 
 def pair_similarities(
-    corpus: Sequence[tuple[Trace, list[Graphlet]]],
-    params: LshParams,
-    weights: SimWeights,
+    trace: Trace, graphlets: Sequence[Graphlet], params: LshParams, weights: SimWeights
 ) -> list[PairSimilarity]:
-    """Every consecutive graphlet pair of every pipeline, in corpus order."""
-    pairs = []
-    for trace, graphlets in corpus:
-        sims = SpanSimilarity(trace, graphlets, params, weights)
-        for prev, cur in consecutive_pairs(graphlets):
-            pairs.append(
-                PairSimilarity(trace.pipeline_id, prev.anchor, cur.anchor,
-                               *sims.compare(cur, prev), pushed=cur.pushed)
-            )
-    return pairs
+    """Every consecutive graphlet pair of one pipeline, oldest first."""
+    sims = SpanSimilarity(trace, graphlets, params, weights)
+    return [
+        PairSimilarity(trace.pipeline_id, prev.anchor, cur.anchor,
+                       *sims.compare(cur, prev), pushed=cur.pushed)
+        for prev, cur in consecutive_pairs(graphlets)
+    ]
 
 
 @dataclass(frozen=True)

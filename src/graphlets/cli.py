@@ -8,6 +8,13 @@ and key), on a model file that is not valid and on a path that cannot be
 read or written (the message names the path).  All outputs are
 deterministic given the inputs, the seed, and the config file; tabular
 outputs start with a format-version comment line followed by a header row.
+
+Every corpus command reads the corpus one pipeline at a time, through
+``workflow.stream_corpus``: each trace is reduced to what the command
+writes (records, statistics, pair similarities, feature rows) and dropped
+before the next file is parsed, so memory grows with those reductions, not
+with the traces.  Outputs are written only after the whole corpus has been
+read and found valid; ``evaluate`` and ``sweep`` read the model file first.
 """
 
 from __future__ import annotations
@@ -21,30 +28,30 @@ import numpy as np
 
 from . import __version__
 from .analytics import (
-    cadence_stats,
-    cost_breakdown,
+    CadenceStats,
+    add_costs,
+    cost_fractions,
     drift_code_table,
     pair_similarities,
     pipeline_stats,
     similarity_table,
 )
 from .config import RunConfig, load_config
-from .features import STAGES, FeatureStage, featurize_corpus
+from .features import STAGES, FeatureStage, Featurizer
 from .forest import fit
 from .policy import sweep
-from .segmentation import dump_graphlets, segment_corpus
+from .segmentation import dump_graphlets
 from .synth import generate, preset
-from .trace import load_corpus
 from .workflow import (
     CorpusValidationError,
-    corpus_featurizer,
+    corpus_rows,
     held_out_records,
     policy_report,
-    prepare_ml_corpus,
     push_balanced_accuracy,
-    require_valid,
     save_model,
     split_pipelines,
+    stream_corpus,
+    valid_traces,
 )
 
 TABLE_VERSION = "# graphlets-table v1"
@@ -86,11 +93,9 @@ def _write_similarity_table(path: Path, pairs) -> None:
     )
 
 
-def _segmented(args, cfg: RunConfig) -> tuple[list, list]:
-    """The validated traces and all their graphlets, warmstart pipelines included."""
-    traces = load_corpus(args.corpus)
-    require_valid(traces)
-    return traces, segment_corpus(traces, stop=cfg.stop)
+def _featurizer(cfg: RunConfig) -> Featurizer:
+    """The configured featurizer, before any vocabulary."""
+    return Featurizer(window=cfg.window, lsh=cfg.lsh, weights=cfg.weights)
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
@@ -116,31 +121,38 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 
 def cmd_validate(args, cfg: RunConfig) -> int:
-    traces = load_corpus(args.corpus)
-    require_valid(traces)
-    print(f"{len(traces)} traces valid")
+    count = sum(1 for _ in valid_traces(args.corpus))
+    print(f"{count} traces valid")
     return 0
 
 
 def cmd_segment(args, cfg: RunConfig) -> int:
-    _, corpus = _segmented(args, cfg)
+    lines = [
+        line
+        for _, graphlets in stream_corpus(args.corpus, cfg.stop)
+        for line in dump_graphlets(graphlets)
+    ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
     with out.open("w", encoding="utf-8") as fh:
-        for trace, graphlets in corpus:
-            for line in dump_graphlets(graphlets):
-                fh.write(line + "\n")
-                count += 1
-    print(f"wrote {count} graphlet records -> {out}")
+        for line in lines:
+            fh.write(line + "\n")
+    print(f"wrote {len(lines)} graphlet records -> {out}")
     return 0
 
 
 def cmd_stats(args, cfg: RunConfig) -> int:
-    traces, corpus = _segmented(args, cfg)
+    stats = []
+    cost_totals: dict = {}
+    cad = CadenceStats()
+    pairs = []
+    for trace, graphlets in stream_corpus(args.corpus, cfg.stop):
+        stats.append(pipeline_stats(trace))
+        add_costs(cost_totals, trace)
+        cad.add(trace, graphlets)
+        pairs += pair_similarities(trace, graphlets, cfg.lsh, cfg.weights)
     out = Path(args.out)
 
-    stats = [pipeline_stats(trace) for trace in traces]
     _write_table(
         out / "pipelines.tsv",
         ["pipeline_id", "lifespan_days", "models_per_day", "feature_count",
@@ -168,14 +180,12 @@ def cmd_stats(args, cfg: RunConfig) -> int:
         [[a.value, c] for a, c in sorted(analyzers.items())],
     )
 
-    breakdown = cost_breakdown(traces)
+    breakdown = cost_fractions(cost_totals)
     _write_table(
         out / "cost_breakdown.tsv",
         ["operator_group", "cost_fraction"],
         [[g.value, f] for g, f in sorted(breakdown.items())],
     )
-
-    cad = cadence_stats(corpus)
 
     def summary(name: str, values) -> list:
         arr = np.asarray(values, dtype=float)
@@ -209,7 +219,6 @@ def cmd_stats(args, cfg: RunConfig) -> int:
         [[mt.value, r] for mt, r in cad.push_rate_by_model_type.items()],
     )
 
-    pairs = pair_similarities(corpus, cfg.lsh, cfg.weights)
     _write_similarity_table(out / "similarity_table.tsv", pairs)
 
     drift = drift_code_table(pairs)
@@ -228,10 +237,11 @@ def cmd_stats(args, cfg: RunConfig) -> int:
 
 
 def cmd_similarity(args, cfg: RunConfig) -> int:
-    _, corpus = _segmented(args, cfg)
+    pairs = []
+    for trace, graphlets in stream_corpus(args.corpus, cfg.stop):
+        pairs += pair_similarities(trace, graphlets, cfg.lsh, cfg.weights)
     out = Path(args.out)
 
-    pairs = pair_similarities(corpus, cfg.lsh, cfg.weights)
     _write_table(
         out / "pairs.tsv",
         ["pipeline_id", "anchor_a", "anchor_b", "jaccard", "dataset_sim"],
@@ -244,8 +254,9 @@ def cmd_similarity(args, cfg: RunConfig) -> int:
 
 
 def cmd_featurize(args, cfg: RunConfig) -> int:
-    corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
-    feats = featurize_corpus(corpus, corpus_featurizer(corpus, cfg.window, cfg.lsh, cfg.weights))
+    featurizer = _featurizer(cfg)
+    pipelines = corpus_rows(args.corpus, featurizer, cfg.stop)
+    feats = featurizer.with_vocab(pipelines).assemble(pipelines)
     stage = FeatureStage(args.stage)
     names, X, costs = feats.stage_view(stage)
     rows = []
@@ -264,10 +275,12 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
-    spec, train, _ = split_pipelines(corpus, seed=cfg.split_seed)
-    featurizer = corpus_featurizer(train, cfg.window, cfg.lsh, cfg.weights)
-    feats = featurize_corpus(train, featurizer)
+    featurizer = _featurizer(cfg)
+    spec, train, _ = split_pipelines(
+        corpus_rows(args.corpus, featurizer, cfg.stop), seed=cfg.split_seed
+    )
+    featurizer = featurizer.with_vocab(train)
+    feats = featurizer.assemble(train)
     stage = FeatureStage(args.stage)
     names, X, _ = feats.stage_view(stage)
     model = fit(X, feats.y, cfg.forest, feature_names=names)
@@ -279,13 +292,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _test_records(args, cfg: RunConfig):
-    corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
-    return held_out_records(corpus, args.model)
-
-
 def cmd_evaluate(args, cfg: RunConfig) -> int:
-    stage, records = _test_records(args, cfg)
+    stage, records = held_out_records(args.corpus, args.model, cfg.stop)
     labels = [r.label for r in records]
     acc = push_balanced_accuracy(records)
     _write_table(
@@ -298,7 +306,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    stage, records = _test_records(args, cfg)
+    stage, records = held_out_records(args.corpus, args.model, cfg.stop)
     curve = sweep(records)
     _write_curve(Path(args.out), curve)
     print(
@@ -310,12 +318,10 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_report(args, cfg: RunConfig) -> int:
-    corpus = prepare_ml_corpus(load_corpus(args.corpus), stop=cfg.stop)
+    featurizer = _featurizer(cfg)
     report = policy_report(
-        corpus,
-        window=cfg.window,
-        lsh=cfg.lsh,
-        weights=cfg.weights,
+        corpus_rows(args.corpus, featurizer, cfg.stop),
+        featurizer,
         forest_cfg=cfg.forest,
         seed=cfg.split_seed,
     )

@@ -20,11 +20,19 @@ A row reads only its graphlet, the graphlet's predecessors and the trace's
 ``SpanSimilarity``: shape, architecture and costs travel on the graphlet.
 Per-pipeline graphlet lists are taken in ``extract_graphlets`` order, by
 ``(trainer_end_at, anchor)``, and never re-sorted.
+
+Rows are made in two steps, so that no trace has to outlive its pipeline.
+``Featurizer.pipeline_rows`` computes, while the trace is alive, every
+column that does not depend on the architecture vocabulary (history and
+shape), the stage costs and the label, and keeps each graphlet's model type
+and architecture name.  ``Featurizer.assemble`` later fills the one-hot
+model columns from its vocabulary, which ``build_arch_vocab`` takes from
+the training pipelines' rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -38,10 +46,10 @@ __all__ = [
     "FeatureStage",
     "WindowConfig",
     "Featurizer",
+    "PipelineRows",
     "CorpusFeatures",
     "MISSING",
     "build_arch_vocab",
-    "featurize_corpus",
 ]
 
 MISSING = -1.0
@@ -89,17 +97,37 @@ class WindowConfig:
             raise ValueError("window must be at least 1")
 
 
-def build_arch_vocab(graphlets_by_trace: Iterable[tuple[Trace, Sequence[Graphlet]]]) -> tuple[str, ...]:
+@dataclass
+class PipelineRows:
+    """One pipeline's feature rows without the model columns.
+
+    ``X`` holds the history and shape columns of each graphlet, in
+    ``extract_graphlets`` order; ``stage_costs`` has one column per stage, in
+    ``STAGES`` order.  The model type and architecture name of each row wait
+    for a vocabulary.  Nothing here refers back to the trace.
+    """
+
+    pipeline_id: str
+    X: np.ndarray
+    labels: list[bool]
+    stage_costs: np.ndarray
+    total_costs: list[float]  # each graphlet's cost over all operator groups
+    anchors: list[str]
+    model_types: list[ModelType]
+    architectures: list[str | None]
+
+
+def build_arch_vocab(pipelines: Iterable[PipelineRows]) -> tuple[str, ...]:
     """Architecture vocabulary: the most frequent names, capped and sorted.
 
     Architectures beyond the cap, or unseen at featurization time, fall into
     the shared "other" slot.
     """
     counts: dict[str, int] = {}
-    for _, graphlets in graphlets_by_trace:
-        for g in graphlets:
-            if g.architecture:
-                counts[g.architecture] = counts.get(g.architecture, 0) + 1
+    for rows in pipelines:
+        for architecture in rows.architectures:
+            if architecture:
+                counts[architecture] = counts.get(architecture, 0) + 1
     keep = sorted(counts, key=lambda a: (-counts[a], a))[:ARCH_VOCAB_CAP]
     return tuple(sorted(keep))
 
@@ -126,6 +154,10 @@ class Featurizer:
     lsh: LshParams = LshParams()
     weights: SimWeights = SimWeights()
     arch_vocab: tuple[str, ...] = ()
+
+    def with_vocab(self, pipelines: Iterable[PipelineRows]) -> Featurizer:
+        """This featurizer with the architecture vocabulary of ``pipelines``."""
+        return replace(self, arch_vocab=build_arch_vocab(pipelines))
 
     def model_names(self) -> list[str]:
         names = [f"model_type_{mt.value}" for mt in ModelType]
@@ -167,12 +199,12 @@ class Featurizer:
             values.append(fan_out / count if count else 0.0)
         return values
 
-    def model_features(self, g: Graphlet) -> list[float]:
-        values = [1.0 if g.model_type is mt else 0.0 for mt in ModelType]
+    def model_features(self, model_type: ModelType, architecture: str | None) -> list[float]:
+        values = [1.0 if model_type is mt else 0.0 for mt in ModelType]
         hot = [0.0] * (len(self.arch_vocab) + 1)
-        if g.architecture:
-            if g.architecture in self.arch_vocab:
-                hot[self.arch_vocab.index(g.architecture)] = 1.0
+        if architecture:
+            if architecture in self.arch_vocab:
+                hot[self.arch_vocab.index(architecture)] = 1.0
             else:
                 hot[-1] = 1.0
         return values + hot
@@ -193,13 +225,13 @@ class Featurizer:
 
     # -- assembly --------------------------------------------------------
 
-    def full_row(
+    def history_and_shape(
         self, g: Graphlet, predecessors: Sequence[Graphlet], sims: SpanSimilarity
     ) -> list[float]:
-        """The validation-stage row: reads only ``g``, its predecessors and
-        the trace's ``SpanSimilarity``."""
-        row = self.model_features(g)
-        row += self.history_features(g, predecessors, sims)
+        """The columns after the model block, those the vocabulary does not
+        touch: reads only ``g``, its predecessors and the trace's
+        ``SpanSimilarity``."""
+        row = self.history_features(g, predecessors, sims)
         row += self.shape_features(g, PRE_TRAINER_KINDS)
         row += self.shape_features(g, TRAINER_KINDS)
         row += self.shape_features(g, POST_TRAINER_KINDS)
@@ -207,6 +239,65 @@ class Featurizer:
 
     def stage_cost(self, g: Graphlet, stage: FeatureStage) -> float:
         return sum(g.costs.get(group, 0.0) for group in STAGE_COST_GROUPS[stage])
+
+    def pipeline_rows(self, trace: Trace, graphlets: Sequence[Graphlet]) -> PipelineRows:
+        """Every graphlet of one trace against its own pipeline history.
+
+        ``graphlets`` must be the trace's list in ``extract_graphlets``
+        order, oldest trainer first.  Only the window, LSH and weights are
+        read here; the vocabulary is not.
+        """
+        sims = SpanSimilarity(trace, graphlets, self.lsh, self.weights)
+        w = self.window.w
+        rows = [
+            self.history_and_shape(g, graphlets[max(0, pos - w): pos][::-1], sims)
+            for pos, g in enumerate(graphlets)
+        ]
+        width = len(self.full_names()) - len(self.model_names())
+        costs = [[self.stage_cost(g, stage) for stage in STAGES] for g in graphlets]
+        return PipelineRows(
+            pipeline_id=trace.pipeline_id,
+            X=np.asarray(rows, dtype=float).reshape(len(rows), width),
+            labels=[g.pushed for g in graphlets],
+            stage_costs=np.asarray(costs, dtype=float).reshape(len(costs), len(STAGES)),
+            total_costs=[g.total_cost for g in graphlets],
+            anchors=[g.anchor for g in graphlets],
+            model_types=[g.model_type for g in graphlets],
+            architectures=[g.architecture for g in graphlets],
+        )
+
+    def assemble(self, pipelines: Sequence[PipelineRows]) -> CorpusFeatures:
+        """The validation-stage matrix of ``pipelines``, rows in their order:
+        the model columns, filled from this featurizer's vocabulary, ahead of
+        each row's history and shape columns.
+
+        Pass the training featurizer when scoring held-out pipelines, so
+        that unseen architectures map to "other".
+        """
+        n_model = len(self.model_names())
+        model = [
+            self.model_features(model_type, architecture)
+            for rows in pipelines
+            for model_type, architecture in zip(rows.model_types, rows.architectures)
+        ]
+        if pipelines:
+            rest = np.concatenate([rows.X for rows in pipelines])
+            costs = np.concatenate([rows.stage_costs for rows in pipelines]).T.copy()
+        else:
+            rest = np.zeros((0, len(self.full_names()) - n_model))
+            costs = np.zeros((len(STAGES), 0))
+        return CorpusFeatures(
+            featurizer=self,
+            names=self.full_names(),
+            X=np.concatenate([np.asarray(model, dtype=float).reshape(len(model), n_model), rest],
+                             axis=1),
+            y=np.asarray([label for rows in pipelines for label in rows.labels], dtype=bool),
+            stage_costs=dict(zip(STAGES, costs)),
+            pipeline_ids=[rows.pipeline_id for rows in pipelines for _ in rows.labels],
+            anchors=[anchor for rows in pipelines for anchor in rows.anchors],
+            model_types=[mt.value for rows in pipelines for mt in rows.model_types],
+            total_costs=[cost for rows in pipelines for cost in rows.total_costs],
+        )
 
 
 @dataclass
@@ -229,45 +320,3 @@ class CorpusFeatures:
 
     def column(self, name: str) -> np.ndarray:
         return self.X[:, self.names.index(name)]
-
-
-def featurize_corpus(
-    corpus: Sequence[tuple[Trace, Sequence[Graphlet]]], featurizer: Featurizer
-) -> CorpusFeatures:
-    """Featurize every graphlet of a corpus against its own pipeline history.
-
-    Each graphlet list must be in ``extract_graphlets`` order, oldest
-    trainer first; rows follow that order.  Pass the training featurizer when
-    scoring held-out pipelines, so that unseen architectures map to "other".
-    """
-    rows: list[list[float]] = []
-    labels: list[bool] = []
-    costs: dict[FeatureStage, list[float]] = {stage: [] for stage in STAGES}
-    pipeline_ids: list[str] = []
-    anchors: list[str] = []
-    model_types: list[str] = []
-    total_costs: list[float] = []
-    for trace, graphlets in corpus:
-        sims = SpanSimilarity(trace, graphlets, featurizer.lsh, featurizer.weights)
-        for pos, g in enumerate(graphlets):
-            predecessors = graphlets[max(0, pos - featurizer.window.w): pos][::-1]
-            rows.append(featurizer.full_row(g, predecessors, sims))
-            labels.append(g.pushed)
-            for stage in STAGES:
-                costs[stage].append(featurizer.stage_cost(g, stage))
-            pipeline_ids.append(g.pipeline_id)
-            anchors.append(g.anchor)
-            model_types.append(g.model_type.value)
-            total_costs.append(g.total_cost)
-    X = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(featurizer.full_names())))
-    return CorpusFeatures(
-        featurizer=featurizer,
-        names=featurizer.full_names(),
-        X=X,
-        y=np.asarray(labels, dtype=bool),
-        stage_costs={stage: np.asarray(v, dtype=float) for stage, v in costs.items()},
-        pipeline_ids=pipeline_ids,
-        anchors=anchors,
-        model_types=model_types,
-        total_costs=total_costs,
-    )

@@ -136,6 +136,10 @@ _CHUNK_CELLS = 1 << 14
 # draw covers twice as many as the one before.
 _FIRST_DRAWS = 16
 
+# Scoring walks at most about this many (tree, row) pairs at once, so its
+# index arrays stay near 1 MB each however many rows are scored.
+_SCORE_PAIRS = 1 << 17
+
 
 def _key_dtype(n: int) -> type:
     """The narrowest dtype for the keys of ``n`` rows: ranks lie below n, so
@@ -427,16 +431,20 @@ def scores(forest: Forest, X: np.ndarray, feature_names: Sequence[str] | None = 
     right[own] = own
     feature[own] = 0
     threshold = np.concatenate([t.threshold for t in trees])
-    # Walk every (tree, row) pair down together, however deep the trees are.
-    node = np.repeat(start, len(X))
-    row = np.tile(np.arange(len(X)), len(trees))
-    while (left[node] != node).any():
-        node = np.where(X[row, feature[node]] <= threshold[node], left[node], right[node])
-    fraction = np.concatenate([t.fraction for t in trees])[node].reshape(len(trees), len(X))
-    # Sum tree by tree, in index order, so the float total never changes.
+    fractions = np.concatenate([t.fraction for t in trees])
     total = np.zeros(len(X))
-    for tree_fraction in fraction:
-        total += tree_fraction
+    # Walk every (tree, row) pair of a block of rows down together, however
+    # deep the trees are; blocks keep the walk's arrays near _SCORE_PAIRS.
+    step = max(1, _SCORE_PAIRS // len(trees))
+    for lo in range(0, len(X), step):
+        block = X[lo: lo + step]
+        node = np.repeat(start, len(block))
+        row = np.tile(np.arange(len(block)), len(trees))
+        while (left[node] != node).any():
+            node = np.where(block[row, feature[node]] <= threshold[node], left[node], right[node])
+        # Sum tree by tree, in index order, so the float total never changes.
+        for tree_fraction in fractions[node].reshape(len(trees), len(block)):
+            total[lo: lo + step] += tree_fraction
     return total / len(trees)
 
 

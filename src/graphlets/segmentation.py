@@ -24,7 +24,7 @@ layers need: its shape, the anchor trainer's model type and architecture, and
 whether that trainer reads a model artifact (warmstart).  ``extract_graphlets``
 returns a trace's graphlets ordered by ``(trainer_end_at, anchor)``.  Every
 consumer of a trace's graphlet list (``consecutive_pairs``,
-``filter_warmstart``, features, analytics) expects the whole list in that
+``is_warmstart``, features, analytics) expects the whole list in that
 order and never re-sorts it.
 """
 
@@ -51,9 +51,8 @@ __all__ = [
     "extract_graphlets",
     "label_pushed",
     "consecutive_pairs",
-    "filter_warmstart",
+    "is_warmstart",
     "overlap_adjusted_costs",
-    "segment_corpus",
     "graphlet_record",
     "dump_graphlets",
 ]
@@ -200,16 +199,15 @@ def consecutive_pairs(graphlets: Sequence[Graphlet]) -> list[tuple[Graphlet, Gra
     return list(zip(graphlets, graphlets[1:]))
 
 
-def filter_warmstart(
-    corpus: Iterable[tuple[Trace, list[Graphlet]]]
-) -> list[tuple[Trace, list[Graphlet]]]:
-    """Drop pipelines where any trainer consumes a model artifact directly.
+def is_warmstart(graphlets: Sequence[Graphlet]) -> bool:
+    """True iff a trainer of the pipeline consumes a model artifact directly.
 
     Unpushed graphlets in warmstart pipelines can still be useful to later
-    training runs, so they must not be counted as waste.  Each graphlet list
-    must hold every graphlet of its trace, as ``segment_corpus`` returns it.
+    training runs, so they must not be counted as waste, and the model
+    commands leave such pipelines out.  ``graphlets`` must be every graphlet
+    of one trace, as ``extract_graphlets`` returns them.
     """
-    return [(trace, gs) for trace, gs in corpus if not any(g.warmstart for g in gs)]
+    return any(g.warmstart for g in graphlets)
 
 
 def _costs_for(trace: Trace, nodes: frozenset[str]) -> dict[OperatorGroup, float]:
@@ -232,12 +230,6 @@ def overlap_adjusted_costs(
     for g in graphlets:
         union.update(g.nodes)
     return _costs_for(trace, frozenset(union))
-
-
-def segment_corpus(
-    traces: Iterable[Trace], stop: StopSet = DEFAULT_STOP_SET
-) -> list[tuple[Trace, list[Graphlet]]]:
-    return [(t, extract_graphlets(t, stop=stop)) for t in traces]
 
 
 def graphlet_record(g: Graphlet) -> dict:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "ArtifactType",
@@ -54,7 +54,7 @@ __all__ = [
     "parse_trace_file",
     "validate_trace",
     "index_trace",
-    "load_corpus",
+    "parse_corpus",
 ]
 
 MS_PER_DAY = 86_400_000
@@ -676,12 +676,17 @@ def index_trace(trace: Trace) -> TraceIndex:
     )
 
 
-def load_corpus(directory: str | Path) -> list[Trace]:
-    """Parse every ``*.ndjson`` trace file in a corpus directory, sorted by name.
+def parse_corpus(directory: str | Path) -> Iterator[Trace | None]:
+    """Parse a corpus directory's ``*.ndjson`` trace files one at a time, in
+    name order, yielding each file's ``Trace``, or ``None`` for a malformed
+    file.
 
     A directory without trace files is an error, not an empty corpus.  Every
-    file is parsed even after one fails; the ``TraceParseError`` raised then
-    lists each malformed file's ``<path>: line N: <message>`` on its own line.
+    file is parsed even after one fails; after the last file one
+    ``TraceParseError`` is raised that lists each malformed file's
+    ``<path>: line N: <message>`` on its own line.  Nothing is kept from one
+    file to the next, so a consumer that drops each trace before asking for
+    the next holds at most one in memory.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -689,15 +694,27 @@ def load_corpus(directory: str | Path) -> list[Trace]:
     paths = sorted(directory.glob("*.ndjson"))
     if not paths:
         raise ValueError(f"no trace files in {directory}")
-    traces: list[Trace] = []
     errors: list[TraceParseError] = []
     for path in paths:
         try:
-            traces.append(parse_trace_file(path))
+            trace = parse_trace_file(path)
         except TraceParseError as exc:
             errors.append(exc)
+            trace = None
+        yield trace
+        del trace  # not held while the next file parses
     if len(errors) == 1:
         raise errors[0]
     if errors:
         raise TraceParseError("\n".join(str(exc) for exc in errors))
-    return traces
+
+
+def load_corpus(directory: str | Path) -> list[Trace]:
+    """Every trace of a corpus directory in one list, in file name order;
+    raises as ``parse_corpus`` does.
+
+    No command holds a whole corpus: they stream it through
+    ``workflow.stream_corpus``.  This is for callers that want every trace
+    at once, such as the test suite.
+    """
+    return [trace for trace in parse_corpus(directory) if trace is not None]

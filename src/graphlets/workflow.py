@@ -1,11 +1,25 @@
 """End-to-end runs: corpus -> graphlets -> features -> models -> policies.
 
-Glue between the pure modules, shared by the CLI and the test suite.  The
-train/test discipline lives here: pipelines are split whole, the
+Glue between the pure modules, shared by the CLI and the test suite.
+
+Every command reads its corpus through one per-pipeline pass,
+``stream_corpus``: each trace file is parsed, checked, segmented and handed
+to the caller, which reduces it (to statistics, pair similarities or
+feature rows) and drops it before the next file is parsed.  Memory is
+bounded by one trace plus the reductions, not by the corpus: on the
+default 150-pipeline corpus, ``stats`` peaks near 60 MB where holding every
+trace took over 450 MB.  A corpus with a malformed or invalid file yields
+nothing after that file, and the pass raises once every file is read, so
+no command writes output for a bad corpus.
+
+The train/test discipline lives here too: pipelines are split whole, the
 architecture vocabulary comes from the training side only, and the staged
-models are column views over one featurization pass.  A model file carries
-one trained stage with the featurizer and split it needs to score the
-held-out pipelines; ``save_model`` and ``load_model`` are its only codec.
+models are column views over one featurization pass.  The model commands
+keep, per pipeline, only its vocabulary-free feature rows
+(``Featurizer.pipeline_rows``); the split and the vocabulary are made from
+those once the pass is over.  A model file carries one trained stage with
+the featurizer and split it needs to score the held-out pipelines;
+``save_model`` and ``load_model`` are its only codec.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Container, Iterator, Sequence
 
 import numpy as np
 
@@ -23,9 +37,8 @@ from .features import (
     CorpusFeatures,
     FeatureStage,
     Featurizer,
+    PipelineRows,
     WindowConfig,
-    build_arch_vocab,
-    featurize_corpus,
 )
 from .forest import (
     Forest,
@@ -39,19 +52,18 @@ from .forest import (
     split_corpus,
 )
 from .policy import EvalRecord, HeuristicRow, TradeoffCurve, heuristic_baselines, sweep
-from .segmentation import DEFAULT_STOP_SET, Graphlet, StopSet, filter_warmstart, segment_corpus
+from .segmentation import DEFAULT_STOP_SET, Graphlet, StopSet, extract_graphlets, is_warmstart
 from .similarity import LshParams, SimWeights
-from .trace import Trace, validate_trace
+from .trace import Trace, parse_corpus, validate_trace
 
 __all__ = [
     "CorpusValidationError",
     "StageReport",
     "PolicyReport",
-    "validate_corpus",
-    "require_valid",
-    "prepare_ml_corpus",
+    "valid_traces",
+    "stream_corpus",
+    "corpus_rows",
     "split_pipelines",
-    "corpus_featurizer",
     "eval_records",
     "push_balanced_accuracy",
     "heuristic_rows",
@@ -61,7 +73,6 @@ __all__ = [
     "held_out_records",
 ]
 
-Corpus = list[tuple[Trace, list[Graphlet]]]
 MODEL_FORMAT = "graphlets-model-v1"
 
 
@@ -71,45 +82,72 @@ class CorpusValidationError(ValueError):
         super().__init__(f"{len(violations)} trace violations")
 
 
-def validate_corpus(traces: list[Trace]) -> list[str]:
-    """Every trace's violations, plus one per pipeline id that a trace repeats."""
-    violations = []
+def valid_traces(directory: str | Path) -> Iterator[Trace]:
+    """Parse and check a corpus's trace files one at a time, in name order.
+
+    Each trace is checked (``validate_trace``, and its pipeline id against
+    the earlier files') and yielded as long as no file so far was malformed
+    or invalid.  After the first failure the remaining files are still
+    parsed and checked, so that every error is reported, but nothing more is
+    yielded.  At the end every parse error is raised as one
+    ``TraceParseError``; if there were none, every violation, in file order,
+    as a ``CorpusValidationError``.  Callers must therefore write nothing
+    before the pass is exhausted.
+    """
+    violations: list[str] = []
     seen: set[str] = set()
-    for trace in traces:
+    malformed = False
+    for trace in parse_corpus(directory):
+        if trace is None:
+            malformed = True
+            continue
         if trace.pipeline_id in seen:
             violations.append(f"{trace.pipeline_id}: pipeline id used by more than one trace")
         seen.add(trace.pipeline_id)
         violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace))
-    return violations
-
-
-def require_valid(traces: list[Trace]) -> None:
-    """Raise ``CorpusValidationError`` carrying every violation, if any."""
-    violations = validate_corpus(traces)
+        if not (malformed or violations):
+            yield trace
     if violations:
         raise CorpusValidationError(violations)
 
 
-def prepare_ml_corpus(traces: list[Trace], stop: StopSet = DEFAULT_STOP_SET) -> Corpus:
-    """Validate, segment, and drop warmstart pipelines."""
-    require_valid(traces)
-    return filter_warmstart(segment_corpus(traces, stop=stop))
+def stream_corpus(
+    directory: str | Path, stop: StopSet = DEFAULT_STOP_SET
+) -> Iterator[tuple[Trace, list[Graphlet]]]:
+    """The per-pipeline pass: each valid trace with all its graphlets
+    (warmstart pipelines included), in file name order; fails as
+    ``valid_traces`` does.  Each trace is indexed once."""
+    for trace in valid_traces(directory):
+        yield trace, extract_graphlets(trace, stop=stop)
 
 
-def split_pipelines(corpus: Corpus, seed: int) -> tuple[SplitSpec, Corpus, Corpus]:
-    labels = [(trace.pipeline_id, [g.pushed for g in gs]) for trace, gs in corpus]
-    spec = split_corpus(labels, seed=seed)
+def corpus_rows(
+    directory: str | Path,
+    featurizer: Featurizer,
+    stop: StopSet = DEFAULT_STOP_SET,
+    keep: Container[str] | None = None,
+) -> list[PipelineRows]:
+    """The vocabulary-free feature rows of every pipeline that does not
+    warmstart, in file name order; ``keep``, if given, further limits them
+    to the pipeline ids it holds.  Only ``featurizer``'s window, LSH and
+    weights are used."""
+    rows = []
+    for trace, graphlets in stream_corpus(directory, stop):
+        if is_warmstart(graphlets) or (keep is not None and trace.pipeline_id not in keep):
+            continue
+        rows.append(featurizer.pipeline_rows(trace, graphlets))
+    return rows
+
+
+def split_pipelines(
+    pipelines: Sequence[PipelineRows], seed: int
+) -> tuple[SplitSpec, list[PipelineRows], list[PipelineRows]]:
+    """Split whole pipelines into train and test, each side in input order."""
+    spec = split_corpus([(rows.pipeline_id, rows.labels) for rows in pipelines], seed=seed)
     train_ids = set(spec.train_pipeline_ids)
-    train = [(t, gs) for t, gs in corpus if t.pipeline_id in train_ids]
-    test = [(t, gs) for t, gs in corpus if t.pipeline_id not in train_ids]
+    train = [rows for rows in pipelines if rows.pipeline_id in train_ids]
+    test = [rows for rows in pipelines if rows.pipeline_id not in train_ids]
     return spec, train, test
-
-
-def corpus_featurizer(
-    corpus: Corpus, window: WindowConfig, lsh: LshParams, weights: SimWeights
-) -> Featurizer:
-    """The featurizer whose architecture vocabulary is taken from ``corpus``."""
-    return Featurizer(window=window, lsh=lsh, weights=weights, arch_vocab=build_arch_vocab(corpus))
 
 
 def heuristic_rows(feats: CorpusFeatures) -> list[HeuristicRow]:
@@ -168,24 +206,24 @@ class PolicyReport:
 
 
 def policy_report(
-    corpus: Corpus,
-    window: WindowConfig = WindowConfig(),
-    lsh: LshParams = LshParams(),
-    weights: SimWeights = SimWeights(),
+    pipelines: Sequence[PipelineRows],
+    featurizer: Featurizer = Featurizer(),
     forest_cfg: ForestConfig = ForestConfig(),
     seed: int = 42,
     stages: tuple[FeatureStage, ...] = STAGES,
 ) -> PolicyReport:
     """Train and evaluate one model per feature stage on a shared split.
 
-    Reports test balanced accuracy (score threshold 0.5), the stage's mean
-    feature-acquisition cost relative to the validation stage, the full
-    freshness-vs-waste curve, and the waste eliminated at full freshness.
+    ``pipelines`` are the rows ``featurizer`` made; the vocabulary is taken
+    from the training side.  Reports test balanced accuracy (score threshold
+    0.5), the stage's mean feature-acquisition cost relative to the
+    validation stage, the full freshness-vs-waste curve, and the waste
+    eliminated at full freshness.
     """
-    spec, train, test = split_pipelines(corpus, seed=seed)
-    featurizer = corpus_featurizer(train, window, lsh, weights)
-    train_feats = featurize_corpus(train, featurizer=featurizer)
-    test_feats = featurize_corpus(test, featurizer=featurizer)
+    spec, train, test = split_pipelines(pipelines, seed=seed)
+    featurizer = featurizer.with_vocab(train)
+    train_feats = featurizer.assemble(train)
+    test_feats = featurizer.assemble(test)
 
     all_costs = {
         stage: np.concatenate([train_feats.stage_costs[stage], test_feats.stage_costs[stage]])
@@ -292,12 +330,14 @@ def load_model(path: str | Path) -> tuple[FeatureStage, Featurizer, SplitSpec, F
         raise ValueError(f"{path}: not a valid {MODEL_FORMAT} file: {exc}") from None
 
 
-def held_out_records(corpus: Corpus, path: str | Path) -> tuple[FeatureStage, list[EvalRecord]]:
+def held_out_records(
+    directory: str | Path, model_file: str | Path, stop: StopSet = DEFAULT_STOP_SET
+) -> tuple[FeatureStage, list[EvalRecord]]:
     """The model file's stage and its scored records for the corpus's
-    pipelines from the model's test split."""
-    stage, featurizer, split, model = load_model(path)
-    test_ids = set(split.test_pipeline_ids)
-    test = [(t, gs) for t, gs in corpus if t.pipeline_id in test_ids]
+    pipelines from the model's test split.  The model file is read before
+    the corpus, whose pass featurizes only those pipelines."""
+    stage, featurizer, split, model = load_model(model_file)
+    test = corpus_rows(directory, featurizer, stop, keep=set(split.test_pipeline_ids))
     if not test:
         raise ValueError("corpus contains no pipelines from the model's test split")
-    return stage, eval_records(featurize_corpus(test, featurizer=featurizer), stage, model)
+    return stage, eval_records(featurizer.assemble(test), stage, model)

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from graphlets.segmentation import extract_graphlets, segment_corpus
+from graphlets.segmentation import extract_graphlets
 from graphlets.synth import GenConfig, generate
 from graphlets.trace import load_corpus, parse_trace_file
 
@@ -39,4 +39,4 @@ def small_corpus(tmp_path_factory):
     )
     truth = generate(cfg, out)
     traces = load_corpus(out)
-    return cfg, truth, traces, segment_corpus(traces)
+    return cfg, truth, traces, [(t, extract_graphlets(t)) for t in traces]

@@ -9,7 +9,9 @@ from scratch, the split oracle scores one candidate feature at a time, the
 fit oracle grows each tree recursively around it, the score oracle walks one
 tree at a time, the hash oracle projects one distribution at a time, the
 canonicalization oracle lays out one feature at a time in scalar arithmetic,
-and the parse oracle decodes one record at a time through ``json.loads``.
+the parse oracle decodes one record at a time through ``json.loads``, and
+the corpus oracles (featurization, cost breakdown, cadence) take a whole
+corpus as one list and build every row or sum in a single loop over it.
 
 The rest are test-side counterparts of the library's writers and samplers:
 a trace serializer for parse round trips, a truth-file reader, a Monte-Carlo
@@ -27,8 +29,23 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from graphlets import forest, transport
+from graphlets.features import (
+    ARCH_VOCAB_CAP,
+    POST_TRAINER_KINDS,
+    PRE_TRAINER_KINDS,
+    STAGES,
+    TRAINER_KINDS,
+    CorpusFeatures,
+    Featurizer,
+)
 from graphlets.segmentation import Graphlet, StopSet
-from graphlets.similarity import BINS, CanonicalDistribution, LshParams, _projections
+from graphlets.similarity import (
+    BINS,
+    CanonicalDistribution,
+    LshParams,
+    SpanSimilarity,
+    _projections,
+)
 from graphlets.synth import GenConfig, PlantedTruth, TruthEntry
 from graphlets.trace import (
     Analyzer,
@@ -41,6 +58,8 @@ from graphlets.trace import (
     FeatureKind,
     FeatureStats,
     ModelType,
+    MS_PER_HOUR,
+    OperatorGroup,
     OperatorKind,
     SpanStats,
     Trace,
@@ -797,3 +816,120 @@ def transport_plan(cost: np.ndarray) -> tuple[np.ndarray, float]:
     for (i, j), q in flow.items():
         plan[i, j] = q / (n * m)
     return plan, total / (n * m)
+
+
+Corpus = list[tuple[Trace, list[Graphlet]]]
+
+
+def _reference_row(
+    featurizer: Featurizer, g: Graphlet, predecessors: list[Graphlet], sims: SpanSimilarity
+) -> list[float]:
+    """One validation-stage row in schema order, the model one-hots first."""
+    row = [1.0 if g.model_type is mt else 0.0 for mt in ModelType]
+    hot = [0.0] * (len(featurizer.arch_vocab) + 1)
+    if g.architecture:
+        if g.architecture in featurizer.arch_vocab:
+            hot[featurizer.arch_vocab.index(g.architecture)] = 1.0
+        else:
+            hot[-1] = 1.0
+    row += hot
+    row += featurizer.history_features(g, predecessors, sims)
+    for kinds in (PRE_TRAINER_KINDS, TRAINER_KINDS, POST_TRAINER_KINDS):
+        row += featurizer.shape_features(g, kinds)
+    return row
+
+
+def reference_arch_vocab(corpus: Corpus) -> tuple[str, ...]:
+    """The architecture vocabulary counted over a list-held corpus."""
+    counts: dict[str, int] = {}
+    for _, graphlets in corpus:
+        for g in graphlets:
+            if g.architecture:
+                counts[g.architecture] = counts.get(g.architecture, 0) + 1
+    keep = sorted(counts, key=lambda a: (-counts[a], a))[:ARCH_VOCAB_CAP]
+    return tuple(sorted(keep))
+
+
+def reference_featurize(corpus: Corpus, featurizer: Featurizer) -> CorpusFeatures:
+    """Every graphlet of a list-held corpus featurized row by row, whole
+    rows (model columns included) built while each trace is at hand."""
+    rows: list[list[float]] = []
+    labels: list[bool] = []
+    costs: dict = {stage: [] for stage in STAGES}
+    pipeline_ids: list[str] = []
+    anchors: list[str] = []
+    model_types: list[str] = []
+    total_costs: list[float] = []
+    for trace, graphlets in corpus:
+        sims = SpanSimilarity(trace, graphlets, featurizer.lsh, featurizer.weights)
+        for pos, g in enumerate(graphlets):
+            predecessors = graphlets[max(0, pos - featurizer.window.w): pos][::-1]
+            rows.append(_reference_row(featurizer, g, predecessors, sims))
+            labels.append(g.pushed)
+            for stage in STAGES:
+                costs[stage].append(featurizer.stage_cost(g, stage))
+            pipeline_ids.append(g.pipeline_id)
+            anchors.append(g.anchor)
+            model_types.append(g.model_type.value)
+            total_costs.append(g.total_cost)
+    X = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(featurizer.full_names())))
+    return CorpusFeatures(
+        featurizer=featurizer,
+        names=featurizer.full_names(),
+        X=X,
+        y=np.asarray(labels, dtype=bool),
+        stage_costs={stage: np.asarray(v, dtype=float) for stage, v in costs.items()},
+        pipeline_ids=pipeline_ids,
+        anchors=anchors,
+        model_types=model_types,
+        total_costs=total_costs,
+    )
+
+
+def reference_cost_breakdown(traces: Iterable[Trace]) -> dict[OperatorGroup, float]:
+    """Fraction of total compute per operator group, summed over every
+    execution of every trace in one loop."""
+    totals: dict[OperatorGroup, float] = {}
+    for trace in traces:
+        for ex in trace.executions.values():
+            totals[ex.group] = totals.get(ex.group, 0.0) + ex.cpu_cost
+    grand = sum(totals.values())
+    if grand <= 0.0:
+        raise ValueError("corpus has no compute cost to break down")
+    return {group: cost / grand for group, cost in totals.items()}
+
+
+def reference_cadence_stats(corpus: Corpus) -> dict[str, Any]:
+    """Every ``CadenceStats`` measurement of a list-held corpus, by name."""
+    stats: dict[str, Any] = {
+        "hours_between_all": [],
+        "hours_between_pushed": [],
+        "graphlets_between_pushes": [],
+        "duration_hours": [],
+        "trainer_cpu_by_label": {"pushed": [], "unpushed": []},
+    }
+    type_counts: dict[ModelType, list[int]] = {}
+    for trace, graphlets in corpus:
+        for a, b in zip(graphlets, graphlets[1:]):
+            stats["hours_between_all"].append((b.trainer_end_at - a.trainer_end_at) / MS_PER_HOUR)
+        pushed = [g for g in graphlets if g.pushed]
+        for a, b in zip(pushed, pushed[1:]):
+            stats["hours_between_pushed"].append(
+                (b.trainer_end_at - a.trainer_end_at) / MS_PER_HOUR
+            )
+        positions = [i for i, g in enumerate(graphlets) if g.pushed]
+        for p, q in zip(positions, positions[1:]):
+            stats["graphlets_between_pushes"].append(q - p - 1)
+        for g in graphlets:
+            starts = [trace.executions[n].start_at for n in g.nodes if n in trace.executions]
+            if starts:
+                stats["duration_hours"].append((g.trainer_end_at - min(starts)) / MS_PER_HOUR)
+            label = "pushed" if g.pushed else "unpushed"
+            stats["trainer_cpu_by_label"][label].append(trace.executions[g.anchor].cpu_cost)
+            seen = type_counts.setdefault(g.model_type, [0, 0])
+            seen[0] += 1
+            seen[1] += int(g.pushed)
+    stats["push_rate_by_model_type"] = {
+        mt: pushed / total for mt, (total, pushed) in sorted(type_counts.items()) if total
+    }
+    return stats

@@ -23,7 +23,7 @@ from oracles import (
 )
 from test_similarity import random_span
 
-from graphlets.features import STAGES, FeatureStage
+from graphlets.features import STAGES, FeatureStage, Featurizer
 from graphlets.forest import ForestConfig, balanced_accuracy, split_corpus
 from graphlets.policy import EvalRecord, sweep
 from graphlets.segmentation import StopSet, extract_graphlets
@@ -37,10 +37,9 @@ from graphlets.similarity import (
     sequence_sim,
 )
 from graphlets.synth import GenConfig, generate, iid_config, preset
-from graphlets.trace import index_trace, load_corpus
-from graphlets.analytics import cadence_stats, cost_breakdown
-from graphlets.segmentation import segment_corpus
-from graphlets.workflow import policy_report, prepare_ml_corpus
+from graphlets.trace import index_trace
+from graphlets.analytics import CadenceStats, add_costs, cost_fractions
+from graphlets.workflow import corpus_rows, policy_report, stream_corpus, valid_traces
 
 PARAMS = LshParams()
 WEIGHTS = SimWeights()
@@ -56,17 +55,17 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def default_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("accept_default")
     truth = generate(GenConfig(), out)
-    traces = load_corpus(out)
-    corpus = prepare_ml_corpus(traces)
-    return truth, traces, corpus
+    started = time.time()
+    rows = corpus_rows(out, Featurizer())
+    return truth, out, rows, time.time() - started
 
 
 @pytest.fixture(scope="module")
 def default_report(default_corpus):
-    truth, traces, corpus = default_corpus
+    truth, _, rows, rows_elapsed = default_corpus
     started = time.time()
-    result = policy_report(corpus, forest_cfg=ACCEPT_FOREST, seed=42)
-    return result, time.time() - started
+    result = policy_report(rows, forest_cfg=ACCEPT_FOREST, seed=42)
+    return result, rows_elapsed + time.time() - started
 
 
 def test_criterion_1_segmentation_oracle(warm_pair_trace, warm_pair_graphlets):
@@ -200,8 +199,8 @@ def test_criterion_3_lsh_sanity():
 
 
 def test_criterion_4_classifier_protocol(default_corpus):
-    _, _, corpus = default_corpus
-    labels = [(t.pipeline_id, [g.pushed for g in gs]) for t, gs in corpus]
+    _, _, rows, _ = default_corpus
+    labels = [(r.pipeline_id, r.labels) for r in rows]
     spec = split_corpus(labels, seed=42)
     frac_ok = 0.78 <= spec.train_fraction <= 0.82
     gap = abs(spec.train_rate - spec.test_rate)
@@ -237,9 +236,9 @@ def test_criterion_4_classifier_protocol(default_corpus):
 
 
 def test_criterion_5_staged_model_ordering(default_corpus, default_report):
-    truth, _, corpus = default_corpus
+    truth, _, rows, _ = default_corpus
     result, elapsed = default_report
-    n_graphlets = sum(len(gs) for _, gs in corpus)
+    n_graphlets = sum(len(r.labels) for r in rows)
     assert n_graphlets >= 20_000
 
     accs = [s.balanced_accuracy for s in result.stages]
@@ -334,9 +333,11 @@ def test_criterion_7_waste_elimination(tmp_path):
     )
     truth = generate(cfg, tmp_path)
     oracle = truth.oracle_elimination
-    corpus = prepare_ml_corpus(load_corpus(tmp_path))
     result = policy_report(
-        corpus, forest_cfg=ACCEPT_FOREST, seed=42, stages=(FeatureStage.VALIDATION,)
+        corpus_rows(tmp_path, Featurizer()),
+        forest_cfg=ACCEPT_FOREST,
+        seed=42,
+        stages=(FeatureStage.VALIDATION,),
     )
     achieved = result.stages[0].elimination_at_full_freshness
     report(
@@ -348,9 +349,12 @@ def test_criterion_7_waste_elimination(tmp_path):
 
 
 def test_criterion_8_analytics_sanity(default_corpus, tmp_path):
-    truth, traces, _ = default_corpus
+    _, out, _, _ = default_corpus
     cfg = GenConfig()
-    breakdown = cost_breakdown(traces)
+    totals = {}
+    for trace in valid_traces(out):
+        add_costs(totals, trace)
+    breakdown = cost_fractions(totals)
     mix_err = max(
         abs(breakdown.get(group, 0.0) - target) for group, target in cfg.cost_mix.items()
     )
@@ -359,10 +363,13 @@ def test_criterion_8_analytics_sanity(default_corpus, tmp_path):
         iid_config(0.25, seed=8), n_pipelines=70, graphlets_per_pipeline=(140, 180)
     )
     generate(geo, tmp_path)
-    geo_corpus = segment_corpus(load_corpus(tmp_path))
-    n_graphlets = sum(len(gs) for _, gs in geo_corpus)
+    cadence = CadenceStats()
+    n_graphlets = 0
+    for trace, graphlets in stream_corpus(tmp_path):
+        cadence.add(trace, graphlets)
+        n_graphlets += len(graphlets)
     assert n_graphlets >= 10_000
-    gaps = cadence_stats(geo_corpus).graphlets_between_pushes
+    gaps = cadence.graphlets_between_pushes
     mean_gap = float(np.mean(gaps))
     report(
         8,

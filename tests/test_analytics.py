@@ -7,18 +7,41 @@ import numpy as np
 import pytest
 
 from graphlets.analytics import (
+    CadenceStats,
+    add_costs,
     bucketize,
-    cadence_stats,
-    cost_breakdown,
+    cost_fractions,
     drift_code_table,
     pair_similarities,
     pipeline_stats,
     similarity_table,
 )
-from graphlets.segmentation import segment_corpus
 from graphlets.similarity import LshParams, SimWeights
 from graphlets.synth import GenConfig, generate, iid_config
-from graphlets.trace import MS_PER_DAY, OperatorGroup, load_corpus, parse_trace
+from graphlets.trace import MS_PER_DAY, OperatorGroup, parse_trace
+from graphlets.workflow import stream_corpus
+
+
+def cost_breakdown(traces):
+    totals = {}
+    for trace in traces:
+        add_costs(totals, trace)
+    return cost_fractions(totals)
+
+
+def cadence_stats(corpus):
+    stats = CadenceStats()
+    for trace, graphlets in corpus:
+        stats.add(trace, graphlets)
+    return stats
+
+
+def corpus_pairs(corpus):
+    return [
+        pair
+        for trace, graphlets in corpus
+        for pair in pair_similarities(trace, graphlets, LshParams(), SimWeights())
+    ]
 
 
 def _exec_line(node_id, operator, start, end, cost=1.0, **props):
@@ -132,8 +155,7 @@ def test_geometric_corpus_mean_gap(tmp_path):
         iid_config(0.25, seed=11), n_pipelines=30, graphlets_per_pipeline=(300, 400)
     )
     generate(cfg, tmp_path)
-    corpus = segment_corpus(load_corpus(tmp_path))
-    stats = cadence_stats(corpus)
+    stats = cadence_stats(stream_corpus(tmp_path))
     assert len(stats.graphlets_between_pushes) >= 2000
     mean_gap = float(np.mean(stats.graphlets_between_pushes))
     assert mean_gap == pytest.approx(3.0, abs=0.3)
@@ -141,7 +163,7 @@ def test_geometric_corpus_mean_gap(tmp_path):
 
 def test_drift_code_table_all_code_equal(warm_pair_trace, warm_pair_graphlets):
     table = drift_code_table(
-        pair_similarities([(warm_pair_trace, warm_pair_graphlets)], LshParams(), SimWeights())
+        pair_similarities(warm_pair_trace, warm_pair_graphlets, LshParams(), SimWeights())
     )
     assert table.code_match_all == 1.0
     assert table.pair_count == 1
@@ -175,7 +197,7 @@ def test_drift_code_table_alternating_versions():
             )
         )
     trace = parse_trace(lines)
-    table = drift_code_table(pair_similarities([(trace, graphlets)], LshParams(), SimWeights()))
+    table = drift_code_table(pair_similarities(trace, graphlets, LshParams(), SimWeights()))
     assert table.code_match_all == 0.0
 
 
@@ -186,8 +208,7 @@ def test_drift_code_table_planted_code_stability(tmp_path):
         warmstart_fraction=0.0,
     )
     generate(cfg, tmp_path)
-    corpus = segment_corpus(load_corpus(tmp_path))
-    table = drift_code_table(pair_similarities(corpus, LshParams(), SimWeights()))
+    table = drift_code_table(corpus_pairs(stream_corpus(tmp_path)))
     assert table.code_match_all == pytest.approx(cfg.code_stability, abs=0.02)
 
 
@@ -229,7 +250,7 @@ def test_bucketize_edges():
 
 def test_similarity_table_shares_sum_to_one(small_corpus):
     _, _, _, corpus = small_corpus
-    table = similarity_table(pair_similarities(corpus, LshParams(), SimWeights()))
+    table = similarity_table(corpus_pairs(corpus))
     for row in table.values():
         assert sum(row["buckets"]) == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= row["mean"] <= 1.0
@@ -237,7 +258,7 @@ def test_similarity_table_shares_sum_to_one(small_corpus):
 
 def test_pair_similarities_one_record_per_consecutive_pair(small_corpus):
     _, _, _, corpus = small_corpus
-    pairs = pair_similarities(corpus[:3], LshParams(), SimWeights())
+    pairs = corpus_pairs(corpus[:3])
     assert len(pairs) == sum(len(gs) - 1 for _, gs in corpus[:3] if gs)
     for pair in pairs:
         assert 0.0 <= pair.jaccard <= 1.0

@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 import re
 import sys
+import weakref
 from collections import Counter
 
 import pytest
 
 from graphlets import segmentation
+from graphlets import trace as trace_module
 from graphlets.cli import main
 from graphlets.workflow import load_model, save_model
 
@@ -511,3 +513,74 @@ def test_cli_chain_deterministic(tmp_path):
     assert a.keys() == b.keys()
     for name in a:
         assert a[name] == b[name], f"output differs between runs: {name}"
+
+
+@pytest.mark.parametrize("command", ["segment", "stats", "similarity", "featurize", "report"])
+def test_command_holds_at_most_one_trace_while_parsing(command, small_cli_corpus, tmp_path,
+                                                       monkeypatch):
+    corpus, cfg = small_cli_corpus
+    # A Trace holds dicts, so it is not hashable: key the weak references by file.
+    alive = weakref.WeakValueDictionary()
+    alive_at_parse: list[int] = []
+    original = trace_module.parse_trace_file
+
+    def tracking(path):
+        alive_at_parse.append(len(alive))
+        alive[path] = parsed = original(path)
+        return parsed
+
+    monkeypatch.setattr(trace_module, "parse_trace_file", tracking)
+    assert main([command, "--corpus", str(corpus), "--config", str(cfg), "--seed", "9",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(alive_at_parse) == len(list(corpus.glob("*.ndjson")))
+    assert max(alive_at_parse) <= 1, alive_at_parse
+
+
+TRAINER_WITHOUT_MODEL_TYPE = (
+    '{"kind": "execution", "id": "t", "operator": "trainer", "pipeline_id": "%s", '
+    '"start_at": 1, "end_at": 2, "state": "complete", "cpu_cost": 1.0, "properties": {}}\n'
+)
+
+
+def _corpus_between(small_cli_corpus, tmp_path, first: str, last: str) -> Path:
+    """The small corpus with a file before its first and one after its last."""
+    source, _ = small_cli_corpus
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in source.glob("*.ndjson"):
+        (corpus / path.name).write_text(path.read_text())
+    (corpus / "0_first.ndjson").write_text(first)
+    (corpus / "z_last.ndjson").write_text(last)
+    return corpus
+
+
+@pytest.mark.parametrize("command", ["segment", "stats", "similarity", "report"])
+def test_malformed_file_outranks_earlier_violation(command, small_cli_corpus, tmp_path, capsys):
+    corpus = _corpus_between(small_cli_corpus, tmp_path,
+                             TRAINER_WITHOUT_MODEL_TYPE % "first", "{broken\n")
+    out = tmp_path / "parent" / "out"
+    _, cfg = small_cli_corpus
+    assert main([command, "--corpus", str(corpus), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {corpus / 'z_last.ndjson'}: line 1: invalid JSON")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "stats", "similarity", "report"])
+def test_violations_of_first_and_last_file_are_listed_in_order(command, small_cli_corpus,
+                                                               tmp_path, capsys):
+    corpus = _corpus_between(small_cli_corpus, tmp_path, TRAINER_WITHOUT_MODEL_TYPE % "first",
+                             TRAINER_WITHOUT_MODEL_TYPE % "last")
+    out = tmp_path / "parent" / "out"
+    _, cfg = small_cli_corpus
+    assert main([command, "--corpus", str(corpus), "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "first: trainer t missing model_type",
+        "last: trainer t missing model_type",
+    ]
+    assert not out.parent.exists()

@@ -9,7 +9,6 @@ from graphlets.features import (
     Featurizer,
     WindowConfig,
     build_arch_vocab,
-    featurize_corpus,
 )
 from graphlets.segmentation import extract_graphlets
 from graphlets.similarity import SpanSimilarity
@@ -17,30 +16,41 @@ from graphlets.trace import parse_trace
 
 
 def featurizer_for(trace, graphlets, **kw):
-    return Featurizer(arch_vocab=build_arch_vocab([(trace, graphlets)]), **kw)
+    f = Featurizer(**kw)
+    return f.with_vocab([f.pipeline_rows(trace, graphlets)])
 
 
-def corpus_featurizer(corpus):
-    return Featurizer(arch_vocab=build_arch_vocab(corpus))
+def featurize(corpus):
+    """The corpus's features, its vocabulary taken from the whole corpus."""
+    f = Featurizer()
+    rows = [f.pipeline_rows(trace, graphlets) for trace, graphlets in corpus]
+    return f.with_vocab(rows).assemble(rows)
 
 
 def sims_for(f, trace, graphlets):
     return SpanSimilarity(trace, graphlets, f.lsh, f.weights)
 
 
+def full_row(f, g, predecessors, sims):
+    """The validation-stage row, built by the production row path."""
+    return f.model_features(g.model_type, g.architecture) + f.history_and_shape(
+        g, predecessors, sims
+    )
+
+
 def stage_row(f, g, predecessors, stage, trace):
     """Feature name -> value at ``stage``, built by the production row path."""
     sl = f.stage_slice(stage)
     sims = sims_for(f, trace, [g, *predecessors])
-    values = f.full_row(g, predecessors, sims)[sl]
+    values = full_row(f, g, predecessors, sims)[sl]
     return dict(zip(f.full_names()[sl], values))
 
 
 def test_stage_vectors_nest_and_grow(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     g = warm_pair_graphlets[1]
-    full = f.full_row(
-        g, [warm_pair_graphlets[0]], sims_for(f, warm_pair_trace, warm_pair_graphlets)
+    full = full_row(
+        f, g, [warm_pair_graphlets[0]], sims_for(f, warm_pair_trace, warm_pair_graphlets)
     )
     assert len(full) == len(f.full_names())
     lengths = []
@@ -166,7 +176,7 @@ def test_unknown_stage_rejected(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     with pytest.raises(ValueError, match="unknown feature stage"):
         f.stage_slice("not_a_stage")
-    feats = featurize_corpus([(warm_pair_trace, warm_pair_graphlets)], featurizer=f)
+    feats = f.assemble([f.pipeline_rows(warm_pair_trace, warm_pair_graphlets)])
     with pytest.raises(ValueError, match="unknown feature stage"):
         feats.stage_view("not_a_stage")
 
@@ -180,13 +190,13 @@ def test_schema_is_pure_function_of_vocab_and_window():
 
 
 def test_arch_vocab_caps_and_sorts(warm_pair_trace, warm_pair_graphlets):
-    vocab = build_arch_vocab([(warm_pair_trace, warm_pair_graphlets)])
+    vocab = build_arch_vocab([Featurizer().pipeline_rows(warm_pair_trace, warm_pair_graphlets)])
     assert vocab == ("feedforward",)
 
 
 def test_featurize_corpus_matches_full_row(small_corpus):
     _, _, traces, corpus = small_corpus
-    feats = featurize_corpus(corpus[:3], corpus_featurizer(corpus[:3]))
+    feats = featurize(corpus[:3])
     assert feats.X.shape[0] == sum(len(gs) for _, gs in corpus[:3])
     assert feats.X.shape[1] == len(feats.names)
     f = feats.featurizer
@@ -195,7 +205,7 @@ def test_featurize_corpus_matches_full_row(small_corpus):
     sims = sims_for(f, trace, graphlets)
     for pos, g in enumerate(ordered):
         predecessors = ordered[max(0, pos - f.window.w): pos][::-1]
-        assert feats.X[pos].tolist() == f.full_row(g, predecessors, sims)
+        assert feats.X[pos].tolist() == full_row(f, g, predecessors, sims)
         assert feats.anchors[pos] == g.anchor
         for stage in STAGES:
             assert feats.stage_costs[stage][pos] == f.stage_cost(g, stage)
@@ -211,7 +221,7 @@ def test_featurize_corpus_matches_full_row(small_corpus):
 
 def test_sentinels_only_in_first_w_rows_of_each_pipeline(small_corpus):
     _, _, traces, corpus = small_corpus
-    feats = featurize_corpus(corpus, corpus_featurizer(corpus))
+    feats = featurize(corpus)
     w = feats.featurizer.window.w
     history_cols = [
         i for i, n in enumerate(feats.names) if n.startswith(("jaccard", "dataset", "code"))
@@ -229,7 +239,7 @@ def test_sentinels_only_in_first_w_rows_of_each_pipeline(small_corpus):
 
 def test_stage_cost_ratios_increase_to_one(small_corpus):
     _, _, traces, corpus = small_corpus
-    feats = featurize_corpus(corpus, corpus_featurizer(corpus))
+    feats = featurize(corpus)
     means = [float(feats.stage_costs[stage].mean()) for stage in STAGES]
     ratios = [m / means[-1] for m in means]
     assert ratios == sorted(ratios)

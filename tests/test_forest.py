@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import loop_best_split, loop_scores, reference_fit
 
 from graphlets import forest
-from graphlets.features import STAGES, Featurizer, build_arch_vocab, featurize_corpus
+from graphlets.features import STAGES, Featurizer
 from graphlets.forest import (
     ForestConfig,
     _Splitter,
@@ -26,7 +26,7 @@ from graphlets.forest import (
     split_corpus,
     splitmix64,
 )
-from graphlets.segmentation import filter_warmstart
+from graphlets.segmentation import is_warmstart
 from graphlets.workflow import split_pipelines
 
 
@@ -253,8 +253,10 @@ def test_best_split_matches_loop_for_any_mtry(problem, mtry, nodes):
 
 def test_stage_forests_match_loop_split_oracle(small_corpus):
     _, _, _, corpus = small_corpus
-    _, train, _ = split_pipelines(filter_warmstart(corpus), seed=3)
-    feats = featurize_corpus(train, featurizer=Featurizer(arch_vocab=build_arch_vocab(train)))
+    f = Featurizer()
+    rows = [f.pipeline_rows(t, gs) for t, gs in corpus if not is_warmstart(gs)]
+    _, train, _ = split_pipelines(rows, seed=3)
+    feats = f.with_vocab(train).assemble(train)
     cfg = ForestConfig(n_trees=10, seed=2)
     for stage in STAGES:
         names, X, _ = feats.stage_view(stage)
@@ -378,6 +380,16 @@ def test_scores_match_per_tree_oracle_bitwise(problem, data):
     other = data.draw(arrays(np.float64, (rows, X.shape[1]), elements=_values))
     for M in (X, other):
         assert scores(model, M).tobytes() == loop_scores(model, M).tobytes()
+
+
+@pytest.mark.parametrize("pairs", [1, 7, 40, 1 << 17])
+def test_scores_in_row_blocks_match_the_oracle_bitwise(pairs, monkeypatch):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(60, 4))
+    y = X[:, 0] + 0.5 * rng.normal(size=60) > 0
+    model = fit(X, y, ForestConfig(n_trees=8, max_depth=6, min_leaf=2, seed=4))
+    monkeypatch.setattr(forest, "_SCORE_PAIRS", pairs)  # 1, 1, 5 and all 60 rows a block
+    assert scores(model, X).tobytes() == loop_scores(model, X).tobytes()
 
 
 def _leaf(fraction):

@@ -181,14 +181,15 @@ def test_policy_decides_by_threshold():
 
 
 def test_forest_beats_heuristics_on_planted_corpus(small_corpus):
+    from graphlets.features import Featurizer
     from graphlets.forest import ForestConfig
+    from graphlets.segmentation import is_warmstart
     from graphlets.workflow import policy_report
 
     _, _, _, corpus = small_corpus
-    from graphlets.segmentation import filter_warmstart
-
+    f = Featurizer()
     report = policy_report(
-        filter_warmstart(corpus),
+        [f.pipeline_rows(t, gs) for t, gs in corpus if not is_warmstart(gs)],
         forest_cfg=ForestConfig(n_trees=20, max_depth=12, min_leaf=4, seed=2),
         seed=3,
         stages=(FeatureStage.VALIDATION,),

@@ -14,7 +14,7 @@ from graphlets.segmentation import (
     StopSet,
     consecutive_pairs,
     extract_graphlets,
-    filter_warmstart,
+    is_warmstart,
     label_pushed,
     overlap_adjusted_costs,
 )
@@ -162,8 +162,7 @@ def test_consecutive_pairs_orders_by_trainer_end(warm_pair_graphlets):
 
 
 def test_filter_warmstart_drops_the_fixture_pipeline(warm_pair_trace, warm_pair_graphlets):
-    kept = filter_warmstart([(warm_pair_trace, warm_pair_graphlets)])
-    assert kept == []
+    assert is_warmstart(warm_pair_graphlets)
 
 
 def test_filter_warmstart_keeps_clean_pipeline():
@@ -174,7 +173,7 @@ def test_filter_warmstart_keeps_clean_pipeline():
     ]
     trace = parse_trace(lines)
     gs = extract_graphlets(trace)
-    assert filter_warmstart([(trace, gs)]) == [(trace, gs)]
+    assert not is_warmstart(gs)
 
 
 def test_every_trainer_anchors_exactly_one_graphlet(small_corpus):
@@ -275,7 +274,7 @@ def _check_carried_facts(trace):
         assert g.warmstart == reads_model
     warm = has_warmstart(trace)
     assert any(g.warmstart for g in graphlets) == warm
-    assert filter_warmstart([(trace, graphlets)]) == ([] if warm else [(trace, graphlets)])
+    assert is_warmstart(graphlets) == warm
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,8 +13,8 @@ from oracles import brute_span_sim_square, jensen_shannon, scalar_canonicalize, 
 
 import graphlets.similarity as similarity
 from graphlets.analytics import pair_similarities
-from graphlets.features import Featurizer, featurize_corpus
-from graphlets.segmentation import consecutive_pairs, segment_corpus
+from graphlets.features import Featurizer
+from graphlets.segmentation import consecutive_pairs, extract_graphlets
 from graphlets.similarity import (
     BINS,
     LshParams,
@@ -533,9 +533,11 @@ def _featurize_and_compare(out):
     """Run both consumers of ``SpanSimilarity`` on a corpus; return weak
     references to its span statistics, the corpus itself dropped."""
     traces = load_corpus(out)
-    corpus = segment_corpus(traces)
-    featurize_corpus(corpus, Featurizer())
-    pair_similarities(corpus, PARAMS, W)
+    corpus = [(trace, extract_graphlets(trace)) for trace in traces]
+    featurizer = Featurizer()
+    for trace, graphlets in corpus:
+        featurizer.pipeline_rows(trace, graphlets)
+        pair_similarities(trace, graphlets, PARAMS, W)
     return [
         weakref.ref(art.span_stats)
         for trace in traces

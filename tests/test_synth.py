@@ -7,7 +7,7 @@ import pytest
 
 from oracles import load_truth, sample_latent_probabilities
 
-from graphlets.segmentation import filter_warmstart, segment_corpus
+from graphlets.segmentation import is_warmstart
 from graphlets.synth import (
     GenConfig,
     bayes_balanced_accuracy,
@@ -16,13 +16,14 @@ from graphlets.synth import (
     iid_config,
     preset,
 )
-from graphlets.trace import load_corpus
-from graphlets.workflow import validate_corpus
+from graphlets.trace import validate_trace
+from graphlets.workflow import stream_corpus
 
 
 def test_generated_corpora_validate(small_corpus):
     _, _, traces, _ = small_corpus
-    assert validate_corpus(traces) == []
+    assert [v for trace in traces for v in validate_trace(trace)] == []
+    assert len({trace.pipeline_id for trace in traces}) == len(traces)
 
 
 def test_same_seed_byte_identical(tmp_path):
@@ -60,7 +61,7 @@ def test_iid_push_rate_concentrates(tmp_path):
 def test_filter_drops_exactly_the_planted_warmstart_pipelines(small_corpus):
     _, truth, traces, corpus = small_corpus
     flagged = {e.pipeline_id for e in truth.entries if e.warmstart}
-    kept = filter_warmstart(corpus)
+    kept = [(t, gs) for t, gs in corpus if not is_warmstart(gs)]
     assert len(kept) == len(corpus) - len(flagged)
     assert {t.pipeline_id for t, _ in kept} == {
         t.pipeline_id for t, _ in corpus
@@ -72,9 +73,7 @@ def test_warmstart_fraction(tmp_path):
         GenConfig(seed=5), n_pipelines=100, graphlets_per_pipeline=(2, 4), warmstart_fraction=0.3
     )
     generate(cfg, tmp_path)
-    corpus = segment_corpus(load_corpus(tmp_path))
-    kept = filter_warmstart(corpus)
-    removed = len(corpus) - len(kept)
+    removed = sum(is_warmstart(gs) for _, gs in stream_corpus(tmp_path))
     assert abs(removed - 30) <= 8
 
 
@@ -131,9 +130,9 @@ def test_monte_carlo_matches_corpus_bayes(tmp_path):
 
 
 def test_stronger_signal_never_hurts_the_classifier(tmp_path):
-    from graphlets.features import FeatureStage
+    from graphlets.features import FeatureStage, Featurizer
     from graphlets.forest import ForestConfig
-    from graphlets.workflow import policy_report, prepare_ml_corpus
+    from graphlets.workflow import corpus_rows, policy_report
 
     accs = []
     for name in ("weak", "medium", "strong"):
@@ -142,9 +141,8 @@ def test_stronger_signal_never_hurts_the_classifier(tmp_path):
         )
         out = tmp_path / name
         generate(cfg, out)
-        corpus = prepare_ml_corpus(load_corpus(out))
         report = policy_report(
-            corpus,
+            corpus_rows(out, Featurizer()),
             forest_cfg=ForestConfig(n_trees=20, max_depth=12, min_leaf=4, seed=5),
             seed=5,
             stages=(FeatureStage.VALIDATION,),
