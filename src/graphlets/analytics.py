@@ -194,11 +194,12 @@ def pair_similarities(
     trace: Trace, graphlets: Sequence[Graphlet], params: LshParams, weights: SimWeights
 ) -> list[PairSimilarity]:
     """Every consecutive graphlet pair of one pipeline, oldest first."""
-    sims = SpanSimilarity(trace, graphlets, params, weights)
+    pairs = consecutive_pairs(graphlets)
+    sims = SpanSimilarity(trace, [(cur, prev) for prev, cur in pairs], params, weights)
     return [
         PairSimilarity(trace.pipeline_id, prev.anchor, cur.anchor,
                        *sims.compare(cur, prev), pushed=cur.pushed)
-        for prev, cur in consecutive_pairs(graphlets)
+        for prev, cur in pairs
     ]
 
 

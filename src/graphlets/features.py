@@ -247,12 +247,13 @@ class Featurizer:
         order, oldest trainer first.  Only the window, LSH and weights are
         read here; the vocabulary is not.
         """
-        sims = SpanSimilarity(trace, graphlets, self.lsh, self.weights)
         w = self.window.w
-        rows = [
-            self.history_and_shape(g, graphlets[max(0, pos - w): pos][::-1], sims)
-            for pos, g in enumerate(graphlets)
-        ]
+        windows = [graphlets[max(0, pos - w): pos][::-1] for pos in range(len(graphlets))]
+        sims = SpanSimilarity(
+            trace, [(g, p) for g, window in zip(graphlets, windows) for p in window],
+            self.lsh, self.weights,
+        )
+        rows = [self.history_and_shape(g, window, sims) for g, window in zip(graphlets, windows)]
         width = len(self.full_names()) - len(self.model_names())
         costs = [[self.stage_cost(g, stage) for stage in STAGES] for g in graphlets]
         return PipelineRows(

@@ -234,7 +234,12 @@ class _Splitter:
         r, cut = r[first], cut[first]
         feature = feats.ravel()[r]
         base = self.offset[feature]
-        threshold = (self.values[base + key[r, cut]] + self.values[base + key[r, cut + 1]]) / 2.0
+        below, above = self.values[base + key[r, cut]], self.values[base + key[r, cut + 1]]
+        with np.errstate(over="ignore"):
+            threshold = (below + above) / 2.0
+        # Two finite values whose sum overflows still have a finite midpoint.
+        wide = ~np.isfinite(threshold)
+        threshold[wide] = below[wide] / 2.0 + above[wide] / 2.0
         # Partition by value, not by sorted position: the midpoint of two
         # adjacent floats can round up to the larger one.
         rows, real = rows[node], real[node]

@@ -17,28 +17,36 @@ With ``alpha + beta = 1`` the span metric satisfies S(D, D) = 1, S(empty, D)
 = 0, symmetry, and range [0, 1].  Symmetry is exact for any weights: every
 span pair is compared in one canonical order, that of its signatures.
 
-Per-trace work is done in bulk.  ``SpanSimilarity`` canonicalizes the
-features of every span its graphlets read in one vectorized pass, which
-repeats the one-feature float operations in the same order, so each row is
-bit-for-bit ``canonicalize``'s.  Each span is then hashed on its own, and
-feature names and (kind, hash) pairs become int codes once per trace, so a
-pair's cost matrix is three broadcast compares.  Square cost matrices are
-mostly settled by ``transport_cost``'s certificate: a permutation on row- or
-column-minimum cells meets the row- or column-minimum lower bound on any
-plan, so it is optimal without the simplex.
+Span pairs are compared in batches.  ``SpanSimilarity`` is told up front
+which graphlet pairs it will be asked about, and computes every distinct
+span pair they align once, in three steps:
+
+1. Sign the spans together.  Their features are canonicalized in one
+   vectorized pass, which repeats the one-feature float operations in the
+   same order, so each row is bit-for-bit ``canonicalize``'s.  Each span is
+   projected by its own product with the hash table, since BLAS may round
+   one large product differently; the offset, division and floor run once
+   over all rows.  Each feature's (kind, name) and (kind, hash) become int
+   codes, and each span gets the rank of its (names, kinds, hashes) key.
+2. Orient each pair by those ranks, rows from the lower key, so that both
+   argument orders build the same cost matrix.
+3. Group the pairs by shape.  Each shape's cost matrices are built as one
+   block by two broadcast compares and solved by ``transport_costs``, which
+   settles most of them at once by a certificate and hands the rest, one at
+   a time, to matching and then to the simplex (see ``transport``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .segmentation import Graphlet
 from .trace import FeatureKind, FeatureStats, SpanStats, Trace
-from .transport import MAX_SIDE, transport_cost
+from .transport import MAX_SIDE, transport_costs
 
 __all__ = [
     "BINS",
@@ -138,103 +146,124 @@ def canonicalize(f: FeatureStats) -> CanonicalDistribution:
 def _canonical_bins(features: Sequence[FeatureStats]) -> np.ndarray:
     """``canonicalize`` for many features at once: a (len(features), BINS) matrix.
 
-    Per-feature bookkeeping (the sorted top-term frequencies, their sum, the
-    range checks) runs in Python exactly as for one feature; the categorical
-    layout is vectorized across features with the same float operations in
-    the same order, so every row is bit-for-bit the one-feature result.  The
-    first invalid feature raises the ``ValueError`` that ``canonicalize``
-    raises for it.
+    Each feature's field checks and top-term frequencies ``c / total`` are
+    taken in Python exactly as for one feature.  Sorting and the layout are
+    vectorized across features with the same float operations in the same
+    order, and every sum is Python's ``sum`` over the same values, so each
+    row is bit-for-bit the one-feature result.  The first invalid feature
+    raises the ``ValueError`` that ``canonicalize`` raises for it.
     """
     out = np.zeros((len(features), BINS))
     errors: dict[int, str] = {}
-    direct: list[int] = []  # rows laid out here: numerical and N == BINS
-    direct_rows: list[list[float]] = []
-    spread: list[int] = []  # rows that need the N-bin to 10-cell split
-    tops: list[list[float]] = []
-    widths: list[float] = []
-    tail_mass: list[float] = []
+    hist_at: list[int] = []  # numerical rows, laid out verbatim
+    hists: list = []
+    cat_at: list[int] = []  # categorical rows
+    fractions: list[float] = []  # their top-term frequencies, end to end
+    n_top: list[int] = []
+    n_unique: list[int] = []
     for i, f in enumerate(features):
         if f.kind is FeatureKind.NUMERICAL:
             if f.numerical_hist is None or len(f.numerical_hist) != BINS:
                 errors[i] = f"feature {f.name!r}: histogram must have {BINS} bins"
-                continue
-            row = [float(x) for x in f.numerical_hist]
+            else:
+                hist_at.append(i)
+                hists.append(f.numerical_hist)
+        elif f.cat_unique is None or f.cat_top10 is None or f.cat_total is None:
+            errors[i] = f"feature {f.name!r}: missing categorical counts"
+        elif f.cat_unique <= 0:
+            errors[i] = f"feature {f.name!r}: unique term count must be positive"
+        elif f.cat_total <= 0:
+            errors[i] = f"feature {f.name!r}: total count must be positive"
         else:
-            if f.cat_unique is None or f.cat_top10 is None or f.cat_total is None:
-                errors[i] = f"feature {f.name!r}: missing categorical counts"
-                continue
-            n_unique, total = f.cat_unique, f.cat_total
-            if n_unique <= 0:
-                errors[i] = f"feature {f.name!r}: unique term count must be positive"
-                continue
-            if total <= 0:
-                errors[i] = f"feature {f.name!r}: total count must be positive"
-                continue
-            top = sorted((c / total for c in f.cat_top10), reverse=True)
-            rest_bins = n_unique - len(top)
-            rest_mass = 1.0 - sum(top)
+            total = f.cat_total
+            cat_at.append(i)
+            fractions.extend([c / total for c in f.cat_top10])
+            n_top.append(len(f.cat_top10))
+            n_unique.append(f.cat_unique)
+    direct: list[int] = []  # rows laid out here: numerical and N == BINS
+    direct_rows: list[list[float]] = []
+    if hist_at:
+        rows = np.array(hists, dtype=float)
+        negative = (rows < 0).any(axis=1).tolist()
+        for i, row, below in zip(hist_at, rows.tolist(), negative):
+            _check_row(i, row, below, errors, direct, direct_rows)
+    spread: list[int] = []  # rows of ``top`` that need the N-bin to 10-cell split
+    widths: list[float] = []
+    tail_mass: list[float] = []
+    if cat_at:
+        # Frequencies sorted descending, one row per feature, padded with 0.
+        top = np.full((len(cat_at), max(max(n_top), 1)), -np.inf)
+        counts = np.array(n_top)
+        top[np.repeat(np.arange(len(cat_at)), counts),
+            np.arange(len(fractions)) - np.repeat(counts.cumsum() - counts, counts)] = fractions
+        top = np.sort(top, axis=1)[:, ::-1]
+        top[top == -np.inf] = 0.0
+        top_rows = top.tolist()
+        for r, (i, row, k, unique) in enumerate(zip(cat_at, top_rows, n_top, n_unique)):
+            rest_bins = unique - k
+            rest_mass = 1.0 - sum(row)
             if rest_bins == 0 and abs(rest_mass) > _MASS_TOL:
-                errors[i] = f"feature {f.name!r}: top-term counts do not cover the total"
-                continue
-            if rest_mass < -_MASS_TOL:
-                errors[i] = f"feature {f.name!r}: top-term mass exceeds 1"
-                continue
-            if n_unique != BINS:
-                spread.append(i)
-                tops.append(top)
-                widths.append(1.0 / n_unique)
+                errors[i] = f"feature {features[i].name!r}: top-term counts do not cover the total"
+            elif rest_mass < -_MASS_TOL:
+                errors[i] = f"feature {features[i].name!r}: top-term mass exceeds 1"
+            elif unique != BINS:
+                spread.append(r)
+                widths.append(1.0 / unique)
                 # The tail bins all hold the same mass, so they form one block.
                 tail_mass.append(rest_mass if rest_bins > 0 else 0.0)
-                continue
-            # Source bins align exactly with the cells; skip the float splitting.
-            # A remainder rounded a hair below zero is empty, as in the split.
-            row = top + ([max(rest_mass, 0.0) / rest_bins] * rest_bins if rest_bins else [])
-            if len(row) != BINS:
-                errors[i] = f"expected {BINS} cells, got {len(row)}"
-                continue
-        if any(b < 0 for b in row):
-            errors[i] = "cell mass must be non-negative"
-        elif abs(sum(row) - 1.0) > _MASS_TOL:
-            errors[i] = "cell mass must sum to 1"
-        else:
-            direct.append(i)
-            direct_rows.append(row)
+            else:
+                # Source bins align exactly with the cells; skip the float
+                # splitting.  A remainder rounded a hair below zero is empty,
+                # as in the split.
+                row = row[:k] + ([max(rest_mass, 0.0) / rest_bins] * rest_bins if rest_bins else [])
+                if len(row) != BINS:
+                    errors[i] = f"expected {BINS} cells, got {len(row)}"
+                else:
+                    _check_row(i, row, any(b < 0 for b in row), errors, direct, direct_rows)
     if direct:
         out[direct] = direct_rows
     if spread:
-        cells = _spread_cells(tops, np.array(widths), np.array(tail_mass))
+        cells = _spread_cells(top[spread], counts[spread], np.array(widths), np.array(tail_mass))
         mass = cells.sum(axis=1)
+        at = [cat_at[r] for r in spread]
         for j in np.flatnonzero(np.abs(mass - 1.0) > _MASS_TOL).tolist():
-            errors[spread[j]] = (
-                f"feature {features[spread[j]].name!r}: mass not conserved ({mass[j]})"
-            )
-        out[spread] = cells / mass[:, None]
+            errors[at[j]] = f"feature {features[at[j]].name!r}: mass not conserved ({mass[j]})"
+        out[at] = cells / mass[:, None]
     if errors:
         raise ValueError(errors[min(errors)])
     return out
 
 
-def _spread_cells(tops: list[list[float]], width: np.ndarray, tail: np.ndarray) -> np.ndarray:
+def _check_row(i, row, negative, errors, direct, direct_rows) -> None:
+    """Keep a laid-out row ``i`` that is a distribution, else record why not."""
+    if negative:
+        errors[i] = "cell mass must be non-negative"
+    elif abs(sum(row) - 1.0) > _MASS_TOL:
+        errors[i] = "cell mass must sum to 1"
+    else:
+        direct.append(i)
+        direct_rows.append(row)
+
+
+def _spread_cells(
+    top: np.ndarray, n_top: np.ndarray, width: np.ndarray, tail: np.ndarray
+) -> np.ndarray:
     """Cell masses of categorical layouts, one row per feature.
 
-    Feature r has intervals [k w, (k + 1) w) holding ``tops[r][k]``, then the
-    tail block [len(tops[r]) w, 1) holding ``tail[r]``.  Each interval with
-    positive mass and length puts density * overlap into the cells from
+    Feature r has intervals [k w, (k + 1) w) holding ``top[r, k]`` for k
+    below ``n_top[r]``, then the tail block [n_top[r] w, 1) holding
+    ``tail[r]``; columns of ``top`` past ``n_top[r]`` hold 0.  Each interval
+    with positive mass and length puts density * overlap into the cells from
     int(lo * BINS) to int(nextafter(hi, 0) * BINS) that it overlaps, and
     every cell sums its contributions in interval order, tops then tail.
     """
-    n_top = np.array([len(t) for t in tops])
-    k = max(n_top.max(), 1)
-    mass = np.zeros((len(tops), k + 1))
-    for r, t in enumerate(tops):
-        mass[r, : len(t)] = t
-    mass[:, k] = tail
-    steps = np.arange(k)
-    lo = np.concatenate([steps * width[:, None], (n_top * width)[:, None]], axis=1)
-    hi = np.concatenate([(steps + 1) * width[:, None], np.ones((len(tops), 1))], axis=1)
+    k = top.shape[1]
+    mass = np.concatenate([top, tail[:, None]], axis=1)
+    lo = np.arange(k + 1) * width[:, None]
+    lo[:, k] = n_top * width
+    hi = np.arange(1, k + 2) * width[:, None]
+    hi[:, k] = 1.0
     active = ~((mass <= 0.0) | (hi <= lo))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        density = mass / (hi - lo)
     first = np.minimum((lo * BINS).astype(np.int64), BINS - 1)
     last = np.minimum((np.nextafter(hi, 0.0) * BINS).astype(np.int64), BINS - 1)
     cell = np.arange(BINS)
@@ -245,12 +274,11 @@ def _spread_cells(tops: list[list[float]], width: np.ndarray, tail: np.ndarray) 
         & (cell <= last[..., None])
         & (overlap > 0)
     )
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        density = mass / (hi - lo)
         part = np.where(take, density[..., None] * overlap, 0.0)
-    cells = np.zeros((len(tops), BINS))
-    for interval in range(k + 1):
-        cells += part[:, interval]
-    return cells
+    # A running sum over the intervals adds them in order, tops then tail.
+    return np.cumsum(part, axis=1)[:, -1]
 
 
 @lru_cache(maxsize=None)
@@ -274,9 +302,28 @@ def hash_distributions(bins_matrix: np.ndarray, params: LshParams) -> np.ndarray
     standard normal and b_j uniform in [0, w), both a pure function of
     (seed, j).  Nearby distributions tend to collide.
     """
+    bins_matrix = np.asarray(bins_matrix, dtype=float)
+    if bins_matrix.ndim != 2:
+        raise ValueError(f"expected a (n, {BINS}) matrix, got shape {bins_matrix.shape}")
+    return _hash_blocks(bins_matrix, [len(bins_matrix)], params)
+
+
+def _hash_blocks(bins: np.ndarray, sizes: Sequence[int], params: LshParams) -> np.ndarray:
+    """``hash_distributions`` of each block of consecutive rows, in one pass.
+
+    Block k holds the next ``sizes[k]`` rows and is projected by its own
+    product with the table, so it hashes exactly as it would alone: BLAS may
+    round a product differently with its shape.  The square root, offset,
+    division and floor are elementwise and run once over all rows.
+    """
     directions, offsets = _projections(params.k, params.w, params.seed)
-    root = np.sqrt(np.asarray(bins_matrix, dtype=float))
-    return np.floor((root @ directions.T + offsets) / params.w).astype(np.int64)
+    root = np.sqrt(bins)
+    projected = np.empty((len(bins), params.k))
+    start = 0
+    for size in sizes:
+        projected[start : start + size] = root[start : start + size] @ directions.T
+        start += size
+    return np.floor((projected + offsets) / params.w).astype(np.int64)
 
 
 def feature_sim(
@@ -294,54 +341,92 @@ def feature_sim(
     return score
 
 
-def _sign_spans(spans: Sequence[SpanStats], params: LshParams) -> list[tuple]:
-    """All of each span that its similarity reads: ``(key, names, kinds, sigs)``.
+@dataclass(frozen=True)
+class _Signed:
+    """Spans signed in one batch.  Per span: where its features start, how
+    many it has and the rank of its (names, kinds, hashes) key.  Per
+    feature: int codes of its (kind, name) and of its (kind, hash)."""
 
-    ``key`` is the tuple (feature names, kinds, hashes), which fixes the
-    order in which a pair is compared.  ``names``, ``kinds`` and ``sigs``
-    are int codes of each feature's name, kind and (kind, hash), interned
-    over all of ``spans``.  The features of every span are canonicalized in
-    one batch; each span is hashed on its own, as a matrix of its own rows.
+    start: np.ndarray
+    size: np.ndarray
+    rank: np.ndarray
+    name: np.ndarray
+    sig: np.ndarray
+
+
+def _codes(keys: Iterable) -> np.ndarray:
+    """Int codes that are equal exactly where ``keys`` are."""
+    seen: dict = {}
+    return np.array([seen.setdefault(k, len(seen)) for k in keys], dtype=np.int64)
+
+
+def _sign_spans(spans: Sequence[SpanStats], params: LshParams) -> _Signed:
+    """Everything of ``spans`` that their similarity reads, in one batch."""
+    features = [f for d in spans for f in d.features]
+    size = np.array([len(d.features) for d in spans], dtype=np.int64)
+    start = np.cumsum(size) - size
+    hashed = _hash_blocks(_canonical_bins(features), size.tolist(), params)
+    hashes = list(map(tuple, hashed.tolist()))
+    names = [f.name for f in features]
+    kinds = [f.kind.value for f in features]
+    keys = [
+        (tuple(names[i : i + n]), tuple(kinds[i : i + n]), tuple(hashes[i : i + n]))
+        for i, n in zip(start.tolist(), size.tolist())
+    ]
+    rank = np.empty(len(spans), dtype=np.int64)
+    rank[sorted(range(len(spans)), key=keys.__getitem__)] = np.arange(len(spans))
+    return _Signed(start, size, rank, _codes(zip(kinds, names)), _codes(zip(kinds, hashes)))
+
+
+# Cells per cost block: a larger shape group is solved in several blocks.
+_BLOCK_CELLS = 1 << 16
+
+
+def _pair_sims(
+    spans: Sequence[SpanStats],
+    pairs: Sequence[tuple[int, int]],
+    params: LshParams,
+    weights: SimWeights,
+) -> list[float]:
+    """``span_sim`` of each pair of indices into ``spans``, in batches.
+
+    A pair with an empty span scores 0 and takes no work.  The spans of the
+    other pairs are signed together; each pair is oriented so that the span
+    with the lower key gives the rows, and the pairs are solved in blocks of
+    one shape.
     """
-    bins = _canonical_bins([f for d in spans for f in d.features])
-    codes: dict = {}
-
-    def intern(keys) -> np.ndarray:
-        return np.array([codes.setdefault(k, len(codes)) for k in keys], dtype=np.int64)
-
-    signed = []
-    start = 0
-    for d in spans:
-        stop = start + len(d.features)
-        hashes = tuple(map(tuple, hash_distributions(bins[start:stop], params).tolist()))
-        names = tuple(f.name for f in d.features)
-        kinds = tuple(f.kind.value for f in d.features)
-        signed.append((
-            (names, kinds, hashes),
-            intern(("name", x) for x in names),
-            intern(("kind", x) for x in kinds),
-            intern(zip(kinds, hashes)),
-        ))
-        start = stop
-    return signed
-
-
-def _signed_sim(a: tuple, b: tuple, weights: SimWeights) -> float:
-    """Span similarity of two signed spans, taken in key order so that both
-    argument orders of a pair build the same cost matrix."""
-    if a[0] > b[0]:
-        a, b = b, a
-    _, name1, kind1, sig1 = a
-    _, name2, kind2, sig2 = b
-    if not len(name1) or not len(name2):
-        return 0.0
-    if len(name1) > MAX_SIDE or len(name2) > MAX_SIDE:
+    sims = [0.0] * len(pairs)
+    live = [k for k, (x, y) in enumerate(pairs) if spans[x].features and spans[y].features]
+    if not live:
+        return sims
+    if any(len(spans[x].features) > MAX_SIDE for k in live for x in pairs[k]):
         raise ValueError(f"span feature count exceeds {MAX_SIDE}")
-    kind_eq = kind1[:, None] == kind2[None, :]
-    hash_eq = sig1[:, None] == sig2[None, :]
-    name_eq = name1[:, None] == name2[None, :]
-    sim = np.where(kind_eq, weights.alpha * hash_eq + weights.beta * name_eq, 0.0)
-    return min(1.0, max(0.0, 1.0 - transport_cost(1.0 - sim)))
+    index = {x: i for i, x in enumerate(dict.fromkeys(x for k in live for x in pairs[k]))}
+    signed = _sign_spans([spans[x] for x in index], params)
+    a = np.array([index[pairs[k][0]] for k in live])
+    b = np.array([index[pairs[k][1]] for k in live])
+    a, b = np.where(signed.rank[a] <= signed.rank[b], (a, b), (b, a))
+    n, m = signed.size[a], signed.size[b]
+    # A feature pair costs 1 - (alpha * same hash + beta * same name) if its
+    # kinds agree and 1 if not.  Both codes carry the kind, so a cell is
+    # 2 * same sig + same name into this table, whose first entry is 1.
+    table = np.array([1.0 - (weights.alpha * h + weights.beta * e)
+                      for h in (0.0, 1.0) for e in (0.0, 1.0)])
+    cost = np.empty(len(live))
+    shape = n * (MAX_SIDE + 1) + m
+    order = np.argsort(shape, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
+        rows, cols = int(n[group[0]]), int(m[group[0]])
+        step = max(1, _BLOCK_CELLS // (rows * cols))
+        for chunk in (group[i : i + step] for i in range(0, len(group), step)):
+            r = signed.start[a[chunk], None] + np.arange(rows)
+            c = signed.start[b[chunk], None] + np.arange(cols)
+            same_sig = signed.sig[r][:, :, None] == signed.sig[c][:, None, :]
+            same_name = signed.name[r][:, :, None] == signed.name[c][:, None, :]
+            cost[chunk] = transport_costs(table[2 * same_sig + same_name])
+    for k, sim in zip(live, np.minimum(1.0, np.maximum(0.0, 1.0 - cost)).tolist()):
+        sims[k] = sim
+    return sims
 
 
 def span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeights) -> float:
@@ -353,7 +438,7 @@ def span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeight
     including another empty span.  The pair is compared in the order of its
     signatures, so the result is bit-for-bit symmetric for any weights.
     """
-    return _signed_sim(*_sign_spans((d1, d2), params), weights)
+    return _pair_sims((d1, d2), [(0, 1)], params, weights)[0]
 
 
 def _aligned_mean(a: Sequence, b: Sequence, sim: Callable) -> float:
@@ -379,36 +464,82 @@ def sequence_sim(
 
 
 class SpanSimilarity:
-    """Graphlet-to-predecessor comparison over one trace, memoized by span id.
+    """Graphlet-to-predecessor comparison over one trace, for pairs declared
+    up front.
 
-    Every input span of ``graphlets`` is signed up front, in one batch; each
-    unordered pair of span ids is compared once.  ``compare`` takes only
-    graphlets from that list.  The memo lives as long as the object; create
-    one per trace and drop it with the trace.
+    ``pairs`` holds every ``(graphlet, predecessor)`` that ``compare`` will be
+    asked about, in either order.  Construction aligns each pair's input
+    spans that carry statistics, oldest first, signs every span those
+    alignments read in one batch, and settles each distinct span pair once,
+    by the first of these that applies:
+
+    1. a pair with an empty span scores 0 and takes no work;
+    2. one-row and one-column cost matrices take their mean, a block at a
+       time;
+    3. square matrices, a block at a time, take the mean of their row
+       minima where one greedy pass matches every row to a distinct
+       row-minimum column (always so when the row argmins are distinct);
+    4. each other square pair, alone, takes the same mean if Kuhn's
+       matching finds a perfect matching on its row-minimum cells, else the
+       mean of a perfect matching on its column-minimum cells;
+    5. what is left, and every pair of unequal sides, runs the simplex.
+
+    A span over ``MAX_SIDE`` features raises ``ValueError``.  ``compare``
+    only reads what construction computed, and raises ``ValueError`` for a
+    pair that was not declared.  Keep one per trace and drop it with the
+    trace.
     """
 
     def __init__(
-        self, trace: Trace, graphlets: Sequence[Graphlet], params: LshParams, weights: SimWeights
+        self,
+        trace: Trace,
+        pairs: Iterable[tuple[Graphlet, Graphlet]],
+        params: LshParams,
+        weights: SimWeights,
     ) -> None:
-        self.trace = trace
-        self.weights = weights
-        spans = list(dict.fromkeys(s for g in graphlets for s in self._spans(g)))
-        stats = [trace.artifacts[s].span_stats for s in spans]
-        self._signed = dict(zip(spans, _sign_spans(stats, params)))
-        self._pairs: dict[tuple[str, str], float] = {}
+        def spans(g: Graphlet) -> list[str]:
+            # Input spans oldest first; spans without statistics are skipped.
+            return [s for s in g.input_spans if trace.artifacts[s].span_stats is not None]
 
-    def _spans(self, g: Graphlet) -> list[str]:
-        # Input spans oldest first; spans without statistics are skipped.
-        return [s for s in g.input_spans if self.trace.artifacts[s].span_stats is not None]
+        aligned = {}
+        for g, prev in pairs:
+            key = _pair_key(g, prev)
+            if key not in aligned:
+                aligned[key] = (g, prev, spans(g), spans(prev))
+        distinct = dict.fromkeys(
+            (x, y) if x <= y else (y, x) for *_, a, b in aligned.values() for x, y in zip(a, b)
+        )
+        index = {x: i for i, x in enumerate(dict.fromkeys(x for pair in distinct for x in pair))}
+        sims = _pair_sims(
+            [trace.artifacts[x].span_stats for x in index],
+            [(index[x], index[y]) for x, y in distinct],
+            params,
+            weights,
+        )
+        memo = dict(zip(distinct, sims))
 
-    def _span_sim(self, a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        if key not in self._pairs:
-            self._pairs[key] = _signed_sim(self._signed[a], self._signed[b], self.weights)
-        return self._pairs[key]
+        def span_pair_sim(x: str, y: str) -> float:
+            return memo[(x, y) if x <= y else (y, x)]
+
+        self._compared = {
+            key: (
+                jaccard(g, prev),
+                _aligned_mean(a, b, span_pair_sim),
+                1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0,
+            )
+            for key, (g, prev, a, b) in aligned.items()
+        }
 
     def compare(self, g: Graphlet, prev: Graphlet) -> tuple[float, float, float]:
         """``(jaccard, dataset_sim, code_match)`` of ``g`` against a predecessor."""
-        dataset_sim = _aligned_mean(self._spans(g), self._spans(prev), self._span_sim)
-        code_match = 1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0
-        return jaccard(g, prev), dataset_sim, code_match
+        try:
+            return self._compared[_pair_key(g, prev)]
+        except KeyError:
+            raise ValueError(
+                f"graphlet pair ({g.anchor!r}, {prev.anchor!r}) was not declared"
+            ) from None
+
+
+def _pair_key(g: Graphlet, prev: Graphlet) -> tuple[str, str]:
+    # Every metric of a pair is symmetric, so both orders share one entry.
+    return (g.anchor, prev.anchor) if g.anchor <= prev.anchor else (prev.anchor, g.anchor)

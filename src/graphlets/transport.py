@@ -6,15 +6,24 @@ sums 1/m.
 Square problems first try a certificate.  Every row ships 1/n, so any plan
 costs at least the mean of the row minima, and likewise of the column
 minima.  A permutation whose cells all attain their row minimum (or all
-their column minimum) meets that lower bound and is therefore optimal; its
-cost is the mean of its cells in row order.  Such a permutation is looked
-for as the row argmins, then as a perfect matching (Kuhn's augmenting
-paths) on the row-minimum cells, then on the column-minimum cells.
+their column minimum) meets that lower bound and is therefore optimal.  If
+the row-minimum cells admit a perfect matching (Kuhn's augmenting paths),
+the cost is the mean of the row minima in row order, whichever matching is
+found; otherwise, if the column-minimum cells do, it is the mean of that
+matching's cells in row order.
 
 Otherwise the classic transportation simplex runs (northwest-corner start,
 potentials, cycle pivots).  Marginals are scaled to integers internally
 (supply m per row, demand n per column) so flows stay exact; only the costs
 are floating point.
+
+``transport_costs`` takes a block of same-shape problems.  One-row and
+one-column problems are plain means.  In a square block, one greedy pass
+over the rows (each takes its first row-minimum column not yet taken) runs
+for every problem at once; where it completes, a row-minimum matching exists
+and the cost is the mean of the row minima.  This covers distinct row
+argmins.  Every other problem goes to ``transport_cost`` alone.  Each result
+is bit for bit what ``transport_cost`` returns for that matrix.
 
 Cost matrices larger than 256 on either side are rejected: span feature sets
 beyond that size are outside this library's operating range and should fail
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["TransportError", "transport_cost"]
+__all__ = ["TransportError", "transport_cost", "transport_costs"]
 
 MAX_SIDE = 256
 _EPS = 1e-11
@@ -183,7 +192,10 @@ def _perfect_matching(tight: np.ndarray) -> np.ndarray | None:
     n = tight.shape[0]
     if not tight.any(axis=0).all() or not tight.any(axis=1).all():
         return None
-    adj = [np.flatnonzero(row).tolist() for row in tight]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    rows, cols = np.nonzero(tight)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        adj[row].append(col)
     row_of = [-1] * n  # column -> matched row
     col_of = [-1] * n  # row -> matched column
     for root in range(n):
@@ -212,23 +224,27 @@ def _perfect_matching(tight: np.ndarray) -> np.ndarray | None:
     return np.array(col_of)
 
 
-def _tight_permutation(cost: np.ndarray) -> np.ndarray | None:
-    """A permutation on row-minimum cells, else on column-minimum cells."""
-    perm = cost.argmin(axis=1)
-    if len(set(perm.tolist())) == len(perm):
-        return perm
-    for tight in (cost == cost.min(axis=1, keepdims=True), cost == cost.min(axis=0)):
-        perm = _perfect_matching(tight)
-        if perm is not None:
-            return perm
-    return None
+def _greedy_matched(tight: np.ndarray) -> np.ndarray:
+    """For each square boolean matrix of a block, whether taking its rows in
+    order, each on its first True column not yet taken, matches every row."""
+    p, n, _ = tight.shape
+    problems = np.arange(p)
+    free = np.ones((p, n), dtype=bool)
+    matched = np.ones(p, dtype=bool)
+    for row in range(n):
+        open_cells = tight[:, row] & free
+        col = open_cells.argmax(axis=1)
+        matched &= open_cells[problems, col]
+        free[problems, col] = False
+    return matched
 
 
-def _check(cost: np.ndarray) -> np.ndarray:
+def _check(cost: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """``cost`` as floats: ``ndim`` axes, the last two a non-empty matrix."""
     cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2 or cost.shape[0] == 0 or cost.shape[1] == 0:
-        raise ValueError("cost matrix must be non-empty and 2-dimensional")
-    n, m = cost.shape
+    if cost.ndim != ndim or cost.shape[-2] == 0 or cost.shape[-1] == 0:
+        raise ValueError(f"cost matrix must be non-empty and {ndim}-dimensional")
+    n, m = cost.shape[-2:]
     if n > MAX_SIDE or m > MAX_SIDE:
         raise ValueError(f"cost matrix side exceeds {MAX_SIDE}: {n}x{m}")
     if not np.isfinite(cost).all():
@@ -243,9 +259,29 @@ def transport_cost(cost: np.ndarray) -> float:
     if n == 1 or m == 1:
         return float(cost.mean())
     if n == m:
-        perm = _tight_permutation(cost)
+        row_min = cost.min(axis=1)
+        if _perfect_matching(cost == row_min[:, None]) is not None:
+            return float(row_min.mean())
+        perm = _perfect_matching(cost == cost.min(axis=0))
         if perm is not None:
             return float(cost[np.arange(n), perm].mean())
     _, total = _solve(cost)
     return total / (n * m)
 
+
+def transport_costs(costs: np.ndarray) -> np.ndarray:
+    """``transport_cost`` of each matrix of a (problems, n, m) block."""
+    costs = _check(costs, ndim=3)
+    p, n, m = costs.shape
+    if n == 1 or m == 1:
+        return costs.reshape(p, n * m).mean(axis=1)
+    if n == m:
+        row_min = costs.min(axis=2)
+        out = row_min.mean(axis=1)
+        rest = np.flatnonzero(~_greedy_matched(costs == row_min[:, :, None]))
+    else:
+        out = np.empty(p)
+        rest = np.arange(p)
+    for k in rest.tolist():
+        out[k] = transport_cost(costs[k])
+    return out

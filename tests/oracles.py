@@ -9,6 +9,8 @@ from scratch, the split oracle scores one candidate feature at a time, the
 fit oracle grows each tree recursively around it, the score oracle walks one
 tree at a time, the hash oracle projects one distribution at a time, the
 canonicalization oracle lays out one feature at a time in scalar arithmetic,
+the span-similarity oracle signs, orients and solves one span pair at a
+time and reads each square certificate off a permutation's cells,
 the parse oracle decodes one record at a time through ``json.loads``, and
 the corpus oracles (featurization, cost breakdown, cadence) take a whole
 corpus as one list and build every row or sum in a single loop over it.
@@ -43,8 +45,11 @@ from graphlets.similarity import (
     BINS,
     CanonicalDistribution,
     LshParams,
-    SpanSimilarity,
+    SimWeights,
+    _canonical_bins,
     _projections,
+    hash_distributions,
+    jaccard,
 )
 from graphlets.synth import GenConfig, PlantedTruth, TruthEntry
 from graphlets.trace import (
@@ -406,7 +411,11 @@ def loop_best_split(
         cand = float(score_arr[k])
         if best is None or cand < best[0]:
             pos = int(cut[k])
-            best = (cand, int(f), (float(sv[pos]) + float(sv[pos + 1])) / 2.0)
+            below, above = float(sv[pos]), float(sv[pos + 1])
+            mid = (below + above) / 2.0
+            if not math.isfinite(mid):  # the sum overflowed
+                mid = below / 2.0 + above / 2.0
+            best = (cand, int(f), mid)
     if best is None:
         return None
     return best[1], best[2]
@@ -818,11 +827,87 @@ def transport_plan(cost: np.ndarray) -> tuple[np.ndarray, float]:
     return plan, total / (n * m)
 
 
+def loop_transport_cost(cost: np.ndarray) -> float:
+    """Minimum transport cost of one problem, a square certificate read off
+    a permutation: the row argmins if distinct, else a perfect matching on
+    row-minimum cells, else one on column-minimum cells, costed as the mean
+    of its cells in row order.  Without one, the library's simplex runs."""
+    cost = transport._check(cost)
+    n, m = cost.shape
+    if n == 1 or m == 1:
+        return float(cost.mean())
+    if n == m:
+        perm = cost.argmin(axis=1)
+        if len(set(perm.tolist())) < n:
+            perm = transport._perfect_matching(cost == cost.min(axis=1, keepdims=True))
+        if perm is None:
+            perm = transport._perfect_matching(cost == cost.min(axis=0))
+        if perm is not None:
+            return float(cost[np.arange(n), perm].mean())
+    _, total = transport._solve(cost)
+    return total / (n * m)
+
+
+def loop_span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeights) -> float:
+    """``span_sim`` one pair at a time: each span hashed on its own, the
+    pair put in the order of its (names, kinds, hashes) keys, and its cost
+    matrix filled cell by cell."""
+    if not d1.features or not d2.features:
+        return 0.0
+    if max(len(d1.features), len(d2.features)) > transport.MAX_SIDE:
+        raise ValueError(f"span feature count exceeds {transport.MAX_SIDE}")
+    keys = []
+    for d in (d1, d2):
+        hashes = hash_distributions(_canonical_bins(d.features), params).tolist()
+        keys.append((tuple(f.name for f in d.features), tuple(f.kind.value for f in d.features),
+                     tuple(map(tuple, hashes))))
+    if keys[0] > keys[1]:
+        keys.reverse()
+    (names1, kinds1, hashes1), (names2, kinds2, hashes2) = keys
+    cost = np.array([
+        [1.0 - (weights.alpha * float(h1 == h2) + weights.beta * float(n1 == n2))
+         if k1 == k2 else 1.0
+         for n2, k2, h2 in zip(names2, kinds2, hashes2)]
+        for n1, k1, h1 in zip(names1, kinds1, hashes1)
+    ])
+    return min(1.0, max(0.0, 1.0 - loop_transport_cost(cost)))
+
+
+class LoopSpanSimilarity:
+    """``SpanSimilarity``'s contract with nothing batched or declared: each
+    ``compare`` aligns the two graphlets' spans and takes every span pair
+    through ``loop_span_sim``, memoized by span ids."""
+
+    def __init__(self, trace: Trace, pairs, params: LshParams, weights: SimWeights) -> None:
+        self.trace, self.params, self.weights = trace, params, weights
+        self.memo: dict[tuple[str, str], float] = {}
+
+    def _span_sim(self, a: str, b: str) -> float:
+        key = (a, b) if a <= b else (b, a)
+        if key not in self.memo:
+            stats = self.trace.artifacts
+            self.memo[key] = loop_span_sim(stats[a].span_stats, stats[b].span_stats,
+                                           self.params, self.weights)
+        return self.memo[key]
+
+    def compare(self, g: Graphlet, prev: Graphlet) -> tuple[float, float, float]:
+        def spans(x: Graphlet) -> list[str]:
+            return [s for s in x.input_spans if self.trace.artifacts[s].span_stats is not None]
+
+        a, b = spans(g), spans(prev)
+        dataset = 0.0
+        if a and b:
+            dataset = sum(self._span_sim(a[i], b[i]) for i in range(min(len(a), len(b))))
+            dataset /= max(len(a), len(b))
+        code = 1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0
+        return jaccard(g, prev), dataset, code
+
+
 Corpus = list[tuple[Trace, list[Graphlet]]]
 
 
 def _reference_row(
-    featurizer: Featurizer, g: Graphlet, predecessors: list[Graphlet], sims: SpanSimilarity
+    featurizer: Featurizer, g: Graphlet, predecessors: list[Graphlet], sims: LoopSpanSimilarity
 ) -> list[float]:
     """One validation-stage row in schema order, the model one-hots first."""
     row = [1.0 if g.model_type is mt else 0.0 for mt in ModelType]
@@ -861,7 +946,7 @@ def reference_featurize(corpus: Corpus, featurizer: Featurizer) -> CorpusFeature
     model_types: list[str] = []
     total_costs: list[float] = []
     for trace, graphlets in corpus:
-        sims = SpanSimilarity(trace, graphlets, featurizer.lsh, featurizer.weights)
+        sims = LoopSpanSimilarity(trace, (), featurizer.lsh, featurizer.weights)
         for pos, g in enumerate(graphlets):
             predecessors = graphlets[max(0, pos - featurizer.window.w): pos][::-1]
             rows.append(_reference_row(featurizer, g, predecessors, sims))

@@ -27,8 +27,9 @@ def featurize(corpus):
     return f.with_vocab(rows).assemble(rows)
 
 
-def sims_for(f, trace, graphlets):
-    return SpanSimilarity(trace, graphlets, f.lsh, f.weights)
+def sims_for(f, trace, pairs):
+    """The trace's ``SpanSimilarity`` for the ``(graphlet, predecessor)`` pairs."""
+    return SpanSimilarity(trace, pairs, f.lsh, f.weights)
 
 
 def full_row(f, g, predecessors, sims):
@@ -41,7 +42,7 @@ def full_row(f, g, predecessors, sims):
 def stage_row(f, g, predecessors, stage, trace):
     """Feature name -> value at ``stage``, built by the production row path."""
     sl = f.stage_slice(stage)
-    sims = sims_for(f, trace, [g, *predecessors])
+    sims = sims_for(f, trace, [(g, p) for p in predecessors])
     values = full_row(f, g, predecessors, sims)[sl]
     return dict(zip(f.full_names()[sl], values))
 
@@ -50,7 +51,7 @@ def test_stage_vectors_nest_and_grow(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     g = warm_pair_graphlets[1]
     full = full_row(
-        f, g, [warm_pair_graphlets[0]], sims_for(f, warm_pair_trace, warm_pair_graphlets)
+        f, g, [warm_pair_graphlets[0]], sims_for(f, warm_pair_trace, [(g, warm_pair_graphlets[0])])
     )
     assert len(full) == len(f.full_names())
     lengths = []
@@ -202,9 +203,9 @@ def test_featurize_corpus_matches_full_row(small_corpus):
     f = feats.featurizer
     trace, graphlets = corpus[0]
     ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
-    sims = sims_for(f, trace, graphlets)
-    for pos, g in enumerate(ordered):
-        predecessors = ordered[max(0, pos - f.window.w): pos][::-1]
+    windows = [ordered[max(0, pos - f.window.w): pos][::-1] for pos in range(len(ordered))]
+    sims = sims_for(f, trace, [(g, p) for g, window in zip(ordered, windows) for p in window])
+    for pos, (g, predecessors) in enumerate(zip(ordered, windows)):
         assert feats.X[pos].tolist() == full_row(f, g, predecessors, sims)
         assert feats.anchors[pos] == g.anchor
         for stage in STAGES:

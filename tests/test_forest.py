@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -95,6 +96,26 @@ def test_min_leaf_respected():
     for tree in forest.trees:
         leaves = tree.feature == -1
         assert (tree.count[leaves] >= 7).all()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_midpoint_of_huge_values_stays_finite(sign):
+    # 1.75e308 + 1.7e308 overflows; the threshold must still fall between them.
+    X = sign * np.repeat([1.75e308, 1.7e308], 30)[:, None]
+    y = np.repeat([True, False], 30)
+    cfg = ForestConfig(n_trees=4, min_leaf=5, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit(X, y, cfg)
+        assert (scores(model, X) == y).all()
+    for tree in model.trees:
+        split = tree.feature >= 0
+        assert split.any()
+        assert np.isfinite(tree.threshold).all()
+        assert (tree.count[tree.left[split]] > 0).all()
+        assert (tree.count[tree.right[split]] > 0).all()
+    json.dumps(forest_to_dict(model), allow_nan=False)
+    assert _forest_json(model) == _forest_json(reference_fit(X, y, cfg))
 
 
 def test_score_schema_mismatch_errors():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -9,10 +10,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_span_sim_square, jensen_shannon, scalar_canonicalize, scalar_lsh_hash
+from oracles import (
+    LoopSpanSimilarity,
+    brute_assignment_cost,
+    brute_span_sim_square,
+    brute_transport_cost,
+    jensen_shannon,
+    loop_span_sim,
+    scalar_canonicalize,
+    scalar_lsh_hash,
+)
 
 import graphlets.similarity as similarity
+from graphlets import analytics, transport
 from graphlets.analytics import pair_similarities
+from graphlets.cli import main
 from graphlets.features import Featurizer
 from graphlets.segmentation import consecutive_pairs, extract_graphlets
 from graphlets.similarity import (
@@ -21,7 +33,8 @@ from graphlets.similarity import (
     SimWeights,
     SpanSimilarity,
     _canonical_bins,
-    _sign_spans,
+    _hash_blocks,
+    _pair_sims,
     canonicalize,
     feature_sim,
     hash_distributions,
@@ -278,16 +291,24 @@ def test_lsh_batch_matches_scalar():
 
 def test_span_hashes_match_scalar(small_corpus):
     # The production path: a trace's spans canonicalized in one batch, each
-    # span then hashed on its own.
+    # span projected on its own, the rest of the hash taken over all rows.
     _, _, traces, _ = small_corpus
     checked = 0
     for trace in traces[:4]:
         spans = [a.span_stats for a in trace.artifacts.values()
                  if a.span_stats is not None and a.span_stats.features]
-        for d, (key, *_) in zip(spans, _sign_spans(spans, PARAMS)):
-            for f, h in zip(d.features, key[2]):
-                assert h == scalar_lsh_hash(scalar_canonicalize(f).bins, PARAMS)
-                checked += 1
+        features = [f for d in spans for f in d.features]
+        sizes = [len(d.features) for d in spans]
+        hashed = _hash_blocks(_canonical_bins(features), sizes, PARAMS).tolist()
+        start = 0
+        for size in sizes:
+            # Each block hashes exactly as that span's rows alone.
+            alone = hash_distributions(_canonical_bins(features[start:start + size]), PARAMS)
+            assert hashed[start:start + size] == alone.tolist()
+            start += size
+        for f, h in zip(features, hashed):
+            assert tuple(h) == scalar_lsh_hash(scalar_canonicalize(f).bins, PARAMS)
+            checked += 1
     assert checked > 100
 
 
@@ -475,8 +496,9 @@ def test_span_similarity_matches_module_functions(small_corpus, weights):
     _, _, _, corpus = small_corpus
     checked = 0
     for trace, graphlets in corpus[:3]:
-        sims = SpanSimilarity(trace, graphlets, PARAMS, weights)
-        for prev, cur in consecutive_pairs(graphlets):
+        pairs = consecutive_pairs(graphlets)
+        sims = SpanSimilarity(trace, [(cur, prev) for prev, cur in pairs], PARAMS, weights)
+        for prev, cur in pairs:
             expected = sequence_sim(
                 span_stats_of(cur, trace), span_stats_of(prev, trace), PARAMS, weights
             )
@@ -489,44 +511,217 @@ def test_span_similarity_matches_module_functions(small_corpus, weights):
 def test_span_similarity_hashes_each_span_and_compares_each_pair_once(
     small_corpus, monkeypatch
 ):
+    # Construction signs every span that an aligned pair reads in one batch
+    # (one canonicalization, one hash pass with a product per span) and
+    # puts each distinct span pair into exactly one cost block; ``compare``
+    # then only reads, in either order.
     _, _, _, corpus = small_corpus
     trace, graphlets = corpus[0]
-    counts = {"batches": 0, "rows": 0, "hashes": 0, "pairs": 0}
+    counts = {"batches": 0, "rows": 0, "hash_passes": 0, "blocks": 0, "pairs": 0}
 
-    def counted(name, fn, rows=False):
+    def counted(name, fn, extra=None):
         def wrapper(*args):
             counts[name] += 1
-            if rows:
-                counts["rows"] += len(args[0])
+            if extra:
+                counts[extra] += len(args[0])
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(
-        similarity, "_canonical_bins", counted("batches", _canonical_bins, rows=True)
-    )
-    monkeypatch.setattr(
-        similarity, "hash_distributions", counted("hashes", hash_distributions)
-    )
-    monkeypatch.setattr(similarity, "_signed_sim", counted("pairs", similarity._signed_sim))
-    sims = SpanSimilarity(trace, graphlets, PARAMS, W)
-    signed = dict(counts)
-    pairs = list(consecutive_pairs(graphlets))
-    for prev, cur in pairs:
+    monkeypatch.setattr(similarity, "_canonical_bins",
+                        counted("batches", _canonical_bins, extra="rows"))
+    monkeypatch.setattr(similarity, "_hash_blocks", counted("hash_passes", _hash_blocks))
+    monkeypatch.setattr(similarity, "transport_costs",
+                        counted("blocks", similarity.transport_costs, extra="pairs"))
+    pairs = [(cur, prev) for prev, cur in consecutive_pairs(graphlets)]
+    sims = SpanSimilarity(trace, pairs, PARAMS, W)
+    built = dict(counts)
+    for cur, prev in pairs:
         sims.compare(cur, prev)
-    first = dict(counts)
-    for prev, cur in pairs:
-        sims.compare(prev, cur)  # the same span pairs, in the other order
-    assert counts == first
-    assert first["pairs"] > 0
-    # Every span is signed at construction, in one batch, and never again.
-    assert {k: first[k] for k in ("batches", "rows", "hashes")} == {
-        k: signed[k] for k in ("batches", "rows", "hashes")
-    }
-    spans = {s for prev, cur in pairs for g in (prev, cur) for s in g.input_spans
-             if trace.artifacts[s].span_stats is not None}
-    assert signed["batches"] == 1
-    assert signed["hashes"] == len(spans)
-    assert signed["rows"] == sum(len(trace.artifacts[s].span_stats.features) for s in spans)
+        sims.compare(prev, cur)  # the same pair in the other order
+    assert counts == built
+
+    def spans(g):
+        return [s for s in g.input_spans if trace.artifacts[s].span_stats is not None]
+
+    aligned = {tuple(sorted(xy)) for cur, prev in pairs for xy in zip(spans(cur), spans(prev))}
+    read = {s for xy in aligned for s in xy}
+    assert len(aligned) > 10
+    assert built["batches"] == built["hash_passes"] == 1
+    assert built["rows"] == sum(len(trace.artifacts[s].span_stats.features) for s in read)
+    # A pipeline's spans share one schema, so every pair is square; at this
+    # size each shape is one block, and each distinct pair sits in one.
+    shapes = {(len(trace.artifacts[x].span_stats.features),
+               len(trace.artifacts[y].span_stats.features)) for x, y in aligned}
+    assert all(n == m for n, m in shapes)
+    assert built["blocks"] == len(shapes)
+    assert built["pairs"] == len(aligned)
+
+
+def _pool_span(rng, max_features=5):
+    """A span whose features repeat from small pools of names and
+    distributions, so that names and hashes collide across spans."""
+    hists = ([0.1] * 10, [0.55] + [0.05] * 9, [0.0] * 9 + [1.0])
+    n = int(rng.integers(0, max_features + 1))
+    feats = []
+    for name in rng.choice(list("abcdef"), size=n, replace=False):
+        if rng.random() < 0.7:
+            feats.append(num_feature(str(name), hists[int(rng.integers(len(hists)))]))
+        else:
+            feats.append(cat_feature(str(name), [50, 30, 20], unique=3, total=100))
+    return SpanStats(features=tuple(feats))
+
+
+@st.composite
+def pooled_spans(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(1, 8))
+    rng = np.random.default_rng(seed)
+    return [_pool_span(rng) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_spans(), st.sampled_from([W, SimWeights(alpha=0.3, beta=0.7),
+                                        SimWeights(alpha=0.1, beta=0.9)]))
+def test_batched_span_sims_match_per_pair_oracle_bitwise(spans, weights):
+    pairs = [(i, j) for i in range(len(spans)) for j in range(len(spans))]
+    got = _pair_sims(spans, pairs, PARAMS, weights)
+    expected = [loop_span_sim(spans[i], spans[j], PARAMS, weights) for i, j in pairs]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    for (i, j), value in zip(pairs, got):
+        # The batch orients each pair itself: exactly symmetric.
+        assert value == got[pairs.index((j, i))]
+        n, m = len(spans[i].features), len(spans[j].features)
+        if n and m and (n * m <= 9 or n == m):
+            cost = np.array([[1.0 - feature_sim(f, g, PARAMS, weights)
+                              for g in spans[j].features] for f in spans[i].features])
+            brute = brute_transport_cost(cost) if n * m <= 9 else brute_assignment_cost(cost)
+            assert value == pytest.approx(min(1.0, max(0.0, 1.0 - brute)), abs=1e-9)
+
+
+def test_batched_span_sims_reach_every_certificate(monkeypatch):
+    # Spans over shared pools give every kind of pair: empty sides, one row
+    # or one column, distinct row argmins, row- and column-minimum matchings
+    # after a collision, and unequal sides for the simplex.
+    rng = np.random.default_rng(2024)
+    spans = [_pool_span(rng, max_features=6) for _ in range(60)]
+    pairs = [(i, j) for i in range(60) for j in range(i, 60)]
+    matchings, solves = [], []
+
+    def count(calls, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            calls.append(result is not None)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(transport, "_perfect_matching",
+                        count(matchings, transport._perfect_matching))
+    monkeypatch.setattr(transport, "_solve", count(solves, transport._solve))
+    got = _pair_sims(spans, pairs, PARAMS, W)
+    sizes = [(len(spans[i].features), len(spans[j].features)) for i, j in pairs]
+    assert any(0 in s for s in sizes)
+    assert any(1 in s and 0 not in s for s in sizes)
+    assert any(n != m and min(n, m) > 1 for n, m in sizes)
+    # Each collided pair tries its row-minimum cells, then its column-minimum ones.
+    found, tries = [], iter(matchings)
+    for row in tries:
+        found.append("row" if row else "column" if next(tries) else "none")
+    assert {"row", "column"} <= set(found)
+    assert len(solves) > found.count("none")
+    expected = [loop_span_sim(spans[i], spans[j], PARAMS, W) for i, j in pairs]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_batched_span_sims_reject_oversized():
+    big = SpanStats(features=tuple(num_feature(f"f{i}", [0.1] * 10) for i in range(257)))
+    small = SpanStats(features=(num_feature("f0", [0.1] * 10),))
+    empty = SpanStats(features=())
+    for pair in ((big, small), (small, big), (big, big)):
+        with pytest.raises(ValueError):
+            _pair_sims(pair, [(0, 1)], PARAMS, W)
+        with pytest.raises(ValueError):
+            loop_span_sim(*pair, PARAMS, W)
+    # An empty side scores 0 before any size is read, in both paths.
+    assert _pair_sims((big, empty), [(0, 1)], PARAMS, W) == [0.0]
+    assert loop_span_sim(big, empty, PARAMS, W) == 0.0
+
+
+def test_compare_rejects_an_undeclared_pair(small_corpus):
+    _, _, _, corpus = small_corpus
+    trace, graphlets = corpus[0]
+    first, second, third = graphlets[:3]
+    sims = SpanSimilarity(trace, [(second, first)], PARAMS, W)
+    assert sims.compare(first, second) == sims.compare(second, first)
+    with pytest.raises(ValueError) as err:
+        sims.compare(third, first)
+    assert repr(third.anchor) in str(err.value) and repr(first.anchor) in str(err.value)
+
+
+def test_no_span_pair_means_no_batch_work(small_corpus, monkeypatch):
+    _, _, _, corpus = small_corpus
+    trace, graphlets = corpus[0]
+    calls = []
+    for name in ("_canonical_bins", "_hash_blocks", "transport_costs"):
+        monkeypatch.setattr(similarity, name, lambda *a, name=name: calls.append(name))
+    # A one-graphlet pipeline declares no pair.
+    assert Featurizer().pipeline_rows(trace, graphlets[:1]).X.shape[0] == 1
+    assert pair_similarities(trace, graphlets[:1], PARAMS, W) == []
+    # Graphlets whose input spans all lack statistics align no span pair.
+    bare = [dataclasses.replace(g, input_spans=()) for g in graphlets[:2]]
+    sims = SpanSimilarity(trace, [(bare[1], bare[0])], PARAMS, W)
+    assert sims.compare(bare[1], bare[0])[1] == 0.0
+    assert calls == []
+
+
+def _reshape_spans(corpus, seed):
+    """Drop one feature from some data spans and add one to others, so that
+    consecutive spans differ in size; every span still validates."""
+    rng = np.random.default_rng(seed)
+    changed = 0
+    for path in sorted(corpus.glob("*.ndjson")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            stats = record.get("properties", {}).get("span_stats")
+            if not stats or rng.random() < 0.6:
+                continue
+            features = stats["features"]
+            if rng.random() < 0.5 and len(features) > 1:
+                features.pop(int(rng.integers(len(features))))
+            else:
+                extra = dict(features[int(rng.integers(len(features)))])
+                extra["name"] += "_extra"
+                features.append(extra)
+            lines[i] = json.dumps(record, sort_keys=True)
+            changed += 1
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return changed
+
+
+def test_unequal_spans_write_the_oracle_bytes(tmp_path, monkeypatch):
+    # No bench corpus has spans of unequal size, so the simplex is covered
+    # here: ``stats`` and ``similarity`` must write through the batch what
+    # they write through the per-pair oracle.
+    corpus = tmp_path / "corpus"
+    cfg = dataclasses.replace(GenConfig(), n_pipelines=3, graphlets_per_pipeline=(6, 8), seed=4)
+    generate(cfg, corpus)
+    assert _reshape_spans(corpus, seed=4) > 10
+    assert main(["validate", "--corpus", str(corpus)]) == 0
+    solves = []
+    solve = transport._solve
+    monkeypatch.setattr(transport, "_solve", lambda cost: solves.append(cost.shape) or solve(cost))
+    outputs = {}
+    for path in ("batch", "oracle"):
+        if path == "oracle":
+            monkeypatch.setattr(analytics, "SpanSimilarity", LoopSpanSimilarity)
+            batch_solves = len(solves)
+        for command in ("stats", "similarity"):
+            out = tmp_path / path / command
+            assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 0
+            outputs[path, command] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert batch_solves > 0 and any(n != m for n, m in solves[:batch_solves])
+    for command in ("stats", "similarity"):
+        assert outputs["batch", command] == outputs["oracle", command]
 
 
 def _featurize_and_compare(out):

@@ -4,11 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_assignment_cost, brute_transport_cost, transport_plan
+from oracles import (
+    brute_assignment_cost,
+    brute_transport_cost,
+    loop_transport_cost,
+    transport_plan,
+)
 
 from graphlets import transport
-from graphlets.transport import transport_cost
+from graphlets.transport import transport_cost, transport_costs
 
 
 def test_rejects_empty_and_oversized():
@@ -145,3 +152,87 @@ def test_large_instance_runs():
     cost = rng.random((120, 80))
     value = transport_cost(cost)
     assert 0.0 <= value <= 1.0
+
+
+# -- transport_costs: blocks of one shape --------------------------------------
+
+
+@st.composite
+def cost_blocks(draw):
+    """A (problems, n, m) block on the metric's tied levels or on floats."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.sampled_from([n, n, draw(st.integers(1, 5))]))
+    p = draw(st.integers(1, 6))
+    levels = draw(st.sampled_from([(0.0, 0.5, 1.0), (0.0, 0.3, 0.7, 1.0), None]))
+    if levels is None:
+        cell = st.floats(0.0, 1.0, allow_nan=False)
+    else:
+        cell = st.sampled_from(levels)
+    cells = draw(st.lists(cell, min_size=p * n * m, max_size=p * n * m))
+    return np.array(cells).reshape(p, n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost_blocks())
+def test_block_matches_per_problem_oracle_bitwise(block):
+    got = transport_costs(block)
+    expected = np.array([loop_transport_cost(c) for c in block])
+    assert got.tobytes() == expected.tobytes()
+    assert got.tobytes() == np.array([transport_cost(c) for c in block]).tobytes()
+    n, m = block.shape[1:]
+    for c, value in zip(block, got):
+        brute = brute_transport_cost(c) if n * m <= 9 else (
+            brute_assignment_cost(c) if n == m else None)
+        if brute is not None:
+            assert value == pytest.approx(brute, abs=1e-12)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    fn = getattr(transport, name)
+
+    def wrapper(*args):
+        result = fn(*args)
+        calls.append(result is not None)
+        return result
+
+    monkeypatch.setattr(transport, name, wrapper)
+    return calls
+
+
+def test_block_takes_each_certificate_in_turn(monkeypatch):
+    block = np.array([
+        [[0.0, 1.0], [1.0, 0.5]],  # distinct row argmins: settled in bulk
+        [[0.5, 1.0], [0.5, 0.5]],  # argmins collide, the greedy pass still matches
+        [[0.5, 0.5], [0.5, 1.0]],  # the greedy pass fails; Kuhn finds a row matching
+        [[0.5, 1.0], [0.5, 1.0]],  # only a column-minimum matching
+    ])
+    three = np.array([[[0.0, 0.5, 1.0], [0.5, 1.0, 1.0], [0.5, 1.0, 1.0]]])  # neither
+    matchings = _counted(monkeypatch, "_perfect_matching")
+    solves = _counted(monkeypatch, "_solve")
+    assert transport_costs(block).tolist() == [0.25, 0.5, 0.5, 0.75]
+    assert matchings == [True, False, True]  # pair 2: row; pair 3: row, then column
+    assert solves == []
+    assert transport_costs(three).tolist() == [brute_assignment_cost(three[0])]
+    assert matchings[3:] == [False, False] and solves == [True]
+
+
+def test_block_sends_unequal_sides_to_the_simplex(monkeypatch):
+    solves = _counted(monkeypatch, "_solve")
+    rng = np.random.default_rng(3)
+    block = rng.choice(np.array([0.0, 0.5, 1.0]), size=(4, 2, 3))
+    got = transport_costs(block)
+    assert len(solves) == 4
+    assert got.tolist() == [brute_transport_cost(c) for c in block]
+    one_row = rng.random((3, 1, 4))
+    one_col = rng.random((3, 4, 1))
+    assert transport_costs(one_row).tolist() == [float(c.mean()) for c in one_row]
+    assert transport_costs(one_col).tolist() == [float(c.mean()) for c in one_col]
+    assert len(solves) == 4
+
+
+def test_block_rejects_what_one_problem_rejects():
+    for bad in (np.zeros((2, 0, 3)), np.zeros((1, 257, 257)), np.full((1, 2, 2), np.inf),
+                np.zeros((2, 2))):
+        with pytest.raises(ValueError):
+            transport_costs(bad)
