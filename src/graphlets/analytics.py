@@ -12,6 +12,7 @@ graphlet lists are taken in ``extract_graphlets`` order, by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Sequence
@@ -128,6 +129,8 @@ def add_costs(totals: dict[OperatorGroup, float], trace: Trace) -> None:
 def cost_fractions(totals: dict[OperatorGroup, float]) -> dict[OperatorGroup, float]:
     """Fraction of total compute per operator group, from ``add_costs`` totals."""
     grand = sum(totals.values())
+    if not math.isfinite(grand):  # each trace's total is finite; their sum need not be
+        raise ValueError("corpus compute cost total is out of float range")
     if grand <= 0.0:
         raise ValueError("corpus has no compute cost to break down")
     return {group: cost / grand for group, cost in totals.items()}

@@ -151,6 +151,7 @@ def cmd_stats(args, cfg: RunConfig) -> int:
         add_costs(cost_totals, trace)
         cad.add(trace, graphlets)
         pairs += pair_similarities(trace, graphlets, cfg.lsh, cfg.weights)
+    breakdown = cost_fractions(cost_totals)  # raises before any table is written
     out = Path(args.out)
 
     _write_table(
@@ -180,7 +181,6 @@ def cmd_stats(args, cfg: RunConfig) -> int:
         [[a.value, c] for a, c in sorted(analyzers.items())],
     )
 
-    breakdown = cost_fractions(cost_totals)
     _write_table(
         out / "cost_breakdown.tsv",
         ["operator_group", "cost_fraction"],

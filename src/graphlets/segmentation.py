@@ -19,9 +19,12 @@ three rules, seeded with the anchor trainer ``n``:
 Graphlets from one trace may overlap; shared executions contribute their full
 cost to every graphlet that contains them.
 
-Segmentation indexes each trace once and keeps on the graphlet what later
-layers need: its shape, the anchor trainer's model type and architecture, and
-whether that trainer reads a model artifact (warmstart).  ``extract_graphlets``
+Segmentation reads the trace's one ``TraceIndex`` (the corpus pass builds it
+once and validation shares it) and keeps on the graphlet what later layers
+need: its shape, the anchor trainer's model type and architecture, and
+whether that trainer reads a model artifact (warmstart).  Each graphlet's
+nodes are walked once, in sorted order, for its costs, shape and push label,
+and each ``Graphlet`` is built once.  ``extract_graphlets``
 returns a trace's graphlets ordered by ``(trainer_end_at, anchor)``.  Every
 consumer of a trace's graphlet list (``consecutive_pairs``,
 ``is_warmstart``, features, analytics) expects the whole list in that
@@ -31,7 +34,7 @@ order and never re-sorts it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .trace import (
@@ -49,7 +52,6 @@ __all__ = [
     "StopSet",
     "Graphlet",
     "extract_graphlets",
-    "label_pushed",
     "consecutive_pairs",
     "is_warmstart",
     "overlap_adjusted_costs",
@@ -96,12 +98,13 @@ class Graphlet:
 def _grow(trace: Trace, idx: TraceIndex, anchor: str, stop: StopSet) -> frozenset[str]:
     """Least fixpoint of the ancestor/descendant membership rules."""
     executions = trace.executions
+    parents, children = idx.parents, idx.children
     stop_kinds = stop.kinds
     nodes = {anchor}
     frontier = [anchor]
     while frontier:
         x = frontier.pop()
-        for v in idx.parents[x]:
+        for v in parents[x]:
             if v in nodes:
                 continue
             ex = executions.get(v)
@@ -109,7 +112,7 @@ def _grow(trace: Trace, idx: TraceIndex, anchor: str, stop: StopSet) -> frozense
                 continue
             nodes.add(v)
             frontier.append(v)
-        for v in idx.children[x]:
+        for v in children[x]:
             if v in nodes:
                 continue
             ex = executions.get(v)
@@ -120,78 +123,68 @@ def _grow(trace: Trace, idx: TraceIndex, anchor: str, stop: StopSet) -> frozense
     return frozenset(nodes)
 
 
-def _shape(
-    trace: Trace, idx: TraceIndex, nodes: frozenset[str]
-) -> dict[OperatorKind, tuple[int, int, int]]:
-    shape: dict[OperatorKind, tuple[int, int, int]] = {}
-    for node in nodes:
-        ex = trace.executions.get(node)
-        if ex is None:
-            continue
-        count, fan_in, fan_out = shape.get(ex.operator, (0, 0, 0))
-        shape[ex.operator] = (
-            count + 1, fan_in + idx.in_degree(node), fan_out + idx.out_degree(node)
-        )
-    return shape
+def extract_graphlets(
+    trace: Trace, stop: StopSet = DEFAULT_STOP_SET, idx: TraceIndex | None = None
+) -> list[Graphlet]:
+    """One graphlet per trainer execution, ordered by ``(trainer_end_at, anchor)``.
 
-
-def _reads_model(trace: Trace, idx: TraceIndex, anchor: str) -> bool:
-    return any(
-        p in trace.artifacts and trace.artifacts[p].artifact_type is ArtifactType.MODEL
-        for p in idx.parents[anchor]
-    )
-
-
-def _input_spans(trace: Trace, idx: TraceIndex, anchor: str) -> tuple[str, ...]:
-    """Data spans read directly by the anchor trainer, oldest first."""
-    spans = [
-        trace.artifacts[p]
-        for p in idx.parents[anchor]
-        if p in trace.artifacts and trace.artifacts[p].artifact_type is ArtifactType.DATA_SPAN
-    ]
-    spans.sort(key=lambda a: (a.created_at, a.id))
-    return tuple(a.id for a in spans)
-
-
-def extract_graphlets(trace: Trace, stop: StopSet = DEFAULT_STOP_SET) -> list[Graphlet]:
-    """One graphlet per trainer execution, ordered by ``(trainer_end_at, anchor)``."""
-    idx = index_trace(trace)
+    ``idx`` is the trace's ``index_trace``, built here when not given.
+    """
+    if idx is None:
+        idx = index_trace(trace)
+    artifacts, executions = trace.artifacts, trace.executions
+    parents, children = idx.parents, idx.children
     graphlets = []
     for anchor in idx.trainers:
-        trainer = trace.executions[anchor]
+        trainer = executions[anchor]
         nodes = _grow(trace, idx, anchor, stop)
-        g = Graphlet(
-            anchor=anchor,
-            pipeline_id=trace.pipeline_id,
-            nodes=nodes,
-            input_spans=_input_spans(trace, idx, anchor),
-            pushed=False,
-            costs=_costs_for(trace, nodes),
-            trainer_end_at=trainer.end_at,
-            trainer_code_version=trainer.code_version,
-            model_type=trainer.model_type or ModelType.OTHER,
-            architecture=trainer.architecture,
-            shape=_shape(trace, idx, nodes),
-            warmstart=_reads_model(trace, idx, anchor),
+        costs: dict[OperatorGroup, float] = {}
+        shape: dict[OperatorKind, tuple[int, int, int]] = {}
+        pushed = False
+        # Sorted order pins the float accumulation order of the costs, which
+        # keeps dumps byte-identical across processes.
+        for node in sorted(nodes):
+            ex = executions.get(node)
+            if ex is None:
+                continue
+            group = ex.group
+            costs[group] = costs.get(group, 0.0) + ex.cpu_cost
+            count, fan_in, fan_out = shape.get(ex.operator, (0, 0, 0))
+            shape[ex.operator] = (
+                count + 1, fan_in + len(parents[node]), fan_out + len(children[node])
+            )
+            # The push label: a completed pusher run deploys the model; a
+            # pusher run that failed leaves it undeployed.
+            if ex.operator is OperatorKind.PUSHER and ex.state is ExecutionState.COMPLETE:
+                pushed = True
+        spans = []
+        warmstart = False
+        for p in parents[anchor]:
+            art = artifacts.get(p)
+            if art is None:
+                continue
+            if art.artifact_type is ArtifactType.DATA_SPAN:
+                spans.append(art)
+            elif art.artifact_type is ArtifactType.MODEL:
+                warmstart = True
+        spans.sort(key=lambda a: (a.created_at, a.id))  # oldest first
+        graphlets.append(
+            Graphlet(
+                anchor=anchor,
+                pipeline_id=trace.pipeline_id,
+                nodes=nodes,
+                input_spans=tuple([a.id for a in spans]),
+                pushed=pushed,
+                costs=costs,
+                trainer_end_at=trainer.end_at,
+                trainer_code_version=trainer.code_version,
+                model_type=trainer.model_type or ModelType.OTHER,
+                architecture=trainer.architecture,
+                shape=shape,
+                warmstart=warmstart,
+            )
         )
-        graphlets.append(replace(g, pushed=label_pushed(g, trace)))
     return graphlets
-
-
-def label_pushed(g: Graphlet, trace: Trace) -> bool:
-    """True iff the graphlet contains a completed pusher execution.
-
-    A pusher run that failed leaves the model undeployed, so it does not count.
-    """
-    for node in g.nodes:
-        ex = trace.executions.get(node)
-        if (
-            ex is not None
-            and ex.operator is OperatorKind.PUSHER
-            and ex.state is ExecutionState.COMPLETE
-        ):
-            return True
-    return False
 
 
 def consecutive_pairs(graphlets: Sequence[Graphlet]) -> list[tuple[Graphlet, Graphlet]]:

@@ -11,6 +11,15 @@ a ``kind`` field in {"artifact", "execution", "edge"}.  One file holds one
 pipeline; a corpus is a directory of such files.  ``Trace`` and ``TraceIndex``
 are immutable after construction and safe to share across threads.
 
+The per-record types ``FeatureStats``, ``Artifact``, ``Execution`` and
+``Edge`` are ``NamedTuple``s, built positionally: a tuple costs a fraction
+of a dataclass instance to make, and a trace holds tens of thousands of
+them.  A changed copy is ``record._replace(...)``.  ``SpanStats``, ``Trace``
+and ``TraceIndex`` stay frozen dataclasses, which can be weakly referenced.
+Each trace needs one ``TraceIndex``: ``validate_trace`` walks it for the
+cycle check and ``segmentation.extract_graphlets`` for membership, and the
+corpus pass builds it once and hands it to both.
+
 Decoding: each stripped line takes one call of json's C scanner.  Only a line
 that fails to scan, or holds data after its first value, goes on to
 ``json.loads``, which raises the message reported as ``invalid JSON (...)``.
@@ -26,11 +35,11 @@ from __future__ import annotations
 import json
 import json.scanner
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "ArtifactType",
@@ -146,8 +155,7 @@ class FeatureKind(str, Enum):
     CATEGORICAL = "categorical"
 
 
-@dataclass(frozen=True)
-class FeatureStats:
+class FeatureStats(NamedTuple):
     """Per-feature summary statistics recorded on a data span.
 
     Numerical features carry a 10-bin equi-width histogram over the rescaled
@@ -165,44 +173,51 @@ class FeatureStats:
 
     def check(self) -> list[str]:
         """Return a list of invariant violations (empty when valid)."""
+        name, kind, hist, top10, unique, total = self
         bad = []
-        if not self.name:
+        if not name:
             bad.append("feature with empty name")
-        if self.kind is FeatureKind.NUMERICAL:
-            if self.numerical_hist is None:
-                bad.append(f"numerical feature {self.name!r} missing histogram")
+        if kind is FeatureKind.NUMERICAL:
+            if hist is None:
+                bad.append(f"numerical feature {name!r} missing histogram")
             else:
-                if len(self.numerical_hist) != 10:
-                    bad.append(f"feature {self.name!r} histogram must have 10 bins")
-                if not all(math.isfinite(b) for b in self.numerical_hist):
-                    bad.append(f"feature {self.name!r} histogram has non-finite mass")
-                elif any(b < 0 for b in self.numerical_hist):
-                    bad.append(f"feature {self.name!r} histogram has negative mass")
-                elif abs(sum(self.numerical_hist) - 1.0) > 1e-9:
-                    bad.append(f"feature {self.name!r} histogram mass != 1")
-            if self.cat_top10 is not None or self.cat_unique is not None or self.cat_total is not None:
-                bad.append(f"numerical feature {self.name!r} carries categorical fields")
+                if len(hist) != 10:
+                    bad.append(f"feature {name!r} histogram must have 10 bins")
+                mass = sum(hist)
+                flaw = None
+                # A finite sum has only finite terms, so one min settles the
+                # sign; only otherwise do the element-wise checks run.
+                if not (math.isfinite(mass) and min(hist, default=0.0) >= 0):
+                    if not all(math.isfinite(b) for b in hist):
+                        flaw = "has non-finite mass"
+                    elif any(b < 0 for b in hist):
+                        flaw = "has negative mass"
+                if flaw is None and abs(mass - 1.0) > 1e-9:
+                    flaw = "mass != 1"
+                if flaw is not None:
+                    bad.append(f"feature {name!r} histogram {flaw}")
+            if top10 is not None or unique is not None or total is not None:
+                bad.append(f"numerical feature {name!r} carries categorical fields")
         else:
-            if self.numerical_hist is not None:
-                bad.append(f"categorical feature {self.name!r} carries a histogram")
-            if self.cat_top10 is None or self.cat_unique is None or self.cat_total is None:
-                bad.append(f"categorical feature {self.name!r} missing count fields")
+            if hist is not None:
+                bad.append(f"categorical feature {name!r} carries a histogram")
+            if top10 is None or unique is None or total is None:
+                bad.append(f"categorical feature {name!r} missing count fields")
+            elif unique <= 0 or total <= 0:
+                bad.append(f"feature {name!r} has non-positive unique/total counts")
+            elif min(top10, default=1) <= 0:
+                bad.append(f"feature {name!r} has non-positive top-term counts")
             else:
-                if self.cat_unique <= 0 or self.cat_total <= 0:
-                    bad.append(f"feature {self.name!r} has non-positive unique/total counts")
-                elif any(c <= 0 for c in self.cat_top10):
-                    bad.append(f"feature {self.name!r} has non-positive top-term counts")
-                else:
-                    top_sum = sum(self.cat_top10)
-                    if top_sum > self.cat_total:
-                        bad.append(f"feature {self.name!r} top-term counts exceed total")
-                    elif top_sum < self.cat_total and len(self.cat_top10) == self.cat_unique:
-                        # Every term is a top term, so their counts make up the whole total.
-                        bad.append(f"feature {self.name!r} top-term counts do not cover the total")
-                    if len(self.cat_top10) > min(10, self.cat_unique):
-                        bad.append(f"feature {self.name!r} has too many top-term counts")
-                    if self.cat_unique > self.cat_total:
-                        bad.append(f"feature {self.name!r} unique count exceeds total")
+                top_sum = sum(top10)
+                if top_sum > total:
+                    bad.append(f"feature {name!r} top-term counts exceed total")
+                elif top_sum < total and len(top10) == unique:
+                    # Every term is a top term, so their counts make up the whole total.
+                    bad.append(f"feature {name!r} top-term counts do not cover the total")
+                if len(top10) > min(10, unique):
+                    bad.append(f"feature {name!r} has too many top-term counts")
+                if unique > total:
+                    bad.append(f"feature {name!r} unique count exceeds total")
         return bad
 
 
@@ -222,8 +237,7 @@ class SpanStats:
         return bad
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(NamedTuple):
     id: str
     artifact_type: ArtifactType
     created_at: int
@@ -232,8 +246,7 @@ class Artifact:
     extra: tuple[tuple[str, Any], ...] = ()
 
 
-@dataclass(frozen=True)
-class Execution:
+class Execution(NamedTuple):
     id: str
     operator: OperatorKind
     pipeline_id: str
@@ -252,8 +265,7 @@ class Execution:
         return OPERATOR_GROUPS[self.operator]
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     role: EdgeRole
@@ -304,6 +316,8 @@ _ROLES = _members(EdgeRole)
 _FEATURE_KINDS = _members(FeatureKind)
 _NUMBER_TYPES = frozenset((int, float))
 _INT_TYPES = frozenset((int,))
+# Timestamps are signed 64-bit milliseconds, so spans of them stay in float range.
+_TIME_MIN, _TIME_MAX = -(2**63), 2**63 - 1
 
 # The C scanner behind json.loads, called directly: one scan per line and no
 # Python-level decode/raw_decode frames. It keeps no state between calls.
@@ -319,8 +333,10 @@ def _enum(value: Any, members: Mapping[str, Any], what: str, line: int) -> Any:
 
 def _timestamp(record: dict[str, Any], key: str, line: int) -> int:
     value = record.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:  # a JSON bool is not a timestamp either
         raise TraceParseError(f"missing or non-integer timestamp {key!r}", line)
+    if not _TIME_MIN <= value <= _TIME_MAX:
+        raise TraceParseError(f"timestamp {key!r} is out of signed 64-bit range", line)
     return value
 
 
@@ -361,11 +377,7 @@ def _feature(entry: Any, line: int) -> FeatureStats:
                 pass
         if numerical_hist is None:
             raise TraceParseError(f"numerical feature {name!r} hist must hold numbers", line)
-        return FeatureStats(
-            name=_string(name, "span_stats feature name", line),
-            kind=kind,
-            numerical_hist=numerical_hist,
-        )
+        return FeatureStats(_string(name, "span_stats feature name", line), kind, numerical_hist)
     name = _string(name, "span_stats feature name", line)
     top10, unique, total = entry.get("top10"), entry.get("unique"), entry.get("total")
     if top10 is None or unique is None or total is None:
@@ -376,9 +388,7 @@ def _feature(entry: Any, line: int) -> FeatureStats:
         )
     if type(unique) is not int or type(total) is not int:
         raise TraceParseError(f"categorical feature {name!r} unique/total must be integers", line)
-    return FeatureStats(
-        name=name, kind=kind, cat_top10=tuple(top10), cat_unique=unique, cat_total=total
-    )
+    return FeatureStats(name, kind, None, tuple(top10), unique, total)
 
 
 def _span_stats(payload: Any, line: int) -> SpanStats:
@@ -390,6 +400,16 @@ def _span_stats(payload: Any, line: int) -> SpanStats:
     return SpanStats(features=tuple([_feature(entry, line) for entry in raw]))
 
 
+def _extra(props: dict[str, Any], known: frozenset[str]) -> tuple[tuple[str, Any], ...]:
+    """The properties outside ``known``, sorted by key."""
+    if props.keys() <= known:
+        return ()
+    return tuple(sorted(item for item in props.items() if item[0] not in known))
+
+
+_ARTIFACT_PROP_KEYS = frozenset({"span_stats"})
+
+
 def _parse_artifact(record: dict[str, Any], line: int) -> Artifact:
     node_id = record.get("id")
     if not node_id or not isinstance(node_id, str):
@@ -398,14 +418,14 @@ def _parse_artifact(record: dict[str, Any], line: int) -> Artifact:
     stats = None
     if props.get("span_stats") is not None:
         stats = _span_stats(props["span_stats"], line)
-    extra = tuple(sorted(item for item in props.items() if item[0] != "span_stats"))
+    extra = _extra(props, _ARTIFACT_PROP_KEYS)
     return Artifact(
-        id=node_id,
-        artifact_type=_enum(record.get("type"), _ARTIFACT_TYPES, "artifact type", line),
-        created_at=_timestamp(record, "created_at", line),
-        pipeline_id=_string(record.get("pipeline_id", ""), "pipeline_id", line),
-        span_stats=stats,
-        extra=extra,
+        node_id,
+        _enum(record.get("type"), _ARTIFACT_TYPES, "artifact type", line),
+        _timestamp(record, "created_at", line),
+        _string(record.get("pipeline_id", ""), "pipeline_id", line),
+        stats,
+        extra,
     )
 
 
@@ -418,7 +438,7 @@ def _parse_execution(record: dict[str, Any], line: int) -> Execution:
         raise TraceParseError("execution missing id", line)
     props = _properties(record, "execution", line)
     cost = record.get("cpu_cost", 0.0)
-    if not isinstance(cost, (int, float)) or isinstance(cost, bool):
+    if type(cost) not in _NUMBER_TYPES:
         raise TraceParseError("cpu_cost must be a number", line)
     try:
         cost = float(cost)
@@ -428,24 +448,22 @@ def _parse_execution(record: dict[str, Any], line: int) -> Execution:
     analyzers = props.get("analyzers")
     if analyzers is not None and not isinstance(analyzers, list):
         raise TraceParseError("analyzers must be a list", line)
-    extra = tuple(sorted(item for item in props.items() if item[0] not in _EXEC_PROP_KEYS))
+    extra = _extra(props, _EXEC_PROP_KEYS)
     return Execution(
-        id=node_id,
-        operator=_enum(record.get("operator"), _OPERATORS, "operator", line),
-        pipeline_id=_string(record.get("pipeline_id", ""), "pipeline_id", line),
-        start_at=_timestamp(record, "start_at", line),
-        end_at=_timestamp(record, "end_at", line),
-        state=_enum(record.get("state"), _STATES, "execution state", line),
-        cpu_cost=cost,
-        code_version=_optional_string(props, "code_version", line),
-        model_type=None
-        if model_type is None
-        else _enum(model_type, _MODEL_TYPES, "model type", line),
-        architecture=_optional_string(props, "architecture", line),
-        analyzers=None
+        node_id,
+        _enum(record.get("operator"), _OPERATORS, "operator", line),
+        _string(record.get("pipeline_id", ""), "pipeline_id", line),
+        _timestamp(record, "start_at", line),
+        _timestamp(record, "end_at", line),
+        _enum(record.get("state"), _STATES, "execution state", line),
+        cost,
+        _optional_string(props, "code_version", line),
+        None if model_type is None else _enum(model_type, _MODEL_TYPES, "model type", line),
+        _optional_string(props, "architecture", line),
+        None
         if analyzers is None
         else tuple([_enum(a, _ANALYZERS, "analyzer", line) for a in analyzers]),
-        extra=extra,
+        extra,
     )
 
 
@@ -484,17 +502,17 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         if not isinstance(record, dict):
             raise TraceParseError("record must be a JSON object", line_no)
         kind = record.get("kind")
-        if kind == "artifact":
-            node = _parse_artifact(record, line_no)
-        elif kind == "execution":
-            node = _parse_execution(record, line_no)
-        elif kind == "edge":
+        if kind == "edge":
             src, dst = record.get("from"), record.get("to")
             if not isinstance(src, str) or not isinstance(dst, str):
                 raise TraceParseError("edge missing from/to", line_no)
             role = _enum(record.get("role"), _ROLES, "edge role", line_no)
             edge_lines.setdefault((src, dst, role), line_no)
             continue
+        if kind == "artifact":
+            node = _parse_artifact(record, line_no)
+        elif kind == "execution":
+            node = _parse_execution(record, line_no)
         else:
             raise TraceParseError(f"unknown record kind: {kind!r}", line_no)
 
@@ -514,14 +532,14 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     # A duplicate passes or fails with its first record, so checking each
     # distinct edge at its first line raises the same first error.
     for (src, dst, role), line_no in edge_lines.items():
-        for endpoint in (src, dst):
-            if endpoint not in artifacts and endpoint not in executions:
-                raise TraceParseError(f"edge endpoint {endpoint!r} does not exist", line_no)
         if role is EdgeRole.INPUT:
             ok = src in artifacts and dst in executions
         else:
             ok = src in executions and dst in artifacts
         if not ok:
+            for endpoint in (src, dst):
+                if endpoint not in artifacts and endpoint not in executions:
+                    raise TraceParseError(f"edge endpoint {endpoint!r} does not exist", line_no)
             raise TraceParseError(
                 f"edge {src!r}->{dst!r} role violates bipartite orientation", line_no
             )
@@ -532,8 +550,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         pipeline_id=pipeline_id,
         artifacts=dict(sorted(artifacts.items())),
         executions=dict(sorted(executions.items())),
-        # Tuples sort in Edge's own field order.
-        edges=tuple([Edge(src, dst, role) for src, dst, role in sorted(edge_lines)]),
+        edges=tuple(map(Edge._make, sorted(edge_lines))),
     )
 
 
@@ -555,13 +572,16 @@ def _is_finite(x: float) -> bool:
     return isinstance(x, int) or math.isfinite(x)
 
 
-def validate_trace(trace: Trace) -> list[str]:
+def validate_trace(trace: Trace, idx: TraceIndex | None = None) -> list[str]:
     """Check all trace invariants; each violation names the node/edge and rule.
 
     Violations are data, not errors: an empty list means the trace is valid.
+    ``idx``, the trace's ``index_trace``, is built here when not given; the
+    cycle check walks it.
     """
     bad: list[str] = []
-    for art in trace.artifacts.values():
+    artifacts, executions = trace.artifacts, trace.executions
+    for art in artifacts.values():
         if not _is_finite(art.created_at):
             bad.append(f"artifact {art.id}: created_at must be finite")
         elif art.created_at <= 0:
@@ -575,15 +595,22 @@ def validate_trace(trace: Trace) -> list[str]:
             bad.append(f"artifact {art.id}: span_stats only allowed on data_span artifacts")
 
     trainer_seen = False
-    for ex in trace.executions.values():
-        for key in ("start_at", "end_at", "cpu_cost"):
-            if not _is_finite(getattr(ex, key)):
-                bad.append(f"execution {ex.id}: {key} must be finite")
-        if ex.end_at < ex.start_at:
+    costs_finite = True
+    cost_total = 0.0
+    for ex in executions.values():
+        start_at, end_at, cost = ex.start_at, ex.end_at, ex.cpu_cost
+        if not _is_finite(start_at):
+            bad.append(f"execution {ex.id}: start_at must be finite")
+        if not _is_finite(end_at):
+            bad.append(f"execution {ex.id}: end_at must be finite")
+        if not _is_finite(cost):
+            bad.append(f"execution {ex.id}: cpu_cost must be finite")
+            costs_finite = False
+        if end_at < start_at:
             bad.append(f"execution {ex.id}: end_at precedes start_at")
-        if ex.start_at <= 0:
+        if start_at <= 0:
             bad.append(f"execution {ex.id}: start_at must be positive")
-        if ex.cpu_cost < 0:
+        if cost < 0:
             bad.append(f"execution {ex.id}: negative cpu_cost")
         if ex.operator is OperatorKind.TRAINER:
             trainer_seen = True
@@ -593,49 +620,54 @@ def validate_trace(trace: Trace) -> list[str]:
             bad.append(f"execution {ex.id}: model_type only allowed on trainers")
         if ex.analyzers is not None and ex.operator is not OperatorKind.TRANSFORM:
             bad.append(f"execution {ex.id}: analyzers only allowed on transform executions")
+        cost_total += cost
     if not trainer_seen:
         bad.append("trace has no trainer execution")
+    # Graphlet and group costs are sums of these; each must stay a float.
+    if costs_finite and not math.isfinite(cost_total):
+        bad.append("execution cpu_cost total is out of float range")
 
-    nodes = trace.node_ids()
-    for edge in trace.edges:
-        if edge.src not in nodes or edge.dst not in nodes:
-            bad.append(f"edge {edge.src}->{edge.dst}: dangling endpoint")
-            continue
-        src_is_exec = trace.is_execution(edge.src)
-        dst_is_exec = trace.is_execution(edge.dst)
-        if src_is_exec == dst_is_exec:
-            bad.append(f"edge {edge.src}->{edge.dst}: connects two nodes of the same kind")
-        elif edge.role is EdgeRole.INPUT and src_is_exec:
-            bad.append(f"edge {edge.src}->{edge.dst}: input edge must go artifact->execution")
-        elif edge.role is EdgeRole.OUTPUT and not src_is_exec:
-            bad.append(f"edge {edge.src}->{edge.dst}: output edge must go execution->artifact")
+    dangling = False
+    for src, dst, role in trace.edges:
+        src_is_exec = src in executions
+        dst_is_exec = dst in executions
+        if not (src_is_exec or src in artifacts) or not (dst_is_exec or dst in artifacts):
+            bad.append(f"edge {src}->{dst}: dangling endpoint")
+            dangling = True
+        elif src_is_exec == dst_is_exec:
+            bad.append(f"edge {src}->{dst}: connects two nodes of the same kind")
+        elif role is EdgeRole.INPUT and src_is_exec:
+            bad.append(f"edge {src}->{dst}: input edge must go artifact->execution")
+        elif role is EdgeRole.OUTPUT and not src_is_exec:
+            bad.append(f"edge {src}->{dst}: output edge must go execution->artifact")
 
-    cycle_node = _find_cycle(trace)
+    if idx is None:
+        if dangling:  # only a hand-built trace; index the edges that link nodes
+            nodes = trace.node_ids()
+            linked = tuple(e for e in trace.edges if e.src in nodes and e.dst in nodes)
+            trace = replace(trace, edges=linked)
+        idx = index_trace(trace)
+    cycle_node = _cycle_node(idx)
     if cycle_node is not None:
         bad.append(f"cycle through {cycle_node}")
     return bad
 
 
-def _find_cycle(trace: Trace) -> str | None:
-    """Return a node on a directed cycle, or None if the graph is acyclic."""
-    children: dict[str, list[str]] = {}
-    indeg: dict[str, int] = {n: 0 for n in trace.node_ids()}
-    for e in trace.edges:
-        if e.src in indeg and e.dst in indeg:
-            children.setdefault(e.src, []).append(e.dst)
-            indeg[e.dst] += 1
-    queue = [n for n, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for child in children.get(node, ()):
+def _cycle_node(idx: TraceIndex) -> str | None:
+    """The least node id left on or below a directed cycle once every node
+    that no cycle reaches is peeled off (Kahn's algorithm), or None when
+    the graph is acyclic."""
+    children = idx.children
+    indeg = {node: len(sources) for node, sources in idx.parents.items()}
+    ready = [node for node, d in indeg.items() if not d]
+    for node in ready:  # grows while it is walked
+        for child in children[node]:
             indeg[child] -= 1
-            if indeg[child] == 0:
-                queue.append(child)
-    if seen == len(indeg):
+            if not indeg[child]:
+                ready.append(child)
+    if len(ready) == len(indeg):
         return None
-    return min(n for n, d in indeg.items() if d > 0)
+    return min(node for node, d in indeg.items() if d)
 
 
 @dataclass(frozen=True)
@@ -660,11 +692,12 @@ class TraceIndex:
 
 
 def index_trace(trace: Trace) -> TraceIndex:
-    parents: dict[str, list[str]] = {n: [] for n in trace.node_ids()}
-    children: dict[str, list[str]] = {n: [] for n in trace.node_ids()}
-    for e in trace.edges:
-        children[e.src].append(e.dst)
-        parents[e.dst].append(e.src)
+    nodes = trace.node_ids()
+    parents: dict[str, list[str]] = {n: [] for n in nodes}
+    children: dict[str, list[str]] = {n: [] for n in nodes}
+    for src, dst, _ in trace.edges:
+        children[src].append(dst)
+        parents[dst].append(src)
     trainers = sorted(
         (ex for ex in trace.executions.values() if ex.operator is OperatorKind.TRAINER),
         key=lambda ex: (ex.end_at, ex.id),

@@ -3,12 +3,12 @@
 Glue between the pure modules, shared by the CLI and the test suite.
 
 Every command reads its corpus through one per-pipeline pass,
-``stream_corpus``: each trace file is parsed, checked, segmented and handed
-to the caller, which reduces it (to statistics, pair similarities or
-feature rows) and drops it before the next file is parsed.  Memory is
-bounded by one trace plus the reductions, not by the corpus: on the
-default 150-pipeline corpus, ``stats`` peaks near 60 MB where holding every
-trace took over 450 MB.  A corpus with a malformed or invalid file yields
+``stream_corpus``: each trace file is parsed, indexed once, checked,
+segmented and handed to the caller, which reduces it (to statistics, pair
+similarities or feature rows) and drops it before the next file is parsed.
+Memory is bounded by one trace plus the reductions, not by the corpus: on
+the default 150-pipeline corpus, ``stats`` peaks near 60 MB where holding
+every trace took over 450 MB.  A corpus with a malformed or invalid file yields
 nothing after that file, and the pass raises once every file is read, so
 no command writes output for a bad corpus.
 
@@ -54,7 +54,7 @@ from .forest import (
 from .policy import EvalRecord, HeuristicRow, TradeoffCurve, heuristic_baselines, sweep
 from .segmentation import DEFAULT_STOP_SET, Graphlet, StopSet, extract_graphlets, is_warmstart
 from .similarity import LshParams, SimWeights
-from .trace import Trace, parse_corpus, validate_trace
+from .trace import Trace, TraceIndex, index_trace, parse_corpus, validate_trace
 
 __all__ = [
     "CorpusValidationError",
@@ -94,6 +94,13 @@ def valid_traces(directory: str | Path) -> Iterator[Trace]:
     as a ``CorpusValidationError``.  Callers must therefore write nothing
     before the pass is exhausted.
     """
+    for trace, _ in _indexed_traces(directory):
+        yield trace
+
+
+def _indexed_traces(directory: str | Path) -> Iterator[tuple[Trace, TraceIndex]]:
+    """``valid_traces``, each trace with the one ``index_trace`` that its
+    validation walked."""
     violations: list[str] = []
     seen: set[str] = set()
     malformed = False
@@ -104,9 +111,10 @@ def valid_traces(directory: str | Path) -> Iterator[Trace]:
         if trace.pipeline_id in seen:
             violations.append(f"{trace.pipeline_id}: pipeline id used by more than one trace")
         seen.add(trace.pipeline_id)
-        violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace))
+        idx = index_trace(trace)
+        violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace, idx))
         if not (malformed or violations):
-            yield trace
+            yield trace, idx
     if violations:
         raise CorpusValidationError(violations)
 
@@ -116,9 +124,10 @@ def stream_corpus(
 ) -> Iterator[tuple[Trace, list[Graphlet]]]:
     """The per-pipeline pass: each valid trace with all its graphlets
     (warmstart pipelines included), in file name order; fails as
-    ``valid_traces`` does.  Each trace is indexed once."""
-    for trace in valid_traces(directory):
-        yield trace, extract_graphlets(trace, stop=stop)
+    ``valid_traces`` does.  Each trace is indexed once, and that index
+    serves both its validation and its segmentation."""
+    for trace, idx in _indexed_traces(directory):
+        yield trace, extract_graphlets(trace, stop, idx)
 
 
 def corpus_rows(

@@ -3,7 +3,9 @@
 These deliberately favor obviousness over speed: the segmentation oracle
 re-scans every edge until nothing changes, the warmstart oracle scans every
 edge once, the shape oracle walks a graphlet one node at a time over a fresh
-``index_trace``, the transport oracle enumerates
+``index_trace``, the graphlet-walk oracle derives each of a graphlet's costs,
+shape, push label and inputs in its own walk, the cycle oracle runs Kahn's
+algorithm over the raw edge list, the transport oracle enumerates
 integer contingency tables, the sweep oracle rebuilds each confusion set
 from scratch, the split oracle scores one candidate feature at a time, the
 fit oracle grows each tree recursively around it, the score oracle walks one
@@ -11,7 +13,8 @@ tree at a time, the hash oracle projects one distribution at a time, the
 canonicalization oracle lays out one feature at a time in scalar arithmetic,
 the span-similarity oracle signs, orients and solves one span pair at a
 time and reads each square certificate off a permutation's cells,
-the parse oracle decodes one record at a time through ``json.loads``, and
+the parse oracle decodes one record at a time through ``json.loads``, the
+feature-check oracle tests every histogram and count entry one at a time, and
 the corpus oracles (featurization, cost breakdown, cadence) take a whole
 corpus as one list and build every row or sum in a single loop over it.
 
@@ -168,6 +171,110 @@ _TINY_SPAN = SpanStats(
         FeatureStats(name="x", kind=FeatureKind.NUMERICAL, numerical_hist=(0.1,) * 10),
     )
 )
+
+
+def reference_feature_check(f: FeatureStats) -> list[str]:
+    """``FeatureStats.check`` with every histogram and count rule tested
+    element by element, in message order."""
+    bad = []
+    if not f.name:
+        bad.append("feature with empty name")
+    if f.kind is FeatureKind.NUMERICAL:
+        if f.numerical_hist is None:
+            bad.append(f"numerical feature {f.name!r} missing histogram")
+        else:
+            if len(f.numerical_hist) != 10:
+                bad.append(f"feature {f.name!r} histogram must have 10 bins")
+            if not all(math.isfinite(b) for b in f.numerical_hist):
+                bad.append(f"feature {f.name!r} histogram has non-finite mass")
+            elif any(b < 0 for b in f.numerical_hist):
+                bad.append(f"feature {f.name!r} histogram has negative mass")
+            elif abs(sum(f.numerical_hist) - 1.0) > 1e-9:
+                bad.append(f"feature {f.name!r} histogram mass != 1")
+        if f.cat_top10 is not None or f.cat_unique is not None or f.cat_total is not None:
+            bad.append(f"numerical feature {f.name!r} carries categorical fields")
+    else:
+        if f.numerical_hist is not None:
+            bad.append(f"categorical feature {f.name!r} carries a histogram")
+        if f.cat_top10 is None or f.cat_unique is None or f.cat_total is None:
+            bad.append(f"categorical feature {f.name!r} missing count fields")
+        elif f.cat_unique <= 0 or f.cat_total <= 0:
+            bad.append(f"feature {f.name!r} has non-positive unique/total counts")
+        elif any(c <= 0 for c in f.cat_top10):
+            bad.append(f"feature {f.name!r} has non-positive top-term counts")
+        else:
+            top_sum = sum(f.cat_top10)
+            if top_sum > f.cat_total:
+                bad.append(f"feature {f.name!r} top-term counts exceed total")
+            elif top_sum < f.cat_total and len(f.cat_top10) == f.cat_unique:
+                bad.append(f"feature {f.name!r} top-term counts do not cover the total")
+            if len(f.cat_top10) > min(10, f.cat_unique):
+                bad.append(f"feature {f.name!r} has too many top-term counts")
+            if f.cat_unique > f.cat_total:
+                bad.append(f"feature {f.name!r} unique count exceeds total")
+    return bad
+
+
+def reference_find_cycle(trace: Trace) -> str | None:
+    """The least node id left once Kahn's algorithm, run over the edge list
+    with every edge whose endpoints both exist, has peeled off every node
+    that no cycle reaches; None if the graph is acyclic."""
+    children: dict[str, list[str]] = {}
+    indeg: dict[str, int] = {n: 0 for n in trace.node_ids()}
+    for e in trace.edges:
+        if e.src in indeg and e.dst in indeg:
+            children.setdefault(e.src, []).append(e.dst)
+            indeg[e.dst] += 1
+    queue = [n for n, d in indeg.items() if d == 0]
+    seen = 0
+    while queue:
+        node = queue.pop()
+        seen += 1
+        for child in children.get(node, ()):
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                queue.append(child)
+    if seen == len(indeg):
+        return None
+    return min(n for n, d in indeg.items() if d > 0)
+
+
+def loop_graphlet_walks(trace: Trace, nodes: frozenset[str], anchor: str) -> dict[str, Any]:
+    """A graphlet's derived fields, each from its own walk: per-group costs
+    over the sorted nodes, the shape over a fresh ``index_trace``, the push
+    label, and the anchor's input spans and warmstart flag."""
+    idx = index_trace(trace)
+    costs: dict[OperatorGroup, float] = {}
+    for node in sorted(nodes):
+        ex = trace.executions.get(node)
+        if ex is not None:
+            costs[ex.group] = costs.get(ex.group, 0.0) + ex.cpu_cost
+    shape: dict[OperatorKind, tuple[int, int, int]] = {}
+    for node in nodes:
+        ex = trace.executions.get(node)
+        if ex is not None:
+            count, fan_in, fan_out = shape.get(ex.operator, (0, 0, 0))
+            shape[ex.operator] = (
+                count + 1, fan_in + idx.in_degree(node), fan_out + idx.out_degree(node)
+            )
+    pushed = any(
+        node in trace.executions
+        and trace.executions[node].operator is OperatorKind.PUSHER
+        and trace.executions[node].state is ExecutionState.COMPLETE
+        for node in nodes
+    )
+    inputs = [trace.artifacts[p] for p in idx.parents[anchor] if p in trace.artifacts]
+    spans = sorted(
+        (a for a in inputs if a.artifact_type is ArtifactType.DATA_SPAN),
+        key=lambda a: (a.created_at, a.id),
+    )
+    return {
+        "costs": costs,
+        "shape": shape,
+        "pushed": pushed,
+        "input_spans": tuple(a.id for a in spans),
+        "warmstart": any(a.artifact_type is ArtifactType.MODEL for a in inputs),
+    }
 
 
 def random_trace(rng: np.random.Generator, max_execs: int = 60) -> Trace:
@@ -570,6 +677,8 @@ def _ref_timestamp(record: dict[str, Any], key: str, line: int) -> int:
     value = record.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise TraceParseError(f"missing or non-integer timestamp {key!r}", line)
+    if not -(2**63) <= value < 2**63:
+        raise TraceParseError(f"timestamp {key!r} is out of signed 64-bit range", line)
     return value
 
 

@@ -97,6 +97,16 @@ def test_cost_breakdown_errors_on_zero_cost():
         cost_breakdown([parse_trace(lines)])
 
 
+def test_cost_breakdown_errors_on_total_beyond_float_range():
+    # Each trace's total is finite; the corpus total is not.
+    traces = [parse_trace([_exec_line(node, "trainer", 1, 2, cost=1.7e308)])
+              for node in ("a", "b")]
+    with pytest.raises(ValueError, match="corpus compute cost total is out of float range"):
+        cost_breakdown(traces)
+    with pytest.raises(ValueError, match="out of float range"):
+        cost_fractions({OperatorGroup.TRAINING: float("inf")})
+
+
 def test_cost_breakdown_fractions_sum_to_one(small_corpus):
     _, _, traces, _ = small_corpus
     breakdown = cost_breakdown(traces)

@@ -584,3 +584,55 @@ def test_violations_of_first_and_last_file_are_listed_in_order(command, small_cl
         "last: trainer t missing model_type",
     ]
     assert not out.parent.exists()
+
+
+def _edited_fixture(warm_pair_dir, directory, edits, name="warmstart_pair"):
+    """The fixture trace with ``edits`` ({line number: {key: value}}) applied
+    and its pipeline id set to ``name``; returns the file written."""
+    lines = (warm_pair_dir / "warmstart_pair.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    for number, fields in edits.items():
+        records[number - 1].update(fields)
+    for record in records:
+        if "pipeline_id" in record:
+            record["pipeline_id"] = name
+    directory.mkdir(exist_ok=True)
+    path = directory / f"{name}.ndjson"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return path
+
+
+# Line 3 is data span span_a, line 11 trainer t2.
+@pytest.mark.parametrize("line, key", [(11, "end_at"), (3, "created_at")])
+def test_timestamp_beyond_64_bits_exits_2_naming_line(line, key, warm_pair_dir, tmp_path,
+                                                     capsys):
+    path = _edited_fixture(warm_pair_dir, tmp_path / "corpus", {line: {key: 10**400}})
+    out = tmp_path / "out"
+    for command in ("validate", "stats"):
+        argv = [command, "--corpus", str(path.parent)]
+        assert main(argv + (["--out", str(out)] if command == "stats" else [])) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: line {line}: timestamp {key!r} is out of signed 64-bit range\n")
+    assert not out.exists()
+
+
+def test_cost_total_beyond_float_range_is_a_violation(warm_pair_dir, tmp_path, capsys):
+    # Lines 1 and 2 are the example_gen runs eg1 and eg2.
+    huge = {"cpu_cost": 1.7e308}
+    path = _edited_fixture(warm_pair_dir, tmp_path / "corpus", {1: huge, 2: huge})
+    out = tmp_path / "g.ndjson"
+    assert main(["segment", "--corpus", str(path.parent), "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "warmstart_pair: execution cpu_cost total is out of float range"]
+    assert not out.exists()
+
+
+def test_corpus_cost_total_beyond_float_range_exits_2(warm_pair_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    for name in ("a", "b"):
+        _edited_fixture(warm_pair_dir, corpus, {1: {"cpu_cost": 1.7e308}}, name)
+    out = tmp_path / "stats"
+    assert main(["stats", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: corpus compute cost total is out of float range\n")
+    assert not out.exists()

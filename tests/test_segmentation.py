@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import has_warmstart, loop_shape_features, naive_graphlet_nodes, random_trace
+from oracles import (
+    has_warmstart,
+    loop_graphlet_walks,
+    loop_shape_features,
+    naive_graphlet_nodes,
+    random_trace,
+)
 
 from graphlets.features import Featurizer
 from graphlets.segmentation import (
@@ -15,7 +21,6 @@ from graphlets.segmentation import (
     consecutive_pairs,
     extract_graphlets,
     is_warmstart,
-    label_pushed,
     overlap_adjusted_costs,
 )
 from graphlets.trace import (
@@ -84,11 +89,10 @@ def test_shared_data_analysis_lands_in_both(warm_pair_graphlets):
     assert "stats_1" in first.nodes and "stats_1" in consumer.nodes
 
 
-def test_fixture_push_labels(warm_pair_trace, warm_pair_graphlets):
+def test_fixture_push_labels(warm_pair_graphlets):
     first, consumer = warm_pair_graphlets
     assert first.pushed is False
     assert consumer.pushed is True
-    assert label_pushed(consumer, warm_pair_trace) is True
 
 
 def test_consumer_graphlet_costs(warm_pair_trace, warm_pair_graphlets):
@@ -215,6 +219,40 @@ def test_matches_naive_fixpoint_on_random_traces():
             assert g.nodes == naive_graphlet_nodes(trace, g.anchor, stop)
 
 
+def _walk_fields(g):
+    return {
+        "costs": {group: cost.hex() for group, cost in g.costs.items()},
+        "shape": g.shape,
+        "pushed": g.pushed,
+        "input_spans": g.input_spans,
+        "warmstart": g.warmstart,
+    }
+
+
+def _assert_one_walk_matches_separate_walks(trace, graphlets):
+    for g in graphlets:
+        want = loop_graphlet_walks(trace, g.nodes, g.anchor)
+        want["costs"] = {group: cost.hex() for group, cost in want["costs"].items()}
+        assert _walk_fields(g) == want, g.anchor
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_one_walk_matches_separate_walks_on_random_traces(pyrandom):
+    trace = random_trace(np.random.default_rng(pyrandom.randrange(2**32)), max_execs=40)
+    for stop in (StopSet(), StopSet(frozenset({OperatorKind.TRAINER}))):
+        _assert_one_walk_matches_separate_walks(trace, extract_graphlets(trace, stop))
+
+
+def test_one_walk_matches_separate_walks_on_corpus(small_corpus, warm_pair_trace,
+                                                   warm_pair_graphlets):
+    _assert_one_walk_matches_separate_walks(warm_pair_trace, warm_pair_graphlets)
+    for trace, graphlets in small_corpus[3]:
+        _assert_one_walk_matches_separate_walks(trace, graphlets)
+        # A given index changes nothing.
+        assert extract_graphlets(trace, StopSet(), index_trace(trace)) == graphlets
+
+
 def test_segmentation_independent_of_record_order(warm_pair_dir):
     import random
 
@@ -244,7 +282,7 @@ def _with_architectures(trace, rng):
     """``trace`` with each trainer's architecture drawn from None, "a" and "b"."""
     names = (None, "a", "b")
     executions = {
-        k: dataclasses.replace(ex, architecture=names[int(rng.integers(0, 3))])
+        k: ex._replace(architecture=names[int(rng.integers(0, 3))])
         if ex.operator is OperatorKind.TRAINER else ex
         for k, ex in trace.executions.items()
     }

@@ -242,7 +242,7 @@ def _batches(draw):
         numerical = flaw in ("short", "unscaled", "negative") or (
             flaw == "none" and draw(st.booleans()))
         f = draw(_numerical_row(flaw) if numerical else _categorical_row(flaw))
-        features.append(dataclasses.replace(f, name=f"f{i}"))
+        features.append(f._replace(name=f"f{i}"))
     return features
 
 

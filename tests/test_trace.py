@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
@@ -10,11 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_trace, reference_parse_trace, serialize_trace
+from oracles import (
+    random_trace,
+    reference_feature_check,
+    reference_find_cycle,
+    reference_parse_trace,
+    serialize_trace,
+)
 
 from graphlets.trace import (
+    Artifact,
     ArtifactType,
+    Edge,
+    EdgeRole,
+    Execution,
+    ExecutionState,
+    FeatureKind,
+    FeatureStats,
+    OperatorKind,
+    Trace,
     TraceParseError,
+    _cycle_node,
     index_trace,
     load_corpus,
     parse_trace,
@@ -496,8 +513,8 @@ def test_validate_flags_top_terms_short_of_total():
 
 def test_validate_flags_non_finite_timestamps():
     trace = parse_trace(MINIMAL)
-    ex = dataclasses.replace(trace.executions["eg"], start_at=float("-inf"), end_at=float("nan"))
-    art = dataclasses.replace(trace.artifacts["s"], created_at=float("inf"))
+    ex = trace.executions["eg"]._replace(start_at=float("-inf"), end_at=float("nan"))
+    art = trace.artifacts["s"]._replace(created_at=float("inf"))
     trace = dataclasses.replace(trace, executions={"eg": ex}, artifacts={"s": art})
     violations = validate_trace(trace)
     assert "execution eg: start_at must be finite" in violations
@@ -558,3 +575,130 @@ def test_reindexing_permuted_file_is_identical(warm_pair_dir):
     b = parse_trace(shuffled)
     assert a == b
     assert index_trace(a).trainers == index_trace(b).trainers
+
+
+def test_records_are_immutable_hashable_and_picklable(warm_pair_trace):
+    trace = warm_pair_trace
+    feature = trace.artifacts["span_a"].span_stats.features[0]
+    records = [feature, trace.artifacts["span_a"], trace.executions["t2"], trace.edges[0]]
+    assert [type(r) for r in records] == [FeatureStats, Artifact, Execution, Edge]
+    for record in records:
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], "x")
+        twin = record._replace()
+        assert twin == record and twin is not record and hash(twin) == hash(record)
+        assert pickle.loads(pickle.dumps(record)) == record
+    assert parse_trace(list(serialize_trace(trace))) == trace
+    assert pickle.loads(pickle.dumps(trace)) == trace
+    # Edges keep their (src, dst, role) ordering.
+    assert list(trace.edges) == sorted(trace.edges)
+    assert Edge("a", "b", EdgeRole.OUTPUT) > Edge("a", "b", EdgeRole.INPUT)
+    assert trace.executions["t2"].group.value == "training"
+
+
+def _graph(n_nodes, pairs):
+    """A trace over ``n_nodes`` nodes, even ones executions and odd ones
+    artifacts, with an edge for each distinct pair; kinds and roles are
+    ignored by the cycle check."""
+    executions, artifacts = {}, {}
+    for i in range(n_nodes):
+        node = f"n{i:02d}"
+        if i % 2:
+            artifacts[node] = Artifact(node, ArtifactType.OTHER, 1, "p")
+        else:
+            executions[node] = Execution(
+                node, OperatorKind.TRAINER, "p", 1, 2, ExecutionState.COMPLETE, 1.0)
+    edges = {Edge(f"n{a:02d}", f"n{b:02d}", EdgeRole.INPUT) for a, b in pairs}
+    return Trace("p", artifacts, executions, tuple(sorted(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_nodes=st.integers(1, 12),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30),
+    acyclic=st.booleans(),
+)
+def test_index_cycle_check_matches_reference(n_nodes, pairs, acyclic):
+    pairs = [(a % n_nodes, b % n_nodes) for a, b in pairs]
+    if acyclic:
+        pairs = [(a, b) for a, b in pairs if a < b]
+    trace = _graph(n_nodes, pairs)
+    want = reference_find_cycle(trace)
+    assert _cycle_node(index_trace(trace)) == want
+    if acyclic:
+        assert want is None
+    cycles = [v for v in validate_trace(trace) if v.startswith("cycle through")]
+    assert cycles == ([] if want is None else [f"cycle through {want}"])
+    # An edge to a missing node is reported and left out of the cycle check.
+    dangling = dataclasses.replace(
+        trace, edges=trace.edges + (Edge("n00", "zz", EdgeRole.OUTPUT),))
+    violations = validate_trace(dangling)
+    assert "edge n00->zz: dangling endpoint" in violations
+    assert [v for v in violations if v.startswith("cycle through")] == cycles
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_index_cycle_check_matches_reference_on_random_traces(pyrandom):
+    """Random valid traces are DAGs; one edge back from a later node to an
+    earlier execution closes a cycle."""
+    trace = random_trace(np.random.default_rng(pyrandom.randrange(2**32)), max_execs=25)
+    assert reference_find_cycle(trace) is None
+    assert _cycle_node(index_trace(trace)) is None
+    art = pyrandom.choice(sorted(trace.artifacts))
+    ex = pyrandom.choice(sorted(trace.executions))
+    cyclic = dataclasses.replace(
+        trace, edges=tuple(sorted(trace.edges + (Edge(art, ex, EdgeRole.INPUT),))))
+    assert _cycle_node(index_trace(cyclic)) == reference_find_cycle(cyclic)
+
+
+@pytest.mark.parametrize("key, index", [("end_at", 0), ("start_at", 0), ("created_at", 1)])
+def test_timestamp_beyond_signed_64_bits_raises(key, index):
+    for value in (-(2**63), 2**63 - 1):
+        lines = list(MINIMAL)
+        lines[index] = _with(lines[index], (key,), value)
+        parse_trace(lines)
+    for value in (2**63, -(2**63) - 1, 10**400):
+        lines = list(MINIMAL)
+        lines[index] = _with(lines[index], (key,), value)
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(lines)
+        assert str(err.value) == (
+            f"line {index + 1}: timestamp {key!r} is out of signed 64-bit range")
+        with pytest.raises(TraceParseError, match=re.escape(str(err.value))):
+            reference_parse_trace(lines)
+
+
+def test_validate_flags_cost_total_beyond_float_range():
+    trainer = _exec("t", "trainer", 1, 2, model_type="dnn")
+    huge = [_with(line, ("cpu_cost",), 1.7e308) for line in (MINIMAL[0], trainer)]
+    assert validate_trace(parse_trace([huge[0], trainer, *MINIMAL[1:]])) == []
+    violations = validate_trace(parse_trace([*huge, *MINIMAL[1:]]))
+    assert violations == ["execution cpu_cost total is out of float range"]
+    # A non-finite cost is reported as itself, not again as an overflowing total.
+    inf = _with(trainer, ("cpu_cost",), float("inf"))
+    assert validate_trace(parse_trace([huge[0], inf, *MINIMAL[1:]])) == [
+        "execution t: cpu_cost must be finite"]
+
+
+HIST_VALUES = (
+    st.floats(min_value=0.0, max_value=1.0)
+    | st.sampled_from([0.0, -0.0, 0.1, 1.0, -1e-12, 1.7e308, float("inf"), float("-inf"),
+                       float("nan")])
+    | st.floats()
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    name=st.sampled_from(["", "x"]),
+    hist=st.none() | st.lists(HIST_VALUES, max_size=12).map(tuple)
+    | st.lists(st.just(0.1), min_size=10, max_size=10).map(tuple),
+    top10=st.none() | st.lists(st.integers(-2, 60), max_size=12).map(tuple),
+    unique=st.none() | st.integers(-1, 15),
+    total=st.none() | st.integers(-1, 200),
+)
+def test_feature_check_matches_element_wise_reference(name, hist, top10, unique, total):
+    for kind in FeatureKind:
+        feature = FeatureStats(name, kind, hist, top10, unique, total)
+        assert feature.check() == reference_feature_check(feature)
