@@ -9,7 +9,7 @@ computation against model freshness.
 __version__ = "0.1.0"
 
 from .segmentation import Graphlet, StopSet, extract_graphlets
-from .trace import Trace, index_trace, parse_corpus, parse_trace, validate_trace
+from .trace import Trace, parse_corpus, parse_trace, validate_trace
 
 __all__ = [
     "__version__",
@@ -18,7 +18,6 @@ __all__ = [
     "StopSet",
     "parse_trace",
     "validate_trace",
-    "index_trace",
     "parse_corpus",
     "extract_graphlets",
 ]

@@ -18,7 +18,7 @@ from itertools import groupby
 from typing import Sequence
 
 from .segmentation import Graphlet, consecutive_pairs
-from .similarity import LshParams, SimWeights, SpanSimilarity
+from .similarity import LshParams, SimWeights, graphlet_similarities
 from .trace import (
     Analyzer,
     ArtifactType,
@@ -198,11 +198,10 @@ def pair_similarities(
 ) -> list[PairSimilarity]:
     """Every consecutive graphlet pair of one pipeline, oldest first."""
     pairs = consecutive_pairs(graphlets)
-    sims = SpanSimilarity(trace, [(cur, prev) for prev, cur in pairs], params, weights)
+    sims = graphlet_similarities(trace, [(cur, prev) for prev, cur in pairs], params, weights)
     return [
-        PairSimilarity(trace.pipeline_id, prev.anchor, cur.anchor,
-                       *sims.compare(cur, prev), pushed=cur.pushed)
-        for prev, cur in pairs
+        PairSimilarity(trace.pipeline_id, prev.anchor, cur.anchor, *sim, pushed=cur.pushed)
+        for (prev, cur), sim in zip(pairs, sims)
     ]
 
 

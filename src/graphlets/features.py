@@ -16,8 +16,9 @@ stage carries the compute cost a policy would pay to obtain its features.
 History slots without an i-th predecessor hold the sentinel -1, which lies
 outside every legal metric range so trees can isolate it.
 
-A row reads only its graphlet, the graphlet's predecessors and the trace's
-``SpanSimilarity``: shape, architecture and costs travel on the graphlet.
+A row reads only its graphlet and the graphlet's similarities to its
+predecessors, which ``graphlet_similarities`` computes for a whole trace in
+one call: shape, architecture and costs travel on the graphlet.
 Per-pipeline graphlet lists are taken in ``extract_graphlets`` order, by
 ``(trainer_end_at, anchor)``, and never re-sorted.
 
@@ -34,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .segmentation import Graphlet
-from .similarity import LshParams, SimWeights, SpanSimilarity
+from .similarity import LshParams, SimWeights, graphlet_similarities
 from .trace import ModelType, OperatorGroup, OperatorKind, Trace
 
 __all__ = [
@@ -209,29 +211,23 @@ class Featurizer:
                 hot[-1] = 1.0
         return values + hot
 
-    def history_features(
-        self, g: Graphlet, predecessors: Sequence[Graphlet], sims: SpanSimilarity
-    ) -> list[float]:
+    def history_features(self, sims: Sequence[tuple[float, float, float]]) -> list[float]:
         """Per ordinal position back in time: jaccard, dataset similarity,
-        code match.  ``predecessors`` is most recent first; ``sims`` is the
-        trace's ``SpanSimilarity`` under this featurizer's LSH and weights."""
-        values: list[float] = []
-        for i in range(self.window.w):
-            if i < len(predecessors):
-                values.extend(sims.compare(g, predecessors[i]))
-            else:
-                values.extend((MISSING, MISSING, MISSING))
+        code match.  ``sims`` holds ``graphlet_similarities`` of the graphlet
+        against its predecessors, most recent first, under this featurizer's
+        LSH and weights; positions past them hold ``MISSING``."""
+        values = [value for sim in sims[: self.window.w] for value in sim]
+        values += [MISSING] * (3 * self.window.w - len(values))
         return values
 
     # -- assembly --------------------------------------------------------
 
     def history_and_shape(
-        self, g: Graphlet, predecessors: Sequence[Graphlet], sims: SpanSimilarity
+        self, g: Graphlet, sims: Sequence[tuple[float, float, float]]
     ) -> list[float]:
         """The columns after the model block, those the vocabulary does not
-        touch: reads only ``g``, its predecessors and the trace's
-        ``SpanSimilarity``."""
-        row = self.history_features(g, predecessors, sims)
+        touch: reads only ``g`` and its ``history_features`` similarities."""
+        row = self.history_features(sims)
         row += self.shape_features(g, PRE_TRAINER_KINDS)
         row += self.shape_features(g, TRAINER_KINDS)
         row += self.shape_features(g, POST_TRAINER_KINDS)
@@ -249,11 +245,13 @@ class Featurizer:
         """
         w = self.window.w
         windows = [graphlets[max(0, pos - w): pos][::-1] for pos in range(len(graphlets))]
-        sims = SpanSimilarity(
+        sims = iter(graphlet_similarities(
             trace, [(g, p) for g, window in zip(graphlets, windows) for p in window],
             self.lsh, self.weights,
-        )
-        rows = [self.history_and_shape(g, window, sims) for g, window in zip(graphlets, windows)]
+        ))
+        # Each graphlet's results are the next len(window) of them.
+        rows = [self.history_and_shape(g, list(islice(sims, len(window))))
+                for g, window in zip(graphlets, windows)]
         width = len(self.full_names()) - len(self.model_names())
         costs = [[self.stage_cost(g, stage) for stage in STAGES] for g in graphlets]
         return PipelineRows(

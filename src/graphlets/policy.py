@@ -14,6 +14,7 @@ run far enough to produce its stage's features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -89,7 +90,12 @@ def sweep(records: Sequence[EvalRecord]) -> TradeoffCurve:
 
     n_pos = int(labels.sum())
     n_neg = len(records) - n_pos
-    total_unpushed = float(unpushed_cost[~labels].sum())
+    with np.errstate(over="ignore"):
+        total_unpushed = float(unpushed_cost[~labels].sum())
+    # Shared executions count in every graphlet that holds them, so this
+    # total can overflow although each record's cost is finite.
+    if not math.isfinite(total_unpushed):
+        raise ValueError("total unpushed graphlet cost is out of float range")
 
     distinct = np.unique(scores)
     thresholds = [0.0 - _ENDPOINT_EPS]

@@ -19,9 +19,8 @@ three rules, seeded with the anchor trainer ``n``:
 Graphlets from one trace may overlap; shared executions contribute their full
 cost to every graphlet that contains them.
 
-Segmentation reads the trace's one ``TraceIndex`` (the corpus pass builds it
-once and validation shares it) and keeps on the graphlet what later layers
-need: its shape, the anchor trainer's model type and architecture, and
+Segmentation walks the adjacency the trace built when it was made, and
+keeps on the graphlet what later layers need: its shape, the anchor trainer's model type and architecture, and
 whether that trainer reads a model artifact (warmstart).  Each graphlet's
 nodes are walked once, in sorted order, for its costs, shape and push label,
 and each ``Graphlet`` is built once.  ``extract_graphlets``
@@ -44,8 +43,6 @@ from .trace import (
     OperatorGroup,
     OperatorKind,
     Trace,
-    TraceIndex,
-    index_trace,
 )
 
 __all__ = [
@@ -95,10 +92,10 @@ class Graphlet:
         return sum(self.costs.values())
 
 
-def _grow(trace: Trace, idx: TraceIndex, anchor: str, stop: StopSet) -> frozenset[str]:
+def _grow(trace: Trace, anchor: str, stop: StopSet) -> frozenset[str]:
     """Least fixpoint of the ancestor/descendant membership rules."""
     executions = trace.executions
-    parents, children = idx.parents, idx.children
+    parents, children = trace.parents, trace.children
     stop_kinds = stop.kinds
     nodes = {anchor}
     frontier = [anchor]
@@ -123,21 +120,14 @@ def _grow(trace: Trace, idx: TraceIndex, anchor: str, stop: StopSet) -> frozense
     return frozenset(nodes)
 
 
-def extract_graphlets(
-    trace: Trace, stop: StopSet = DEFAULT_STOP_SET, idx: TraceIndex | None = None
-) -> list[Graphlet]:
-    """One graphlet per trainer execution, ordered by ``(trainer_end_at, anchor)``.
-
-    ``idx`` is the trace's ``index_trace``, built here when not given.
-    """
-    if idx is None:
-        idx = index_trace(trace)
+def extract_graphlets(trace: Trace, stop: StopSet = DEFAULT_STOP_SET) -> list[Graphlet]:
+    """One graphlet per trainer execution, ordered by ``(trainer_end_at, anchor)``."""
     artifacts, executions = trace.artifacts, trace.executions
-    parents, children = idx.parents, idx.children
+    parents, children = trace.parents, trace.children
     graphlets = []
-    for anchor in idx.trainers:
+    for anchor in trace.trainers:
         trainer = executions[anchor]
-        nodes = _grow(trace, idx, anchor, stop)
+        nodes = _grow(trace, anchor, stop)
         costs: dict[OperatorGroup, float] = {}
         shape: dict[OperatorKind, tuple[int, int, int]] = {}
         pushed = False

@@ -17,9 +17,9 @@ With ``alpha + beta = 1`` the span metric satisfies S(D, D) = 1, S(empty, D)
 = 0, symmetry, and range [0, 1].  Symmetry is exact for any weights: every
 span pair is compared in one canonical order, that of its signatures.
 
-Span pairs are compared in batches.  ``SpanSimilarity`` is told up front
-which graphlet pairs it will be asked about, and computes every distinct
-span pair they align once, in three steps:
+Span pairs are compared in batches.  ``graphlet_similarities`` takes every
+graphlet pair of one trace in one call, and computes every distinct span
+pair they align once, in three steps:
 
 1. Sign the spans together.  Their features are canonicalized in one
    vectorized pass, which repeats the one-feature float operations in the
@@ -39,7 +39,7 @@ span pair they align once, in three steps:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -53,13 +53,13 @@ __all__ = [
     "CanonicalDistribution",
     "LshParams",
     "SimWeights",
-    "SpanSimilarity",
     "jaccard",
     "canonicalize",
     "hash_distributions",
     "feature_sim",
     "span_sim",
     "sequence_sim",
+    "graphlet_similarities",
 ]
 
 BINS = 10
@@ -99,6 +99,19 @@ class LshParams:
             raise ValueError("k must be at least 1")
         if self.w <= 0:
             raise ValueError("w must be positive")
+
+    @cached_property
+    def projections(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (directions, offsets) table, drawn once per instance."""
+        directions = np.empty((self.k, BINS))
+        offsets = np.empty(self.k)
+        for j in range(self.k):
+            rng = np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF, j])
+            directions[j] = rng.standard_normal(BINS)
+            offsets[j] = rng.uniform(0.0, self.w)
+        directions.setflags(write=False)
+        offsets.setflags(write=False)
+        return directions, offsets
 
 
 @dataclass(frozen=True)
@@ -281,20 +294,6 @@ def _spread_cells(
     return np.cumsum(part, axis=1)[:, -1]
 
 
-@lru_cache(maxsize=None)
-def _projections(k: int, w: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projection table for a parameter set, built once and shared read-only."""
-    directions = np.empty((k, BINS))
-    offsets = np.empty(k)
-    for j in range(k):
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, j])
-        directions[j] = rng.standard_normal(BINS)
-        offsets[j] = rng.uniform(0.0, w)
-    directions.setflags(write=False)
-    offsets.setflags(write=False)
-    return directions, offsets
-
-
 def hash_distributions(bins_matrix: np.ndarray, params: LshParams) -> np.ndarray:
     """Integer hashes of the rows of a (n, BINS) distribution matrix.
 
@@ -316,7 +315,7 @@ def _hash_blocks(bins: np.ndarray, sizes: Sequence[int], params: LshParams) -> n
     round a product differently with its shape.  The square root, offset,
     division and floor are elementwise and run once over all rows.
     """
-    directions, offsets = _projections(params.k, params.w, params.seed)
+    directions, offsets = params.projections
     root = np.sqrt(bins)
     projected = np.empty((len(bins), params.k))
     start = 0
@@ -463,15 +462,18 @@ def sequence_sim(
     return _aligned_mean(a, b, lambda d1, d2: span_sim(d1, d2, params, weights))
 
 
-class SpanSimilarity:
-    """Graphlet-to-predecessor comparison over one trace, for pairs declared
-    up front.
+def graphlet_similarities(
+    trace: Trace,
+    pairs: Sequence[tuple[Graphlet, Graphlet]],
+    params: LshParams,
+    weights: SimWeights,
+) -> list[tuple[float, float, float]]:
+    """``(jaccard, dataset_sim, code_match)`` of each ``(graphlet,
+    predecessor)`` pair of one trace, in input order.
 
-    ``pairs`` holds every ``(graphlet, predecessor)`` that ``compare`` will be
-    asked about, in either order.  Construction aligns each pair's input
-    spans that carry statistics, oldest first, signs every span those
-    alignments read in one batch, and settles each distinct span pair once,
-    by the first of these that applies:
+    Each pair's input spans that carry statistics are aligned, oldest first.
+    Every span those alignments read is signed in one batch, and each
+    distinct span pair is settled once, by the first of these that applies:
 
     1. a pair with an empty span scores 0 and takes no work;
     2. one-row and one-column cost matrices take their mean, a block at a
@@ -484,62 +486,34 @@ class SpanSimilarity:
        mean of a perfect matching on its column-minimum cells;
     5. what is left, and every pair of unequal sides, runs the simplex.
 
-    A span over ``MAX_SIDE`` features raises ``ValueError``.  ``compare``
-    only reads what construction computed, and raises ``ValueError`` for a
-    pair that was not declared.  Keep one per trace and drop it with the
-    trace.
+    A span over ``MAX_SIDE`` features raises ``ValueError``.  Pass all of a
+    trace's pairs in one call: a second call signs and settles again.
     """
+    def spans(g: Graphlet) -> list[str]:
+        # Input spans oldest first; spans without statistics are skipped.
+        return [s for s in g.input_spans if trace.artifacts[s].span_stats is not None]
 
-    def __init__(
-        self,
-        trace: Trace,
-        pairs: Iterable[tuple[Graphlet, Graphlet]],
-        params: LshParams,
-        weights: SimWeights,
-    ) -> None:
-        def spans(g: Graphlet) -> list[str]:
-            # Input spans oldest first; spans without statistics are skipped.
-            return [s for s in g.input_spans if trace.artifacts[s].span_stats is not None]
+    aligned = [(spans(g), spans(prev)) for g, prev in pairs]
+    distinct = dict.fromkeys(
+        (x, y) if x <= y else (y, x) for a, b in aligned for x, y in zip(a, b)
+    )
+    index = {x: i for i, x in enumerate(dict.fromkeys(x for pair in distinct for x in pair))}
+    sims = _pair_sims(
+        [trace.artifacts[x].span_stats for x in index],
+        [(index[x], index[y]) for x, y in distinct],
+        params,
+        weights,
+    )
+    memo = dict(zip(distinct, sims))
 
-        aligned = {}
-        for g, prev in pairs:
-            key = _pair_key(g, prev)
-            if key not in aligned:
-                aligned[key] = (g, prev, spans(g), spans(prev))
-        distinct = dict.fromkeys(
-            (x, y) if x <= y else (y, x) for *_, a, b in aligned.values() for x, y in zip(a, b)
+    def span_pair_sim(x: str, y: str) -> float:
+        return memo[(x, y) if x <= y else (y, x)]
+
+    return [
+        (
+            jaccard(g, prev),
+            _aligned_mean(a, b, span_pair_sim),
+            1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0,
         )
-        index = {x: i for i, x in enumerate(dict.fromkeys(x for pair in distinct for x in pair))}
-        sims = _pair_sims(
-            [trace.artifacts[x].span_stats for x in index],
-            [(index[x], index[y]) for x, y in distinct],
-            params,
-            weights,
-        )
-        memo = dict(zip(distinct, sims))
-
-        def span_pair_sim(x: str, y: str) -> float:
-            return memo[(x, y) if x <= y else (y, x)]
-
-        self._compared = {
-            key: (
-                jaccard(g, prev),
-                _aligned_mean(a, b, span_pair_sim),
-                1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0,
-            )
-            for key, (g, prev, a, b) in aligned.items()
-        }
-
-    def compare(self, g: Graphlet, prev: Graphlet) -> tuple[float, float, float]:
-        """``(jaccard, dataset_sim, code_match)`` of ``g`` against a predecessor."""
-        try:
-            return self._compared[_pair_key(g, prev)]
-        except KeyError:
-            raise ValueError(
-                f"graphlet pair ({g.anchor!r}, {prev.anchor!r}) was not declared"
-            ) from None
-
-
-def _pair_key(g: Graphlet, prev: Graphlet) -> tuple[str, str]:
-    # Every metric of a pair is symmetric, so both orders share one entry.
-    return (g.anchor, prev.anchor) if g.anchor <= prev.anchor else (prev.anchor, g.anchor)
+        for (g, prev), (a, b) in zip(pairs, aligned)
+    ]

@@ -8,17 +8,18 @@ kinds.
 
 Traces are stored as newline-delimited records, one JSON object per line with
 a ``kind`` field in {"artifact", "execution", "edge"}.  One file holds one
-pipeline; a corpus is a directory of such files.  ``Trace`` and ``TraceIndex``
-are immutable after construction and safe to share across threads.
+pipeline; a corpus is a directory of such files.  A ``Trace`` is immutable
+after construction and safe to share across threads.
 
 The per-record types ``FeatureStats``, ``Artifact``, ``Execution`` and
 ``Edge`` are ``NamedTuple``s, built positionally: a tuple costs a fraction
 of a dataclass instance to make, and a trace holds tens of thousands of
-them.  A changed copy is ``record._replace(...)``.  ``SpanStats``, ``Trace``
-and ``TraceIndex`` stay frozen dataclasses, which can be weakly referenced.
-Each trace needs one ``TraceIndex``: ``validate_trace`` walks it for the
-cycle check and ``segmentation.extract_graphlets`` for membership, and the
-corpus pass builds it once and hands it to both.
+them.  A changed copy is ``record._replace(...)``.  ``SpanStats`` and
+``Trace`` stay frozen dataclasses, which can be weakly referenced.  A
+``Trace`` builds its adjacency (``parents``, ``children``) and its
+chronological ``trainers`` once, when it is made: ``validate_trace`` walks
+them for the cycle check and ``segmentation.extract_graphlets`` for
+membership.
 
 Decoding: each stripped line takes one call of json's C scanner.  Only a line
 that fails to scan, or holds data after its first value, goes on to
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import json.scanner
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -57,12 +58,10 @@ __all__ = [
     "Execution",
     "Edge",
     "Trace",
-    "TraceIndex",
     "TraceParseError",
     "parse_trace",
     "parse_trace_file",
     "validate_trace",
-    "index_trace",
     "parse_corpus",
 ]
 
@@ -278,18 +277,38 @@ class Trace:
     Node dictionaries are keyed by node id and sorted by id; edges are
     deduplicated and sorted, so two parses of the same records compare equal
     regardless of record order in the file.
+
+    Built once from those, and left out of equality: ``parents[x]`` holds
+    the sources of edges into node ``x`` and ``children[x]`` the targets of
+    edges out of it, each sorted by node id, over the edges whose endpoints
+    both exist (the parser rejects any other).  ``trainers`` lists trainer
+    executions in chronological order of ``end_at`` with ties broken by id,
+    which makes "consecutive graphlets" deterministic.
     """
 
     pipeline_id: str
     artifacts: dict[str, Artifact]
     executions: dict[str, Execution]
     edges: tuple[Edge, ...]
+    parents: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    children: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    trainers: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
-    def node_ids(self) -> set[str]:
-        return set(self.artifacts) | set(self.executions)
-
-    def is_execution(self, node_id: str) -> bool:
-        return node_id in self.executions
+    def __post_init__(self) -> None:
+        parents: dict[str, list[str]] = {n: [] for n in (*self.artifacts, *self.executions)}
+        children: dict[str, list[str]] = {n: [] for n in parents}
+        for src, dst, _ in self.edges:
+            if src in parents and dst in parents:
+                children[src].append(dst)
+                parents[dst].append(src)
+        trainers = sorted(
+            (ex for ex in self.executions.values() if ex.operator is OperatorKind.TRAINER),
+            key=lambda ex: (ex.end_at, ex.id),
+        )
+        # The class is frozen; these are set once, here.
+        object.__setattr__(self, "parents", {n: tuple(sorted(v)) for n, v in parents.items()})
+        object.__setattr__(self, "children", {n: tuple(sorted(v)) for n, v in children.items()})
+        object.__setattr__(self, "trainers", tuple([ex.id for ex in trainers]))
 
 
 class TraceParseError(ValueError):
@@ -572,12 +591,12 @@ def _is_finite(x: float) -> bool:
     return isinstance(x, int) or math.isfinite(x)
 
 
-def validate_trace(trace: Trace, idx: TraceIndex | None = None) -> list[str]:
+def validate_trace(trace: Trace) -> list[str]:
     """Check all trace invariants; each violation names the node/edge and rule.
 
     Violations are data, not errors: an empty list means the trace is valid.
-    ``idx``, the trace's ``index_trace``, is built here when not given; the
-    cycle check walks it.
+    The cycle check walks the trace's adjacency, which leaves out a dangling
+    edge.
     """
     bad: list[str] = []
     artifacts, executions = trace.artifacts, trace.executions
@@ -627,13 +646,11 @@ def validate_trace(trace: Trace, idx: TraceIndex | None = None) -> list[str]:
     if costs_finite and not math.isfinite(cost_total):
         bad.append("execution cpu_cost total is out of float range")
 
-    dangling = False
     for src, dst, role in trace.edges:
         src_is_exec = src in executions
         dst_is_exec = dst in executions
         if not (src_is_exec or src in artifacts) or not (dst_is_exec or dst in artifacts):
             bad.append(f"edge {src}->{dst}: dangling endpoint")
-            dangling = True
         elif src_is_exec == dst_is_exec:
             bad.append(f"edge {src}->{dst}: connects two nodes of the same kind")
         elif role is EdgeRole.INPUT and src_is_exec:
@@ -641,24 +658,18 @@ def validate_trace(trace: Trace, idx: TraceIndex | None = None) -> list[str]:
         elif role is EdgeRole.OUTPUT and not src_is_exec:
             bad.append(f"edge {src}->{dst}: output edge must go execution->artifact")
 
-    if idx is None:
-        if dangling:  # only a hand-built trace; index the edges that link nodes
-            nodes = trace.node_ids()
-            linked = tuple(e for e in trace.edges if e.src in nodes and e.dst in nodes)
-            trace = replace(trace, edges=linked)
-        idx = index_trace(trace)
-    cycle_node = _cycle_node(idx)
+    cycle_node = _cycle_node(trace)
     if cycle_node is not None:
         bad.append(f"cycle through {cycle_node}")
     return bad
 
 
-def _cycle_node(idx: TraceIndex) -> str | None:
+def _cycle_node(trace: Trace) -> str | None:
     """The least node id left on or below a directed cycle once every node
     that no cycle reaches is peeled off (Kahn's algorithm), or None when
     the graph is acyclic."""
-    children = idx.children
-    indeg = {node: len(sources) for node, sources in idx.parents.items()}
+    children = trace.children
+    indeg = {node: len(sources) for node, sources in trace.parents.items()}
     ready = [node for node, d in indeg.items() if not d]
     for node in ready:  # grows while it is walked
         for child in children[node]:
@@ -668,45 +679,6 @@ def _cycle_node(idx: TraceIndex) -> str | None:
     if len(ready) == len(indeg):
         return None
     return min(node for node, d in indeg.items() if d)
-
-
-@dataclass(frozen=True)
-class TraceIndex:
-    """Adjacency and ordering views over a validated trace.
-
-    ``parents[x]`` holds the sources of edges into ``x`` and ``children[x]``
-    the targets of edges out of it, each sorted by node id.  ``trainers``
-    lists trainer executions in chronological order of ``end_at`` with ties
-    broken by id, which makes "consecutive graphlets" deterministic.
-    """
-
-    parents: dict[str, tuple[str, ...]]
-    children: dict[str, tuple[str, ...]]
-    trainers: tuple[str, ...]
-
-    def in_degree(self, node_id: str) -> int:
-        return len(self.parents.get(node_id, ()))
-
-    def out_degree(self, node_id: str) -> int:
-        return len(self.children.get(node_id, ()))
-
-
-def index_trace(trace: Trace) -> TraceIndex:
-    nodes = trace.node_ids()
-    parents: dict[str, list[str]] = {n: [] for n in nodes}
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    for src, dst, _ in trace.edges:
-        children[src].append(dst)
-        parents[dst].append(src)
-    trainers = sorted(
-        (ex for ex in trace.executions.values() if ex.operator is OperatorKind.TRAINER),
-        key=lambda ex: (ex.end_at, ex.id),
-    )
-    return TraceIndex(
-        parents={n: tuple(sorted(v)) for n, v in parents.items()},
-        children={n: tuple(sorted(v)) for n, v in children.items()},
-        trainers=tuple(ex.id for ex in trainers),
-    )
 
 
 def parse_corpus(directory: str | Path) -> Iterator[Trace | None]:
@@ -741,13 +713,3 @@ def parse_corpus(directory: str | Path) -> Iterator[Trace | None]:
     if errors:
         raise TraceParseError("\n".join(str(exc) for exc in errors))
 
-
-def load_corpus(directory: str | Path) -> list[Trace]:
-    """Every trace of a corpus directory in one list, in file name order;
-    raises as ``parse_corpus`` does.
-
-    No command holds a whole corpus: they stream it through
-    ``workflow.stream_corpus``.  This is for callers that want every trace
-    at once, such as the test suite.
-    """
-    return [trace for trace in parse_corpus(directory) if trace is not None]

@@ -3,8 +3,8 @@
 Glue between the pure modules, shared by the CLI and the test suite.
 
 Every command reads its corpus through one per-pipeline pass,
-``stream_corpus``: each trace file is parsed, indexed once, checked,
-segmented and handed to the caller, which reduces it (to statistics, pair
+``stream_corpus``: each trace file is parsed (which builds the trace's
+adjacency once), checked, segmented and handed to the caller, which reduces it (to statistics, pair
 similarities or feature rows) and drops it before the next file is parsed.
 Memory is bounded by one trace plus the reductions, not by the corpus: on
 the default 150-pipeline corpus, ``stats`` peaks near 60 MB where holding
@@ -25,6 +25,7 @@ the featurizer and split it needs to score the held-out pipelines;
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Iterator, Sequence
@@ -54,7 +55,7 @@ from .forest import (
 from .policy import EvalRecord, HeuristicRow, TradeoffCurve, heuristic_baselines, sweep
 from .segmentation import DEFAULT_STOP_SET, Graphlet, StopSet, extract_graphlets, is_warmstart
 from .similarity import LshParams, SimWeights
-from .trace import Trace, TraceIndex, index_trace, parse_corpus, validate_trace
+from .trace import Trace, parse_corpus, validate_trace
 
 __all__ = [
     "CorpusValidationError",
@@ -94,13 +95,6 @@ def valid_traces(directory: str | Path) -> Iterator[Trace]:
     as a ``CorpusValidationError``.  Callers must therefore write nothing
     before the pass is exhausted.
     """
-    for trace, _ in _indexed_traces(directory):
-        yield trace
-
-
-def _indexed_traces(directory: str | Path) -> Iterator[tuple[Trace, TraceIndex]]:
-    """``valid_traces``, each trace with the one ``index_trace`` that its
-    validation walked."""
     violations: list[str] = []
     seen: set[str] = set()
     malformed = False
@@ -111,10 +105,9 @@ def _indexed_traces(directory: str | Path) -> Iterator[tuple[Trace, TraceIndex]]
         if trace.pipeline_id in seen:
             violations.append(f"{trace.pipeline_id}: pipeline id used by more than one trace")
         seen.add(trace.pipeline_id)
-        idx = index_trace(trace)
-        violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace, idx))
+        violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace))
         if not (malformed or violations):
-            yield trace, idx
+            yield trace
     if violations:
         raise CorpusValidationError(violations)
 
@@ -124,10 +117,9 @@ def stream_corpus(
 ) -> Iterator[tuple[Trace, list[Graphlet]]]:
     """The per-pipeline pass: each valid trace with all its graphlets
     (warmstart pipelines included), in file name order; fails as
-    ``valid_traces`` does.  Each trace is indexed once, and that index
-    serves both its validation and its segmentation."""
-    for trace, idx in _indexed_traces(directory):
-        yield trace, extract_graphlets(trace, stop, idx)
+    ``valid_traces`` does."""
+    for trace in valid_traces(directory):
+        yield trace, extract_graphlets(trace, stop)
 
 
 def corpus_rows(
@@ -234,11 +226,17 @@ def policy_report(
     train_feats = featurizer.assemble(train)
     test_feats = featurizer.assemble(test)
 
-    all_costs = {
-        stage: np.concatenate([train_feats.stage_costs[stage], test_feats.stage_costs[stage]])
-        for stage in STAGES
-    }
-    validation_mean = float(all_costs[FeatureStage.VALIDATION].mean())
+    # Shared executions count in full in every graphlet that holds them, so
+    # these means can overflow although every trace's cost total is finite.
+    with np.errstate(over="ignore"):
+        means = {
+            stage: float(np.concatenate(
+                [train_feats.stage_costs[stage], test_feats.stage_costs[stage]]).mean())
+            for stage in STAGES
+        }
+    if not all(map(math.isfinite, means.values())):
+        raise ValueError("mean graphlet stage cost is out of float range")
+    validation_mean = means[FeatureStage.VALIDATION]
 
     reports = []
     for stage in stages:
@@ -246,7 +244,7 @@ def policy_report(
         model = fit(X_train, train_feats.y, forest_cfg, feature_names=names)
         records = eval_records(test_feats, stage, model)
         curve = sweep(records)
-        ratio = float(all_costs[stage].mean()) / validation_mean if validation_mean > 0 else 0.0
+        ratio = means[stage] / validation_mean if validation_mean > 0 else 0.0
         reports.append(
             StageReport(
                 stage=stage,

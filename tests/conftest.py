@@ -8,9 +8,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from oracles import load_traces
+
 from graphlets.segmentation import extract_graphlets
 from graphlets.synth import GenConfig, generate
-from graphlets.trace import load_corpus, parse_trace_file
+from graphlets.trace import parse_trace_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,5 +40,5 @@ def small_corpus(tmp_path_factory):
         GenConfig(), n_pipelines=12, graphlets_per_pipeline=(15, 35), seed=7
     )
     truth = generate(cfg, out)
-    traces = load_corpus(out)
+    traces = load_traces(out)
     return cfg, truth, traces, [(t, extract_graphlets(t)) for t in traces]

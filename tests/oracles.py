@@ -2,9 +2,10 @@
 
 These deliberately favor obviousness over speed: the segmentation oracle
 re-scans every edge until nothing changes, the warmstart oracle scans every
-edge once, the shape oracle walks a graphlet one node at a time over a fresh
-``index_trace``, the graphlet-walk oracle derives each of a graphlet's costs,
-shape, push label and inputs in its own walk, the cycle oracle runs Kahn's
+edge once, the shape oracle walks a graphlet one node at a time with degrees
+counted over the raw edge list, the graphlet-walk oracle derives each of a
+graphlet's costs, shape, push label and inputs in its own walk, the cycle
+oracle runs Kahn's
 algorithm over the raw edge list, the transport oracle enumerates
 integer contingency tables, the sweep oracle rebuilds each confusion set
 from scratch, the split oracle scores one candidate feature at a time, the
@@ -12,22 +13,26 @@ fit oracle grows each tree recursively around it, the score oracle walks one
 tree at a time, the hash oracle projects one distribution at a time, the
 canonicalization oracle lays out one feature at a time in scalar arithmetic,
 the span-similarity oracle signs, orients and solves one span pair at a
-time and reads each square certificate off a permutation's cells,
+time and reads each square certificate off a permutation's cells, the
+graphlet-similarity oracle compares one graphlet pair at a time through it,
 the parse oracle decodes one record at a time through ``json.loads``, the
 feature-check oracle tests every histogram and count entry one at a time, and
 the corpus oracles (featurization, cost breakdown, cadence) take a whole
 corpus as one list and build every row or sum in a single loop over it.
 
 The rest are test-side counterparts of the library's writers and samplers:
-a trace serializer for parse round trips, a truth-file reader, a Monte-Carlo
+a trace serializer for parse round trips, a corpus loader that holds every
+trace of a directory in one list, a truth-file reader, a Monte-Carlo
 sampler of the planted push process, and the optimal plan behind
 ``transport_cost``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -50,7 +55,6 @@ from graphlets.similarity import (
     LshParams,
     SimWeights,
     _canonical_bins,
-    _projections,
     hash_distributions,
     jaccard,
 )
@@ -72,7 +76,7 @@ from graphlets.trace import (
     SpanStats,
     Trace,
     TraceParseError,
-    index_trace,
+    parse_corpus,
 )
 
 
@@ -119,15 +123,14 @@ def loop_shape_features(
 ) -> list[float]:
     """Execution count and mean in/out degree per operator kind, one graphlet
     node at a time; zeros when a kind is absent from the graphlet."""
-    idx = index_trace(trace)
+    fan_in = Counter(e.dst for e in trace.edges)
+    fan_out = Counter(e.src for e in trace.edges)
     per_kind: dict[OperatorKind, list[tuple[int, int]]] = {}
     for node in g.nodes:
         ex = trace.executions.get(node)
         if ex is None or ex.operator not in kinds:
             continue
-        per_kind.setdefault(ex.operator, []).append(
-            (idx.in_degree(node), idx.out_degree(node))
-        )
+        per_kind.setdefault(ex.operator, []).append((fan_in[node], fan_out[node]))
     values: list[float] = []
     for kind in kinds:
         rows = per_kind.get(kind, [])
@@ -220,7 +223,7 @@ def reference_find_cycle(trace: Trace) -> str | None:
     with every edge whose endpoints both exist, has peeled off every node
     that no cycle reaches; None if the graph is acyclic."""
     children: dict[str, list[str]] = {}
-    indeg: dict[str, int] = {n: 0 for n in trace.node_ids()}
+    indeg: dict[str, int] = {n: 0 for n in (*trace.artifacts, *trace.executions)}
     for e in trace.edges:
         if e.src in indeg and e.dst in indeg:
             children.setdefault(e.src, []).append(e.dst)
@@ -241,9 +244,10 @@ def reference_find_cycle(trace: Trace) -> str | None:
 
 def loop_graphlet_walks(trace: Trace, nodes: frozenset[str], anchor: str) -> dict[str, Any]:
     """A graphlet's derived fields, each from its own walk: per-group costs
-    over the sorted nodes, the shape over a fresh ``index_trace``, the push
-    label, and the anchor's input spans and warmstart flag."""
-    idx = index_trace(trace)
+    over the sorted nodes, the shape with degrees counted over the raw edge
+    list, the push label, and the anchor's input spans and warmstart flag."""
+    fan_in = Counter(e.dst for e in trace.edges)
+    fan_out = Counter(e.src for e in trace.edges)
     costs: dict[OperatorGroup, float] = {}
     for node in sorted(nodes):
         ex = trace.executions.get(node)
@@ -253,17 +257,16 @@ def loop_graphlet_walks(trace: Trace, nodes: frozenset[str], anchor: str) -> dic
     for node in nodes:
         ex = trace.executions.get(node)
         if ex is not None:
-            count, fan_in, fan_out = shape.get(ex.operator, (0, 0, 0))
-            shape[ex.operator] = (
-                count + 1, fan_in + idx.in_degree(node), fan_out + idx.out_degree(node)
-            )
+            count, ins, outs = shape.get(ex.operator, (0, 0, 0))
+            shape[ex.operator] = (count + 1, ins + fan_in[node], outs + fan_out[node])
     pushed = any(
         node in trace.executions
         and trace.executions[node].operator is OperatorKind.PUSHER
         and trace.executions[node].state is ExecutionState.COMPLETE
         for node in nodes
     )
-    inputs = [trace.artifacts[p] for p in idx.parents[anchor] if p in trace.artifacts]
+    inputs = [trace.artifacts[e.src] for e in trace.edges
+              if e.dst == anchor and e.src in trace.artifacts]
     spans = sorted(
         (a for a in inputs if a.artifact_type is ArtifactType.DATA_SPAN),
         key=lambda a: (a.created_at, a.id),
@@ -414,7 +417,7 @@ def jensen_shannon(p: np.ndarray, q: np.ndarray) -> float:
 
 def scalar_lsh_hash(bins, params: LshParams) -> tuple[int, ...]:
     """Hash of one distribution: component j is floor((a_j . sqrt(d) + b_j) / w)."""
-    directions, offsets = _projections(params.k, params.w, params.seed)
+    directions, offsets = params.projections
     root = np.sqrt(np.asarray(bins, dtype=float))
     values = np.floor((directions @ root + offsets) / params.w)
     return tuple(int(x) for x in values)
@@ -619,6 +622,12 @@ def span_stats_payload(stats: SpanStats) -> dict[str, Any]:
                 }
             )
     return {"features": feats}
+
+
+def load_traces(directory: str | Path) -> list[Trace]:
+    """Every well-formed trace of a corpus directory in one list, in file
+    name order; raises as ``parse_corpus`` does."""
+    return [trace for trace in parse_corpus(directory) if trace is not None]
 
 
 def serialize_trace(trace: Trace) -> Iterator[str]:
@@ -982,41 +991,37 @@ def loop_span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimW
     return min(1.0, max(0.0, 1.0 - loop_transport_cost(cost)))
 
 
-class LoopSpanSimilarity:
-    """``SpanSimilarity``'s contract with nothing batched or declared: each
-    ``compare`` aligns the two graphlets' spans and takes every span pair
-    through ``loop_span_sim``, memoized by span ids."""
+def loop_graphlet_similarities(
+    trace: Trace, pairs, params: LshParams, weights: SimWeights
+) -> list[tuple[float, float, float]]:
+    """``graphlet_similarities`` with nothing batched: each pair aligns its two
+    graphlets' spans and takes every span pair through ``loop_span_sim``,
+    memoized by span ids."""
+    def spans(x: Graphlet) -> list[str]:
+        return [s for s in x.input_spans if trace.artifacts[s].span_stats is not None]
 
-    def __init__(self, trace: Trace, pairs, params: LshParams, weights: SimWeights) -> None:
-        self.trace, self.params, self.weights = trace, params, weights
-        self.memo: dict[tuple[str, str], float] = {}
+    @functools.cache
+    def span_sim(x: str, y: str) -> float:
+        stats = trace.artifacts
+        return loop_span_sim(stats[x].span_stats, stats[y].span_stats, params, weights)
 
-    def _span_sim(self, a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        if key not in self.memo:
-            stats = self.trace.artifacts
-            self.memo[key] = loop_span_sim(stats[a].span_stats, stats[b].span_stats,
-                                           self.params, self.weights)
-        return self.memo[key]
-
-    def compare(self, g: Graphlet, prev: Graphlet) -> tuple[float, float, float]:
-        def spans(x: Graphlet) -> list[str]:
-            return [s for s in x.input_spans if self.trace.artifacts[s].span_stats is not None]
-
+    results = []
+    for g, prev in pairs:
         a, b = spans(g), spans(prev)
         dataset = 0.0
         if a and b:
-            dataset = sum(self._span_sim(a[i], b[i]) for i in range(min(len(a), len(b))))
+            dataset = sum(span_sim(a[i], b[i]) for i in range(min(len(a), len(b))))
             dataset /= max(len(a), len(b))
         code = 1.0 if g.trainer_code_version == prev.trainer_code_version else 0.0
-        return jaccard(g, prev), dataset, code
+        results.append((jaccard(g, prev), dataset, code))
+    return results
 
 
 Corpus = list[tuple[Trace, list[Graphlet]]]
 
 
 def _reference_row(
-    featurizer: Featurizer, g: Graphlet, predecessors: list[Graphlet], sims: LoopSpanSimilarity
+    featurizer: Featurizer, g: Graphlet, trace: Trace, predecessors: list[Graphlet]
 ) -> list[float]:
     """One validation-stage row in schema order, the model one-hots first."""
     row = [1.0 if g.model_type is mt else 0.0 for mt in ModelType]
@@ -1027,7 +1032,8 @@ def _reference_row(
         else:
             hot[-1] = 1.0
     row += hot
-    row += featurizer.history_features(g, predecessors, sims)
+    row += featurizer.history_features(loop_graphlet_similarities(
+        trace, [(g, p) for p in predecessors], featurizer.lsh, featurizer.weights))
     for kinds in (PRE_TRAINER_KINDS, TRAINER_KINDS, POST_TRAINER_KINDS):
         row += featurizer.shape_features(g, kinds)
     return row
@@ -1055,10 +1061,9 @@ def reference_featurize(corpus: Corpus, featurizer: Featurizer) -> CorpusFeature
     model_types: list[str] = []
     total_costs: list[float] = []
     for trace, graphlets in corpus:
-        sims = LoopSpanSimilarity(trace, (), featurizer.lsh, featurizer.weights)
         for pos, g in enumerate(graphlets):
             predecessors = graphlets[max(0, pos - featurizer.window.w): pos][::-1]
-            rows.append(_reference_row(featurizer, g, predecessors, sims))
+            rows.append(_reference_row(featurizer, g, trace, predecessors))
             labels.append(g.pushed)
             for stage in STAGES:
                 costs[stage].append(featurizer.stage_cost(g, stage))

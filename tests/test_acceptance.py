@@ -37,7 +37,6 @@ from graphlets.similarity import (
     sequence_sim,
 )
 from graphlets.synth import GenConfig, generate, iid_config, preset
-from graphlets.trace import index_trace
 from graphlets.analytics import CadenceStats, add_costs, cost_fractions
 from graphlets.workflow import corpus_rows, policy_report, stream_corpus, valid_traces
 
@@ -80,7 +79,7 @@ def test_criterion_1_segmentation_oracle(warm_pair_trace, warm_pair_graphlets):
             checked += 1
 
     consumer = warm_pair_graphlets[1]
-    idx = index_trace(warm_pair_trace)
+    parents, children = warm_pair_trace.parents, warm_pair_trace.children
     kinds = {}
     for n in consumer.nodes:
         ex = warm_pair_trace.executions.get(n)
@@ -88,13 +87,13 @@ def test_criterion_1_segmentation_oracle(warm_pair_trace, warm_pair_graphlets):
             kinds[ex.operator.value] = kinds.get(ex.operator.value, 0) + 1
     eg_nodes = [n for n in consumer.nodes if warm_pair_trace.executions.get(n)
                 and warm_pair_trace.executions[n].operator.value == "example_gen"]
-    eg_avg_out = sum(idx.out_degree(n) for n in eg_nodes) / len(eg_nodes)
+    eg_avg_out = sum(len(children[n]) for n in eg_nodes) / len(eg_nodes)
     fixture_ok = (
         kinds.get("example_gen") == 2
         and eg_avg_out == 1.0
         and kinds.get("trainer") == 1
-        and idx.in_degree(consumer.anchor) == 2
-        and idx.out_degree(consumer.anchor) == 1
+        and len(parents[consumer.anchor]) == 2
+        and len(children[consumer.anchor]) == 1
         and kinds.get("statistics_gen") == 1
         and kinds.get("evaluator") == 1
         and kinds.get("pusher") == 1

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import json
 import re
-import sys
+import shutil
+import warnings
 import weakref
 from collections import Counter
 
 import pytest
 
-from graphlets import segmentation
 from graphlets import trace as trace_module
 from graphlets.cli import main
 from graphlets.workflow import load_model, save_model
@@ -414,18 +414,15 @@ def test_each_segmenting_command_indexes_every_trace_once(
 ):
     corpus, cfg = small_cli_corpus
     indexed: list[str] = []
-    original = segmentation.index_trace
+    original = trace_module.Trace.__post_init__
 
     def counting(trace):
         indexed.append(trace.pipeline_id)
         return original(trace)
 
-    # Patch every package module that binds the function, so that a second
-    # indexing path anywhere in the package is counted too.
-    for name, module in list(sys.modules.items()):
-        if name.startswith("graphlets.") and getattr(module, "index_trace", None) is original:
-            monkeypatch.setattr(module, "index_trace", counting)
-    assert segmentation.index_trace is counting
+    # A trace builds its adjacency when it is made, so this counts every
+    # trace the package makes, copies included.
+    monkeypatch.setattr(trace_module.Trace, "__post_init__", counting)
 
     files = len(list(corpus.glob("*.ndjson")))
     model = tmp_path / "model.json"
@@ -635,4 +632,49 @@ def test_corpus_cost_total_beyond_float_range_exits_2(warm_pair_dir, tmp_path, c
     assert main(["stats", "--corpus", str(corpus), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: corpus compute cost total is out of float range\n")
+    assert not out.exists()
+
+
+def _with_huge_shared_cost(small_cli_corpus, directory):
+    """The small corpus with example_gen run ``pipe0000-eg-0000``, whose span
+    feeds several graphlets, costing 1.5e308: each trace's cost total stays
+    finite, but sums over graphlets do not."""
+    corpus, _ = small_cli_corpus
+    shutil.copytree(corpus, directory)
+    path = directory / "pipe0000.ndjson"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        if record.get("id") == "pipe0000-eg-0000":
+            record["cpu_cost"] = 1.5e308
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return directory
+
+
+def test_report_exits_2_when_graphlet_costs_overflow(small_cli_corpus, tmp_path, capsys):
+    corpus = _with_huge_shared_cost(small_cli_corpus, tmp_path / "corpus")
+    _, cfg = small_cli_corpus
+    out = tmp_path / "report"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert main(["report", "--corpus", str(corpus), "--config", str(cfg), "--seed", "9",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: mean graphlet stage cost is out of float range\n")
+    assert not out.exists()
+
+
+def test_sweep_exits_2_when_unpushed_costs_overflow(small_cli_corpus, trained_model, tmp_path,
+                                                    capsys):
+    assert "pipe0000" in trained_model["split"]["test_pipeline_ids"]
+    corpus = _with_huge_shared_cost(small_cli_corpus, tmp_path / "corpus")
+    _, cfg = small_cli_corpus
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(trained_model))
+    out = tmp_path / "curve.tsv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--corpus", str(corpus), "--model", str(model),
+                     "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: total unpushed graphlet cost is out of float range\n")
     assert not out.exists()

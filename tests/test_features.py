@@ -11,7 +11,7 @@ from graphlets.features import (
     build_arch_vocab,
 )
 from graphlets.segmentation import extract_graphlets
-from graphlets.similarity import SpanSimilarity
+from graphlets.similarity import graphlet_similarities
 from graphlets.trace import parse_trace
 
 
@@ -27,32 +27,27 @@ def featurize(corpus):
     return f.with_vocab(rows).assemble(rows)
 
 
-def sims_for(f, trace, pairs):
-    """The trace's ``SpanSimilarity`` for the ``(graphlet, predecessor)`` pairs."""
-    return SpanSimilarity(trace, pairs, f.lsh, f.weights)
+def sims_for(f, trace, g, predecessors):
+    """``graphlet_similarities`` of ``g`` against each of its predecessors."""
+    return graphlet_similarities(trace, [(g, p) for p in predecessors], f.lsh, f.weights)
 
 
-def full_row(f, g, predecessors, sims):
+def full_row(f, g, sims):
     """The validation-stage row, built by the production row path."""
-    return f.model_features(g.model_type, g.architecture) + f.history_and_shape(
-        g, predecessors, sims
-    )
+    return f.model_features(g.model_type, g.architecture) + f.history_and_shape(g, sims)
 
 
 def stage_row(f, g, predecessors, stage, trace):
     """Feature name -> value at ``stage``, built by the production row path."""
     sl = f.stage_slice(stage)
-    sims = sims_for(f, trace, [(g, p) for p in predecessors])
-    values = full_row(f, g, predecessors, sims)[sl]
+    values = full_row(f, g, sims_for(f, trace, g, predecessors))[sl]
     return dict(zip(f.full_names()[sl], values))
 
 
 def test_stage_vectors_nest_and_grow(warm_pair_trace, warm_pair_graphlets):
     f = featurizer_for(warm_pair_trace, warm_pair_graphlets)
     g = warm_pair_graphlets[1]
-    full = full_row(
-        f, g, [warm_pair_graphlets[0]], sims_for(f, warm_pair_trace, [(g, warm_pair_graphlets[0])])
-    )
+    full = full_row(f, g, sims_for(f, warm_pair_trace, g, [warm_pair_graphlets[0]]))
     assert len(full) == len(f.full_names())
     lengths = []
     prev_values = None
@@ -204,9 +199,9 @@ def test_featurize_corpus_matches_full_row(small_corpus):
     trace, graphlets = corpus[0]
     ordered = sorted(graphlets, key=lambda g: (g.trainer_end_at, g.anchor))
     windows = [ordered[max(0, pos - f.window.w): pos][::-1] for pos in range(len(ordered))]
-    sims = sims_for(f, trace, [(g, p) for g, window in zip(ordered, windows) for p in window])
     for pos, (g, predecessors) in enumerate(zip(ordered, windows)):
-        assert feats.X[pos].tolist() == full_row(f, g, predecessors, sims)
+        # One call per row gives what the pipeline's one call gave.
+        assert feats.X[pos].tolist() == full_row(f, g, sims_for(f, trace, g, predecessors))
         assert feats.anchors[pos] == g.anchor
         for stage in STAGES:
             assert feats.stage_costs[stage][pos] == f.stage_cost(g, stage)

@@ -24,10 +24,17 @@ from graphlets.segmentation import (
     overlap_adjusted_costs,
 )
 from graphlets.trace import (
+    Artifact,
     ArtifactType,
+    Edge,
+    EdgeRole,
+    Execution,
+    ExecutionState,
+    ModelType,
     OperatorGroup,
     OperatorKind,
-    index_trace,
+    SpanStats,
+    Trace,
     parse_trace,
     validate_trace,
 )
@@ -49,7 +56,7 @@ def test_fixture_has_two_graphlets(warm_pair_trace, warm_pair_graphlets):
 
 def test_consumer_graphlet_contents(warm_pair_trace, warm_pair_graphlets):
     consumer = warm_pair_graphlets[1]
-    idx = index_trace(warm_pair_trace)
+    parents, children = warm_pair_trace.parents, warm_pair_trace.children
     kinds = exec_kinds(warm_pair_trace, consumer)
     assert kinds[OperatorKind.EXAMPLE_GEN] == 2
     assert kinds[OperatorKind.TRAINER] == 1
@@ -59,11 +66,11 @@ def test_consumer_graphlet_contents(warm_pair_trace, warm_pair_graphlets):
     assert OperatorKind.TRANSFORM not in kinds
     # the verbatim degree counts: ExampleGen averages one output, the trainer
     # reads two inputs and writes one, the pusher reads one input
-    eg_out = [idx.out_degree(n) for n in ("eg1", "eg2")]
+    eg_out = [len(children[n]) for n in ("eg1", "eg2")]
     assert sum(eg_out) / len(eg_out) == 1.0
-    assert idx.in_degree("t2") == 2
-    assert idx.out_degree("t2") == 1
-    assert idx.in_degree("p1") == 1
+    assert len(parents["t2"]) == 2
+    assert len(children["t2"]) == 1
+    assert len(parents["p1"]) == 1
 
 
 def test_warmstart_artifact_included_but_not_producer(warm_pair_graphlets):
@@ -141,6 +148,31 @@ def test_single_trainer_chain_keeps_everything():
     assert g.pushed is True
 
 
+def test_dangling_edge_is_reported_and_left_out_of_segmentation():
+    # The parser rejects an edge to a missing node, so this trace is built
+    # by hand: trainer t reads span s and a node "ghost" that does not exist.
+    executions = {
+        "eg": Execution("eg", OperatorKind.EXAMPLE_GEN, "p", 1, 2, ExecutionState.COMPLETE, 1.0),
+        "t": Execution("t", OperatorKind.TRAINER, "p", 3, 4, ExecutionState.COMPLETE, 1.0,
+                       model_type=ModelType.LINEAR),
+    }
+    artifacts = {
+        "m": Artifact("m", ArtifactType.MODEL, 4, "p"),
+        "s": Artifact("s", ArtifactType.DATA_SPAN, 2, "p", SpanStats(())),
+    }
+    linked = (Edge("eg", "s", EdgeRole.OUTPUT), Edge("s", "t", EdgeRole.INPUT),
+              Edge("t", "m", EdgeRole.OUTPUT))
+    trace = Trace("p", artifacts, executions,
+                  tuple(sorted(linked + (Edge("ghost", "t", EdgeRole.INPUT),))))
+    assert validate_trace(trace) == ["edge ghost->t: dangling endpoint"]
+    (g,) = extract_graphlets(trace)
+    assert g.nodes == {"eg", "s", "t", "m"}
+    assert g.input_spans == ("s",)
+    assert g.shape[OperatorKind.TRAINER] == (1, 1, 1)
+    assert [g] == extract_graphlets(dataclasses.replace(trace, edges=linked))
+    assert trace.parents["t"] == ("s",) and "ghost" not in trace.children
+
+
 def test_failed_pusher_does_not_push():
     lines = [
         '{"kind": "execution", "id": "tr", "operator": "trainer", "pipeline_id": "p", "start_at": 3, "end_at": 4, "state": "complete", "cpu_cost": 1.0, "properties": {"model_type": "linear"}}',
@@ -194,13 +226,12 @@ def test_no_foreign_stop_execution_reachable_forward(small_corpus):
     _, _, traces, corpus = small_corpus
     stop = StopSet()
     for trace, graphlets in corpus[:4]:
-        idx = index_trace(trace)
         for g in graphlets[:10]:
             seen = {g.anchor}
             frontier = [g.anchor]
             while frontier:
                 x = frontier.pop()
-                for child in idx.children[x]:
+                for child in trace.children[x]:
                     if child in g.nodes and child not in seen:
                         ex = trace.executions.get(child)
                         if ex is not None and ex.operator in stop.kinds:
@@ -249,8 +280,6 @@ def test_one_walk_matches_separate_walks_on_corpus(small_corpus, warm_pair_trace
     _assert_one_walk_matches_separate_walks(warm_pair_trace, warm_pair_graphlets)
     for trace, graphlets in small_corpus[3]:
         _assert_one_walk_matches_separate_walks(trace, graphlets)
-        # A given index changes nothing.
-        assert extract_graphlets(trace, StopSet(), index_trace(trace)) == graphlets
 
 
 def test_segmentation_independent_of_record_order(warm_pair_dir):

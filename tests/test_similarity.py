@@ -11,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    LoopSpanSimilarity,
     brute_assignment_cost,
     brute_span_sim_square,
     brute_transport_cost,
     jensen_shannon,
+    load_traces,
+    loop_graphlet_similarities,
     loop_span_sim,
     scalar_canonicalize,
     scalar_lsh_hash,
@@ -31,19 +32,19 @@ from graphlets.similarity import (
     BINS,
     LshParams,
     SimWeights,
-    SpanSimilarity,
     _canonical_bins,
     _hash_blocks,
     _pair_sims,
     canonicalize,
     feature_sim,
+    graphlet_similarities,
     hash_distributions,
     jaccard,
     sequence_sim,
     span_sim,
 )
 from graphlets.synth import GenConfig, generate
-from graphlets.trace import FeatureKind, FeatureStats, SpanStats, load_corpus
+from graphlets.trace import FeatureKind, FeatureStats, SpanStats
 
 PARAMS = LshParams()
 W = SimWeights()
@@ -273,6 +274,22 @@ def test_lsh_deterministic():
     assert hash_distributions(dist, PARAMS).shape == (1, PARAMS.k)
 
 
+def test_lsh_projection_table_is_drawn_once_per_instance_and_read_only():
+    params = LshParams()
+    directions, offsets = params.projections
+    assert params.projections[0] is directions
+    assert directions.shape == (PARAMS.k, BINS) and offsets.shape == (PARAMS.k,)
+    with pytest.raises(ValueError):
+        directions[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        offsets[0] = 0.0
+    # Equal parameters draw equal tables, and the table is not part of equality.
+    twin = LshParams()
+    assert twin == params and hash(twin) == hash(params)
+    assert twin.projections[0].tobytes() == directions.tobytes()
+    assert twin.projections[1].tobytes() == offsets.tobytes()
+
+
 def test_lsh_seed_changes_projections():
     dist = np.full((1, BINS), 0.1)
     other = LshParams(seed=43)
@@ -483,7 +500,7 @@ def test_sequence_sim_symmetric():
         assert sequence_sim(a, b, PARAMS, W) == sequence_sim(b, a, PARAMS, W)
 
 
-# -- SpanSimilarity ----------------------------------------------------------
+# -- graphlet_similarities ---------------------------------------------------
 
 
 def span_stats_of(g, trace):
@@ -495,26 +512,32 @@ def span_stats_of(g, trace):
 def test_span_similarity_matches_module_functions(small_corpus, weights):
     _, _, _, corpus = small_corpus
     checked = 0
+    rng = np.random.default_rng(5)
     for trace, graphlets in corpus[:3]:
-        pairs = consecutive_pairs(graphlets)
-        sims = SpanSimilarity(trace, [(cur, prev) for prev, cur in pairs], PARAMS, weights)
-        for prev, cur in pairs:
+        # Each graphlet against up to two predecessors, in shuffled order:
+        # the results come back in the order of the pairs.
+        pairs = [(cur, prev) for pos, cur in enumerate(graphlets)
+                 for prev in graphlets[max(0, pos - 2): pos]]
+        pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        sims = graphlet_similarities(trace, pairs, PARAMS, weights)
+        assert len(sims) == len(pairs)
+        for (cur, prev), sim in zip(pairs, sims):
             expected = sequence_sim(
                 span_stats_of(cur, trace), span_stats_of(prev, trace), PARAMS, weights
             )
             code = 1.0 if cur.trainer_code_version == prev.trainer_code_version else 0.0
-            assert sims.compare(cur, prev) == (jaccard(cur, prev), expected, code)
+            assert sim == (jaccard(cur, prev), expected, code)
             checked += 1
-    assert checked > 30
+    assert checked > 60
 
 
 def test_span_similarity_hashes_each_span_and_compares_each_pair_once(
     small_corpus, monkeypatch
 ):
-    # Construction signs every span that an aligned pair reads in one batch
+    # One call signs every span that an aligned pair reads in one batch
     # (one canonicalization, one hash pass with a product per span) and
-    # puts each distinct span pair into exactly one cost block; ``compare``
-    # then only reads, in either order.
+    # puts each distinct span pair into exactly one cost block, though
+    # every graphlet pair is passed in both orders.
     _, _, _, corpus = small_corpus
     trace, graphlets = corpus[0]
     counts = {"batches": 0, "rows": 0, "hash_passes": 0, "blocks": 0, "pairs": 0}
@@ -533,12 +556,10 @@ def test_span_similarity_hashes_each_span_and_compares_each_pair_once(
     monkeypatch.setattr(similarity, "transport_costs",
                         counted("blocks", similarity.transport_costs, extra="pairs"))
     pairs = [(cur, prev) for prev, cur in consecutive_pairs(graphlets)]
-    sims = SpanSimilarity(trace, pairs, PARAMS, W)
+    sims = graphlet_similarities(trace, pairs + [(b, a) for a, b in pairs], PARAMS, W)
     built = dict(counts)
-    for cur, prev in pairs:
-        sims.compare(cur, prev)
-        sims.compare(prev, cur)  # the same pair in the other order
-    assert counts == built
+    # Every metric is symmetric, bit for bit.
+    assert sims[: len(pairs)] == sims[len(pairs):]
 
     def spans(g):
         return [s for s in g.input_spans if trace.artifacts[s].span_stats is not None]
@@ -646,30 +667,20 @@ def test_batched_span_sims_reject_oversized():
     assert loop_span_sim(big, empty, PARAMS, W) == 0.0
 
 
-def test_compare_rejects_an_undeclared_pair(small_corpus):
-    _, _, _, corpus = small_corpus
-    trace, graphlets = corpus[0]
-    first, second, third = graphlets[:3]
-    sims = SpanSimilarity(trace, [(second, first)], PARAMS, W)
-    assert sims.compare(first, second) == sims.compare(second, first)
-    with pytest.raises(ValueError) as err:
-        sims.compare(third, first)
-    assert repr(third.anchor) in str(err.value) and repr(first.anchor) in str(err.value)
-
-
 def test_no_span_pair_means_no_batch_work(small_corpus, monkeypatch):
     _, _, _, corpus = small_corpus
     trace, graphlets = corpus[0]
     calls = []
     for name in ("_canonical_bins", "_hash_blocks", "transport_costs"):
         monkeypatch.setattr(similarity, name, lambda *a, name=name: calls.append(name))
-    # A one-graphlet pipeline declares no pair.
+    # A one-graphlet pipeline has no pair.
+    assert graphlet_similarities(trace, [], PARAMS, W) == []
     assert Featurizer().pipeline_rows(trace, graphlets[:1]).X.shape[0] == 1
     assert pair_similarities(trace, graphlets[:1], PARAMS, W) == []
     # Graphlets whose input spans all lack statistics align no span pair.
     bare = [dataclasses.replace(g, input_spans=()) for g in graphlets[:2]]
-    sims = SpanSimilarity(trace, [(bare[1], bare[0])], PARAMS, W)
-    assert sims.compare(bare[1], bare[0])[1] == 0.0
+    (sim,) = graphlet_similarities(trace, [(bare[1], bare[0])], PARAMS, W)
+    assert sim[:2] == (1.0, 0.0)
     assert calls == []
 
 
@@ -713,7 +724,7 @@ def test_unequal_spans_write_the_oracle_bytes(tmp_path, monkeypatch):
     outputs = {}
     for path in ("batch", "oracle"):
         if path == "oracle":
-            monkeypatch.setattr(analytics, "SpanSimilarity", LoopSpanSimilarity)
+            monkeypatch.setattr(analytics, "graphlet_similarities", loop_graphlet_similarities)
             batch_solves = len(solves)
         for command in ("stats", "similarity"):
             out = tmp_path / path / command
@@ -725,9 +736,9 @@ def test_unequal_spans_write_the_oracle_bytes(tmp_path, monkeypatch):
 
 
 def _featurize_and_compare(out):
-    """Run both consumers of ``SpanSimilarity`` on a corpus; return weak
-    references to its span statistics, the corpus itself dropped."""
-    traces = load_corpus(out)
+    """Run both consumers of ``graphlet_similarities`` on a corpus; return
+    weak references to its span statistics, the corpus itself dropped."""
+    traces = load_traces(out)
     corpus = [(trace, extract_graphlets(trace)) for trace in traces]
     featurizer = Featurizer()
     for trace, graphlets in corpus:

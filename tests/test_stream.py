@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    load_traces,
     reference_arch_vocab,
     reference_cadence_stats,
     reference_cost_breakdown,
@@ -29,7 +30,6 @@ from graphlets.analytics import CadenceStats, add_costs, cost_fractions, pipelin
 from graphlets.features import STAGES, Featurizer, WindowConfig
 from graphlets.segmentation import extract_graphlets, is_warmstart
 from graphlets.synth import GenConfig, generate
-from graphlets.trace import load_corpus
 from graphlets.workflow import corpus_rows, stream_corpus
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
@@ -63,7 +63,7 @@ NAMES = ["fixture", "small", "churned", "single"]
 
 
 def _listed(directory: Path):
-    return [(trace, extract_graphlets(trace)) for trace in load_corpus(directory)]
+    return [(trace, extract_graphlets(trace)) for trace in load_traces(directory)]
 
 
 def _assert_same_features(streamed, reference) -> None:

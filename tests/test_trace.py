@@ -32,8 +32,7 @@ from graphlets.trace import (
     Trace,
     TraceParseError,
     _cycle_node,
-    index_trace,
-    load_corpus,
+    parse_corpus,
     parse_trace,
     parse_trace_file,
     validate_trace,
@@ -428,10 +427,10 @@ def test_parse_trace_file_rejects_non_utf8_with_path(tmp_path):
     assert str(err.value).startswith(f"{path}: not UTF-8 text")
 
 
-def test_load_corpus_rejects_directory_without_traces(tmp_path):
+def test_parse_corpus_rejects_directory_without_traces(tmp_path):
     (tmp_path / "truth.json").write_text("{}")
     with pytest.raises(ValueError, match="no trace files in"):
-        load_corpus(tmp_path)
+        next(parse_corpus(tmp_path))
 
 
 def test_parse_order_independent():
@@ -527,8 +526,7 @@ def test_index_orders_trainers_by_end_time():
         _exec("late", "trainer", 1, 100, model_type="dnn"),
         _exec("early", "trainer", 1, 50, model_type="dnn"),
     ]
-    idx = index_trace(parse_trace(lines))
-    assert idx.trainers == ("early", "late")
+    assert parse_trace(lines).trainers == ("early", "late")
 
 
 def test_index_breaks_ties_by_node_id():
@@ -536,20 +534,19 @@ def test_index_breaks_ties_by_node_id():
         _exec("tb", "trainer", 1, 100, model_type="dnn"),
         _exec("ta", "trainer", 1, 100, model_type="dnn"),
     ]
-    idx = index_trace(parse_trace(lines))
-    assert idx.trainers == ("ta", "tb")
+    assert parse_trace(lines).trainers == ("ta", "tb")
 
 
 def test_index_fixture_trainers(warm_pair_trace):
-    idx = index_trace(warm_pair_trace)
-    assert idx.trainers == ("t1", "t2")
-    assert idx.in_degree("t2") == 2
-    assert idx.out_degree("t2") == 1
+    assert warm_pair_trace.trainers == ("t1", "t2")
+    assert len(warm_pair_trace.parents["t2"]) == 2
+    assert len(warm_pair_trace.children["t2"]) == 1
 
 
 def test_every_edge_alternates_kinds(warm_pair_trace):
+    executions = warm_pair_trace.executions
     for e in warm_pair_trace.edges:
-        assert warm_pair_trace.is_execution(e.src) != warm_pair_trace.is_execution(e.dst)
+        assert (e.src in executions) != (e.dst in executions)
 
 
 @settings(max_examples=30, deadline=None)
@@ -574,7 +571,8 @@ def test_reindexing_permuted_file_is_identical(warm_pair_dir):
     a = parse_trace(lines)
     b = parse_trace(shuffled)
     assert a == b
-    assert index_trace(a).trainers == index_trace(b).trainers
+    assert a.trainers == b.trainers
+    assert (a.parents, a.children) == (b.parents, b.children)
 
 
 def test_records_are_immutable_hashable_and_picklable(warm_pair_trace):
@@ -624,7 +622,7 @@ def test_index_cycle_check_matches_reference(n_nodes, pairs, acyclic):
         pairs = [(a, b) for a, b in pairs if a < b]
     trace = _graph(n_nodes, pairs)
     want = reference_find_cycle(trace)
-    assert _cycle_node(index_trace(trace)) == want
+    assert _cycle_node(trace) == want
     if acyclic:
         assert want is None
     cycles = [v for v in validate_trace(trace) if v.startswith("cycle through")]
@@ -644,12 +642,12 @@ def test_index_cycle_check_matches_reference_on_random_traces(pyrandom):
     earlier execution closes a cycle."""
     trace = random_trace(np.random.default_rng(pyrandom.randrange(2**32)), max_execs=25)
     assert reference_find_cycle(trace) is None
-    assert _cycle_node(index_trace(trace)) is None
+    assert _cycle_node(trace) is None
     art = pyrandom.choice(sorted(trace.artifacts))
     ex = pyrandom.choice(sorted(trace.executions))
     cyclic = dataclasses.replace(
         trace, edges=tuple(sorted(trace.edges + (Edge(art, ex, EdgeRole.INPUT),))))
-    assert _cycle_node(index_trace(cyclic)) == reference_find_cycle(cyclic)
+    assert _cycle_node(cyclic) == reference_find_cycle(cyclic)
 
 
 @pytest.mark.parametrize("key, index", [("end_at", 0), ("start_at", 0), ("created_at", 1)])
