@@ -11,27 +11,29 @@ fraction.  Everything is reproducible from the config seed:
   a forest seeded s + t;
 * Gini ties break toward the lower feature index, then the lower threshold.
 
-Trees grow in lockstep.  Each keeps a preorder stack of its nodes that may
-still split; every round pops the next node of each growing tree and
-searches the round's nodes together.  Sorted by row count and cut into
-chunks of bounded size, each chunk gathers one (node x candidate) x width
-block of integer keys ``rank << 1 | label`` for only its nodes' rows, where
-a value's rank is its place among its column's distinct values (so -0.0
-and 0.0 share one).  Shorter nodes are padded with the key dtype's largest
-value; one integer sort per block row orders rows by value, and a running
-count of the low bits gives the positives left of every cut.  Every cut
-between distinct ranks that ``min_leaf`` allows is scored, and its
-threshold is the midpoint of the two distinct values, read from a table of
-each column's sorted values.  A node's cuts are listed in (feature,
-position) order, so its first minimum score is the tie-break above; rows
-are partitioned by ``value <= threshold``.
+``fit_prefixes`` fits one forest per column prefix of a matrix (``fit`` is
+the one-prefix case) over one key matrix, since a prefix's column f is the
+matrix's.  All the trees grow in lockstep, as arrays: a tree's bootstrap
+rows fill one row of a row buffer, a node is a segment of it, and a split
+partitions its segment in place, left rows then right rows.  Every round
+pops the next node off each growing tree's preorder stack and searches
+them in chunks of one candidate count and at most ``_CHUNK_CELLS`` padded
+cells, smallest first.  A chunk gathers one (node x candidate) x width
+block of keys ``rank << 1 | label``, where a value's rank is its place among
+its column's distinct values (so -0.0 and 0.0 share one), reading the key
+dtype's largest value past a node's end.  One integer sort per block row
+orders rows by value, and a running count of the low bits gives the
+positives left of every cut.  Each cut between distinct ranks that
+``min_leaf`` allows is scored, its threshold the midpoint of the two values;
+a node's first minimum, in (feature, position) order, is the tie-break
+above.  Rows are partitioned by ``value <= threshold``.
 
 A node's candidates are the sorted result of one ``Generator.choice(d, m,
 replace=False)`` on its tree's generator.  With m = ceil(sqrt(d)), numpy
 2 runs Floyd's algorithm there at every width (its tail shuffle needs
 d > 10000 and m > d / 50): bounded draws on [0, j] for j = d - m ... d - 1,
 where a repeated value takes j, then a shuffle of the picks with draws on
-[0, i] for i = m - 1 ... 1.  ``fit`` replays those draws for many
+[0, i] for i = m - 1 ... 1.  The fit replays those draws for many
 nodes of a tree in one ``integers`` call, which takes the same bounded
 draws from the stream, and discards the shuffle draws, since sorting undoes
 the shuffle.  The growing trees draw together, each for a batch of its
@@ -50,8 +52,8 @@ push prediction.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from array import array
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -63,6 +65,7 @@ __all__ = [
     "Forest",
     "SplitSpec",
     "fit",
+    "fit_prefixes",
     "scores",
     "balanced_accuracy",
     "split_corpus",
@@ -108,17 +111,6 @@ _TREE_DTYPES = {"feature": np.int32, "threshold": float, "left": np.int32,
                 "right": np.int32, "fraction": float, "count": np.int64}
 
 
-def _tree(arrays) -> Tree:
-    """A ``Tree`` from per-node sequences, keyed by field name."""
-    fields = {}
-    for name, dt in _TREE_DTYPES.items():
-        try:
-            fields[name] = np.asarray(arrays[name], dtype=dt)
-        except OverflowError as exc:
-            raise ValueError(f"tree array {name!r} does not fit {np.dtype(dt)}: {exc}") from None
-    return Tree(**fields)
-
-
 @dataclass
 class Forest:
     config: ForestConfig
@@ -130,7 +122,7 @@ class Forest:
 
 # A search block holds at most this many (node x candidate x row) cells,
 # unless one node alone needs more.
-_CHUNK_CELLS = 1 << 14
+_CHUNK_CELLS = 1 << 15
 
 # A tree's first candidate draw covers this many of its nodes; each later
 # draw covers twice as many as the one before.
@@ -154,47 +146,47 @@ class _Splitter:
     with ranks dense per column, and ``values[offset[f] + rank]`` is the
     value of that rank in column f.  The key matrix lives as long as the fit,
     so it is built one column at a time, in the narrowest dtype that fits,
-    without n x d temporaries.  Each node is padded to the block's
-    width with the dtype's largest value, which sorts after every real key,
-    so no cut that ``min_leaf`` allows reaches a pad.  Row ids are stored as
-    ``index`` integers: 32 bits unless the matrix has more rows, since every
-    growing tree holds about one bootstrap sample of them at a time.
+    without n x d temporaries.  Its column n holds the dtype's largest
+    value, the pad: cells past a node's end read it, and since it sorts
+    after every real key, no cut that ``min_leaf`` allows reaches one.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, w0: float, w1: float, min_leaf: int):
         self.X = X
         self.y = y
         n, d = X.shape
-        self.index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
         dtype = _key_dtype(n)
         self.pad = np.iinfo(dtype).max
-        self.key = np.empty((d, n), dtype=dtype)
+        self.key = np.empty((d, n + 1), dtype=dtype)
         values = []
         for f in range(d):
-            distinct, self.key[f] = np.unique(X[:, f], return_inverse=True)
+            distinct, self.key[f, :n] = np.unique(X[:, f], return_inverse=True)
             values.append(distinct)
-        self.key <<= 1
-        self.key |= y
+        self.key[:, :n] <<= 1
+        self.key[:, :n] |= y
+        self.key[:, n] = self.pad
         self.values = np.concatenate(values)
         self.offset = np.cumsum([0] + [len(v) for v in values[:-1]])
         self.w0 = w0
         self.w1 = w1
         self.min_leaf = min_leaf
 
-    def split(self, idxs: list[np.ndarray], n1: np.ndarray, feats: np.ndarray) -> list:
-        """Node k holds rows ``idxs[k]``, ``n1[k]`` of them positive, and is
-        searched over the sorted candidate features ``feats[k]``.  Returns, per
-        node, None if no cut is allowed, else (feature, threshold, left rows,
-        left positives, right rows)."""
+    def split(self, buf: np.ndarray, at: np.ndarray, size: np.ndarray, n1: np.ndarray,
+              feats: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Node k holds row ids ``buf[at[k] : at[k] + size[k]]``, ``n1[k]`` of them
+        positive, and is searched over the sorted candidates ``feats[k]``.  Each
+        node with an allowed cut is partitioned in place (see the module notes);
+        returns their indices, features, thresholds, left rows and positives."""
         k, m = feats.shape
-        n = np.array([len(i) for i in idxs])
-        width = int(n.max())
-        real = np.arange(width) < n[:, None]
-        rows = np.zeros((k, width), dtype=self.index)
-        rows[real] = np.concatenate(idxs)
+        n = len(self.y)
+        width = int(size.max())
+        real = np.arange(width) < size[:, None]
+        # Cells past a node's end hold other rows of the buffer, which are
+        # never moved; the search reads the pad column for them instead.
+        rows = buf.take(at[:, None] + np.arange(width), mode="clip")
+        cells = np.where(real, rows, np.intp(n))
         # Row k * m + j of the block holds node k's keys of feature feats[k, j].
-        key = self.key.take(feats[:, :, None] * len(self.y) + rows[:, None, :])
-        np.copyto(key, self.pad, where=~real[:, None, :])
+        key = self.key.take(feats[:, :, None].astype(np.intp) * (n + 1) + cells[:, None, :])
         key = key.reshape(k * m, width)
         # Equal keys are equal (value, label) pairs, so the order of tied rows
         # cannot change any count.
@@ -202,14 +194,11 @@ class _Splitter:
         cum1 = (key & 1).cumsum(axis=1)
         key >>= 1
         # Cut p puts sorted rows 0..p on the left; min_leaf bounds p to
-        # [lo, n - min_leaf - 1].
+        # [lo, size - min_leaf - 1].
         lo = self.min_leaf - 1
         allowed = key[:, lo + 1 :] != key[:, lo : width - 1]
-        allowed &= np.arange(lo, width - 1) < (n - self.min_leaf).repeat(m)[:, None]
+        allowed &= np.arange(lo, width - 1) < (size - self.min_leaf).repeat(m)[:, None]
         r, cut = allowed.nonzero()
-        out: list = [None] * k
-        if len(cut) == 0:
-            return out
         cut += lo
         node = r // m
         nl1 = cum1[r, cut]
@@ -218,7 +207,7 @@ class _Splitter:
         # a and b weigh the positives and negatives on each side of each cut:
         # row 0 holds the left side, row 1 the right.
         a = self.w1 * np.stack((nl1, n1c - nl1))
-        b = self.w0 * np.stack((nl0, n[node] - n1c - nl0))
+        b = self.w0 * np.stack((nl0, size[node] - n1c - nl0))
         w = a + b
         # Weighted Gini numerator per side; the shared denominator is constant.
         side = w - (a**2 + b**2) / w
@@ -227,9 +216,9 @@ class _Splitter:
         # order, so its first minimum is at the lowest feature index, then
         # the lowest threshold.
         per_node = np.bincount(node, minlength=k)
-        node = per_node.nonzero()[0]
-        starts = (per_node.cumsum() - per_node)[node]
-        lowest = np.minimum.reduceat(score, starts).repeat(per_node[node])
+        hit = per_node.nonzero()[0]
+        starts = (per_node.cumsum() - per_node)[hit]
+        lowest = np.minimum.reduceat(score, starts).repeat(per_node[hit])
         first = np.minimum.reduceat(np.where(score == lowest, np.arange(len(score)), len(score)), starts)
         r, cut = r[first], cut[first]
         feature = feats.ravel()[r]
@@ -242,79 +231,16 @@ class _Splitter:
         threshold[wide] = below[wide] / 2.0 + above[wide] / 2.0
         # Partition by value, not by sorted position: the midpoint of two
         # adjacent floats can round up to the larger one.
-        rows, real = rows[node], real[node]
+        rows, real = rows[hit], real[hit]
         go_left = self.X[rows, feature[:, None]] <= threshold[:, None]
         go_left &= real
-        go_right = real & ~go_left
-        lefts = _rows_where(rows, go_left)
-        rights = _rows_where(rows, go_right)
-        left_n1 = (self.y.take(rows) & go_left).sum(axis=1)
-        for j, at in enumerate(node.tolist()):
-            out[at] = (int(feature[j]), float(threshold[j]), lefts[j], int(left_n1[j]), rights[j])
-        return out
-
-
-def _rows_where(rows: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
-    """For each row of the block, its entries where ``mask`` holds."""
-    flat = rows[mask]
-    ends = mask.sum(axis=1).cumsum().tolist()
-    return [flat[a:b] for a, b in zip([0, *ends], ends)]
-
-
-class _Growth:
-    """One tree while it grows: its generator, its node arrays, and the
-    preorder stack of its nodes that may still split."""
-
-    def __init__(self, rng: np.random.Generator, cfg: ForestConfig, idx: np.ndarray, n1: int):
-        self.rng = rng
-        self.cfg = cfg
-        self.stack: list[tuple[int, np.ndarray, int, int]] = []
-        self.slot = 0  # its row in the forest's block of drawn candidates
-        # Typed arrays: a forest's trees all grow at once, and Python lists
-        # would hold every node's numbers as objects until the last finishes.
-        self.feature = array("i", (-1,))
-        self.threshold = array("d", (0.0,))
-        self.left = array("i", (-1,))
-        self.right = array("i", (-1,))
-        self.count = array("q", (len(idx),))
-        self.positives = array("q", (n1,))
-        self._queue(0, idx, n1, 0)
-
-    def _queue(self, node: int, idx: np.ndarray, n1: int, depth: int) -> None:
-        cfg = self.cfg
-        if depth < cfg.max_depth and 0 < n1 < len(idx) and len(idx) >= 2 * cfg.min_leaf:
-            self.stack.append((node, idx, n1, depth))
-
-    def grow(self, popped: tuple[int, np.ndarray, int, int], split) -> None:
-        """Apply ``split`` (from ``_Splitter.split``) to the node just popped;
-        both children get their ids before either is searched."""
-        if split is None:
-            return
-        node, _, n1, depth = popped
-        f, thr, left_idx, left_n1, right_idx = split
-        left = len(self.feature)
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = left
-        self.right[node] = left + 1
-        self.feature.extend((-1, -1))
-        self.threshold.extend((0.0, 0.0))
-        self.left.extend((-1, -1))
-        self.right.extend((-1, -1))
-        self.count.extend((len(left_idx), len(right_idx)))
-        self.positives.extend((left_n1, n1 - left_n1))
-        # Right before left, so the next pop is the left child: preorder.
-        self._queue(left + 1, right_idx, n1 - left_n1, depth + 1)
-        self._queue(left, left_idx, left_n1, depth + 1)
-
-    def freeze(self, w0: float, w1: float) -> Tree:
-        """The grown tree; each node's fraction is its class-weighted positive share."""
-        count = np.asarray(self.count)
-        positives = np.asarray(self.positives)
-        pos = w1 * positives
-        total = pos + w0 * (count - positives)
-        fraction = np.divide(pos, total, out=np.zeros_like(pos), where=total > 0)
-        return _tree({**vars(self), "fraction": fraction})
+        left = go_left.cumsum(axis=1)
+        n_left = left[:, -1].copy()
+        left_n1 = (self.y[rows] & go_left).sum(axis=1)
+        # Left row j moves to place left[j] - 1, right row j to n_left + j - left[j].
+        place = np.where(go_left, left - 1, n_left[:, None] + np.arange(width) - left)
+        buf[(at[hit][:, None] + place)[real]] = rows[real]
+        return hit, feature, threshold, n_left, left_n1
 
 
 def _draw(rngs: list[np.random.Generator], batch: int, d: int, m: int) -> np.ndarray:
@@ -340,13 +266,17 @@ def _check_finite(X: np.ndarray) -> None:
         raise ValueError("feature matrix contains NaN or infinite values")
 
 
-def fit(
-    X: np.ndarray,
-    y: Sequence[bool] | np.ndarray,
-    cfg: ForestConfig = ForestConfig(),
-    feature_names: Sequence[str] | None = None,
-) -> Forest:
+def fit(X: np.ndarray, y: Sequence[bool] | np.ndarray, cfg: ForestConfig = ForestConfig(),
+        feature_names: Sequence[str] | None = None) -> Forest:
     """Train a forest; deterministic given (X, y, cfg)."""
+    X = np.asarray(X, dtype=float)
+    return fit_prefixes(X, y, cfg, feature_names, X.shape[1:2])[0]
+
+
+def fit_prefixes(X: np.ndarray, y: Sequence[bool] | np.ndarray, cfg: ForestConfig,
+                 feature_names: Sequence[str] | None, widths: Sequence[int]) -> list[Forest]:
+    """One forest per width w, each equal to ``fit(X[:, :w], y, cfg,
+    feature_names[:w])``; all of them grow together over one key matrix."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=bool)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
@@ -355,59 +285,117 @@ def fit(
         raise ValueError("feature matrix and labels disagree on row count")
     if feature_names is not None and len(feature_names) != X.shape[1]:
         raise ValueError("feature names do not match matrix width")
+    widths = [operator.index(w) for w in widths]
+    if not widths or not all(0 < w <= X.shape[1] for w in widths):
+        raise ValueError(f"prefix widths {widths} must be one or more in [1, {X.shape[1]}]")
+    X = X[:, : max(widths)]
     _check_finite(X)
     n = len(y)
     n1 = int(y.sum())
     n0 = n - n1
     w1 = n / (2.0 * n1) if n1 else 1.0
     w0 = n / (2.0 * n0) if n0 else 1.0
-    mtry = max(1, math.isqrt(X.shape[1]) + (0 if math.isqrt(X.shape[1]) ** 2 == X.shape[1] else 1))
-    splitter = _Splitter(X, y, w0, w1, cfg.min_leaf)
-    trees = []
-    for t in range(cfg.n_trees):
-        rng = np.random.default_rng(splitmix64((cfg.seed & _MASK64) + t))
-        sample = rng.integers(0, n, size=n).astype(splitter.index)
-        trees.append(_Growth(rng, cfg, sample, int(np.count_nonzero(y.take(sample)))))
-    # Lockstep rounds: each growing tree pops its next node in preorder with
-    # the next candidates drawn from its own generator, so every tree sees
-    # the stream it would alone.  Every growing tree pops one node a round,
-    # so all of them use up their drawn candidates in the same round and
-    # draw again together, for twice as many nodes.  A round's nodes are
-    # searched together, smallest first, in chunks of at most _CHUNK_CELLS
-    # padded cells.
-    growing = trees
+    made, root_n1, splits = _grow(_Splitter(X, y, w0, w1, cfg.min_leaf), widths, cfg)
+    # Lay the recorded nodes out tree after tree, a round at a time, so each
+    # parent's counts are set before its children's.
+    first = made.cumsum() - made
+    count = np.empty(made.sum(), dtype=np.int64)
+    positives = np.empty_like(count)
+    count[first], positives[first] = n, root_n1
+    feature, left = np.full((2, len(count)), -1, dtype=np.int32)
+    threshold = np.zeros(len(count))
+    for ints, thr in splits:
+        g, node, f, kid, n_left, left_n1 = ints
+        parent, at = first[g] + node, first[g] + kid
+        feature[parent], threshold[parent], left[parent] = f, thr, kid
+        count[at], positives[at] = n_left, left_n1
+        count[at + 1], positives[at + 1] = count[parent] - n_left, positives[parent] - left_n1
+    fraction = w0 * (count - positives)
+    pos = w1 * positives
+    fraction += pos
+    np.divide(pos, fraction, out=fraction, where=fraction > 0)
+    right = left + (left >= 0)
+    trees = [Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], fraction[a:b], count[a:b])
+             for a, b in zip(first.tolist(), (first + made).tolist())]
+    return [Forest(cfg, trees[s * cfg.n_trees : (s + 1) * cfg.n_trees], w, (w0, w1),
+                   None if feature_names is None else tuple(feature_names[:w]))
+            for s, w in enumerate(widths)]
+
+
+def _grow(splitter: _Splitter, widths: list[int], cfg: ForestConfig) -> tuple:
+    """Grow the trees of ``fit_prefixes``, tree g = s * n_trees + t being tree t
+    of forest s.  Returns each tree's node count and root positives, and each
+    round's splits: (tree, node, feature, left child, left rows and positives)."""
+    n = len(splitter.y)
+    per = cfg.n_trees
+    rngs = [np.random.default_rng(splitmix64((cfg.seed & _MASK64) + t))
+            for _ in widths for t in range(per)]
+    trees = len(rngs)
+    buf = np.empty((trees, n), dtype=np.min_scalar_type(n - 1))
+    for row, rng in zip(buf, rngs):
+        row[:] = rng.integers(0, n, size=n)
+    root_n1 = np.tile(splitter.y.take(buf[:per]).sum(axis=1), len(widths))
+    buf = buf.reshape(-1)
+    mtry = np.array([math.isqrt(w - 1) + 1 for w in widths]).repeat(per)
+    # Per tree, a preorder stack of (node, start, rows, positives, depth): at
+    # most max_depth nodes that may still split, disjoint, of 2 * min_leaf rows.
+    stack = np.empty((5, trees, min(cfg.max_depth, n // (2 * cfg.min_leaf))), dtype=np.int64)
+    height = np.zeros(trees, dtype=np.intp)
+    made = np.ones(trees, dtype=np.int64)  # nodes per tree so far
+
+    def push(g, *fields):
+        _, _, size, n1, depth = fields
+        ok = (depth < cfg.max_depth) & (n1 > 0) & (n1 < size) & (size >= 2 * cfg.min_leaf)
+        g = g[ok]
+        stack[:, g, height[g]] = np.array(fields)[:, ok]
+        height[g] += 1
+
+    g = np.arange(trees)
+    zeros = np.zeros(trees, dtype=np.int64)
+    push(g, zeros, g * n, np.full(trees, n), root_n1, zeros)
+    # The narrowest type that holds every tree, node and feature id and count.
+    ids = np.min_scalar_type(max(trees, 2 * n, len(splitter.key)))
+    splits = []
+    # Each growing tree pops one node a round with the next candidates from its
+    # own generator, so it sees the stream it would alone; all use up their
+    # draws together and draw again, for twice as many nodes.
     batch = _FIRST_DRAWS
-    drawn = np.empty((0, 0, mtry), dtype=np.intp)
+    drawn = np.empty((0, 0, mtry.max()), dtype=np.min_scalar_type(max(widths) - 1))
     used = 0
-    while growing := [t for t in growing if t.stack]:
+    while len(growing := height.nonzero()[0]):
         if used == drawn.shape[1]:
-            drawn = _draw([t.rng for t in growing], batch, X.shape[1], mtry)
-            for slot, t in enumerate(growing):
-                t.slot = slot
+            drawn = np.zeros((trees, batch, drawn.shape[2]), dtype=drawn.dtype)  # row g: tree g
+            bounds = np.searchsorted(growing, np.arange(len(widths) + 1) * per)
+            for w, m, a, b in zip(widths, mtry[::per], bounds, bounds[1:]):
+                drawn[growing[a:b], :, :m] = _draw([rngs[g] for g in growing[a:b]], batch, w, m)
             batch *= 2
             used = 0
-        sizes = sorted((len(t.stack[-1][1]), i) for i, t in enumerate(growing))
+        height[growing] -= 1
+        node, at, size, n1, depth = stack[:, growing, height[growing]]
+        cands = drawn[growing, used]
+        # Chunks of one candidate count, smallest first; cells = nodes * m * widest.
+        order = np.lexsort((size, mtry[growing]))
+        m, wide = mtry[growing[order]], size[order]
+        found = []
         start = 0
-        while start < len(sizes):
-            stop = start + 1
-            while stop < len(sizes) and (stop + 1 - start) * mtry * sizes[stop][0] <= _CHUNK_CELLS:
-                stop += 1
-            chunk = [growing[i] for _, i in sizes[start:stop]]
-            popped = [t.stack.pop() for t in chunk]
-            feats = drawn[[t.slot for t in chunk], used]
-            splits = splitter.split([p[1] for p in popped], np.array([p[2] for p in popped]), feats)
-            for t, node, split in zip(chunk, popped, splits):
-                t.grow(node, split)
+        while start < len(order):
+            cells = np.arange(1, len(order) - start + 1) * m[start:] * wide[start:]
+            stop = start + max(1, int(((cells <= _CHUNK_CELLS) & (m[start:] == m[start])).sum()))
+            chunk = order[start:stop]
+            hit, *split = splitter.split(
+                buf, at[chunk], size[chunk], n1[chunk], cands[chunk, : m[start]])
+            found.append((chunk[hit], *split))
             start = stop
         used += 1
-    trees = [t.freeze(w0, w1) for t in trees]
-    return Forest(
-        config=cfg,
-        trees=trees,
-        n_features=X.shape[1],
-        class_weights=(w0, w1),
-        feature_names=None if feature_names is None else tuple(feature_names),
-    )
+        k, f, thr, n_left, left_n1 = map(np.concatenate, zip(*found))
+        g = growing[k]
+        left = made[g]
+        made[g] += 2
+        splits.append((np.array((g, node[k], f, left, n_left, left_n1), dtype=ids), thr))
+        # Right before left, so the next pop is the left child: preorder.
+        push(g, left + 1, at[k] + n_left, size[k] - n_left, n1[k] - left_n1, depth[k] + 1)
+        push(g, left, at[k], n_left, left_n1, depth[k] + 1)
+    return made, root_n1, splits
 
 
 def scores(forest: Forest, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
@@ -574,7 +562,13 @@ def _checked_tree(arrays: dict[str, Any], n_features: int) -> Tree:
     n = len(arrays["feature"])
     if n == 0 or any(len(arrays[name]) != n for name in _TREE_DTYPES):
         raise ValueError("tree arrays must share one non-zero length")
-    tree = _tree(arrays)
+    fields = {}
+    for name, dt in _TREE_DTYPES.items():
+        try:
+            fields[name] = np.asarray(arrays[name], dtype=dt)
+        except OverflowError as exc:
+            raise ValueError(f"tree array {name!r} does not fit {np.dtype(dt)}: {exc}") from None
+    tree = Tree(**fields)
     ids = np.arange(n)
     internal = tree.feature >= 0
     if ((tree.feature < -1) | (tree.feature >= n_features)).any():
@@ -584,6 +578,8 @@ def _checked_tree(arrays: dict[str, Any], n_features: int) -> Tree:
             raise ValueError("tree child index does not follow its node")
     if not ((tree.fraction >= 0.0) & (tree.fraction <= 1.0)).all():
         raise ValueError("tree leaf fractions must lie in [0, 1]")
+    if not np.isfinite(tree.threshold).all():
+        raise ValueError("tree thresholds must be finite")
     return tree
 
 
@@ -594,11 +590,15 @@ def forest_from_dict(payload: dict[str, Any]) -> Forest:
     trees = [_checked_tree(t, n_features) for t in payload["trees"]]
     if not trees:
         raise ValueError("forest has no trees")
+    weights = payload["class_weights"]
+    if not (isinstance(weights, (list, tuple)) and len(weights) == 2 and all(
+            type(w) in (int, float) and math.isfinite(w) and w > 0 for w in weights)):
+        raise ValueError(f"class_weights must be two finite positive numbers, got {weights!r}")
     names = payload.get("feature_names")
     return Forest(
         config=cfg,
         trees=trees,
         n_features=n_features,
-        class_weights=tuple(payload["class_weights"]),  # type: ignore[arg-type]
+        class_weights=(float(weights[0]), float(weights[1])),
         feature_names=None if names is None else tuple(names),
     )

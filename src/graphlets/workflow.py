@@ -14,8 +14,8 @@ no command writes output for a bad corpus.
 
 The train/test discipline lives here too: pipelines are split whole, the
 architecture vocabulary comes from the training side only, and the staged
-models are column views over one featurization pass.  The model commands
-keep, per pipeline, only its vocabulary-free feature rows
+models are column prefixes of one featurization pass, fit in one call.  The
+model commands keep, per pipeline, only its vocabulary-free feature rows
 (``Featurizer.pipeline_rows``); the split and the vocabulary are made from
 those once the pass is over.  A model file carries one trained stage with
 the featurizer and split it needs to score the held-out pipelines;
@@ -46,7 +46,7 @@ from .forest import (
     ForestConfig,
     SplitSpec,
     balanced_accuracy,
-    fit,
+    fit_prefixes,
     forest_from_dict,
     forest_to_dict,
     scores,
@@ -238,10 +238,10 @@ def policy_report(
         raise ValueError("mean graphlet stage cost is out of float range")
     validation_mean = means[FeatureStage.VALIDATION]
 
+    widths = [featurizer.stage_slice(stage).stop for stage in stages]
+    models = fit_prefixes(train_feats.X, train_feats.y, forest_cfg, train_feats.names, widths)
     reports = []
-    for stage in stages:
-        names, X_train, _ = train_feats.stage_view(stage)
-        model = fit(X_train, train_feats.y, forest_cfg, feature_names=names)
+    for stage, model in zip(stages, models):
         records = eval_records(test_feats, stage, model)
         curve = sweep(records)
         ratio = means[stage] / validation_mean if validation_mean > 0 else 0.0

@@ -582,7 +582,7 @@ def reference_fit(
             grow(right, idx[~mask], depth + 1)
 
         grow(leaf(sample), sample, 0)
-        trees.append(forest._tree({key: [nd[key] for nd in nodes] for key in nodes[0]}))
+        trees.append(forest._checked_tree({key: [nd[key] for nd in nodes] for key in nodes[0]}, d))
     names = None if feature_names is None else tuple(feature_names)
     return forest.Forest(cfg, trees, d, (w0, w1), names)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
 import warnings
@@ -396,6 +397,44 @@ def test_model_with_a_stray_child_exits_2(trained_model, small_cli_corpus, tmp_p
     err = capsys.readouterr().err
     assert err == (f"error: {model}: not a valid graphlets-model-v1 file: "
                    "tree child index does not follow its node\n")
+
+
+# Values fit never writes: it writes finite midpoints and positive weights.
+THRESHOLD_RULE = "tree thresholds must be finite"
+WEIGHTS_RULE = "class_weights must be two finite positive numbers, got "
+BROKEN_VALUES = {
+    "NaN threshold": (lambda f: _set(f["trees"][0], "threshold", 0, math.nan), THRESHOLD_RULE),
+    "infinite threshold": (lambda f: _set(f["trees"][0], "threshold", 0, math.inf), THRESHOLD_RULE),
+    "negative infinite threshold": (lambda f: _set(f["trees"][0], "threshold", 0, -math.inf),
+                                    THRESHOLD_RULE),
+    "ill-typed class weights": (lambda f: f.update(class_weights=["a", None]),
+                                WEIGHTS_RULE + "['a', None]"),
+    "one class weight": (lambda f: f.update(class_weights=[1.0]), WEIGHTS_RULE + "[1.0]"),
+    "zero class weight": (lambda f: f.update(class_weights=[0.0, 1.0]),
+                          WEIGHTS_RULE + "[0.0, 1.0]"),
+    "infinite class weight": (lambda f: f.update(class_weights=[1.0, math.inf]),
+                              WEIGHTS_RULE + "[1.0, inf]"),
+    "boolean class weight": (lambda f: f.update(class_weights=[True, 1.0]),
+                             WEIGHTS_RULE + "[True, 1.0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_VALUES))
+def test_model_with_a_value_fit_never_writes_exits_2(case, trained_model, small_cli_corpus,
+                                                      tmp_path, capsys):
+    corpus, cfg = small_cli_corpus
+    payload = json.loads(json.dumps(trained_model))
+    assert payload["forest"]["trees"][0]["feature"][0] >= 0  # the root splits
+    breaks, rule = BROKEN_VALUES[case]
+    breaks(payload["forest"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    out = tmp_path / "out.tsv"
+    assert main(["evaluate", "--corpus", str(corpus), "--model", str(model),
+                 "--out", str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {model}: not a valid graphlets-model-v1 file: {rule}\n"
+    assert not out.exists()
 
 
 def test_saved_model_loads_back(trained_model, tmp_path):

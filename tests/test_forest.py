@@ -14,13 +14,14 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import loop_best_split, loop_scores, reference_fit
 
-from graphlets import forest
+from graphlets import forest, workflow
 from graphlets.features import STAGES, Featurizer
 from graphlets.forest import (
     ForestConfig,
     _Splitter,
     balanced_accuracy,
     fit,
+    fit_prefixes,
     forest_from_dict,
     forest_to_dict,
     scores,
@@ -252,24 +253,33 @@ def test_fit_matches_loop_split_oracle(problem):
 @given(_split_problems(), st.integers(1, 12), st.integers(1, 4))
 def test_best_split_matches_loop_for_any_mtry(problem, mtry, nodes):
     # One block holds several nodes of unequal size, some too small to cut,
-    # each with its own candidates: mtry of them, capped at the column count.
+    # each a segment of one row buffer with its own candidates: mtry of
+    # them, capped at the column count.
     X, y, cfg = problem
     n, d = X.shape
     rng = np.random.default_rng(cfg.seed)
     idxs = [rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))) for _ in range(nodes)]
     feats = np.array([np.sort(rng.choice(d, size=min(mtry, d), replace=False)) for _ in idxs])
     n1 = np.array([int(y[idx].sum()) for idx in idxs])
-    splits = _Splitter(X, y, 0.75, 1.5, cfg.min_leaf).split(idxs, n1, feats)
+    size = np.array([len(idx) for idx in idxs])
+    at = size.cumsum() - size
+    buf = np.concatenate(idxs).astype(np.min_scalar_type(n - 1))
+    out = _Splitter(X, y, 0.75, 1.5, cfg.min_leaf).split(buf, at, size, n1, feats)
+    splits = {k: split for k, *split in zip(*(a.tolist() for a in out))}
     XT = np.ascontiguousarray(X.T)
-    for idx, cand, node_n1, split in zip(idxs, feats, n1, splits):
-        expected = loop_best_split(XT, y, idx, node_n1, cand, cfg.min_leaf, 0.75, 1.5)
-        assert (None if split is None else split[:2]) == expected
-        if split is not None:
-            f, thr, left, left_n1, right = split
-            go_left = X[idx, f] <= thr
-            assert left.tolist() == idx[go_left].tolist()
-            assert right.tolist() == idx[~go_left].tolist()
-            assert left_n1 == int(y[left].sum())
+    for k, (idx, cand) in enumerate(zip(idxs, feats)):
+        expected = loop_best_split(XT, y, idx, n1[k], cand, cfg.min_leaf, 0.75, 1.5)
+        split = splits.get(k)
+        assert (None if split is None else tuple(split[:2])) == expected
+        segment = buf[at[k] : at[k] + size[k]].tolist()
+        if split is None:
+            assert segment == idx.tolist()
+            continue
+        f, thr, n_left, left_n1 = split
+        go_left = X[idx, f] <= thr
+        assert segment == idx[go_left].tolist() + idx[~go_left].tolist()
+        assert n_left == go_left.sum()
+        assert left_n1 == int(y[idx[go_left]].sum())
 
 
 def test_stage_forests_match_loop_split_oracle(small_corpus):
@@ -279,11 +289,24 @@ def test_stage_forests_match_loop_split_oracle(small_corpus):
     _, train, _ = split_pipelines(rows, seed=3)
     feats = f.with_vocab(train).assemble(train)
     cfg = ForestConfig(n_trees=10, seed=2)
+    expected = []
     for stage in STAGES:
         names, X, _ = feats.stage_view(stage)
         fast = fit(X, feats.y, cfg, feature_names=names)
         slow = reference_fit(X, feats.y, cfg, feature_names=names)
         assert _forest_json(fast) == _forest_json(slow), stage
+        expected.append(_forest_json(slow))
+    # policy_report fits every stage in one call, over the full matrix.
+    calls = []
+
+    def spy(*args):
+        calls.append(args[4])
+        return fit_prefixes(*args)
+
+    with mock.patch.object(workflow, "fit_prefixes", spy):
+        report = workflow.policy_report(rows, f, cfg, seed=3)
+    assert calls == [[feats.featurizer.stage_slice(stage).stop for stage in STAGES]]
+    assert [_forest_json(s.model) for s in report.stages] == expected
 
 
 # Adjacent floats whose midpoint rounds up to the larger: a split between
@@ -307,6 +330,41 @@ _EDGE_VALUES = st.one_of(_values, st.sampled_from([_A, _B, -0.0]))
 def test_fit_matches_recursive_reference_fit(problem):
     X, y, cfg = problem
     assert _forest_json(fit(X, y, cfg)) == _forest_json(reference_fit(X, y, cfg))
+
+
+_CELLS = st.sampled_from([1, 64, 2**40])
+
+
+@settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
+@given(_split_problems(values=_EDGE_VALUES, trees=st.integers(1, 4)),
+       st.lists(st.integers(1, 9), min_size=1, max_size=5), _CELLS)
+@example((_ADJACENT, _ADJACENT_Y, ForestConfig(n_trees=2, min_leaf=5)), [1, 1], 1)
+@example((_ADJACENT, _ADJACENT_Y, ForestConfig(n_trees=2, min_leaf=5)), [1], 2**40)
+@example((_SIGNED_ZEROS, _SIGNED_ZEROS_Y, ForestConfig(n_trees=3, min_leaf=1)), [2, 1, 2], 1)
+@example((_SIGNED_ZEROS, _SIGNED_ZEROS_Y, ForestConfig(n_trees=3, min_leaf=1)), [1, 2], 2**40)
+@example((_TIES, np.zeros(12, dtype=bool), ForestConfig(n_trees=2, min_leaf=1)), [2, 1], 64)
+@example((_TIES, np.ones(12, dtype=bool), ForestConfig(n_trees=2, min_leaf=1)), [1, 2], 1)
+def test_prefix_forests_match_separate_fits(problem, raw_widths, cells):
+    # Each prefix forest is the forest of its columns alone, however the
+    # round's nodes of all the forests are cut into search blocks.
+    X, y, cfg = problem
+    d = X.shape[1]
+    widths = [1 + (w - 1) % d for w in raw_widths]
+    names = [f"c{j}" for j in range(d)]
+    with mock.patch.object(forest, "_CHUNK_CELLS", cells):
+        got = fit_prefixes(X, y, cfg, names, widths)
+    assert len(got) == len(widths)
+    for w, model in zip(widths, got):
+        alone = fit(X[:, :w], y, cfg, names[:w])
+        slow = reference_fit(X[:, :w], y, cfg, names[:w])
+        assert _forest_json(model) == _forest_json(alone) == _forest_json(slow), w
+
+
+@pytest.mark.parametrize("widths", [[], [0], [2, 0], [4], [1, 3, 4], [-1]])
+def test_prefix_widths_outside_the_matrix_are_rejected(widths):
+    X = np.arange(12.0).reshape(4, 3)
+    with pytest.raises(ValueError, match=r"^prefix widths .* must be one or more in \[1, 3\]$"):
+        fit_prefixes(X, [True, False] * 2, ForestConfig(n_trees=1), None, widths)
 
 
 @settings(max_examples=100, deadline=None, phases=_NO_SHRINK)
