@@ -22,11 +22,12 @@ cells, smallest first.  A chunk gathers one (node x candidate) x width
 block of keys ``rank << 1 | label``, where a value's rank is its place among
 its column's distinct values (so -0.0 and 0.0 share one), reading the key
 dtype's largest value past a node's end.  One integer sort per block row
-orders rows by value, and a running count of the low bits gives the
-positives left of every cut.  Each cut between distinct ranks that
-``min_leaf`` allows is scored, its threshold the midpoint of the two values;
-a node's first minimum, in (feature, position) order, is the tie-break
-above.  Rows are partitioned by ``value <= threshold``.
+orders rows by value, and a running count of the low bits, in the key
+dtype, gives the positives left of every cut.  Each cut between distinct
+ranks that ``min_leaf`` allows, from one flat index list, is scored, its
+threshold the midpoint of the two values; a node's first minimum, in
+(feature, position) order, is the tie-break above.  Rows are partitioned
+by rank, which is ``value <= threshold`` (see ``_Splitter.split``).
 
 A node's candidates are the sorted result of one ``Generator.choice(d, m,
 replace=False)`` on its tree's generator.  With m = ceil(sqrt(d)), numpy
@@ -148,11 +149,11 @@ class _Splitter:
     so it is built one column at a time, in the narrowest dtype that fits,
     without n x d temporaries.  Its column n holds the dtype's largest
     value, the pad: cells past a node's end read it, and since it sorts
-    after every real key, no cut that ``min_leaf`` allows reaches one.
+    after every real key, no cut that ``min_leaf`` allows reaches one and
+    the partition sends it right.  Counts of at most n rows fit the dtype.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, w0: float, w1: float, min_leaf: int):
-        self.X = X
         self.y = y
         n, d = X.shape
         dtype = _key_dtype(n)
@@ -183,23 +184,24 @@ class _Splitter:
         real = np.arange(width) < size[:, None]
         # Cells past a node's end hold other rows of the buffer, which are
         # never moved; the search reads the pad column for them instead.
-        rows = buf.take(at[:, None] + np.arange(width), mode="clip")
-        cells = np.where(real, rows, np.intp(n))
+        cells = np.where(real, buf.take(at[:, None] + np.arange(width), mode="clip"), np.intp(n))
         # Row k * m + j of the block holds node k's keys of feature feats[k, j].
         key = self.key.take(feats[:, :, None].astype(np.intp) * (n + 1) + cells[:, None, :])
         key = key.reshape(k * m, width)
         # Equal keys are equal (value, label) pairs, so the order of tied rows
         # cannot change any count.
         key.sort(axis=1)
-        cum1 = (key & 1).cumsum(axis=1)
+        cum1 = (key & 1).cumsum(axis=1, dtype=key.dtype)
         key >>= 1
         # Cut p puts sorted rows 0..p on the left; min_leaf bounds p to
         # [lo, size - min_leaf - 1].
         lo = self.min_leaf - 1
         allowed = key[:, lo + 1 :] != key[:, lo : width - 1]
         allowed &= np.arange(lo, width - 1) < (size - self.min_leaf).repeat(m)[:, None]
-        r, cut = allowed.nonzero()
-        cut += lo
+        # Flat indices list the cuts in (row, position) order, as nonzero does.
+        flat = np.flatnonzero(allowed)
+        r = flat // (width - self.min_leaf)
+        cut = flat - r * (width - self.min_leaf) + lo
         node = r // m
         nl1 = cum1[r, cut]
         n1c = n1[node]
@@ -212,9 +214,9 @@ class _Splitter:
         # Weighted Gini numerator per side; the shared denominator is constant.
         side = w - (a**2 + b**2) / w
         score = side[0] + side[1]
-        # nonzero lists each node's cuts together, in (feature, position)
-        # order, so its first minimum is at the lowest feature index, then
-        # the lowest threshold.
+        # The cuts are listed node by node, in (feature, position) order, so
+        # a node's first minimum is at the lowest feature index, then the
+        # lowest threshold.
         per_node = np.bincount(node, minlength=k)
         hit = per_node.nonzero()[0]
         starts = (per_node.cumsum() - per_node)[hit]
@@ -229,17 +231,19 @@ class _Splitter:
         # Two finite values whose sum overflows still have a finite midpoint.
         wide = ~np.isfinite(threshold)
         threshold[wide] = below[wide] / 2.0 + above[wide] / 2.0
-        # Partition by value, not by sorted position: the midpoint of two
-        # adjacent floats can round up to the larger one.
-        rows, real = rows[hit], real[hit]
-        go_left = self.X[rows, feature[:, None]] <= threshold[:, None]
-        go_left &= real
+        # Partition by rank, as value <= threshold: the midpoint of two
+        # adjacent floats can round up to the upper one, whose rows go left too.
+        top = key[r, cut + (threshold == above)]
+        cells, real = cells[hit], real[hit]
+        chosen = self.key.take(feature[:, None].astype(np.intp) * (n + 1) + cells)
+        go_left = chosen <= (top << 1 | 1)[:, None]
         left = go_left.cumsum(axis=1)
         n_left = left[:, -1].copy()
-        left_n1 = (self.y[rows] & go_left).sum(axis=1)
+        # The left rows are the first n_left of the chosen block row's sort.
+        left_n1 = cum1[r, n_left - 1]
         # Left row j moves to place left[j] - 1, right row j to n_left + j - left[j].
         place = np.where(go_left, left - 1, n_left[:, None] + np.arange(width) - left)
-        buf[(at[hit][:, None] + place)[real]] = rows[real]
+        buf[(at[hit][:, None] + place)[real]] = cells[real]
         return hit, feature, threshold, n_left, left_n1
 
 

@@ -75,6 +75,12 @@ class TradeoffCurve:
         return 1.0 - min(eligible)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, as ``np.unique`` gives without importing numpy.ma."""
+    ordered = np.sort(values)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+
+
 def sweep(records: Sequence[EvalRecord]) -> TradeoffCurve:
     """Evaluate every distinct decision threshold over the scored records.
 
@@ -97,7 +103,7 @@ def sweep(records: Sequence[EvalRecord]) -> TradeoffCurve:
     if not math.isfinite(total_unpushed):
         raise ValueError("total unpushed graphlet cost is out of float range")
 
-    distinct = np.unique(scores)
+    distinct = _distinct(scores)
     thresholds = [0.0 - _ENDPOINT_EPS]
     thresholds.extend(((distinct[:-1] + distinct[1:]) / 2.0).tolist())
     thresholds.append(1.0 + _ENDPOINT_EPS)
@@ -186,7 +192,7 @@ def heuristic_baselines(
 
     train_j = np.array([r.jaccard_1 for r in train])
     train_y = np.array([r.label for r in train], dtype=bool)
-    candidates = np.unique(train_j)
+    candidates = _distinct(train_j)
     mids = (candidates[:-1] + candidates[1:]) / 2.0
     thresholds = np.concatenate(([candidates[0] - 1.0], mids, [candidates[-1] + 1.0]))
     best: tuple[float, float, bool] | None = None  # (acc, threshold, predict_pushed_when_ge)

@@ -249,26 +249,31 @@ def test_fit_matches_loop_split_oracle(problem):
     assert _forest_json(fit(X, y, cfg)) == _forest_json(reference_fit(X, y, cfg))
 
 
-@settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
-@given(_split_problems(), st.integers(1, 12), st.integers(1, 4))
-def test_best_split_matches_loop_for_any_mtry(problem, mtry, nodes):
-    # One block holds several nodes of unequal size, some too small to cut,
-    # each a segment of one row buffer with its own candidates: mtry of
-    # them, capped at the column count.
-    X, y, cfg = problem
-    n, d = X.shape
-    rng = np.random.default_rng(cfg.seed)
-    idxs = [rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))) for _ in range(nodes)]
-    feats = np.array([np.sort(rng.choice(d, size=min(mtry, d), replace=False)) for _ in idxs])
+# Adjacent floats whose midpoint rounds up to the larger: a split between
+# them sends every row left, which a partition at the sorted cut would not.
+_A = np.nextafter(1.0, 2.0)
+_B = np.nextafter(_A, 2.0)
+assert (_A + _B) / 2 == _B
+_ADJACENT = np.array([[_A]] * 60 + [[_B]] * 50)
+_ADJACENT_Y = np.arange(110) >= 60
+# -0.0 and 0.0 are one value: they share a rank, and no cut falls between them.
+_SIGNED_ZEROS = np.array([[-0.0, 1.0], [0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 2.0]] * 4)
+_SIGNED_ZEROS_Y = np.array([True, False, False, True, True] * 4)
+_EDGE_VALUES = st.one_of(_values, st.sampled_from([_A, _B, -0.0]))
+
+
+def _check_splits(X, y, idxs, feats, min_leaf):
+    # Node k is a segment of one row buffer, holding rows idxs[k], and is
+    # searched over feats[k]; every split and partition matches the oracle.
     n1 = np.array([int(y[idx].sum()) for idx in idxs])
     size = np.array([len(idx) for idx in idxs])
     at = size.cumsum() - size
-    buf = np.concatenate(idxs).astype(np.min_scalar_type(n - 1))
-    out = _Splitter(X, y, 0.75, 1.5, cfg.min_leaf).split(buf, at, size, n1, feats)
+    buf = np.concatenate(idxs).astype(np.min_scalar_type(len(X) - 1))
+    out = _Splitter(X, y, 0.75, 1.5, min_leaf).split(buf, at, size, n1, feats)
     splits = {k: split for k, *split in zip(*(a.tolist() for a in out))}
     XT = np.ascontiguousarray(X.T)
     for k, (idx, cand) in enumerate(zip(idxs, feats)):
-        expected = loop_best_split(XT, y, idx, n1[k], cand, cfg.min_leaf, 0.75, 1.5)
+        expected = loop_best_split(XT, y, idx, n1[k], cand, min_leaf, 0.75, 1.5)
         split = splits.get(k)
         assert (None if split is None else tuple(split[:2])) == expected
         segment = buf[at[k] : at[k] + size[k]].tolist()
@@ -280,6 +285,34 @@ def test_best_split_matches_loop_for_any_mtry(problem, mtry, nodes):
         assert segment == idx[go_left].tolist() + idx[~go_left].tolist()
         assert n_left == go_left.sum()
         assert left_n1 == int(y[idx[go_left]].sum())
+
+
+@settings(max_examples=150, deadline=None, phases=_NO_SHRINK)
+@given(st.one_of(_split_problems(), _split_problems(values=_EDGE_VALUES)),
+       st.integers(1, 12), st.integers(1, 4))
+@example((_ADJACENT, _ADJACENT_Y, ForestConfig(n_trees=1, min_leaf=5)), 1, 3)
+@example((_SIGNED_ZEROS, _SIGNED_ZEROS_Y, ForestConfig(n_trees=1, min_leaf=1)), 2, 4)
+def test_best_split_matches_loop_for_any_mtry(problem, mtry, nodes):
+    # One block holds several nodes of unequal size, some too small to cut,
+    # each with its own candidates: mtry of them, capped at the column
+    # count.  Adjacent floats and signed zeros meet the rank partition where
+    # a midpoint rounds up and where two values share a rank.
+    X, y, cfg = problem
+    n, d = X.shape
+    rng = np.random.default_rng(cfg.seed)
+    idxs = [rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1))) for _ in range(nodes)]
+    feats = np.array([np.sort(rng.choice(d, size=min(mtry, d), replace=False)) for _ in idxs])
+    _check_splits(X, y, idxs, feats, cfg.min_leaf)
+
+
+@pytest.mark.parametrize("n, dtype", [(16383, np.int16), (16384, np.int32)])
+def test_positive_count_fits_the_key_dtype(n, dtype):
+    # The running count of positives is kept in the key dtype; on a node of
+    # every row, all positive but one, it reaches n - 1 without wrapping.
+    X = np.arange(n, dtype=float)[:, None]
+    y = np.arange(n) != n // 3
+    assert _Splitter(X, y, 1.0, 1.0, 1).key.dtype == dtype
+    _check_splits(X, y, [np.arange(n)], np.zeros((1, 1), dtype=np.intp), 5)
 
 
 def test_stage_forests_match_loop_split_oracle(small_corpus):
@@ -307,19 +340,6 @@ def test_stage_forests_match_loop_split_oracle(small_corpus):
         report = workflow.policy_report(rows, f, cfg, seed=3)
     assert calls == [[feats.featurizer.stage_slice(stage).stop for stage in STAGES]]
     assert [_forest_json(s.model) for s in report.stages] == expected
-
-
-# Adjacent floats whose midpoint rounds up to the larger: a split between
-# them sends every row left, so only a value-based partition is right.
-_A = np.nextafter(1.0, 2.0)
-_B = np.nextafter(_A, 2.0)
-assert (_A + _B) / 2 == _B
-_ADJACENT = np.array([[_A]] * 60 + [[_B]] * 50)
-_ADJACENT_Y = np.arange(110) >= 60
-# -0.0 and 0.0 are one value: they share a rank, and no cut falls between them.
-_SIGNED_ZEROS = np.array([[-0.0, 1.0], [0.0, -0.0], [1.0, 0.0], [-1.0, -0.0], [0.0, 2.0]] * 4)
-_SIGNED_ZEROS_Y = np.array([True, False, False, True, True] * 4)
-_EDGE_VALUES = st.one_of(_values, st.sampled_from([_A, _B, -0.0]))
 
 
 @settings(max_examples=150, deadline=None, phases=_NO_SHRINK)

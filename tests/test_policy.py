@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -207,3 +210,21 @@ def test_heuristic_overlap_picks_informative_threshold():
         rows.append(HeuristicRow("dnn", float(np.clip(j, 0, 1)), 1.0, label))
     result = heuristic_baselines(rows[:1500], rows[1500:])
     assert result["input_overlap"] > 0.9
+
+
+def test_sweep_and_baselines_leave_numpy_ma_unimported():
+    # np.unique imports all of numpy.ma on first use, which a report never
+    # needs; scores and overlaps with ties take the distinct-value path.
+    code = """
+import sys
+from graphlets.policy import EvalRecord, HeuristicRow, heuristic_baselines, sweep
+assert "numpy.ma" not in sys.modules
+records = [EvalRecord(str(i), i % 3 == 0, (i % 5) / 4, 0.0 if i % 3 == 0 else 1.0)
+           for i in range(30)]
+assert len(sweep(records).points) == 6
+rows = [HeuristicRow("m", (i % 4) / 4, 1.0, i % 2 == 0) for i in range(20)]
+heuristic_baselines(rows, rows)
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
