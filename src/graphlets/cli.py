@@ -10,11 +10,14 @@ deterministic given the inputs, the seed, and the config file; tabular
 outputs start with a format-version comment line followed by a header row.
 
 Every corpus command reads the corpus one pipeline at a time, through
-``workflow.stream_corpus``: each trace is reduced to what the command
+``segmentation.stream_corpus``: each trace is reduced to what the command
 writes (records, statistics, pair similarities, feature rows) and dropped
 before the next file is parsed, so memory grows with those reductions, not
 with the traces.  Outputs are written only after the whole corpus has been
 read and found valid; ``evaluate`` and ``sweep`` read the model file first.
+
+Each command imports the layers it runs in its body; at module level this
+file imports only what every command uses, so ``stats`` loads no model layer.
 """
 
 from __future__ import annotations
@@ -27,32 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import (
-    CadenceStats,
-    add_costs,
-    cost_fractions,
-    drift_code_table,
-    pair_similarities,
-    pipeline_stats,
-    similarity_table,
-)
-from .config import RunConfig, load_config
-from .features import STAGES, FeatureStage, Featurizer
-from .forest import fit
-from .policy import sweep
-from .segmentation import dump_graphlets
-from .synth import generate, preset
-from .workflow import (
-    CorpusValidationError,
-    corpus_rows,
-    held_out_records,
-    policy_report,
-    push_balanced_accuracy,
-    save_model,
-    split_pipelines,
-    stream_corpus,
-    valid_traces,
-)
+from .config import STAGES, FeatureStage, RunConfig, load_config
+from .segmentation import dump_graphlets, stream_corpus
+from .trace import CorpusValidationError, valid_traces
 
 TABLE_VERSION = "# graphlets-table v1"
 
@@ -84,8 +64,7 @@ def _write_curve(path: Path, curve) -> None:
     )
 
 
-def _write_similarity_table(path: Path, pairs) -> None:
-    table = similarity_table(pairs)
+def _write_similarity_table(path: Path, table: dict) -> None:
     _write_table(
         path,
         ["metric", "b_0_25", "b_25_50", "b_50_75", "b_75_100", "mean", "count"],
@@ -93,12 +72,16 @@ def _write_similarity_table(path: Path, pairs) -> None:
     )
 
 
-def _featurizer(cfg: RunConfig) -> Featurizer:
-    """The configured featurizer, before any vocabulary."""
+def _featurizer(cfg: RunConfig):
+    """The configured ``Featurizer``, before any vocabulary."""
+    from .features import Featurizer
+
     return Featurizer(window=cfg.window, lsh=cfg.lsh, weights=cfg.weights)
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
+    from .synth import generate, preset
+
     gen = cfg.gen
     if args.preset:
         gen = preset(args.preset, seed=args.seed)
@@ -142,6 +125,9 @@ def cmd_segment(args, cfg: RunConfig) -> int:
 
 
 def cmd_stats(args, cfg: RunConfig) -> int:
+    from .analytics import (CadenceStats, add_costs, cost_fractions, drift_code_table,
+                            pair_similarities, pipeline_stats, similarity_table)
+
     stats = []
     cost_totals: dict = {}
     cad = CadenceStats()
@@ -219,7 +205,7 @@ def cmd_stats(args, cfg: RunConfig) -> int:
         [[mt.value, r] for mt, r in cad.push_rate_by_model_type.items()],
     )
 
-    _write_similarity_table(out / "similarity_table.tsv", pairs)
+    _write_similarity_table(out / "similarity_table.tsv", similarity_table(pairs))
 
     drift = drift_code_table(pairs)
     _write_table(
@@ -237,6 +223,8 @@ def cmd_stats(args, cfg: RunConfig) -> int:
 
 
 def cmd_similarity(args, cfg: RunConfig) -> int:
+    from .analytics import pair_similarities, similarity_table
+
     pairs = []
     for trace, graphlets in stream_corpus(args.corpus, cfg.stop):
         pairs += pair_similarities(trace, graphlets, cfg.lsh, cfg.weights)
@@ -248,12 +236,14 @@ def cmd_similarity(args, cfg: RunConfig) -> int:
         [[p.pipeline_id, p.anchor_a, p.anchor_b, p.jaccard, p.dataset_sim] for p in pairs],
     )
 
-    _write_similarity_table(out / "histogram.tsv", pairs)
+    _write_similarity_table(out / "histogram.tsv", similarity_table(pairs))
     print(f"wrote {len(pairs)} pair records -> {out}")
     return 0
 
 
 def cmd_featurize(args, cfg: RunConfig) -> int:
+    from .workflow import corpus_rows
+
     featurizer = _featurizer(cfg)
     pipelines = corpus_rows(args.corpus, featurizer, cfg.stop)
     feats = featurizer.with_vocab(pipelines).assemble(pipelines)
@@ -275,6 +265,9 @@ def cmd_featurize(args, cfg: RunConfig) -> int:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
+    from .forest import fit
+    from .workflow import corpus_rows, save_model, split_pipelines
+
     featurizer = _featurizer(cfg)
     spec, train, _ = split_pipelines(
         corpus_rows(args.corpus, featurizer, cfg.stop), seed=cfg.split_seed
@@ -293,6 +286,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: RunConfig) -> int:
+    from .workflow import held_out_records, push_balanced_accuracy
+
     stage, records = held_out_records(args.corpus, args.model, cfg.stop)
     labels = [r.label for r in records]
     acc = push_balanced_accuracy(records)
@@ -306,6 +301,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
+    from .policy import sweep
+    from .workflow import held_out_records
+
     stage, records = held_out_records(args.corpus, args.model, cfg.stop)
     curve = sweep(records)
     _write_curve(Path(args.out), curve)
@@ -318,6 +316,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_report(args, cfg: RunConfig) -> int:
+    from .workflow import corpus_rows, policy_report
+
     featurizer = _featurizer(cfg)
     report = policy_report(
         corpus_rows(args.corpus, featurizer, cfg.stop),

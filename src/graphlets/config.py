@@ -13,6 +13,8 @@ default, so an empty file (or no file) is valid:
     }
 
 The CLI --seed flag fills every seed that the file does not set explicitly.
+The model layers' config types live here, so that reading a config imports
+none of those layers, and ``RunConfig.gen`` imports ``synth`` only when read.
 """
 
 from __future__ import annotations
@@ -20,17 +22,54 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .features import WindowConfig
-from .forest import ForestConfig
 from .segmentation import StopSet
 from .similarity import LshParams, SimWeights
-from .synth import GenConfig, preset
-from .trace import OperatorKind
+from .trace import OperatorGroup, OperatorKind
 
-__all__ = ["RunConfig", "load_config"]
+if TYPE_CHECKING:
+    from .synth import GenConfig
+
+__all__ = ["FeatureStage", "WindowConfig", "ForestConfig", "RunConfig", "load_config"]
+
+
+class FeatureStage(str, Enum):
+    """Scheduler intervention points, declared in pipeline order."""
+
+    INPUT = "input"
+    INPUT_PRE = "input_pre"
+    INPUT_PRE_TRAINER = "input_pre_trainer"
+    VALIDATION = "validation"
+
+
+STAGES = tuple(FeatureStage)
+
+
+@dataclass(frozen=True)
+class WindowConfig:
+    """History window: how many preceding graphlets to compare against."""
+
+    w: int = 3
+
+    def __post_init__(self) -> None:
+        if self.w < 1:
+            raise ValueError("window must be at least 1")
+
+
+@dataclass(frozen=True)
+class ForestConfig:
+    n_trees: int = 100
+    max_depth: int = 16
+    min_leaf: int = 5
+    seed: int = 42
+
+    def __post_init__(self) -> None:
+        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
+            raise ValueError("forest hyperparameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -40,8 +79,28 @@ class RunConfig:
     window: WindowConfig
     forest: ForestConfig
     stop: StopSet
-    gen: GenConfig
     split_seed: int
+    seed: int
+    gen_section: dict[str, Any]
+
+    @cached_property
+    def gen(self) -> GenConfig:
+        """The ``gen`` section's keys over its preset."""
+        overrides = {k: v for k, v in self.gen_section.items() if k != "preset"}
+        mix = overrides.get("cost_mix")
+        if isinstance(mix, dict):  # JSON keys are strings; GenConfig's are groups
+            groups = {g.value: g for g in OperatorGroup}
+            overrides["cost_mix"] = {groups.get(k, k): v for k, v in mix.items()}
+        return _apply("gen", _preset(self.gen_section, self.seed), overrides)
+
+
+def _preset(gen_section: dict[str, Any], seed: int) -> GenConfig:
+    from .synth import preset
+
+    try:
+        return preset(gen_section.get("preset", "default"), seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"config section 'gen': {exc}") from None
 
 
 def _section(payload: dict[str, Any], name: str) -> dict[str, Any]:
@@ -97,19 +156,27 @@ def load_config(path: str | Path | None, seed: int = 42) -> RunConfig:
     elif not isinstance(stop_kinds, list):
         raise ValueError("config section 'stop_set' must be a list of operator kinds")
     else:
-        stop = StopSet(kinds=frozenset(OperatorKind(k) for k in stop_kinds))
-    gen_kw = _section(payload, "gen")
-    gen = preset(gen_kw.pop("preset", "default"), seed=seed)
+        try:
+            stop = StopSet(kinds=frozenset(OperatorKind(k) for k in stop_kinds))
+        except ValueError as exc:
+            raise ValueError(f"config section 'stop_set': {exc}") from None
+    gen_section = _section(payload, "gen")
+    if "gen" in payload:
+        _preset(gen_section, seed)  # ahead of the later sections, as before
     split_seed = payload.get("split_seed", seed)
     if not _fits(split_seed, seed):
         raise ValueError(f"config key 'split_seed' must be int, got {split_seed!r}")
 
-    return RunConfig(
+    cfg = RunConfig(
         lsh=_apply("lsh", LshParams(seed=seed), _section(payload, "lsh")),
         weights=_apply("weights", SimWeights(), _section(payload, "weights")),
         window=_apply("window", WindowConfig(), _section(payload, "window")),
         forest=_apply("forest", ForestConfig(seed=seed), _section(payload, "forest")),
         stop=stop,
-        gen=_apply("gen", gen, gen_kw),
         split_seed=split_seed,
+        seed=seed,
+        gen_section=gen_section,
     )
+    if "gen" in payload:
+        cfg.gen  # built here, so that every command rejects a bad gen section
+    return cfg

@@ -34,19 +34,17 @@ the training pipelines' rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import STAGES, FeatureStage, WindowConfig
 from .segmentation import Graphlet
 from .similarity import LshParams, SimWeights, graphlet_similarities
 from .trace import ModelType, OperatorGroup, OperatorKind, Trace
 
 __all__ = [
-    "FeatureStage",
-    "WindowConfig",
     "Featurizer",
     "PipelineRows",
     "CorpusFeatures",
@@ -57,17 +55,6 @@ __all__ = [
 MISSING = -1.0
 ARCH_VOCAB_CAP = 32
 
-
-class FeatureStage(str, Enum):
-    """Scheduler intervention points, declared in pipeline order."""
-
-    INPUT = "input"
-    INPUT_PRE = "input_pre"
-    INPUT_PRE_TRAINER = "input_pre_trainer"
-    VALIDATION = "validation"
-
-
-STAGES = tuple(FeatureStage)
 
 PRE_TRAINER_KINDS = (
     OperatorKind.EXAMPLE_GEN,
@@ -86,17 +73,6 @@ POST_TRAINER_KINDS = (OperatorKind.EVALUATOR, OperatorKind.MODEL_VALIDATOR)
 STAGE_COST_GROUPS: dict[FeatureStage, tuple[OperatorGroup, ...]] = {
     stage: tuple(OperatorGroup)[:n] for stage, n in zip(STAGES, (2, 3, 4, 5))
 }
-
-
-@dataclass(frozen=True)
-class WindowConfig:
-    """History window: how many preceding graphlets to compare against."""
-
-    w: int = 3
-
-    def __post_init__(self) -> None:
-        if self.w < 1:
-            raise ValueError("window must be at least 1")
 
 
 @dataclass

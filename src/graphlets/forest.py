@@ -60,8 +60,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .config import ForestConfig
+
 __all__ = [
-    "ForestConfig",
     "Tree",
     "Forest",
     "SplitSpec",
@@ -82,18 +83,6 @@ def splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    n_trees: int = 100
-    max_depth: int = 16
-    min_leaf: int = 5
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 1 or self.min_leaf < 1:
-            raise ValueError("forest hyperparameters must be positive")
 
 
 @dataclass

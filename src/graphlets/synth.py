@@ -148,6 +148,12 @@ class GenConfig:
         ):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
+        for key in self.cost_mix:
+            if key not in set(OperatorGroup):
+                raise ValueError(f"cost_mix key {key!r} is not an operator group")
+        for key in self.model_mix:
+            if key not in self.push.base_logit:
+                raise ValueError(f"model_mix key {key!r} has no base logit in the push model")
         if abs(sum(self.cost_mix.values()) - 1.0) > 1e-9:
             raise ValueError("cost_mix fractions must sum to 1")
         if abs(sum(self.model_mix.values()) - 1.0) > 1e-9:

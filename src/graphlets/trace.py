@@ -63,6 +63,8 @@ __all__ = [
     "parse_trace_file",
     "validate_trace",
     "parse_corpus",
+    "CorpusValidationError",
+    "valid_traces",
 ]
 
 MS_PER_DAY = 86_400_000
@@ -713,3 +715,38 @@ def parse_corpus(directory: str | Path) -> Iterator[Trace | None]:
     if errors:
         raise TraceParseError("\n".join(str(exc) for exc in errors))
 
+
+
+class CorpusValidationError(ValueError):
+    def __init__(self, violations: list[str]):
+        self.violations = violations
+        super().__init__(f"{len(violations)} trace violations")
+
+
+def valid_traces(directory: str | Path) -> Iterator[Trace]:
+    """Parse and check a corpus's trace files one at a time, in name order.
+
+    Each trace is checked (``validate_trace``, and its pipeline id against
+    the earlier files') and yielded as long as no file so far was malformed
+    or invalid.  After the first failure the remaining files are still
+    parsed and checked, so that every error is reported, but nothing more is
+    yielded.  At the end every parse error is raised as one
+    ``TraceParseError``; if there were none, every violation, in file order,
+    as a ``CorpusValidationError``.  Callers must therefore write nothing
+    before the pass is exhausted.
+    """
+    violations: list[str] = []
+    seen: set[str] = set()
+    malformed = False
+    for trace in parse_corpus(directory):
+        if trace is None:
+            malformed = True
+            continue
+        if trace.pipeline_id in seen:
+            violations.append(f"{trace.pipeline_id}: pipeline id used by more than one trace")
+        seen.add(trace.pipeline_id)
+        violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace))
+        if not (malformed or violations):
+            yield trace
+    if violations:
+        raise CorpusValidationError(violations)

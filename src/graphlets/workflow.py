@@ -1,25 +1,14 @@
-"""End-to-end runs: corpus -> graphlets -> features -> models -> policies.
+"""Model runs: corpus -> feature rows -> models -> policies.
 
-Glue between the pure modules, shared by the CLI and the test suite.
-
-Every command reads its corpus through one per-pipeline pass,
-``stream_corpus``: each trace file is parsed (which builds the trace's
-adjacency once), checked, segmented and handed to the caller, which reduces it (to statistics, pair
-similarities or feature rows) and drops it before the next file is parsed.
-Memory is bounded by one trace plus the reductions, not by the corpus: on
-the default 150-pipeline corpus, ``stats`` peaks near 60 MB where holding
-every trace took over 450 MB.  A corpus with a malformed or invalid file yields
-nothing after that file, and the pass raises once every file is read, so
-no command writes output for a bad corpus.
-
-The train/test discipline lives here too: pipelines are split whole, the
-architecture vocabulary comes from the training side only, and the staged
-models are column prefixes of one featurization pass, fit in one call.  The
-model commands keep, per pipeline, only its vocabulary-free feature rows
-(``Featurizer.pipeline_rows``); the split and the vocabulary are made from
-those once the pass is over.  A model file carries one trained stage with
-the featurizer and split it needs to score the held-out pipelines;
-``save_model`` and ``load_model`` are its only codec.
+Glue between the model modules, shared by the CLI and the test suite.  From
+each pipeline of the corpus pass (``segmentation.stream_corpus``) the model
+commands keep only its vocabulary-free feature rows
+(``Featurizer.pipeline_rows``).  Once the pass is over, pipelines are split
+whole, the architecture vocabulary comes from the training side only, and
+the staged models are column prefixes of one featurization pass, fit in one
+call.  A model file carries one trained stage with the featurizer and split
+it needs to score the held-out pipelines; ``save_model`` and ``load_model``
+are its only codec.
 """
 
 from __future__ import annotations
@@ -28,22 +17,15 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Container, Iterator, Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
 from . import __version__
-from .features import (
-    STAGES,
-    CorpusFeatures,
-    FeatureStage,
-    Featurizer,
-    PipelineRows,
-    WindowConfig,
-)
+from .config import STAGES, FeatureStage, ForestConfig, WindowConfig
+from .features import CorpusFeatures, Featurizer, PipelineRows
 from .forest import (
     Forest,
-    ForestConfig,
     SplitSpec,
     balanced_accuracy,
     fit_prefixes,
@@ -53,16 +35,12 @@ from .forest import (
     split_corpus,
 )
 from .policy import EvalRecord, HeuristicRow, TradeoffCurve, heuristic_baselines, sweep
-from .segmentation import DEFAULT_STOP_SET, Graphlet, StopSet, extract_graphlets, is_warmstart
+from .segmentation import DEFAULT_STOP_SET, StopSet, is_warmstart, stream_corpus
 from .similarity import LshParams, SimWeights
-from .trace import Trace, parse_corpus, validate_trace
 
 __all__ = [
-    "CorpusValidationError",
     "StageReport",
     "PolicyReport",
-    "valid_traces",
-    "stream_corpus",
     "corpus_rows",
     "split_pipelines",
     "eval_records",
@@ -75,51 +53,6 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "graphlets-model-v1"
-
-
-class CorpusValidationError(ValueError):
-    def __init__(self, violations: list[str]):
-        self.violations = violations
-        super().__init__(f"{len(violations)} trace violations")
-
-
-def valid_traces(directory: str | Path) -> Iterator[Trace]:
-    """Parse and check a corpus's trace files one at a time, in name order.
-
-    Each trace is checked (``validate_trace``, and its pipeline id against
-    the earlier files') and yielded as long as no file so far was malformed
-    or invalid.  After the first failure the remaining files are still
-    parsed and checked, so that every error is reported, but nothing more is
-    yielded.  At the end every parse error is raised as one
-    ``TraceParseError``; if there were none, every violation, in file order,
-    as a ``CorpusValidationError``.  Callers must therefore write nothing
-    before the pass is exhausted.
-    """
-    violations: list[str] = []
-    seen: set[str] = set()
-    malformed = False
-    for trace in parse_corpus(directory):
-        if trace is None:
-            malformed = True
-            continue
-        if trace.pipeline_id in seen:
-            violations.append(f"{trace.pipeline_id}: pipeline id used by more than one trace")
-        seen.add(trace.pipeline_id)
-        violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace))
-        if not (malformed or violations):
-            yield trace
-    if violations:
-        raise CorpusValidationError(violations)
-
-
-def stream_corpus(
-    directory: str | Path, stop: StopSet = DEFAULT_STOP_SET
-) -> Iterator[tuple[Trace, list[Graphlet]]]:
-    """The per-pipeline pass: each valid trace with all its graphlets
-    (warmstart pipelines included), in file name order; fails as
-    ``valid_traces`` does."""
-    for trace in valid_traces(directory):
-        yield trace, extract_graphlets(trace, stop)
 
 
 def corpus_rows(

@@ -39,11 +39,11 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from graphlets import forest, transport
+from graphlets.config import STAGES, ForestConfig
 from graphlets.features import (
     ARCH_VOCAB_CAP,
     POST_TRAINER_KINDS,
     PRE_TRAINER_KINDS,
-    STAGES,
     TRAINER_KINDS,
     CorpusFeatures,
     Featurizer,
@@ -532,7 +532,7 @@ def loop_best_split(
 
 
 def reference_fit(
-    X: np.ndarray, y: np.ndarray, cfg: forest.ForestConfig, feature_names=None
+    X: np.ndarray, y: np.ndarray, cfg: ForestConfig, feature_names=None
 ) -> forest.Forest:
     """``forest.fit`` rebuilt recursively around ``loop_best_split``.
 

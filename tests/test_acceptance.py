@@ -23,10 +23,11 @@ from oracles import (
 )
 from test_similarity import random_span
 
-from graphlets.features import STAGES, FeatureStage, Featurizer
-from graphlets.forest import ForestConfig, balanced_accuracy, split_corpus
+from graphlets.config import STAGES, FeatureStage, ForestConfig
+from graphlets.features import Featurizer
+from graphlets.forest import balanced_accuracy, split_corpus
 from graphlets.policy import EvalRecord, sweep
-from graphlets.segmentation import StopSet, extract_graphlets
+from graphlets.segmentation import StopSet, extract_graphlets, stream_corpus
 from graphlets.similarity import (
     BINS,
     LshParams,
@@ -38,7 +39,8 @@ from graphlets.similarity import (
 )
 from graphlets.synth import GenConfig, generate, iid_config, preset
 from graphlets.analytics import CadenceStats, add_costs, cost_fractions
-from graphlets.workflow import corpus_rows, policy_report, stream_corpus, valid_traces
+from graphlets.trace import valid_traces
+from graphlets.workflow import corpus_rows, policy_report
 
 PARAMS = LshParams()
 WEIGHTS = SimWeights()

@@ -16,10 +16,10 @@ from graphlets.analytics import (
     pipeline_stats,
     similarity_table,
 )
+from graphlets.segmentation import stream_corpus
 from graphlets.similarity import LshParams, SimWeights
 from graphlets.synth import GenConfig, generate, iid_config
 from graphlets.trace import MS_PER_DAY, OperatorGroup, parse_trace
-from graphlets.workflow import stream_corpus
 
 
 def cost_breakdown(traces):

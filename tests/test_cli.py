@@ -4,6 +4,8 @@ import json
 import math
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 import weakref
 from collections import Counter
@@ -116,6 +118,18 @@ def test_empty_corpus_exits_2(command, tmp_path, capsys):
         ({"lsh": {"w": float("inf")}}, "config section 'lsh': 'w' must be finite"),
         ({"gen": {"drift_rate": float("-inf")}}, "config section 'gen': 'drift_rate' must be finite"),
         ({"gen": {"n_pipelines": 0}}, "config section 'gen': n_pipelines must be at least 1"),
+        ({"gen": {"cost_mix": {"bogus": 1.0}}},
+         "config section 'gen': cost_mix key 'bogus' is not an operator group"),
+        ({"gen": {"model_mix": {"bogus": 1.0}}},
+         "config section 'gen': model_mix key 'bogus' has no base logit in the push model"),
+        ({"gen": {"preset": "bogus"}}, "config section 'gen': unknown preset: 'bogus'"),
+        ({"stop_set": ["bogus"]}, "config section 'stop_set': 'bogus' is not a valid OperatorKind"),
+        ({"stop_set": []}, "config section 'stop_set': stop set must not be empty"),
+        # Several bad sections: the first one checked is named.
+        ({"gen": {"preset": "bogus"}, "lsh": {"bogus": 1}},
+         "config section 'gen': unknown preset: 'bogus'"),
+        ({"gen": {"n_pipeline": 3}, "forest": {"n_trees": 0}},
+         "config section 'forest': forest hyperparameters must be positive"),
     ],
 )
 def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_dir, tmp_path, capsys):
@@ -123,6 +137,22 @@ def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_di
     path.write_text(json.dumps(config))
     assert main(["validate", "--corpus", str(warm_pair_dir), "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_synth_plants_a_configured_cost_mix(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gen": {
+        "n_pipelines": 3, "graphlets_per_pipeline": [4, 4],
+        "cost_mix": {"training": 0.75, "data_ingestion": 0.25},
+    }}))
+    corpus, stats = tmp_path / "corpus", tmp_path / "stats"
+    assert main(["synth", "--out", str(corpus), "--config", str(config)]) == 0
+    assert main(["stats", "--corpus", str(corpus), "--out", str(stats)]) == 0
+    rows = (stats / "cost_breakdown.tsv").read_text().splitlines()[2:]
+    fractions = {group: float(f) for group, f in (row.split("\t") for row in rows)}
+    assert fractions.pop("training") == pytest.approx(0.75)
+    assert fractions.pop("data_ingestion") == pytest.approx(0.25)
+    assert set(fractions.values()) == {0.0}
 
 
 @pytest.mark.parametrize(
@@ -717,3 +747,82 @@ def test_sweep_exits_2_when_unpushed_costs_overflow(small_cli_corpus, trained_mo
     assert capsys.readouterr().err == (
         "error: total unpushed graphlet cost is out of float range\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "report"])
+def test_one_pipeline_corpus_cannot_be_split(command, tmp_path, capsys):
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--pipelines", "1", "--graphlets", "12",
+                 "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need at least two pipelines to split\n"
+    assert not out.exists()
+
+
+def test_model_commands_on_a_corpus_without_a_push(tmp_path, capsys):
+    # 32 pipelines of 10 graphlets in which every pusher run failed, so that
+    # no graphlet has a positive label.
+    corpus, config = tmp_path / "corpus", tmp_path / "config.json"
+    assert main(["synth", "--out", str(corpus), "--pipelines", "32", "--graphlets", "10",
+                 "--seed", "3"]) == 0
+    for path in corpus.glob("*.ndjson"):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            if record.get("operator") == "pusher":
+                record["state"] = "failed"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    config.write_text(json.dumps({"forest": CONFIG_SMALL["forest"]}))
+    common = ["--corpus", str(corpus), "--config", str(config)]
+    capsys.readouterr()
+
+    report = tmp_path / "report"
+    assert main(["report", *common, "--out", str(report)]) == 2
+    assert capsys.readouterr().err == "error: sweep needs records with both labels\n"
+    assert not report.exists()
+
+    model = tmp_path / "model.json"
+    assert main(["train", *common, "--out", str(model)]) == 0
+    capsys.readouterr()
+    for command, message in [
+        ("evaluate", "balanced accuracy needs both classes in y_true"),
+        ("sweep", "sweep needs records with both labels"),
+    ]:
+        out = tmp_path / f"{command}.tsv"
+        assert main([command, *common, "--model", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+CORPUS_COMMANDS = ["stats", "similarity", "validate", "segment"]
+MODEL_COMMANDS = ["report", "train", "evaluate", "sweep", "featurize"]
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS + MODEL_COMMANDS)
+def test_each_command_loads_only_the_layers_it_runs(command, small_cli_corpus, trained_model,
+                                                    tmp_path):
+    if command in CORPUS_COMMANDS:
+        unloaded = {"features", "forest", "policy", "workflow", "synth"}
+    else:
+        unloaded = {"synth", "analytics"}
+    corpus, _ = small_cli_corpus
+    config = tmp_path / "config.json"  # no gen section, so synth is not needed to check it
+    config.write_text(json.dumps({"forest": CONFIG_SMALL["forest"]}))
+    argv = [command, "--corpus", str(corpus), "--config", str(config), "--seed", "9"]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    if command in ("evaluate", "sweep"):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(trained_model))
+        argv += ["--model", str(model)]
+    code = (
+        "import sys\n"
+        "from graphlets.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('graphlets.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.removeprefix("graphlets.") for name in proc.stdout.splitlines()[-1].split()}
+    assert "cli" in loaded
+    assert loaded & unloaded == set()

@@ -37,9 +37,12 @@ SOURCES = {
 
 def _global_reads(table: symtable.SymbolTable, owner: str | None, reads: set) -> None:
     """Add ``(name, owner)`` for every global read in ``table`` and the scopes
-    nested in it; ``owner`` is the top-level def or class that holds the read."""
+    nested in it, and for every read of a name a nested scope imports itself;
+    ``owner`` is the top-level def or class that holds the read."""
     for sym in table.get_symbols():
-        if sym.is_referenced() and (table.get_type() == "module" or sym.is_global()):
+        if sym.is_referenced() and (
+            table.get_type() == "module" or sym.is_global() or sym.is_imported()
+        ):
             reads.add((sym.get_name(), owner))
     for child in table.get_children():
         _global_reads(child, owner or child.get_name(), reads)

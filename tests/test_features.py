@@ -2,14 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from graphlets.features import (
-    MISSING,
-    STAGES,
-    FeatureStage,
-    Featurizer,
-    WindowConfig,
-    build_arch_vocab,
-)
+from graphlets.config import STAGES, FeatureStage, WindowConfig
+from graphlets.features import MISSING, Featurizer, build_arch_vocab
 from graphlets.segmentation import extract_graphlets
 from graphlets.similarity import graphlet_similarities
 from graphlets.trace import parse_trace

@@ -15,9 +15,9 @@ from hypothesis.extra.numpy import arrays
 from oracles import loop_best_split, loop_scores, reference_fit
 
 from graphlets import forest, workflow
-from graphlets.features import STAGES, Featurizer
+from graphlets.config import STAGES, ForestConfig
+from graphlets.features import Featurizer
 from graphlets.forest import (
-    ForestConfig,
     _Splitter,
     balanced_accuracy,
     fit,

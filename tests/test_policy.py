@@ -8,7 +8,7 @@ import pytest
 
 from oracles import brute_confusion
 
-from graphlets.features import FeatureStage
+from graphlets.config import FeatureStage
 from graphlets.policy import (
     EvalRecord,
     HeuristicRow,
@@ -185,7 +185,7 @@ def test_policy_decides_by_threshold():
 
 def test_forest_beats_heuristics_on_planted_corpus(small_corpus):
     from graphlets.features import Featurizer
-    from graphlets.forest import ForestConfig
+    from graphlets.config import ForestConfig
     from graphlets.segmentation import is_warmstart
     from graphlets.workflow import policy_report
 

@@ -27,10 +27,11 @@ from oracles import (
 )
 
 from graphlets.analytics import CadenceStats, add_costs, cost_fractions, pipeline_stats
-from graphlets.features import STAGES, Featurizer, WindowConfig
-from graphlets.segmentation import extract_graphlets, is_warmstart
+from graphlets.config import STAGES, WindowConfig
+from graphlets.features import Featurizer
+from graphlets.segmentation import extract_graphlets, is_warmstart, stream_corpus
 from graphlets.synth import GenConfig, generate
-from graphlets.workflow import corpus_rows, stream_corpus
+from graphlets.workflow import corpus_rows
 
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import load_truth, sample_latent_probabilities
 
-from graphlets.segmentation import is_warmstart
+from graphlets.segmentation import is_warmstart, stream_corpus
 from graphlets.synth import (
     GenConfig,
     bayes_balanced_accuracy,
@@ -17,7 +17,6 @@ from graphlets.synth import (
     preset,
 )
 from graphlets.trace import validate_trace
-from graphlets.workflow import stream_corpus
 
 
 def test_generated_corpora_validate(small_corpus):
@@ -130,8 +129,8 @@ def test_monte_carlo_matches_corpus_bayes(tmp_path):
 
 
 def test_stronger_signal_never_hurts_the_classifier(tmp_path):
-    from graphlets.features import FeatureStage, Featurizer
-    from graphlets.forest import ForestConfig
+    from graphlets.config import FeatureStage, ForestConfig
+    from graphlets.features import Featurizer
     from graphlets.workflow import corpus_rows, policy_report
 
     accs = []
@@ -171,6 +170,10 @@ def test_invalid_config_rejected():
         GenConfig(cost_mix={g: 0.4 for g in list(GenConfig().cost_mix)[:2]})
     with pytest.raises(ValueError):
         GenConfig(graphlets_per_pipeline=(5, 2))
+    with pytest.raises(ValueError, match="cost_mix key 'bogus' is not an operator group"):
+        GenConfig(cost_mix={"bogus": 1.0})
+    with pytest.raises(ValueError, match="model_mix key 'bogus' has no base logit"):
+        GenConfig(model_mix={"bogus": 1.0})
 
 
 def test_strong_preset_oracle_elimination(tmp_path):
