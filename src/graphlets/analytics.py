@@ -61,7 +61,8 @@ def pipeline_stats(trace: Trace) -> PipelineStats:
 
     Lifespan spans the newest and oldest node timestamps (artifact creation
     plus execution start/end).  The models-per-day denominator is clamped to
-    one day so short-lived pipelines do not blow up the rate.
+    one day so short-lived pipelines do not blow up the rate.  ``trace``
+    must pass ``validate_trace``, so every data span carries statistics.
     """
     times: list[int] = [a.created_at for a in trace.artifacts.values()]
     for ex in trace.executions.values():
@@ -74,11 +75,8 @@ def pipeline_stats(trace: Trace) -> PipelineStats:
     )
     models_per_day = trainer_count / max(lifespan_days, 1.0)
 
-    spans = [
-        a.span_stats
-        for a in trace.artifacts.values()
-        if a.artifact_type is ArtifactType.DATA_SPAN and a.span_stats is not None
-    ]
+    spans = [a.span_stats for a in trace.artifacts.values()
+             if a.artifact_type is ArtifactType.DATA_SPAN]
     feature_count = None
     categorical_fraction = None
     mean_categorical_domain = None
@@ -92,7 +90,7 @@ def pipeline_stats(trace: Trace) -> PipelineStats:
                 continue
             cats = [f for f in s.features if f.kind is FeatureKind.CATEGORICAL]
             cat_fracs.append(len(cats) / len(s.features))
-            domains.extend(f.cat_unique for f in cats if f.cat_unique is not None)
+            domains.extend(f.cat_unique for f in cats)
         if cat_fracs:
             categorical_fraction = sum(cat_fracs) / len(cat_fracs)
         if domains:

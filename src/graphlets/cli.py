@@ -80,11 +80,11 @@ def _featurizer(cfg: RunConfig):
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    from .synth import generate, preset
+    from .synth import generate
 
+    if args.preset:  # the preset under the file's other gen keys
+        cfg = replace(cfg, gen_section={**cfg.gen_section, "preset": args.preset})
     gen = cfg.gen
-    if args.preset:
-        gen = preset(args.preset, seed=args.seed)
     if args.pipelines is not None:
         gen = replace(gen, n_pipelines=args.pipelines)
     if args.graphlets is not None:

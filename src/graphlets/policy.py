@@ -8,8 +8,9 @@ each threshold to (wasted-computation, freshness) where freshness is the
 true-positive rate and wasted computation is the cost share of unpushed
 graphlets the policy failed to skip.
 
-Feature-acquisition cost is tracked separately: even a skipped graphlet must
-run far enough to produce its stage's features.
+Feature-acquisition cost is tracked apart from the sweep, as a stage
+report's ``feature_cost_ratio`` (``workflow.StageReport``): even a skipped
+graphlet must run far enough to produce its stage's features.
 """
 
 from __future__ import annotations
@@ -33,22 +34,22 @@ __all__ = [
 ]
 
 _ENDPOINT_EPS = 1e-9
+_FULL_FRESHNESS = 0.999
 
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """One scored graphlet: label, score, and the costs the policy trades."""
+    """One scored graphlet: label, score, and the cost the policy can save."""
 
     anchor: str
     label: bool
     score: float
     unpushed_cost: float
-    stage_feature_cost: float = 0.0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.score <= 1.0):
             raise ValueError("score must lie in [0, 1]")
-        if self.unpushed_cost < 0 or self.stage_feature_cost < 0:
+        if self.unpushed_cost < 0:
             raise ValueError("costs must be non-negative")
         if self.label and self.unpushed_cost != 0.0:
             raise ValueError("pushed graphlets carry no unpushed cost")
@@ -67,9 +68,9 @@ class CurvePoint:
 class TradeoffCurve:
     points: tuple[CurvePoint, ...]
 
-    def elimination_at_full_freshness(self, freshness_floor: float = 0.999) -> float:
+    def elimination_at_full_freshness(self) -> float:
         """Largest waste cut achievable while keeping freshness at the floor."""
-        eligible = [p.wasted_fraction for p in self.points if p.freshness >= freshness_floor - 1e-12]
+        eligible = [p.wasted_fraction for p in self.points if p.freshness >= _FULL_FRESHNESS - 1e-12]
         if not eligible:
             return 0.0
         return 1.0 - min(eligible)

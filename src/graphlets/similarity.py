@@ -17,6 +17,11 @@ With ``alpha + beta = 1`` the span metric satisfies S(D, D) = 1, S(empty, D)
 = 0, symmetry, and range [0, 1].  Symmetry is exact for any weights: every
 span pair is compared in one canonical order, that of its signatures.
 
+The rules for valid statistics live only in ``FeatureStats.check`` and
+``SpanStats.check``, which ``validate_trace`` runs.  ``canonicalize``,
+``feature_sim`` and ``span_sim`` (so ``sequence_sim``) run them on their
+inputs; ``graphlet_similarities`` takes a validated trace and checks nothing.
+
 Span pairs are compared in batches.  ``graphlet_similarities`` takes every
 graphlet pair of one trace in one call, and computes every distinct span
 pair they align once, in three steps:
@@ -151,23 +156,31 @@ def canonicalize(f: FeatureStats) -> CanonicalDistribution:
     evenly over the remaining bins.  The N-bin layout is aggregated onto the
     10 equi-width cells by mass, splitting bins that straddle a cell boundary
     proportionally, which makes the result independent of N's scale while
-    conserving mass exactly.
+    conserving mass exactly.  A feature failing ``FeatureStats.check``
+    raises ``ValueError`` with the first rule it breaks.
     """
+    _require_valid(f)
     return CanonicalDistribution(bins=tuple(_canonical_bins((f,))[0].tolist()))
+
+
+def _require_valid(*stats: FeatureStats | SpanStats) -> None:
+    """Raise ``ValueError`` with the first rule that any of ``stats`` breaks."""
+    for bad in (x.check() for x in stats):
+        if bad:
+            raise ValueError(bad[0])
 
 
 def _canonical_bins(features: Sequence[FeatureStats]) -> np.ndarray:
     """``canonicalize`` for many features at once: a (len(features), BINS) matrix.
 
-    Each feature's field checks and top-term frequencies ``c / total`` are
-    taken in Python exactly as for one feature.  Sorting and the layout are
-    vectorized across features with the same float operations in the same
-    order, and every sum is Python's ``sum`` over the same values, so each
-    row is bit-for-bit the one-feature result.  The first invalid feature
-    raises the ``ValueError`` that ``canonicalize`` raises for it.
+    The features must pass ``FeatureStats.check``; none is checked again.
+    Each feature's top-term frequencies ``c / total`` are taken in Python
+    exactly as for one feature.  Sorting and the layout are vectorized
+    across features with the same float operations in the same order, and
+    every sum is Python's ``sum`` over the same values, so each row is
+    bit-for-bit the one-feature result.
     """
     out = np.zeros((len(features), BINS))
-    errors: dict[int, str] = {}
     hist_at: list[int] = []  # numerical rows, laid out verbatim
     hists: list = []
     cat_at: list[int] = []  # categorical rows
@@ -176,86 +189,51 @@ def _canonical_bins(features: Sequence[FeatureStats]) -> np.ndarray:
     n_unique: list[int] = []
     for i, f in enumerate(features):
         if f.kind is FeatureKind.NUMERICAL:
-            if f.numerical_hist is None or len(f.numerical_hist) != BINS:
-                errors[i] = f"feature {f.name!r}: histogram must have {BINS} bins"
-            else:
-                hist_at.append(i)
-                hists.append(f.numerical_hist)
-        elif f.cat_unique is None or f.cat_top10 is None or f.cat_total is None:
-            errors[i] = f"feature {f.name!r}: missing categorical counts"
-        elif f.cat_unique <= 0:
-            errors[i] = f"feature {f.name!r}: unique term count must be positive"
-        elif f.cat_total <= 0:
-            errors[i] = f"feature {f.name!r}: total count must be positive"
+            hist_at.append(i)
+            hists.append(f.numerical_hist)
         else:
             total = f.cat_total
             cat_at.append(i)
             fractions.extend([c / total for c in f.cat_top10])
             n_top.append(len(f.cat_top10))
             n_unique.append(f.cat_unique)
-    direct: list[int] = []  # rows laid out here: numerical and N == BINS
-    direct_rows: list[list[float]] = []
     if hist_at:
-        rows = np.array(hists, dtype=float)
-        negative = (rows < 0).any(axis=1).tolist()
-        for i, row, below in zip(hist_at, rows.tolist(), negative):
-            _check_row(i, row, below, errors, direct, direct_rows)
+        out[hist_at] = hists
+    if not cat_at:
+        return out
+    # Frequencies sorted descending, one row per feature, padded with 0.
+    top = np.full((len(cat_at), max(max(n_top), 1)), -np.inf)
+    counts = np.array(n_top)
+    top[np.repeat(np.arange(len(cat_at)), counts),
+        np.arange(len(fractions)) - np.repeat(counts.cumsum() - counts, counts)] = fractions
+    top = np.sort(top, axis=1)[:, ::-1]
+    top[top == -np.inf] = 0.0
+    aligned: list[int] = []  # rows with N == BINS, laid out here
+    aligned_rows: list[list[float]] = []
     spread: list[int] = []  # rows of ``top`` that need the N-bin to 10-cell split
     widths: list[float] = []
     tail_mass: list[float] = []
-    if cat_at:
-        # Frequencies sorted descending, one row per feature, padded with 0.
-        top = np.full((len(cat_at), max(max(n_top), 1)), -np.inf)
-        counts = np.array(n_top)
-        top[np.repeat(np.arange(len(cat_at)), counts),
-            np.arange(len(fractions)) - np.repeat(counts.cumsum() - counts, counts)] = fractions
-        top = np.sort(top, axis=1)[:, ::-1]
-        top[top == -np.inf] = 0.0
-        top_rows = top.tolist()
-        for r, (i, row, k, unique) in enumerate(zip(cat_at, top_rows, n_top, n_unique)):
-            rest_bins = unique - k
-            rest_mass = 1.0 - sum(row)
-            if rest_bins == 0 and abs(rest_mass) > _MASS_TOL:
-                errors[i] = f"feature {features[i].name!r}: top-term counts do not cover the total"
-            elif rest_mass < -_MASS_TOL:
-                errors[i] = f"feature {features[i].name!r}: top-term mass exceeds 1"
-            elif unique != BINS:
-                spread.append(r)
-                widths.append(1.0 / unique)
-                # The tail bins all hold the same mass, so they form one block.
-                tail_mass.append(rest_mass if rest_bins > 0 else 0.0)
-            else:
-                # Source bins align exactly with the cells; skip the float
-                # splitting.  A remainder rounded a hair below zero is empty,
-                # as in the split.
-                row = row[:k] + ([max(rest_mass, 0.0) / rest_bins] * rest_bins if rest_bins else [])
-                if len(row) != BINS:
-                    errors[i] = f"expected {BINS} cells, got {len(row)}"
-                else:
-                    _check_row(i, row, any(b < 0 for b in row), errors, direct, direct_rows)
-    if direct:
-        out[direct] = direct_rows
+    for r, (i, row, k, unique) in enumerate(zip(cat_at, top.tolist(), n_top, n_unique)):
+        rest_bins = unique - k
+        rest_mass = 1.0 - sum(row)
+        if unique != BINS:
+            spread.append(r)
+            widths.append(1.0 / unique)
+            # The tail bins all hold the same mass, so they form one block.
+            tail_mass.append(rest_mass if rest_bins > 0 else 0.0)
+        else:
+            # Source bins align exactly with the cells; skip the float
+            # splitting.  A remainder rounded a hair below zero is empty,
+            # as in the split.
+            aligned.append(i)
+            aligned_rows.append(
+                row[:k] + ([max(rest_mass, 0.0) / rest_bins] * rest_bins if rest_bins else []))
+    if aligned:
+        out[aligned] = aligned_rows
     if spread:
         cells = _spread_cells(top[spread], counts[spread], np.array(widths), np.array(tail_mass))
-        mass = cells.sum(axis=1)
-        at = [cat_at[r] for r in spread]
-        for j in np.flatnonzero(np.abs(mass - 1.0) > _MASS_TOL).tolist():
-            errors[at[j]] = f"feature {features[at[j]].name!r}: mass not conserved ({mass[j]})"
-        out[at] = cells / mass[:, None]
-    if errors:
-        raise ValueError(errors[min(errors)])
+        out[[cat_at[r] for r in spread]] = cells / cells.sum(axis=1)[:, None]
     return out
-
-
-def _check_row(i, row, negative, errors, direct, direct_rows) -> None:
-    """Keep a laid-out row ``i`` that is a distribution, else record why not."""
-    if negative:
-        errors[i] = "cell mass must be non-negative"
-    elif abs(sum(row) - 1.0) > _MASS_TOL:
-        errors[i] = "cell mass must sum to 1"
-    else:
-        direct.append(i)
-        direct_rows.append(row)
 
 
 def _spread_cells(
@@ -328,7 +306,9 @@ def _hash_blocks(bins: np.ndarray, sizes: Sequence[int], params: LshParams) -> n
 def feature_sim(
     f1: FeatureStats, f2: FeatureStats, params: LshParams, weights: SimWeights
 ) -> float:
-    """Similarity between two features; features of different kinds score 0."""
+    """Similarity between two features; features of different kinds score 0.
+    Either feature failing ``FeatureStats.check`` raises ``ValueError``."""
+    _require_valid(f1, f2)
     if f1.kind is not f2.kind:
         return 0.0
     score = 0.0
@@ -389,17 +369,16 @@ def _pair_sims(
 ) -> list[float]:
     """``span_sim`` of each pair of indices into ``spans``, in batches.
 
-    A pair with an empty span scores 0 and takes no work.  The spans of the
-    other pairs are signed together; each pair is oriented so that the span
-    with the lower key gives the rows, and the pairs are solved in blocks of
-    one shape.
+    The spans must pass ``SpanStats.check``, so none has more than
+    ``MAX_SIDE`` features.  A pair with an empty span scores 0 and takes no
+    work.  The spans of the other pairs are signed together; each pair is
+    oriented so that the span with the lower key gives the rows, and the
+    pairs are solved in blocks of one shape.
     """
     sims = [0.0] * len(pairs)
     live = [k for k, (x, y) in enumerate(pairs) if spans[x].features and spans[y].features]
     if not live:
         return sims
-    if any(len(spans[x].features) > MAX_SIDE for k in live for x in pairs[k]):
-        raise ValueError(f"span feature count exceeds {MAX_SIDE}")
     index = {x: i for i, x in enumerate(dict.fromkeys(x for k in live for x in pairs[k]))}
     signed = _sign_spans([spans[x] for x in index], params)
     a = np.array([index[pairs[k][0]] for k in live])
@@ -436,7 +415,9 @@ def span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeight
     optimal transport cost.  An empty span is never similar to anything,
     including another empty span.  The pair is compared in the order of its
     signatures, so the result is bit-for-bit symmetric for any weights.
+    Either span failing ``SpanStats.check`` raises ``ValueError``.
     """
+    _require_valid(d1, d2)
     return _pair_sims((d1, d2), [(0, 1)], params, weights)[0]
 
 
@@ -471,7 +452,9 @@ def graphlet_similarities(
     """``(jaccard, dataset_sim, code_match)`` of each ``(graphlet,
     predecessor)`` pair of one trace, in input order.
 
-    Each pair's input spans that carry statistics are aligned, oldest first.
+    ``trace`` must pass ``validate_trace``, so that every input span carries
+    statistics of at most ``MAX_SIDE`` features; they are not checked again.
+    Each pair's input spans are aligned, oldest first.
     Every span those alignments read is signed in one batch, and each
     distinct span pair is settled once, by the first of these that applies:
 
@@ -486,14 +469,10 @@ def graphlet_similarities(
        mean of a perfect matching on its column-minimum cells;
     5. what is left, and every pair of unequal sides, runs the simplex.
 
-    A span over ``MAX_SIDE`` features raises ``ValueError``.  Pass all of a
-    trace's pairs in one call: a second call signs and settles again.
+    Pass all of a trace's pairs in one call: a second call signs and
+    settles again.
     """
-    def spans(g: Graphlet) -> list[str]:
-        # Input spans oldest first; spans without statistics are skipped.
-        return [s for s in g.input_spans if trace.artifacts[s].span_stats is not None]
-
-    aligned = [(spans(g), spans(prev)) for g, prev in pairs]
+    aligned = [(g.input_spans, prev.input_spans) for g, prev in pairs]
     distinct = dict.fromkeys(
         (x, y) if x <= y else (y, x) for a, b in aligned for x, y in zip(a, b)
     )

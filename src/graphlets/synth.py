@@ -154,10 +154,11 @@ class GenConfig:
         for key in self.model_mix:
             if key not in self.push.base_logit:
                 raise ValueError(f"model_mix key {key!r} has no base logit in the push model")
-        if abs(sum(self.cost_mix.values()) - 1.0) > 1e-9:
-            raise ValueError("cost_mix fractions must sum to 1")
-        if abs(sum(self.model_mix.values()) - 1.0) > 1e-9:
-            raise ValueError("model_mix fractions must sum to 1")
+        for name, mix in (("cost_mix", self.cost_mix), ("model_mix", self.model_mix)):
+            if not all(math.isfinite(p) and p >= 0 for p in mix.values()):
+                raise ValueError(f"{name} fractions must be finite and non-negative")
+            if abs(sum(mix.values()) - 1.0) > 1e-9:
+                raise ValueError(f"{name} fractions must sum to 1")
         lo, hi = self.graphlets_per_pipeline
         if lo < 1 or hi < lo:
             raise ValueError("graphlets_per_pipeline range must be non-empty")

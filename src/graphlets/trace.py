@@ -42,6 +42,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
+from .transport import MAX_SIDE
+
 __all__ = [
     "ArtifactType",
     "OperatorKind",
@@ -229,7 +231,10 @@ class SpanStats:
     features: tuple[FeatureStats, ...]
 
     def check(self) -> list[str]:
+        """Return a list of invariant violations (empty when valid)."""
         bad = []
+        if len(self.features) > MAX_SIDE:
+            bad.append(f"span has {len(self.features)} features, more than {MAX_SIDE}")
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             bad.append("duplicate feature names in span stats")

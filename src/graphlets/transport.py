@@ -25,9 +25,10 @@ and the cost is the mean of the row minima.  This covers distinct row
 argmins.  Every other problem goes to ``transport_cost`` alone.  Each result
 is bit for bit what ``transport_cost`` returns for that matrix.
 
-Cost matrices larger than 256 on either side are rejected: span feature sets
-beyond that size are outside this library's operating range and should fail
-loudly rather than silently degrade.
+Cost matrices larger than ``MAX_SIDE`` (256) on either side are rejected:
+span feature sets beyond that size are outside this library's operating
+range and should fail loudly rather than silently degrade.  Validation
+rejects such a span first (``SpanStats.check`` reads the same bound).
 """
 
 from __future__ import annotations
@@ -163,7 +164,6 @@ def _cycle(basis: list[tuple[int, int]], enter: tuple[int, int]) -> list[tuple[i
 def _solve(cost: np.ndarray) -> tuple[dict[tuple[int, int], int], float]:
     n, m = cost.shape
     flow, basis = _northwest_basis(n, m)
-    basis_set = set(basis)
     bland_after = 2 * n * m + 16
     max_pivots = 50 * n * m + 1000
     for pivot in range(max_pivots):
@@ -179,8 +179,6 @@ def _solve(cost: np.ndarray) -> tuple[dict[tuple[int, int], int], float]:
         flow[enter] = 0
         for idx, cell in enumerate(cycle):
             flow[cell] += theta if idx % 2 == 0 else -theta
-        basis_set.remove(leave)
-        basis_set.add(enter)
         basis = [c for c in basis if c != leave] + [enter]
         del flow[leave]
     raise TransportError(f"no convergence after {max_pivots} pivots")

@@ -99,7 +99,7 @@ def heuristic_rows(feats: CorpusFeatures) -> list[HeuristicRow]:
 
 
 def eval_records(feats: CorpusFeatures, stage: FeatureStage, model: Forest) -> list[EvalRecord]:
-    names, X, stage_costs = feats.stage_view(stage)
+    names, X, _ = feats.stage_view(stage)
     s = scores(model, X, feature_names=names)
     records = []
     for i, anchor in enumerate(feats.anchors):
@@ -110,7 +110,6 @@ def eval_records(feats: CorpusFeatures, stage: FeatureStage, model: Forest) -> l
                 label=label,
                 score=float(s[i]),
                 unpushed_cost=0.0 if label else feats.total_costs[i],
-                stage_feature_cost=float(stage_costs[i]),
             )
         )
     return records
@@ -133,10 +132,8 @@ class StageReport:
 
 @dataclass
 class PolicyReport:
-    split: SplitSpec
     stages: list[StageReport]
     heuristics: dict[str, float]
-    test_push_rate: float
 
 
 def policy_report(
@@ -154,7 +151,7 @@ def policy_report(
     validation stage, the full freshness-vs-waste curve, and the waste
     eliminated at full freshness.
     """
-    spec, train, test = split_pipelines(pipelines, seed=seed)
+    _, train, test = split_pipelines(pipelines, seed=seed)
     featurizer = featurizer.with_vocab(train)
     train_feats = featurizer.assemble(train)
     test_feats = featurizer.assemble(test)
@@ -190,12 +187,7 @@ def policy_report(
         )
 
     heuristics = heuristic_baselines(heuristic_rows(train_feats), heuristic_rows(test_feats))
-    return PolicyReport(
-        split=spec,
-        stages=reports,
-        heuristics=dict(heuristics),
-        test_push_rate=float(test_feats.y.mean()),
-    )
+    return PolicyReport(stages=reports, heuristics=dict(heuristics))
 
 
 def save_model(

@@ -130,6 +130,11 @@ def test_empty_corpus_exits_2(command, tmp_path, capsys):
          "config section 'gen': unknown preset: 'bogus'"),
         ({"gen": {"n_pipeline": 3}, "forest": {"n_trees": 0}},
          "config section 'forest': forest hyperparameters must be positive"),
+        # A NaN share passes the sum check, and a negative one can keep the sum at 1.
+        ({"gen": {"cost_mix": {"training": float("nan")}}},
+         "config section 'gen': cost_mix fractions must be finite and non-negative"),
+        ({"gen": {"model_mix": {"dnn": 2.0, "tree": -1.0}}},
+         "config section 'gen': model_mix fractions must be finite and non-negative"),
     ],
 )
 def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_dir, tmp_path, capsys):
@@ -139,20 +144,31 @@ def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_di
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-def test_synth_plants_a_configured_cost_mix(tmp_path):
+def _assert_planted_cost_mix(tmp_path, *flags):
+    """``stats`` reads back the 0.75/0.25 training/ingestion cost mix that a
+    config file plants through ``synth``."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"gen": {
         "n_pipelines": 3, "graphlets_per_pipeline": [4, 4],
         "cost_mix": {"training": 0.75, "data_ingestion": 0.25},
     }}))
     corpus, stats = tmp_path / "corpus", tmp_path / "stats"
-    assert main(["synth", "--out", str(corpus), "--config", str(config)]) == 0
+    assert main(["synth", "--out", str(corpus), "--config", str(config), *flags]) == 0
     assert main(["stats", "--corpus", str(corpus), "--out", str(stats)]) == 0
     rows = (stats / "cost_breakdown.tsv").read_text().splitlines()[2:]
     fractions = {group: float(f) for group, f in (row.split("\t") for row in rows)}
     assert fractions.pop("training") == pytest.approx(0.75)
     assert fractions.pop("data_ingestion") == pytest.approx(0.25)
     assert set(fractions.values()) == {0.0}
+
+
+def test_synth_plants_a_configured_cost_mix(tmp_path):
+    _assert_planted_cost_mix(tmp_path)
+
+
+def test_synth_preset_keeps_the_files_other_gen_keys(tmp_path):
+    # --preset replaces only the file's preset: the file's cost mix still applies.
+    _assert_planted_cost_mix(tmp_path, "--preset", "default")
 
 
 @pytest.mark.parametrize(
@@ -747,6 +763,46 @@ def test_sweep_exits_2_when_unpushed_costs_overflow(small_cli_corpus, trained_mo
     assert capsys.readouterr().err == (
         "error: total unpushed graphlet cost is out of float range\n")
     assert not out.exists()
+
+
+# Line 3 of the fixture is data span span_a.
+WIDE_SPAN = {"span_stats": {"features": [
+    {"name": f"f{i}", "type": "numerical", "hist": [0.1] * 10} for i in range(300)]}}
+
+
+@pytest.mark.parametrize("command", ["validate", "segment", "stats", "report"])
+def test_span_over_256_features_is_a_violation(command, warm_pair_dir, tmp_path, capsys):
+    path = _edited_fixture(warm_pair_dir, tmp_path / "corpus", {3: {"properties": WIDE_SPAN}})
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(path.parent)]
+    assert main(argv + ([] if command == "validate" else ["--out", str(out)])) == 1
+    assert capsys.readouterr().out == (
+        "warmstart_pair: artifact span_a: span has 300 features, more than 256\n")
+    assert not out.exists()
+
+
+def test_spans_without_features_score_no_dataset_similarity(small_cli_corpus, tmp_path,
+                                                             capsys):
+    # A data span may carry an empty feature list; it is similar to nothing.
+    source, cfg = small_cli_corpus
+    corpus = tmp_path / "corpus"
+    shutil.copytree(source, corpus)
+    bare = sorted(corpus.glob("*.ndjson"))[0]
+    records = [json.loads(line) for line in bare.read_text().splitlines()]
+    for record in records:
+        if record.get("type") == "data_span":
+            record["properties"]["span_stats"]["features"] = []
+    bare.write_text("".join(json.dumps(r) + "\n" for r in records))
+    pipeline = records[0]["pipeline_id"]
+    assert main(["validate", "--corpus", str(corpus)]) == 0
+    sim, report = tmp_path / "sim", tmp_path / "report"
+    assert main(["similarity", "--corpus", str(corpus), "--out", str(sim)]) == 0
+    rows = [row.split("\t") for row in (sim / "pairs.tsv").read_text().splitlines()[2:]]
+    bare_rows = [row for row in rows if row[0] == pipeline]
+    assert bare_rows and {float(row[4]) for row in bare_rows} == {0.0}
+    assert any(float(row[4]) > 0 for row in rows)
+    assert main(["report", "--corpus", str(corpus), "--config", str(cfg), "--seed", "9",
+                 "--out", str(report)]) == 0
 
 
 @pytest.mark.parametrize("command", ["train", "report"])

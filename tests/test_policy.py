@@ -24,7 +24,6 @@ def rec(label, score, cost=1.0, anchor="g"):
         label=label,
         score=score,
         unpushed_cost=0.0 if label else cost,
-        stage_feature_cost=0.1,
     )
 
 
@@ -110,7 +109,6 @@ def test_sweep_invariant_under_monotone_score_transform():
             label=r.label,
             score=r.score**3,  # strictly monotone on [0, 1]
             unpushed_cost=r.unpushed_cost,
-            stage_feature_cost=r.stage_feature_cost,
         )
         for r in records
     ]

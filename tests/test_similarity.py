@@ -252,17 +252,52 @@ def _batches(draw):
 @example(features=[cat_feature("f0", [1, 12, 186, 521], unique=10, total=720)])
 @given(features=_batches())
 def test_canonical_bins_matches_scalar_oracle_bitwise(features):
-    try:
-        expected = np.array([scalar_canonicalize(f).bins for f in features])
-    except ValueError as exc:
-        # The batch raises what the scalar path raises at the first bad feature.
-        with pytest.raises(ValueError) as err:
-            _canonical_bins(features)
-        assert str(err.value) == str(exc)
-        return
-    got = _canonical_bins(features)
-    assert got.shape == (len(features), BINS)
+    # One rule set: canonicalize rejects each feature that validation
+    # rejects, with validation's first message, and the batch lays out the
+    # others bit for bit as the scalar oracle does, which raises for none.
+    valid = []
+    for f in features:
+        bad = f.check()
+        if bad:
+            with pytest.raises(ValueError) as err:
+                canonicalize(f)
+            assert str(err.value) == bad[0]
+        else:
+            valid.append(f)
+    expected = np.array([scalar_canonicalize(f).bins for f in valid]).reshape(-1, BINS)
+    got = _canonical_bins(valid)
+    assert got.shape == (len(valid), BINS)
     assert got.tobytes() == expected.tobytes()
+
+
+# Features that validation rejects and that canonicalize once accepted.
+_DIVERGENT = {
+    "zero_top_count": cat_feature("f", [5, 0], unique=12, total=100),
+    "unique_over_total": cat_feature("f", [3, 2], unique=12, total=5),
+    "eleven_tops": cat_feature("f", [1] * 11, unique=20, total=100),
+    "numerical_with_counts": num_feature("f", [0.1] * 10)._replace(cat_unique=5),
+    "empty_name": num_feature("", [0.1] * 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DIVERGENT))
+def test_canonicalize_rejects_what_validation_rejects(case):
+    f = _DIVERGENT[case]
+    with pytest.raises(ValueError) as err:
+        canonicalize(f)
+    assert str(err.value) == f.check()[0]
+
+
+def test_feature_and_span_sim_reject_what_validation_rejects():
+    ok, bad = num_feature("g", [0.1] * 10), _DIVERGENT["zero_top_count"]
+    message = bad.check()[0]
+    # Of different kinds, the pair would score 0 without reading a count.
+    with pytest.raises(ValueError) as err:
+        feature_sim(ok, bad, PARAMS, W)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        span_sim(SpanStats(features=(ok,)), SpanStats(features=(ok, bad)), PARAMS, W)
+    assert str(err.value) == message
 
 
 # -- lsh ---------------------------------------------------------------------
@@ -451,7 +486,7 @@ def test_span_sim_range():
 def test_span_sim_rejects_oversized():
     feats = tuple(num_feature(f"f{i}", [0.1] * 10) for i in range(257))
     big = SpanStats(features=feats)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^span has 257 features, more than 256$"):
         span_sim(big, big, PARAMS, W)
 
 
@@ -677,7 +712,7 @@ def test_no_span_pair_means_no_batch_work(small_corpus, monkeypatch):
     assert graphlet_similarities(trace, [], PARAMS, W) == []
     assert Featurizer().pipeline_rows(trace, graphlets[:1]).X.shape[0] == 1
     assert pair_similarities(trace, graphlets[:1], PARAMS, W) == []
-    # Graphlets whose input spans all lack statistics align no span pair.
+    # Graphlets without input spans align no span pair.
     bare = [dataclasses.replace(g, input_spans=()) for g in graphlets[:2]]
     (sim,) = graphlet_similarities(trace, [(bare[1], bare[0])], PARAMS, W)
     assert sim[:2] == (1.0, 0.0)

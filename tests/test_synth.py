@@ -16,7 +16,7 @@ from graphlets.synth import (
     iid_config,
     preset,
 )
-from graphlets.trace import validate_trace
+from graphlets.trace import OperatorGroup, validate_trace
 
 
 def test_generated_corpora_validate(small_corpus):
@@ -174,6 +174,11 @@ def test_invalid_config_rejected():
         GenConfig(cost_mix={"bogus": 1.0})
     with pytest.raises(ValueError, match="model_mix key 'bogus' has no base logit"):
         GenConfig(model_mix={"bogus": 1.0})
+    # A NaN passes the sum check, and a negative share can keep the sum at 1.
+    with pytest.raises(ValueError, match="cost_mix fractions must be finite and non-negative"):
+        GenConfig(cost_mix={OperatorGroup.TRAINING: float("nan")})
+    with pytest.raises(ValueError, match="model_mix fractions must be finite and non-negative"):
+        GenConfig(model_mix={"dnn": 2.0, "tree": -1.0})
 
 
 def test_strong_preset_oracle_elimination(tmp_path):
