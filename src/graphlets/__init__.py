@@ -9,7 +9,7 @@ computation against model freshness.
 __version__ = "0.1.0"
 
 from .segmentation import Graphlet, StopSet, extract_graphlets
-from .trace import Trace, parse_corpus, parse_trace, validate_trace
+from .trace import Trace, parse_trace, valid_traces, validate_trace
 
 __all__ = [
     "__version__",
@@ -18,6 +18,6 @@ __all__ = [
     "StopSet",
     "parse_trace",
     "validate_trace",
-    "parse_corpus",
+    "valid_traces",
     "extract_graphlets",
 ]

@@ -30,12 +30,13 @@ consumer of a trace's graphlet list (``consecutive_pairs``,
 order and never re-sorts it.
 
 Every command reads its corpus through one per-pipeline pass,
-``stream_corpus``: each trace file is parsed, checked (``valid_traces``),
-segmented and handed to the caller, which reduces it and drops it before the
-next file is parsed.  Memory is bounded by one trace plus the reductions: on
-the default 150-pipeline corpus, ``stats`` peaks near 60 MB where holding
-every trace took over 450 MB.  A corpus with a malformed or invalid file
-yields nothing after that file, and the pass raises once every file is read.
+``stream_corpus``: the one corpus reader, ``valid_traces``, parses and checks
+each trace file; the pass segments it and hands it to the caller, which
+reduces it and drops it before the next file is parsed.  Memory is bounded by
+one trace plus the reductions: on the default 150-pipeline corpus, ``stats``
+peaks near 60 MB where holding every trace took over 450 MB.  A corpus with a
+malformed or invalid file yields nothing after that file, and the pass raises
+once every file is read.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ pair they align once, in three steps:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -92,7 +93,8 @@ class LshParams:
 
     ``k`` projections are concatenated into one hash; ``w`` is the
     quantization width.  Projection directions and offsets are derived
-    deterministically from ``(seed, projection index)``.
+    deterministically from ``(seed, projection index)``, at construction:
+    ``w`` must keep every hash component an exact integer inside int64.
     """
 
     k: int = 4
@@ -102,8 +104,12 @@ class LshParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.w <= 0:
-            raise ValueError("w must be positive")
+        if not (self.w > 0 and math.isfinite(self.w)):
+            raise ValueError(f"w must be positive and finite, got {self.w!r}")
+        # sqrt(d) is a unit vector, so a component is at most (max_j ||a_j|| + w) / w.
+        reach = float(np.linalg.norm(self.projections[0], axis=1).max())
+        if not (reach + self.w) / self.w < 2.0**53:
+            raise ValueError(f"w is too small for 64-bit hashes, got {self.w!r}")
 
     @cached_property
     def projections(self) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,7 @@ from typing import Any
 import numpy as np
 
 from .trace import MS_PER_HOUR, OPERATOR_GROUPS, OperatorGroup, OperatorKind
+from .transport import MAX_SIDE
 
 __all__ = [
     "PushModel",
@@ -139,6 +140,7 @@ class GenConfig:
         if self.n_pipelines < 1:
             raise ValueError(f"n_pipelines must be at least 1, got {self.n_pipelines}")
         for name, p in (
+            ("categorical_fraction", self.categorical_fraction),
             ("drift_rate", self.drift_rate),
             ("code_stability", self.code_stability),
             ("warmstart_fraction", self.warmstart_fraction),
@@ -162,6 +164,12 @@ class GenConfig:
         lo, hi = self.graphlets_per_pipeline
         if lo < 1 or hi < lo:
             raise ValueError("graphlets_per_pipeline range must be non-empty")
+        lo, hi = self.features_per_span
+        if not 0 <= lo <= hi <= MAX_SIDE:
+            raise ValueError(f"features_per_span must be a non-empty range within "
+                             f"[0, {MAX_SIDE}], got [{lo}, {hi}]")
+        if not (math.isfinite(self.walk_scale) and self.walk_scale >= 0):
+            raise ValueError(f"walk_scale must be finite and non-negative, got {self.walk_scale}")
 
 
 def preset(name: str, seed: int = 42) -> GenConfig:

@@ -26,9 +26,10 @@ that fails to scan, or holds data after its first value, goes on to
 ``json.loads``, which raises the message reported as ``invalid JSON (...)``.
 Enum fields are looked up in read-only ``{value: member}`` tables built at
 import.  Every field must have its documented JSON type: a wrong type raises
-``TraceParseError`` rather than being coerced, and ``null`` or an absent
-optional property means none.  Edges are checked and deduplicated as
-``(src, dst, role)`` tuples, sorted, and only then made into ``Edge`` objects.
+``TraceParseError`` rather than being coerced, ``null`` or an absent optional
+property means none, and an unknown property key is ignored.  Edges are
+checked, here only, and deduplicated as ``(src, dst, role)`` tuples, sorted,
+and only then made into ``Edge`` objects.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "parse_trace",
     "parse_trace_file",
     "validate_trace",
-    "parse_corpus",
     "CorpusValidationError",
     "valid_traces",
 ]
@@ -249,7 +249,6 @@ class Artifact(NamedTuple):
     created_at: int
     pipeline_id: str
     span_stats: SpanStats | None = None
-    extra: tuple[tuple[str, Any], ...] = ()
 
 
 class Execution(NamedTuple):
@@ -264,7 +263,6 @@ class Execution(NamedTuple):
     model_type: ModelType | None = None
     architecture: str | None = None
     analyzers: tuple[Analyzer, ...] | None = None
-    extra: tuple[tuple[str, Any], ...] = ()
 
     @property
     def group(self) -> OperatorGroup:
@@ -285,10 +283,11 @@ class Trace:
     deduplicated and sorted, so two parses of the same records compare equal
     regardless of record order in the file.
 
-    Built once from those, and left out of equality: ``parents[x]`` holds
+    Every edge's endpoints exist: an edge to or from a missing node raises
+    ``ValueError`` (the parser rejects one first, with its line).  Built once
+    from the nodes and edges, and left out of equality: ``parents[x]`` holds
     the sources of edges into node ``x`` and ``children[x]`` the targets of
-    edges out of it, each sorted by node id, over the edges whose endpoints
-    both exist (the parser rejects any other).  ``trainers`` lists trainer
+    edges out of it, each sorted by node id.  ``trainers`` lists trainer
     executions in chronological order of ``end_at`` with ties broken by id,
     which makes "consecutive graphlets" deterministic.
     """
@@ -305,9 +304,10 @@ class Trace:
         parents: dict[str, list[str]] = {n: [] for n in (*self.artifacts, *self.executions)}
         children: dict[str, list[str]] = {n: [] for n in parents}
         for src, dst, _ in self.edges:
-            if src in parents and dst in parents:
-                children[src].append(dst)
-                parents[dst].append(src)
+            if src not in parents or dst not in parents:
+                raise ValueError(f"edge {src}->{dst}: dangling endpoint")
+            children[src].append(dst)
+            parents[dst].append(src)
         trainers = sorted(
             (ex for ex in self.executions.values() if ex.operator is OperatorKind.TRAINER),
             key=lambda ex: (ex.end_at, ex.id),
@@ -426,16 +426,6 @@ def _span_stats(payload: Any, line: int) -> SpanStats:
     return SpanStats(features=tuple([_feature(entry, line) for entry in raw]))
 
 
-def _extra(props: dict[str, Any], known: frozenset[str]) -> tuple[tuple[str, Any], ...]:
-    """The properties outside ``known``, sorted by key."""
-    if props.keys() <= known:
-        return ()
-    return tuple(sorted(item for item in props.items() if item[0] not in known))
-
-
-_ARTIFACT_PROP_KEYS = frozenset({"span_stats"})
-
-
 def _parse_artifact(record: dict[str, Any], line: int) -> Artifact:
     node_id = record.get("id")
     if not node_id or not isinstance(node_id, str):
@@ -444,18 +434,13 @@ def _parse_artifact(record: dict[str, Any], line: int) -> Artifact:
     stats = None
     if props.get("span_stats") is not None:
         stats = _span_stats(props["span_stats"], line)
-    extra = _extra(props, _ARTIFACT_PROP_KEYS)
     return Artifact(
         node_id,
         _enum(record.get("type"), _ARTIFACT_TYPES, "artifact type", line),
         _timestamp(record, "created_at", line),
         _string(record.get("pipeline_id", ""), "pipeline_id", line),
         stats,
-        extra,
     )
-
-
-_EXEC_PROP_KEYS = frozenset({"code_version", "model_type", "architecture", "analyzers"})
 
 
 def _parse_execution(record: dict[str, Any], line: int) -> Execution:
@@ -474,7 +459,6 @@ def _parse_execution(record: dict[str, Any], line: int) -> Execution:
     analyzers = props.get("analyzers")
     if analyzers is not None and not isinstance(analyzers, list):
         raise TraceParseError("analyzers must be a list", line)
-    extra = _extra(props, _EXEC_PROP_KEYS)
     return Execution(
         node_id,
         _enum(record.get("operator"), _OPERATORS, "operator", line),
@@ -489,7 +473,6 @@ def _parse_execution(record: dict[str, Any], line: int) -> Execution:
         None
         if analyzers is None
         else tuple([_enum(a, _ANALYZERS, "analyzer", line) for a in analyzers]),
-        extra,
     )
 
 
@@ -599,15 +582,14 @@ def _is_finite(x: float) -> bool:
 
 
 def validate_trace(trace: Trace) -> list[str]:
-    """Check all trace invariants; each violation names the node/edge and rule.
+    """Check what a parsed trace can still break; each violation names the
+    node and rule.  The edge rules are ``parse_trace``'s alone.
 
     Violations are data, not errors: an empty list means the trace is valid.
-    The cycle check walks the trace's adjacency, which leaves out a dangling
-    edge.
+    The cycle check walks the trace's adjacency.
     """
     bad: list[str] = []
-    artifacts, executions = trace.artifacts, trace.executions
-    for art in artifacts.values():
+    for art in trace.artifacts.values():
         if not _is_finite(art.created_at):
             bad.append(f"artifact {art.id}: created_at must be finite")
         elif art.created_at <= 0:
@@ -623,7 +605,7 @@ def validate_trace(trace: Trace) -> list[str]:
     trainer_seen = False
     costs_finite = True
     cost_total = 0.0
-    for ex in executions.values():
+    for ex in trace.executions.values():
         start_at, end_at, cost = ex.start_at, ex.end_at, ex.cpu_cost
         if not _is_finite(start_at):
             bad.append(f"execution {ex.id}: start_at must be finite")
@@ -653,18 +635,6 @@ def validate_trace(trace: Trace) -> list[str]:
     if costs_finite and not math.isfinite(cost_total):
         bad.append("execution cpu_cost total is out of float range")
 
-    for src, dst, role in trace.edges:
-        src_is_exec = src in executions
-        dst_is_exec = dst in executions
-        if not (src_is_exec or src in artifacts) or not (dst_is_exec or dst in artifacts):
-            bad.append(f"edge {src}->{dst}: dangling endpoint")
-        elif src_is_exec == dst_is_exec:
-            bad.append(f"edge {src}->{dst}: connects two nodes of the same kind")
-        elif role is EdgeRole.INPUT and src_is_exec:
-            bad.append(f"edge {src}->{dst}: input edge must go artifact->execution")
-        elif role is EdgeRole.OUTPUT and not src_is_exec:
-            bad.append(f"edge {src}->{dst}: output edge must go execution->artifact")
-
     cycle_node = _cycle_node(trace)
     if cycle_node is not None:
         bad.append(f"cycle through {cycle_node}")
@@ -688,17 +658,26 @@ def _cycle_node(trace: Trace) -> str | None:
     return min(node for node, d in indeg.items() if d)
 
 
-def parse_corpus(directory: str | Path) -> Iterator[Trace | None]:
-    """Parse a corpus directory's ``*.ndjson`` trace files one at a time, in
-    name order, yielding each file's ``Trace``, or ``None`` for a malformed
-    file.
+class CorpusValidationError(ValueError):
+    def __init__(self, violations: list[str]):
+        self.violations = violations
+        super().__init__(f"{len(violations)} trace violations")
 
-    A directory without trace files is an error, not an empty corpus.  Every
-    file is parsed even after one fails; after the last file one
-    ``TraceParseError`` is raised that lists each malformed file's
-    ``<path>: line N: <message>`` on its own line.  Nothing is kept from one
-    file to the next, so a consumer that drops each trace before asking for
-    the next holds at most one in memory.
+
+def valid_traces(directory: str | Path) -> Iterator[Trace]:
+    """Parse and check a corpus directory's ``*.ndjson`` trace files one at a
+    time, in name order; a missing directory or one without trace files
+    raises (``FileNotFoundError``, ``ValueError``).
+
+    Each trace is checked (``validate_trace``, and its pipeline id against
+    the earlier files') and yielded as long as no file so far was malformed
+    or invalid.  After the first failure the remaining files are still
+    parsed and checked, so that every error is reported, but nothing more is
+    yielded.  At the end the parse errors are raised, one as itself and
+    several as one ``TraceParseError`` with a line per file; if there were
+    none, every violation, in file order, as a ``CorpusValidationError``.
+    Callers must therefore write nothing before the pass is exhausted.
+    Nothing is kept from one file to the next.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -707,51 +686,24 @@ def parse_corpus(directory: str | Path) -> Iterator[Trace | None]:
     if not paths:
         raise ValueError(f"no trace files in {directory}")
     errors: list[TraceParseError] = []
+    violations: list[str] = []
+    seen: set[str] = set()
     for path in paths:
         try:
             trace = parse_trace_file(path)
         except TraceParseError as exc:
             errors.append(exc)
-            trace = None
-        yield trace
-        del trace  # not held while the next file parses
-    if len(errors) == 1:
-        raise errors[0]
-    if errors:
-        raise TraceParseError("\n".join(str(exc) for exc in errors))
-
-
-
-class CorpusValidationError(ValueError):
-    def __init__(self, violations: list[str]):
-        self.violations = violations
-        super().__init__(f"{len(violations)} trace violations")
-
-
-def valid_traces(directory: str | Path) -> Iterator[Trace]:
-    """Parse and check a corpus's trace files one at a time, in name order.
-
-    Each trace is checked (``validate_trace``, and its pipeline id against
-    the earlier files') and yielded as long as no file so far was malformed
-    or invalid.  After the first failure the remaining files are still
-    parsed and checked, so that every error is reported, but nothing more is
-    yielded.  At the end every parse error is raised as one
-    ``TraceParseError``; if there were none, every violation, in file order,
-    as a ``CorpusValidationError``.  Callers must therefore write nothing
-    before the pass is exhausted.
-    """
-    violations: list[str] = []
-    seen: set[str] = set()
-    malformed = False
-    for trace in parse_corpus(directory):
-        if trace is None:
-            malformed = True
             continue
         if trace.pipeline_id in seen:
             violations.append(f"{trace.pipeline_id}: pipeline id used by more than one trace")
         seen.add(trace.pipeline_id)
         violations.extend(f"{trace.pipeline_id}: {v}" for v in validate_trace(trace))
-        if not (malformed or violations):
+        if not (errors or violations):
             yield trace
+        del trace  # not held while the next file parses
+    if len(errors) == 1:
+        raise errors[0]
+    if errors:
+        raise TraceParseError("\n".join(str(exc) for exc in errors))
     if violations:
         raise CorpusValidationError(violations)

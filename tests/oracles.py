@@ -76,7 +76,7 @@ from graphlets.trace import (
     SpanStats,
     Trace,
     TraceParseError,
-    parse_corpus,
+    parse_trace_file,
 )
 
 
@@ -625,15 +625,15 @@ def span_stats_payload(stats: SpanStats) -> dict[str, Any]:
 
 
 def load_traces(directory: str | Path) -> list[Trace]:
-    """Every well-formed trace of a corpus directory in one list, in file
-    name order; raises as ``parse_corpus`` does."""
-    return [trace for trace in parse_corpus(directory) if trace is not None]
+    """Every trace file of a corpus directory parsed, in file name order,
+    into one list; the first malformed file raises."""
+    return [parse_trace_file(path) for path in sorted(Path(directory).glob("*.ndjson"))]
 
 
 def serialize_trace(trace: Trace) -> Iterator[str]:
     """Yield the trace as newline-delimited records in a canonical order."""
     for art in trace.artifacts.values():
-        props: dict[str, Any] = dict(art.extra)
+        props: dict[str, Any] = {}
         if art.span_stats is not None:
             props["span_stats"] = span_stats_payload(art.span_stats)
         record = {
@@ -646,7 +646,7 @@ def serialize_trace(trace: Trace) -> Iterator[str]:
         }
         yield json.dumps(record, sort_keys=True)
     for ex in trace.executions.values():
-        props = dict(ex.extra)
+        props = {}
         if ex.code_version is not None:
             props["code_version"] = ex.code_version
         if ex.model_type is not None:
@@ -743,14 +743,12 @@ def _ref_artifact(record: dict[str, Any], line: int) -> Artifact:
     stats = None
     if "span_stats" in props and props["span_stats"] is not None:
         stats = _ref_span_stats(props["span_stats"], line)
-    extra = tuple(sorted((k, v) for k, v in props.items() if k != "span_stats"))
     return Artifact(
         id=node_id,
         artifact_type=_ref_enum(record.get("type"), ArtifactType, "artifact type", line),
         created_at=_ref_timestamp(record, "created_at", line),
         pipeline_id=str(record.get("pipeline_id", "")),
         span_stats=stats,
-        extra=extra,
     )
 
 
@@ -772,8 +770,6 @@ def _ref_execution(record: dict[str, Any], line: int) -> Execution:
     analyzers = props.get("analyzers")
     if analyzers is not None and not isinstance(analyzers, list):
         raise TraceParseError("analyzers must be a list", line)
-    prop_keys = {"code_version", "model_type", "architecture", "analyzers"}
-    extra = tuple(sorted((k, v) for k, v in props.items() if k not in prop_keys))
     return Execution(
         id=node_id,
         operator=_ref_enum(record.get("operator"), OperatorKind, "operator", line),
@@ -790,7 +786,6 @@ def _ref_execution(record: dict[str, Any], line: int) -> Execution:
         analyzers=None
         if analyzers is None
         else tuple(_ref_enum(a, Analyzer, "analyzer", line) for a in analyzers),
-        extra=extra,
     )
 
 

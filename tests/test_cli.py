@@ -135,6 +135,20 @@ def test_empty_corpus_exits_2(command, tmp_path, capsys):
          "config section 'gen': cost_mix fractions must be finite and non-negative"),
         ({"gen": {"model_mix": {"dnn": 2.0, "tree": -1.0}}},
          "config section 'gen': model_mix fractions must be finite and non-negative"),
+        # Generator ranges that crashed synth or made it write an invalid corpus.
+        ({"gen": {"features_per_span": [5, 3]}},
+         "config section 'gen': features_per_span must be a non-empty range within [0, 256], "
+         "got [5, 3]"),
+        ({"gen": {"features_per_span": [-3, -1]}},
+         "config section 'gen': features_per_span must be a non-empty range within [0, 256]"),
+        ({"gen": {"features_per_span": [300, 300]}},
+         "config section 'gen': features_per_span must be a non-empty range within [0, 256]"),
+        ({"gen": {"walk_scale": -1.0}},
+         "config section 'gen': walk_scale must be finite and non-negative, got -1.0"),
+        ({"gen": {"categorical_fraction": 1.5}},
+         "config section 'gen': categorical_fraction must be a probability, got 1.5"),
+        # A width this small sends every hash past int64.
+        ({"lsh": {"w": 1e-300}}, "config section 'lsh': w is too small for 64-bit hashes"),
     ],
 )
 def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_dir, tmp_path, capsys):
@@ -382,6 +396,7 @@ def test_bad_model_file_exits_2(drop, trained_model, small_cli_corpus, tmp_path,
         ("featurizer", "arch_vocab", 3),
         ("featurizer", "lsh", {"bogus": 1}),
         ("forest", "trees", 7),
+        ("featurizer", "lsh", {"k": 4, "w": 1e-300, "seed": 42}),
     ],
 )
 def test_ill_typed_model_file_exits_2(section, key, value, trained_model, small_cli_corpus,

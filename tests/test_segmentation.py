@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_single_trainer_chain_keeps_everything():
 
 
 def test_dangling_edge_is_reported_and_left_out_of_segmentation():
-    # The parser rejects an edge to a missing node, so this trace is built
+    # The parser rejects an edge to a missing node, and so does a trace built
     # by hand: trainer t reads span s and a node "ghost" that does not exist.
     executions = {
         "eg": Execution("eg", OperatorKind.EXAMPLE_GEN, "p", 1, 2, ExecutionState.COMPLETE, 1.0),
@@ -162,15 +163,16 @@ def test_dangling_edge_is_reported_and_left_out_of_segmentation():
     }
     linked = (Edge("eg", "s", EdgeRole.OUTPUT), Edge("s", "t", EdgeRole.INPUT),
               Edge("t", "m", EdgeRole.OUTPUT))
-    trace = Trace("p", artifacts, executions,
-                  tuple(sorted(linked + (Edge("ghost", "t", EdgeRole.INPUT),))))
-    assert validate_trace(trace) == ["edge ghost->t: dangling endpoint"]
+    with pytest.raises(ValueError, match=re.escape("edge ghost->t: dangling endpoint")):
+        Trace("p", artifacts, executions,
+              tuple(sorted(linked + (Edge("ghost", "t", EdgeRole.INPUT),))))
+    trace = Trace("p", artifacts, executions, linked)
+    assert validate_trace(trace) == []
     (g,) = extract_graphlets(trace)
     assert g.nodes == {"eg", "s", "t", "m"}
     assert g.input_spans == ("s",)
     assert g.shape[OperatorKind.TRAINER] == (1, 1, 1)
-    assert [g] == extract_graphlets(dataclasses.replace(trace, edges=linked))
-    assert trace.parents["t"] == ("s",) and "ghost" not in trace.children
+    assert trace.parents["t"] == ("s",)
 
 
 def test_failed_pusher_does_not_push():

@@ -325,6 +325,24 @@ def test_lsh_projection_table_is_drawn_once_per_instance_and_read_only():
     assert twin.projections[1].tobytes() == offsets.tobytes()
 
 
+def test_lsh_width_must_keep_every_hash_inside_int64():
+    reach = float(np.linalg.norm(PARAMS.projections[0], axis=1).max())
+    with pytest.raises(ValueError, match="w is too small for 64-bit hashes"):
+        LshParams(w=1e-300)
+    with pytest.raises(ValueError, match="w is too small for 64-bit hashes"):
+        LshParams(w=reach / 2**54)
+    for w in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="w must be positive and finite"):
+            LshParams(w=w)
+    # The narrowest accepted widths still hash to exact integers, with no
+    # invalid cast (a RuntimeWarning fails the suite).
+    params = LshParams(w=reach / 2**52)
+    dists = np.vstack([np.eye(BINS), np.full(BINS, 1 / BINS)])
+    hashes = hash_distributions(dists, params)
+    assert np.abs(hashes).max() <= 2**53
+    assert len(set(map(tuple, hashes))) == len(dists)
+
+
 def test_lsh_seed_changes_projections():
     dist = np.full((1, BINS), 0.1)
     other = LshParams(seed=43)

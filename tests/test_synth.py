@@ -179,6 +179,18 @@ def test_invalid_config_rejected():
         GenConfig(cost_mix={OperatorGroup.TRAINING: float("nan")})
     with pytest.raises(ValueError, match="model_mix fractions must be finite and non-negative"):
         GenConfig(model_mix={"dnn": 2.0, "tree": -1.0})
+    # Feature counts must fit a span (at most 256 features) and form a range.
+    for span in ((5, 3), (-3, -1), (-1, 4), (300, 300), (6, 257)):
+        with pytest.raises(ValueError, match="features_per_span must be a non-empty range"):
+            GenConfig(features_per_span=span)
+    for span in ((0, 0), (256, 256)):
+        GenConfig(features_per_span=span)
+    for scale in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="walk_scale must be finite and non-negative"):
+            GenConfig(walk_scale=scale)
+    for fraction in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="categorical_fraction must be a probability"):
+            GenConfig(categorical_fraction=fraction)
 
 
 def test_strong_preset_oracle_elimination(tmp_path):

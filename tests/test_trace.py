@@ -32,9 +32,9 @@ from graphlets.trace import (
     Trace,
     TraceParseError,
     _cycle_node,
-    parse_corpus,
     parse_trace,
     parse_trace_file,
+    valid_traces,
     validate_trace,
 )
 
@@ -272,7 +272,7 @@ def test_null_or_absent_optional_field_means_none():
     assert trace.pipeline_id == ""
     assert trace.executions["t"].code_version is None
     assert trace.executions["t"].architecture is None
-    assert trace.executions["tf"].extra == () and trace.executions["tf"].analyzers is None
+    assert trace.executions["tf"].analyzers is None
     assert trace.artifacts["s"].span_stats is None
 
 
@@ -427,10 +427,12 @@ def test_parse_trace_file_rejects_non_utf8_with_path(tmp_path):
     assert str(err.value).startswith(f"{path}: not UTF-8 text")
 
 
-def test_parse_corpus_rejects_directory_without_traces(tmp_path):
+def test_valid_traces_rejects_missing_directory_or_one_without_traces(tmp_path):
+    with pytest.raises(FileNotFoundError, match="corpus directory not found"):
+        next(valid_traces(tmp_path / "missing"))
     (tmp_path / "truth.json").write_text("{}")
     with pytest.raises(ValueError, match="no trace files in"):
-        next(parse_corpus(tmp_path))
+        next(valid_traces(tmp_path))
 
 
 def test_parse_order_independent():
@@ -439,13 +441,12 @@ def test_parse_order_independent():
     assert a == b
 
 
-def test_unknown_property_keys_survive_round_trips():
-    record = json.loads(MINIMAL[0])
-    record["properties"]["owner_team"] = "ranking"
-    trace = parse_trace([json.dumps(record)] + MINIMAL[1:])
-    again = parse_trace(list(serialize_trace(trace)))
-    assert again == trace
-    assert ("owner_team", "ranking") in again.executions["eg"].extra
+def test_unknown_property_keys_are_ignored():
+    execution, artifact = json.loads(MINIMAL[0]), json.loads(MINIMAL[1])
+    execution["properties"]["owner_team"] = "ranking"
+    artifact["properties"]["retention"] = {"days": 30}
+    trace = parse_trace([json.dumps(execution), json.dumps(artifact)] + MINIMAL[2:])
+    assert trace == parse_trace(MINIMAL)
 
 
 def test_validate_clean_fixture(warm_pair_trace):
@@ -627,12 +628,9 @@ def test_index_cycle_check_matches_reference(n_nodes, pairs, acyclic):
         assert want is None
     cycles = [v for v in validate_trace(trace) if v.startswith("cycle through")]
     assert cycles == ([] if want is None else [f"cycle through {want}"])
-    # An edge to a missing node is reported and left out of the cycle check.
-    dangling = dataclasses.replace(
-        trace, edges=trace.edges + (Edge("n00", "zz", EdgeRole.OUTPUT),))
-    violations = validate_trace(dangling)
-    assert "edge n00->zz: dangling endpoint" in violations
-    assert [v for v in violations if v.startswith("cycle through")] == cycles
+    # No trace holds an edge to a missing node.
+    with pytest.raises(ValueError, match=re.escape("edge n00->zz: dangling endpoint")):
+        dataclasses.replace(trace, edges=trace.edges + (Edge("n00", "zz", EdgeRole.OUTPUT),))
 
 
 @settings(max_examples=40, deadline=None)
