@@ -139,6 +139,8 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.n_pipelines < 1:
             raise ValueError(f"n_pipelines must be at least 1, got {self.n_pipelines}")
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1, got {self.window}")
         for name, p in (
             ("categorical_fraction", self.categorical_fraction),
             ("drift_rate", self.drift_rate),

@@ -11,15 +11,15 @@ a ``kind`` field in {"artifact", "execution", "edge"}.  One file holds one
 pipeline; a corpus is a directory of such files.  A ``Trace`` is immutable
 after construction and safe to share across threads.
 
-The per-record types ``FeatureStats``, ``Artifact``, ``Execution`` and
-``Edge`` are ``NamedTuple``s, built positionally: a tuple costs a fraction
-of a dataclass instance to make, and a trace holds tens of thousands of
-them.  A changed copy is ``record._replace(...)``.  ``SpanStats`` and
-``Trace`` stay frozen dataclasses, which can be weakly referenced.  A
-``Trace`` builds its adjacency (``parents``, ``children``) and its
-chronological ``trainers`` once, when it is made: ``validate_trace`` walks
-them for the cycle check and ``segmentation.extract_graphlets`` for
-membership.
+The per-record types ``FeatureStats``, ``Artifact`` and ``Execution`` are
+``NamedTuple``s, built positionally: a tuple costs a fraction of a dataclass
+instance to make, and a trace holds tens of thousands of them.  A changed
+copy is ``record._replace(...)``.  ``SpanStats`` and ``Trace`` stay frozen
+dataclasses, which can be weakly referenced.  A ``Trace`` keeps no edge
+list: it takes its edges as ``(src, dst)`` pairs and builds its adjacency
+(``parents``, ``children``) and its chronological ``trainers`` once, when
+it is made.  ``validate_trace`` walks them for the cycle check and
+``segmentation.extract_graphlets`` for membership.
 
 Decoding: each stripped line takes one call of json's C scanner.  Only a line
 that fails to scan, or holds data after its first value, goes on to
@@ -28,8 +28,8 @@ Enum fields are looked up in read-only ``{value: member}`` tables built at
 import.  Every field must have its documented JSON type: a wrong type raises
 ``TraceParseError`` rather than being coerced, ``null`` or an absent optional
 property means none, and an unknown property key is ignored.  Edges are
-checked, here only, and deduplicated as ``(src, dst, role)`` tuples, sorted,
-and only then made into ``Edge`` objects.
+checked, here only, and deduplicated as ``(src, dst, role)`` tuples; the
+role is then dropped, since the endpoints' kinds imply it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import json.scanner
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -59,7 +59,6 @@ __all__ = [
     "SpanStats",
     "Artifact",
     "Execution",
-    "Edge",
     "Trace",
     "TraceParseError",
     "parse_trace",
@@ -269,41 +268,34 @@ class Execution(NamedTuple):
         return OPERATOR_GROUPS[self.operator]
 
 
-class Edge(NamedTuple):
-    src: str
-    dst: str
-    role: EdgeRole
-
-
 @dataclass(frozen=True)
 class Trace:
     """One pipeline's provenance DAG.
 
-    Node dictionaries are keyed by node id and sorted by id; edges are
-    deduplicated and sorted, so two parses of the same records compare equal
-    regardless of record order in the file.
-
-    Every edge's endpoints exist: an edge to or from a missing node raises
-    ``ValueError`` (the parser rejects one first, with its line).  Built once
-    from the nodes and edges, and left out of equality: ``parents[x]`` holds
-    the sources of edges into node ``x`` and ``children[x]`` the targets of
-    edges out of it, each sorted by node id.  ``trainers`` lists trainer
-    executions in chronological order of ``end_at`` with ties broken by id,
-    which makes "consecutive graphlets" deterministic.
+    Node dictionaries are keyed by node id and sorted by id.  ``edges``, as
+    ``(src, dst)`` pairs, is consumed, not stored: ``children[x]`` holds the
+    targets of edges out of node ``x`` and ``parents[x]`` the sources of
+    edges into it, each sorted by node id.  Equality compares the nodes and
+    ``children`` (which determines ``parents``), so two parses of the same
+    records compare equal regardless of record order in the file.  An edge
+    to or from a missing node raises ``ValueError`` (the parser rejects one
+    first, with its line).  ``trainers`` lists trainer executions in
+    chronological order of ``end_at`` with ties broken by id, which makes
+    "consecutive graphlets" deterministic.
     """
 
     pipeline_id: str
     artifacts: dict[str, Artifact]
     executions: dict[str, Execution]
-    edges: tuple[Edge, ...]
+    edges: InitVar[Iterable[tuple[str, str]]]
+    children: dict[str, tuple[str, ...]] = field(init=False)
     parents: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
-    children: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
     trainers: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, edges: Iterable[tuple[str, str]]) -> None:
         parents: dict[str, list[str]] = {n: [] for n in (*self.artifacts, *self.executions)}
         children: dict[str, list[str]] = {n: [] for n in parents}
-        for src, dst, _ in self.edges:
+        for src, dst in edges:
             if src not in parents or dst not in parents:
                 raise ValueError(f"edge {src}->{dst}: dangling endpoint")
             children[src].append(dst)
@@ -319,10 +311,9 @@ class Trace:
 
 
 class TraceParseError(ValueError):
-    """Malformed trace file; carries the offending line number when known."""
+    """Malformed trace file; the message starts ``line N: `` when the line is known."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -539,7 +530,9 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             executions[node.id] = node
 
     # A duplicate passes or fails with its first record, so checking each
-    # distinct edge at its first line raises the same first error.
+    # distinct edge at its first line raises the same first error.  Once
+    # every role matches its endpoints' kinds, no pair occurs under both
+    # roles, so the pairs below are distinct.
     for (src, dst, role), line_no in edge_lines.items():
         if role is EdgeRole.INPUT:
             ok = src in artifacts and dst in executions
@@ -559,7 +552,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         pipeline_id=pipeline_id,
         artifacts=dict(sorted(artifacts.items())),
         executions=dict(sorted(executions.items())),
-        edges=tuple(map(Edge._make, sorted(edge_lines))),
+        edges=[(src, dst) for src, dst, _ in edge_lines],
     )
 
 
@@ -576,11 +569,6 @@ def parse_trace_file(path: str | Path) -> Trace:
             raise TraceParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _is_finite(x: float) -> bool:
-    # Python ints are always finite; math.isfinite overflows on huge ones.
-    return isinstance(x, int) or math.isfinite(x)
-
-
 def validate_trace(trace: Trace) -> list[str]:
     """Check what a parsed trace can still break; each violation names the
     node and rule.  The edge rules are ``parse_trace``'s alone.
@@ -590,9 +578,7 @@ def validate_trace(trace: Trace) -> list[str]:
     """
     bad: list[str] = []
     for art in trace.artifacts.values():
-        if not _is_finite(art.created_at):
-            bad.append(f"artifact {art.id}: created_at must be finite")
-        elif art.created_at <= 0:
+        if art.created_at <= 0:
             bad.append(f"artifact {art.id}: created_at must be positive")
         if art.artifact_type is ArtifactType.DATA_SPAN:
             if art.span_stats is None:
@@ -607,11 +593,7 @@ def validate_trace(trace: Trace) -> list[str]:
     cost_total = 0.0
     for ex in trace.executions.values():
         start_at, end_at, cost = ex.start_at, ex.end_at, ex.cpu_cost
-        if not _is_finite(start_at):
-            bad.append(f"execution {ex.id}: start_at must be finite")
-        if not _is_finite(end_at):
-            bad.append(f"execution {ex.id}: end_at must be finite")
-        if not _is_finite(cost):
+        if not math.isfinite(cost):
             bad.append(f"execution {ex.id}: cpu_cost must be finite")
             costs_finite = False
         if end_at < start_at:

@@ -5,6 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# The same examples on every run: no random seed and no example database.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 sys.path.insert(0, str(Path(__file__).parent))
 

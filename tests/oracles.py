@@ -3,10 +3,10 @@
 These deliberately favor obviousness over speed: the segmentation oracle
 re-scans every edge until nothing changes, the warmstart oracle scans every
 edge once, the shape oracle walks a graphlet one node at a time with degrees
-counted over the raw edge list, the graphlet-walk oracle derives each of a
+counted over the edge pairs, the graphlet-walk oracle derives each of a
 graphlet's costs, shape, push label and inputs in its own walk, the cycle
 oracle runs Kahn's
-algorithm over the raw edge list, the transport oracle enumerates
+algorithm over the edge pairs, the transport oracle enumerates
 integer contingency tables, the sweep oracle rebuilds each confusion set
 from scratch, the split oracle scores one candidate feature at a time, the
 fit oracle grows each tree recursively around it, the score oracle walks one
@@ -63,7 +63,6 @@ from graphlets.trace import (
     Analyzer,
     Artifact,
     ArtifactType,
-    Edge,
     EdgeRole,
     ExecutionState,
     Execution,
@@ -80,26 +79,32 @@ from graphlets.trace import (
 )
 
 
+def edge_pairs(trace: Trace) -> list[tuple[str, str]]:
+    """The trace's edges as sorted ``(src, dst)`` pairs, read off ``children``."""
+    return sorted((src, dst) for src, dsts in trace.children.items() for dst in dsts)
+
+
 def naive_graphlet_nodes(trace: Trace, anchor: str, stop: StopSet) -> frozenset[str]:
     """Iterate the two membership rules over the full edge list to fixpoint."""
     nodes = {anchor}
+    edges = edge_pairs(trace)
     changed = True
     while changed:
         changed = False
-        for e in trace.edges:
-            if e.dst in nodes and e.src not in nodes:
-                ex = trace.executions.get(e.src)
+        for src, dst in edges:
+            if dst in nodes and src not in nodes:
+                ex = trace.executions.get(src)
                 blocked = (
-                    ex is not None and ex.operator is OperatorKind.TRAINER and e.src != anchor
+                    ex is not None and ex.operator is OperatorKind.TRAINER and src != anchor
                 )
                 if not blocked:
-                    nodes.add(e.src)
+                    nodes.add(src)
                     changed = True
-            if e.src in nodes and e.dst not in nodes:
-                ex = trace.executions.get(e.dst)
-                blocked = ex is not None and ex.operator in stop.kinds and e.dst != anchor
+            if src in nodes and dst not in nodes:
+                ex = trace.executions.get(dst)
+                blocked = ex is not None and ex.operator in stop.kinds and dst != anchor
                 if not blocked:
-                    nodes.add(e.dst)
+                    nodes.add(dst)
                     changed = True
     return frozenset(nodes)
 
@@ -112,8 +117,8 @@ def has_warmstart(trace: Trace) -> bool:
     trainer_ids = {
         e.id for e in trace.executions.values() if e.operator is OperatorKind.TRAINER
     }
-    for edge in trace.edges:
-        if edge.dst in trainer_ids and edge.src in model_ids:
+    for src, dst in edge_pairs(trace):
+        if dst in trainer_ids and src in model_ids:
             return True
     return False
 
@@ -123,8 +128,9 @@ def loop_shape_features(
 ) -> list[float]:
     """Execution count and mean in/out degree per operator kind, one graphlet
     node at a time; zeros when a kind is absent from the graphlet."""
-    fan_in = Counter(e.dst for e in trace.edges)
-    fan_out = Counter(e.src for e in trace.edges)
+    pairs = edge_pairs(trace)
+    fan_in = Counter(dst for _, dst in pairs)
+    fan_out = Counter(src for src, _ in pairs)
     per_kind: dict[OperatorKind, list[tuple[int, int]]] = {}
     for node in g.nodes:
         ex = trace.executions.get(node)
@@ -224,10 +230,10 @@ def reference_find_cycle(trace: Trace) -> str | None:
     that no cycle reaches; None if the graph is acyclic."""
     children: dict[str, list[str]] = {}
     indeg: dict[str, int] = {n: 0 for n in (*trace.artifacts, *trace.executions)}
-    for e in trace.edges:
-        if e.src in indeg and e.dst in indeg:
-            children.setdefault(e.src, []).append(e.dst)
-            indeg[e.dst] += 1
+    for src, dst in edge_pairs(trace):
+        if src in indeg and dst in indeg:
+            children.setdefault(src, []).append(dst)
+            indeg[dst] += 1
     queue = [n for n, d in indeg.items() if d == 0]
     seen = 0
     while queue:
@@ -244,10 +250,11 @@ def reference_find_cycle(trace: Trace) -> str | None:
 
 def loop_graphlet_walks(trace: Trace, nodes: frozenset[str], anchor: str) -> dict[str, Any]:
     """A graphlet's derived fields, each from its own walk: per-group costs
-    over the sorted nodes, the shape with degrees counted over the raw edge
+    over the sorted nodes, the shape with degrees counted over the edge
     list, the push label, and the anchor's input spans and warmstart flag."""
-    fan_in = Counter(e.dst for e in trace.edges)
-    fan_out = Counter(e.src for e in trace.edges)
+    pairs = edge_pairs(trace)
+    fan_in = Counter(dst for _, dst in pairs)
+    fan_out = Counter(src for src, _ in pairs)
     costs: dict[OperatorGroup, float] = {}
     for node in sorted(nodes):
         ex = trace.executions.get(node)
@@ -265,8 +272,8 @@ def loop_graphlet_walks(trace: Trace, nodes: frozenset[str], anchor: str) -> dic
         and trace.executions[node].state is ExecutionState.COMPLETE
         for node in nodes
     )
-    inputs = [trace.artifacts[e.src] for e in trace.edges
-              if e.dst == anchor and e.src in trace.artifacts]
+    inputs = [trace.artifacts[src] for src, dst in pairs
+              if dst == anchor and src in trace.artifacts]
     spans = sorted(
         (a for a in inputs if a.artifact_type is ArtifactType.DATA_SPAN),
         key=lambda a: (a.created_at, a.id),
@@ -281,7 +288,16 @@ def loop_graphlet_walks(trace: Trace, nodes: frozenset[str], anchor: str) -> dic
 
 
 def random_trace(rng: np.random.Generator, max_execs: int = 60) -> Trace:
-    """Random valid bipartite DAG with at least one trainer execution.
+    """Random valid bipartite DAG with at least one trainer execution."""
+    artifacts, executions, edges = random_trace_parts(rng, max_execs)
+    return Trace(pipeline_id="rand", artifacts=artifacts, executions=executions, edges=edges)
+
+
+def random_trace_parts(
+    rng: np.random.Generator, max_execs: int = 60
+) -> tuple[dict[str, Artifact], dict[str, Execution], set[tuple[str, str]]]:
+    """``random_trace``'s nodes, each dict sorted by id, and its ``(src, dst)``
+    edge pairs.
 
     Edges always flow from earlier nodes to later executions, so the result
     is acyclic by construction; warmstart-style model-into-trainer edges
@@ -294,7 +310,7 @@ def random_trace(rng: np.random.Generator, max_execs: int = 60) -> Trace:
     n_exec = int(rng.integers(3, max_execs + 1))
     artifacts: dict[str, Artifact] = {}
     executions: dict[str, Execution] = {}
-    edges: set[Edge] = set()
+    edges: set[tuple[str, str]] = set()
     clock = 1000
     trainer_at = int(rng.integers(0, n_exec))
     for i in range(n_exec):
@@ -321,7 +337,7 @@ def random_trace(rng: np.random.Generator, max_execs: int = 60) -> Trace:
             pool = list(artifacts)
             n_in = int(rng.integers(0, min(3, len(pool)) + 1))
             for src in rng.choice(pool, size=n_in, replace=False):
-                edges.add(Edge(src=str(src), dst=ex_id, role=EdgeRole.INPUT))
+                edges.add((str(src), ex_id))
         n_out = int(rng.integers(1, 3))
         for j in range(n_out):
             art_id = f"a{i:03d}_{j}"
@@ -334,13 +350,8 @@ def random_trace(rng: np.random.Generator, max_execs: int = 60) -> Trace:
                 pipeline_id="rand",
                 span_stats=_TINY_SPAN if a_type is ArtifactType.DATA_SPAN else None,
             )
-            edges.add(Edge(src=ex_id, dst=art_id, role=EdgeRole.OUTPUT))
-    return Trace(
-        pipeline_id="rand",
-        artifacts=dict(sorted(artifacts.items())),
-        executions=dict(sorted(executions.items())),
-        edges=tuple(sorted(edges)),
-    )
+            edges.add((ex_id, art_id))
+    return dict(sorted(artifacts.items())), dict(sorted(executions.items())), edges
 
 
 def brute_transport_cost(cost: np.ndarray) -> float:
@@ -667,10 +678,10 @@ def serialize_trace(trace: Trace) -> Iterator[str]:
             "properties": props,
         }
         yield json.dumps(record, sort_keys=True)
-    for edge in trace.edges:
+    for src, dst in edge_pairs(trace):
+        role = EdgeRole.INPUT if src in trace.artifacts else EdgeRole.OUTPUT
         yield json.dumps(
-            {"kind": "edge", "from": edge.src, "to": edge.dst, "role": edge.role.value},
-            sort_keys=True,
+            {"kind": "edge", "from": src, "to": dst, "role": role.value}, sort_keys=True
         )
 
 
@@ -791,8 +802,8 @@ def _ref_execution(record: dict[str, Any], line: int) -> Execution:
 
 def reference_parse_trace(lines: Iterable[str]) -> Trace:
     """``parse_trace`` one record at a time: each line through ``json.loads``,
-    each enum looked up by calling its class, each edge an ``Edge`` from the
-    start, deduplicated in a set.
+    each enum looked up by calling its class, each edge a ``(src, dst, role)``
+    tuple checked in file order, its pair deduplicated in a set.
 
     Unlike the library it coerces ill-typed fields: a non-string
     ``pipeline_id``, feature name, ``code_version`` or ``architecture`` goes
@@ -801,7 +812,7 @@ def reference_parse_trace(lines: Iterable[str]) -> Trace:
     """
     artifacts: dict[str, Artifact] = {}
     executions: dict[str, Execution] = {}
-    raw_edges: list[tuple[Edge, int]] = []
+    raw_edges: list[tuple[str, str, EdgeRole, int]] = []
     pipeline_id: str | None = None
 
     for line_no, raw in enumerate(lines, start=1):
@@ -824,7 +835,7 @@ def reference_parse_trace(lines: Iterable[str]) -> Trace:
             if not isinstance(src, str) or not isinstance(dst, str):
                 raise TraceParseError("edge missing from/to", line_no)
             role = _ref_enum(record.get("role"), EdgeRole, "edge role", line_no)
-            raw_edges.append((Edge(src=src, dst=dst, role=role), line_no))
+            raw_edges.append((src, dst, role, line_no))
             continue
         else:
             raise TraceParseError(f"unknown record kind: {kind!r}", line_no)
@@ -842,20 +853,20 @@ def reference_parse_trace(lines: Iterable[str]) -> Trace:
         else:
             executions[node.id] = node
 
-    edges: set[Edge] = set()
-    for edge, line_no in raw_edges:
-        for endpoint in (edge.src, edge.dst):
+    edges: set[tuple[str, str]] = set()
+    for src, dst, role, line_no in raw_edges:
+        for endpoint in (src, dst):
             if endpoint not in artifacts and endpoint not in executions:
                 raise TraceParseError(f"edge endpoint {endpoint!r} does not exist", line_no)
-        if edge.role is EdgeRole.INPUT:
-            ok = edge.src in artifacts and edge.dst in executions
+        if role is EdgeRole.INPUT:
+            ok = src in artifacts and dst in executions
         else:
-            ok = edge.src in executions and edge.dst in artifacts
+            ok = src in executions and dst in artifacts
         if not ok:
             raise TraceParseError(
-                f"edge {edge.src!r}->{edge.dst!r} role violates bipartite orientation", line_no
+                f"edge {src!r}->{dst!r} role violates bipartite orientation", line_no
             )
-        edges.add(edge)
+        edges.add((src, dst))
 
     if pipeline_id is None:
         raise TraceParseError("no node records")
@@ -863,7 +874,7 @@ def reference_parse_trace(lines: Iterable[str]) -> Trace:
         pipeline_id=pipeline_id,
         artifacts=dict(sorted(artifacts.items())),
         executions=dict(sorted(executions.items())),
-        edges=tuple(sorted(edges)),
+        edges=edges,
     )
 
 def load_truth(path: str | Path) -> PlantedTruth:

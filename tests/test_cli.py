@@ -149,6 +149,8 @@ def test_empty_corpus_exits_2(command, tmp_path, capsys):
          "config section 'gen': categorical_fraction must be a probability, got 1.5"),
         # A width this small sends every hash past int64.
         ({"lsh": {"w": 1e-300}}, "config section 'lsh': w is too small for 64-bit hashes"),
+        # A window below 1 planted a size effect that was never configured.
+        ({"gen": {"window": -5}}, "config section 'gen': window must be at least 1, got -5"),
     ],
 )
 def test_bad_config_exits_2_naming_section_and_key(config, message, warm_pair_dir, tmp_path, capsys):
@@ -516,9 +518,9 @@ def test_each_segmenting_command_indexes_every_trace_once(
     indexed: list[str] = []
     original = trace_module.Trace.__post_init__
 
-    def counting(trace):
+    def counting(trace, edges):
         indexed.append(trace.pipeline_id)
-        return original(trace)
+        return original(trace, edges)
 
     # A trace builds its adjacency when it is made, so this counts every
     # trace the package makes, copies included.

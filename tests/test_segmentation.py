@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    edge_pairs,
     has_warmstart,
     loop_graphlet_walks,
     loop_shape_features,
@@ -27,8 +28,6 @@ from graphlets.segmentation import (
 from graphlets.trace import (
     Artifact,
     ArtifactType,
-    Edge,
-    EdgeRole,
     Execution,
     ExecutionState,
     ModelType,
@@ -161,11 +160,9 @@ def test_dangling_edge_is_reported_and_left_out_of_segmentation():
         "m": Artifact("m", ArtifactType.MODEL, 4, "p"),
         "s": Artifact("s", ArtifactType.DATA_SPAN, 2, "p", SpanStats(())),
     }
-    linked = (Edge("eg", "s", EdgeRole.OUTPUT), Edge("s", "t", EdgeRole.INPUT),
-              Edge("t", "m", EdgeRole.OUTPUT))
+    linked = [("eg", "s"), ("s", "t"), ("t", "m")]
     with pytest.raises(ValueError, match=re.escape("edge ghost->t: dangling endpoint")):
-        Trace("p", artifacts, executions,
-              tuple(sorted(linked + (Edge("ghost", "t", EdgeRole.INPUT),))))
+        Trace("p", artifacts, executions, [*linked, ("ghost", "t")])
     trace = Trace("p", artifacts, executions, linked)
     assert validate_trace(trace) == []
     (g,) = extract_graphlets(trace)
@@ -317,7 +314,7 @@ def _with_architectures(trace, rng):
         if ex.operator is OperatorKind.TRAINER else ex
         for k, ex in trace.executions.items()
     }
-    return dataclasses.replace(trace, executions=executions)
+    return dataclasses.replace(trace, executions=executions, edges=edge_pairs(trace))
 
 
 def _check_carried_facts(trace):
@@ -335,10 +332,10 @@ def _check_carried_facts(trace):
         assert featurizer.shape_features(g, every_kind) == loop_shape_features(g, trace, every_kind)
         assert all(count > 0 for count, _, _ in g.shape.values())
         reads_model = any(
-            e.dst == g.anchor
-            and e.src in trace.artifacts
-            and trace.artifacts[e.src].artifact_type is ArtifactType.MODEL
-            for e in trace.edges
+            dst == g.anchor
+            and src in trace.artifacts
+            and trace.artifacts[src].artifact_type is ArtifactType.MODEL
+            for src, dst in edge_pairs(trace)
         )
         assert g.warmstart == reads_model
     warm = has_warmstart(trace)

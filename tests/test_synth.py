@@ -191,6 +191,10 @@ def test_invalid_config_rejected():
     for fraction in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="categorical_fraction must be a probability"):
             GenConfig(categorical_fraction=fraction)
+    for window in (0, -5):
+        with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+            GenConfig(window=window)
+    GenConfig(window=1)
 
 
 def test_strong_preset_oracle_elimination(tmp_path):
