@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .segmentation import StopSet
 from .similarity import LshParams, SimWeights
@@ -110,14 +110,30 @@ def _section(payload: dict[str, Any], name: str) -> dict[str, Any]:
     return dict(value)
 
 
+def numbers_fit(values: Iterable[Any], kind: type) -> bool:
+    """Whether each JSON value may stand for ``kind``: an int, never a bool,
+    for int; an int or a float for float.  Config and model files alike."""
+    return set(map(type, values)) <= ({int} if kind is int else {int, float})
+
+
+def check_numbers(where: str, section: dict[str, Any], **kinds: type) -> dict[str, Any]:
+    """``section`` once each named key it holds is a number of its kind by
+    ``numbers_fit``; a key it lacks is left to the caller."""
+    for key, kind in kinds.items():
+        if key in section and not numbers_fit([section[key]], kind):
+            raise ValueError(f"{where} {key!r} must be {kind.__name__}, got {section[key]!r}")
+    return section
+
+
 def _fits(value: Any, default: Any) -> bool:
-    """Whether a JSON value may replace ``default``: same type, an int for a
-    float, a list of fitting items for a tuple."""
+    """Whether a JSON value may replace ``default``: same type, a number by
+    ``numbers_fit``, a list of fitting items for a tuple."""
     if isinstance(default, tuple):
         return (isinstance(value, list) and len(value) == len(default)
                 and all(map(_fits, value, default)))
-    kinds = (int, float) if type(default) is float else type(default)
-    return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
+    if type(default) in (int, float):
+        return numbers_fit([value], type(default))
+    return isinstance(value, type(default))
 
 
 def _apply(name: str, base: Any, overrides: dict[str, Any]) -> Any:

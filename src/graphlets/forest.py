@@ -60,7 +60,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import ForestConfig
+from .config import ForestConfig, check_numbers, numbers_fit
 
 __all__ = [
     "Tree",
@@ -557,6 +557,9 @@ def _checked_tree(arrays: dict[str, Any], n_features: int) -> Tree:
         raise ValueError("tree arrays must share one non-zero length")
     fields = {}
     for name, dt in _TREE_DTYPES.items():
+        kind = float if dt is float else int
+        if not numbers_fit(arrays[name], kind):
+            raise ValueError(f"tree array {name!r} must hold only {kind.__name__}s")
         try:
             fields[name] = np.asarray(arrays[name], dtype=dt)
         except OverflowError as exc:
@@ -578,14 +581,15 @@ def _checked_tree(arrays: dict[str, Any], n_features: int) -> Tree:
 
 def forest_from_dict(payload: dict[str, Any]) -> Forest:
     """The inverse of ``forest_to_dict``; a structurally broken forest raises ``ValueError``."""
-    cfg = ForestConfig(**payload["config"])
-    n_features = int(payload["n_features"])
+    cfg = ForestConfig(**check_numbers("forest config", payload["config"],
+                                       n_trees=int, max_depth=int, min_leaf=int, seed=int))
+    n_features = check_numbers("forest", payload, n_features=int)["n_features"]
     trees = [_checked_tree(t, n_features) for t in payload["trees"]]
     if not trees:
         raise ValueError("forest has no trees")
     weights = payload["class_weights"]
-    if not (isinstance(weights, (list, tuple)) and len(weights) == 2 and all(
-            type(w) in (int, float) and math.isfinite(w) and w > 0 for w in weights)):
+    if not (isinstance(weights, (list, tuple)) and len(weights) == 2 and numbers_fit(weights, float)
+            and all(math.isfinite(w) and w > 0 for w in weights)):
         raise ValueError(f"class_weights must be two finite positive numbers, got {weights!r}")
     names = payload.get("feature_names")
     return Forest(

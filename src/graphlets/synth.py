@@ -389,7 +389,7 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
     prev_model: str | None = None
     prev_post_execs: list[str] = []
 
-    def cost(kind: str, mult: float = 1.0) -> float:
+    def cost(mult: float = 1.0) -> float:
         return float(rng.gamma(6.0) / 6.0) * mult
 
     for t in range(n_graphlets):
@@ -400,12 +400,12 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
 
         eg_start = cursor
         eg_end = eg_start + int(rng.integers(5, 30)) * _MS_MIN
-        eg = build.execution(f"{pid}-eg-{tag}", "example_gen", eg_start, eg_end, cost("example_gen"))
+        eg = build.execution(f"{pid}-eg-{tag}", "example_gen", eg_start, eg_end, cost())
         span = build.artifact(f"{pid}-span-{tag}", "data_span", eg_end, stats=state.span_features())
         build.edge(eg, span, "output")
 
         sg_end = eg_end + int(rng.integers(2, 12)) * _MS_MIN
-        sg = build.execution(f"{pid}-sg-{tag}", "statistics_gen", eg_end, sg_end, cost("statistics_gen"))
+        sg = build.execution(f"{pid}-sg-{tag}", "statistics_gen", eg_end, sg_end, cost())
         stats_art = build.artifact(f"{pid}-stats-{tag}", "statistics", sg_end)
         build.edge(span, sg, "input")
         build.edge(sg, stats_art, "output")
@@ -413,14 +413,12 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
         span_execs = [eg, sg]
         if rich:
             sc_end = sg_end + int(rng.integers(1, 6)) * _MS_MIN
-            sc = build.execution(f"{pid}-scg-{tag}", "schema_gen", sg_end, sc_end, cost("schema_gen"))
+            sc = build.execution(f"{pid}-scg-{tag}", "schema_gen", sg_end, sc_end, cost())
             schema_art = build.artifact(f"{pid}-schema-{tag}", "schema", sc_end)
             build.edge(stats_art, sc, "input")
             build.edge(sc, schema_art, "output")
             xv_end = sc_end + int(rng.integers(1, 6)) * _MS_MIN
-            xv = build.execution(
-                f"{pid}-exv-{tag}", "example_validator", sc_end, xv_end, cost("example_validator")
-            )
+            xv = build.execution(f"{pid}-exv-{tag}", "example_validator", sc_end, xv_end, cost())
             anomalies = build.artifact(f"{pid}-anom-{tag}", "other", xv_end)
             build.edge(stats_art, xv, "input")
             build.edge(schema_art, xv, "input")
@@ -443,7 +441,7 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
         n_analyzers = int(rng.integers(1, 5))
         analyzers = sorted(rng.choice(analyzer_pool, size=n_analyzers, replace=False).tolist())
         tf = build.execution(
-            f"{pid}-tf-{tag}", "transform", tf_start, tf_end, cost("transform"), analyzers=analyzers
+            f"{pid}-tf-{tag}", "transform", tf_start, tf_end, cost(), analyzers=analyzers
         )
         tg = build.artifact(f"{pid}-tg-{tag}", "transform_graph", tf_end)
         for s in window_spans:
@@ -475,7 +473,7 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
             "trainer",
             tr_start,
             tr_end,
-            cost("trainer", 1.0 if label else 1.15),
+            cost(1.0 if label else 1.15),
             model_type=model_type,
             architecture=architecture,
             code_version=f"v{code_version}",
@@ -499,14 +497,12 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
         end_of_graphlet = tr_end
         if has_validators:
             ev_end = tr_end + int(rng.integers(5, 25)) * _MS_MIN
-            ev = build.execution(f"{pid}-ev-{tag}", "evaluator", tr_end, ev_end, cost("evaluator"))
+            ev = build.execution(f"{pid}-ev-{tag}", "evaluator", tr_end, ev_end, cost())
             eval_art = build.artifact(f"{pid}-eval-{tag}", "eval_result", ev_end)
             build.edge(model_art, ev, "input")
             build.edge(ev, eval_art, "output")
             mv_end = ev_end + int(rng.integers(1, 10)) * _MS_MIN
-            mv = build.execution(
-                f"{pid}-mv-{tag}", "model_validator", ev_end, mv_end, cost("model_validator")
-            )
+            mv = build.execution(f"{pid}-mv-{tag}", "model_validator", ev_end, mv_end, cost())
             blessing = build.artifact(f"{pid}-bless-{tag}", "other", mv_end)
             build.edge(eval_art, mv, "input")
             build.edge(mv, blessing, "output")
@@ -516,7 +512,7 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
         if label:
             push_end = end_of_graphlet + int(rng.integers(1, 6)) * _MS_MIN
             push = build.execution(
-                f"{pid}-push-{tag}", "pusher", end_of_graphlet, push_end, cost("pusher")
+                f"{pid}-push-{tag}", "pusher", end_of_graphlet, push_end, cost()
             )
             push_art = build.artifact(f"{pid}-pushres-{tag}", "push_result", push_end)
             build.edge(model_art, push, "input")
@@ -526,7 +522,7 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
         elif has_validators and rng.random() < cfg.failed_pusher_rate:
             push_end = end_of_graphlet + int(rng.integers(1, 6)) * _MS_MIN
             push = build.execution(
-                f"{pid}-push-{tag}", "pusher", end_of_graphlet, push_end, cost("pusher"),
+                f"{pid}-push-{tag}", "pusher", end_of_graphlet, push_end, cost(),
                 state="failed",
             )
             build.edge(model_art, push, "input")

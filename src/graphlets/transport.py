@@ -12,10 +12,13 @@ the cost is the mean of the row minima in row order, whichever matching is
 found; otherwise, if the column-minimum cells do, it is the mean of that
 matching's cells in row order.
 
-Otherwise the classic transportation simplex runs (northwest-corner start,
-potentials, cycle pivots).  Marginals are scaled to integers internally
-(supply m per row, demand n per column) so flows stay exact; only the costs
-are floating point.
+Otherwise the classic transportation simplex runs from the northwest
+corner, with the flow dict's keys as its basis.  Each pivot walks the basis
+tree once, for the potentials and each node's parent and depth, and finds
+the entering cell's cycle by walking both its ends up to their common
+ancestor (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 11).  Marginals
+are scaled to integers internally (supply m per row, demand n per column)
+so flows stay exact; only the costs are floating point.
 
 ``transport_costs`` takes a block of same-shape problems.  One-row and
 one-column problems are plain means.  In a square block, one greedy pass
@@ -46,16 +49,15 @@ class TransportError(RuntimeError):
     feasible, so this indicates a defect rather than a bad input."""
 
 
-def _northwest_basis(n: int, m: int) -> tuple[dict[tuple[int, int], int], list[tuple[int, int]]]:
+def _northwest_flow(n: int, m: int) -> dict[tuple[int, int], int]:
+    """The northwest-corner start: each basic cell's flow, in basis order."""
     supply = [m] * n
     demand = [n] * m
     flow: dict[tuple[int, int], int] = {}
-    basis: list[tuple[int, int]] = []
     i = j = 0
     while True:
         q = min(supply[i], demand[j])
         flow[(i, j)] = q
-        basis.append((i, j))
         supply[i] -= q
         demand[j] -= q
         if i == n - 1 and j == m - 1:
@@ -71,40 +73,39 @@ def _northwest_basis(n: int, m: int) -> tuple[dict[tuple[int, int], int], list[t
             i += 1
         else:
             j += 1
-    return flow, basis
+    return flow
 
 
-def _potentials(basis: list[tuple[int, int]], cost: np.ndarray, n: int, m: int):
-    row_adj: list[list[int]] = [[] for _ in range(n)]
-    col_adj: list[list[int]] = [[] for _ in range(m)]
+def _tree(basis, cost_rows: list[list[float]], n: int, m: int):
+    """Potentials ``u``, ``v`` of the basis tree rooted at row 0, with each
+    node's ``parent`` and ``depth``; rows are nodes ``0..n-1``, columns
+    ``n..n+m-1``.  A potential is summed along its node's tree path, so the
+    walk's order cannot change its bits."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n + m)]
     for i, j in basis:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    u[0] = 0.0
-    stack: list[tuple[str, int]] = [("r", 0)]
+        adj[i].append((n + j, cost_rows[i][j]))
+        adj[n + j].append((i, cost_rows[i][j]))
+    pot = [0.0] * (n + m)
+    parent = [-1] * (n + m)
+    depth = [-1] * (n + m)
+    depth[0] = 0
+    stack = [0]
     while stack:
-        side, k = stack.pop()
-        if side == "r":
-            for j in row_adj[k]:
-                if np.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in col_adj[k]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append(("r", i))
-    if np.isnan(u).any() or np.isnan(v).any():
+        k = stack.pop()
+        for nb, c in adj[k]:
+            if depth[nb] < 0:
+                parent[nb] = k
+                depth[nb] = depth[k] + 1
+                pot[nb] = c - pot[k]
+                stack.append(nb)
+    if -1 in depth:
         raise TransportError("basis graph is not a spanning tree")
-    return u, v
+    return np.array(pot[:n]), np.array(pot[n:]), parent, depth
 
 
 def _entering(cost, u, v, basis, bland: bool):
     reduced = cost - u[:, None] - v[None, :]
-    for i, j in basis:
-        reduced[i, j] = 0.0
+    reduced[tuple(zip(*basis))] = 0.0
     if bland:
         rows, cols = np.nonzero(reduced < -_EPS)
         if len(rows) == 0:
@@ -117,69 +118,43 @@ def _entering(cost, u, v, basis, bland: bool):
     return i, j
 
 
-def _cycle(basis: list[tuple[int, int]], enter: tuple[int, int]) -> list[tuple[int, int]]:
-    """Unique alternating cycle formed by the entering cell and the basis tree."""
-    row_adj: dict[int, list[int]] = {}
-    col_adj: dict[int, list[int]] = {}
-    for i, j in basis:
-        row_adj.setdefault(i, []).append(j)
-        col_adj.setdefault(j, []).append(i)
-    start, goal = enter
-    # BFS from row `start` to column `goal` over basis edges.
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-    frontier: list[tuple[str, int]] = [("r", start)]
-    seen = {("r", start)}
-    found = False
-    while frontier and not found:
-        nxt: list[tuple[str, int]] = []
-        for side, k in frontier:
-            neighbors = row_adj.get(k, ()) if side == "r" else col_adj.get(k, ())
-            other = "c" if side == "r" else "r"
-            for nb in neighbors:
-                node = (other, nb)
-                if node in seen:
-                    continue
-                seen.add(node)
-                parent[node] = (side, k)
-                if node == ("c", goal):
-                    found = True
-                    break
-                nxt.append(node)
-            if found:
-                break
-        frontier = nxt
-    if not found:
-        raise TransportError("entering cell is disconnected from the basis tree")
-    path_nodes = [("c", goal)]
-    while path_nodes[-1] != ("r", start):
-        path_nodes.append(parent[path_nodes[-1]])
-    path_nodes.reverse()
-    cells = []
-    for a, b in zip(path_nodes, path_nodes[1:]):
-        (sa, ka), (sb, kb) = a, b
-        cells.append((ka, kb) if sa == "r" else (kb, ka))
-    return [enter] + cells[::-1]
+def _cycle(parent: list[int], depth: list[int], enter: tuple[int, int], n: int):
+    """The entering cell, then the tree path from its column back to its
+    row: both ends walk up to their common ancestor."""
+    a, b = n + enter[1], enter[0]
+    head: list[tuple[int, int]] = []
+    tail: list[tuple[int, int]] = []
+    while a != b:
+        if depth[a] >= depth[b]:
+            head.append((min(a, parent[a]), max(a, parent[a]) - n))
+            a = parent[a]
+        else:
+            tail.append((min(b, parent[b]), max(b, parent[b]) - n))
+            b = parent[b]
+    return [enter] + head + tail[::-1]
 
 
 def _solve(cost: np.ndarray) -> tuple[dict[tuple[int, int], int], float]:
+    """The optimal basic flows, keyed by cell in basis order, and their
+    total cost at the integer scale."""
     n, m = cost.shape
-    flow, basis = _northwest_basis(n, m)
+    cost_rows = cost.tolist()
+    flow = _northwest_flow(n, m)
     bland_after = 2 * n * m + 16
     max_pivots = 50 * n * m + 1000
     for pivot in range(max_pivots):
-        u, v = _potentials(basis, cost, n, m)
-        enter = _entering(cost, u, v, basis, bland=pivot > bland_after)
+        u, v, parent, depth = _tree(flow, cost_rows, n, m)
+        enter = _entering(cost, u, v, flow, bland=pivot > bland_after)
         if enter is None:
-            total = sum(q * float(cost[i, j]) for (i, j), q in flow.items() if q)
+            total = sum(q * cost_rows[i][j] for (i, j), q in flow.items() if q)
             return flow, total
-        cycle = _cycle(basis, enter)
+        cycle = _cycle(parent, depth, enter, n)
         givers = cycle[1::2]
         theta = min(flow[c] for c in givers)
         leave = next(c for c in givers if flow[c] == theta)
         flow[enter] = 0
         for idx, cell in enumerate(cycle):
             flow[cell] += theta if idx % 2 == 0 else -theta
-        basis = [c for c in basis if c != leave] + [enter]
         del flow[leave]
     raise TransportError(f"no convergence after {max_pivots} pivots")
 

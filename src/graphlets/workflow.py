@@ -22,7 +22,7 @@ from typing import Container, Sequence
 import numpy as np
 
 from . import __version__
-from .config import STAGES, FeatureStage, ForestConfig, WindowConfig
+from .config import STAGES, FeatureStage, ForestConfig, WindowConfig, check_numbers
 from .features import CorpusFeatures, Featurizer, PipelineRows
 from .forest import (
     Forest,
@@ -236,14 +236,16 @@ def load_model(path: str | Path) -> tuple[FeatureStage, Featurizer, SplitSpec, F
         if not isinstance(payload["version"], str):
             raise ValueError("version is not a string")
         stage = FeatureStage(payload["stage"])
-        feat = payload["featurizer"]
+        feat = check_numbers("featurizer", payload["featurizer"], window=int)
         featurizer = Featurizer(
-            window=WindowConfig(w=int(feat["window"])),
-            lsh=LshParams(**feat["lsh"]),
-            weights=SimWeights(**feat["weights"]),
+            window=WindowConfig(w=feat["window"]),
+            lsh=LshParams(**check_numbers("lsh", feat["lsh"], k=int, w=float, seed=int)),
+            weights=SimWeights(**check_numbers("weights", feat["weights"],
+                                               alpha=float, beta=float)),
             arch_vocab=_strings(feat["arch_vocab"]),
         )
-        split = payload["split"]
+        split = check_numbers("split", payload["split"],
+                              train_fraction=float, train_rate=float, test_rate=float)
         spec = SplitSpec(
             train_pipeline_ids=_strings(split["train_pipeline_ids"]),
             test_pipeline_ids=_strings(split["test_pipeline_ids"]),

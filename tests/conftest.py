@@ -13,13 +13,31 @@ settings.load_profile("reproducible")
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from oracles import load_traces
+from oracles import certify_transport, load_traces
 
+from graphlets import transport
 from graphlets.segmentation import extract_graphlets
 from graphlets.synth import GenConfig, generate
 from graphlets.trace import parse_trace_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.fixture(scope="session", autouse=True)
+def certified_simplex():
+    """Every simplex solve the suite makes in process must certify its own
+    optimality.  Session-scoped: hypothesis rejects function-scoped fixtures
+    around its tests, and tests that count calls wrap this wrapper."""
+    solve = transport._solve
+
+    def certified(cost):
+        flow, total = solve(cost)
+        certify_transport(cost, flow, total)
+        return flow, total
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_solve", certified)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -972,6 +972,179 @@ def loop_transport_cost(cost: np.ndarray) -> float:
     return total / (n * m)
 
 
+def certify_transport(cost: np.ndarray, flow: dict[tuple[int, int], int], total: float) -> None:
+    """Assert that ``flow`` is an optimal basic plan of ``cost`` at the
+    solver's integer scale (row sums m, column sums n) and ``total`` its cost.
+
+    The potentials come from the basic cells alone, by a linear solve with
+    ``u[0] = 0``, so nothing of the solver's walk is reused.  Dual
+    feasibility in every cell plus a dual value equal to ``total`` proves
+    the plan optimal at any size (weak duality)."""
+    n, m = cost.shape
+    assert all(type(q) is int and q >= 0 for q in flow.values()), flow
+    plan = np.zeros((n, m), dtype=np.int64)
+    for (i, j), q in flow.items():
+        plan[i, j] = q
+    assert (plan.sum(axis=1) == m).all() and (plan.sum(axis=0) == n).all()
+    assert len(flow) == n + m - 1
+    system = np.zeros((n + m, n + m))
+    rhs = np.zeros(n + m)
+    for row, (i, j) in enumerate(flow):
+        system[row, i] = system[row, n + j] = 1.0
+        rhs[row] = cost[i, j]
+    system[-1, 0] = 1.0  # u[0] = 0; singular unless the basis spans a tree
+    pot = np.linalg.solve(system, rhs)
+    u, v = pot[:n], pot[n:]
+    assert (cost - u[:, None] - v[None, :] >= -1e-9).all()
+    assert abs(u.sum() / n + v.sum() / m - total / (n * m)) <= 1e-9
+
+
+# The reference simplex's pricing tolerance, the solver's ``_EPS``.
+_REF_EPS = 1e-11
+
+
+def _ref_northwest_basis(n: int, m: int) -> tuple[dict[tuple[int, int], int], list[tuple[int, int]]]:
+    supply = [m] * n
+    demand = [n] * m
+    flow: dict[tuple[int, int], int] = {}
+    basis: list[tuple[int, int]] = []
+    i = j = 0
+    while True:
+        q = min(supply[i], demand[j])
+        flow[(i, j)] = q
+        basis.append((i, j))
+        supply[i] -= q
+        demand[j] -= q
+        if i == n - 1 and j == m - 1:
+            break
+        if supply[i] == 0 and demand[j] == 0:
+            # Degenerate step: advance one index only, leaving a zero-flow
+            # basic cell so the basis stays a spanning tree.
+            if j < m - 1:
+                j += 1
+            else:
+                i += 1
+        elif supply[i] == 0:
+            i += 1
+        else:
+            j += 1
+    return flow, basis
+
+
+def _ref_potentials(basis: list[tuple[int, int]], cost: np.ndarray, n: int, m: int):
+    row_adj: list[list[int]] = [[] for _ in range(n)]
+    col_adj: list[list[int]] = [[] for _ in range(m)]
+    for i, j in basis:
+        row_adj[i].append(j)
+        col_adj[j].append(i)
+    u = np.full(n, np.nan)
+    v = np.full(m, np.nan)
+    u[0] = 0.0
+    stack: list[tuple[str, int]] = [("r", 0)]
+    while stack:
+        side, k = stack.pop()
+        if side == "r":
+            for j in row_adj[k]:
+                if np.isnan(v[j]):
+                    v[j] = cost[k, j] - u[k]
+                    stack.append(("c", j))
+        else:
+            for i in col_adj[k]:
+                if np.isnan(u[i]):
+                    u[i] = cost[i, k] - v[k]
+                    stack.append(("r", i))
+    if np.isnan(u).any() or np.isnan(v).any():
+        raise transport.TransportError("basis graph is not a spanning tree")
+    return u, v
+
+
+def _ref_entering(cost, u, v, basis, bland: bool):
+    reduced = cost - u[:, None] - v[None, :]
+    for i, j in basis:
+        reduced[i, j] = 0.0
+    if bland:
+        rows, cols = np.nonzero(reduced < -_REF_EPS)
+        if len(rows) == 0:
+            return None
+        return int(rows[0]), int(cols[0])
+    k = int(np.argmin(reduced))
+    i, j = divmod(k, reduced.shape[1])
+    if reduced[i, j] >= -_REF_EPS:
+        return None
+    return i, j
+
+
+def _ref_cycle(basis: list[tuple[int, int]], enter: tuple[int, int]) -> list[tuple[int, int]]:
+    """Unique alternating cycle formed by the entering cell and the basis tree."""
+    row_adj: dict[int, list[int]] = {}
+    col_adj: dict[int, list[int]] = {}
+    for i, j in basis:
+        row_adj.setdefault(i, []).append(j)
+        col_adj.setdefault(j, []).append(i)
+    start, goal = enter
+    # BFS from row `start` to column `goal` over basis edges.
+    parent: dict[tuple[str, int], tuple[str, int]] = {}
+    frontier: list[tuple[str, int]] = [("r", start)]
+    seen = {("r", start)}
+    found = False
+    while frontier and not found:
+        nxt: list[tuple[str, int]] = []
+        for side, k in frontier:
+            neighbors = row_adj.get(k, ()) if side == "r" else col_adj.get(k, ())
+            other = "c" if side == "r" else "r"
+            for nb in neighbors:
+                node = (other, nb)
+                if node in seen:
+                    continue
+                seen.add(node)
+                parent[node] = (side, k)
+                if node == ("c", goal):
+                    found = True
+                    break
+                nxt.append(node)
+            if found:
+                break
+        frontier = nxt
+    if not found:
+        raise transport.TransportError("entering cell is disconnected from the basis tree")
+    path_nodes = [("c", goal)]
+    while path_nodes[-1] != ("r", start):
+        path_nodes.append(parent[path_nodes[-1]])
+    path_nodes.reverse()
+    cells = []
+    for a, b in zip(path_nodes, path_nodes[1:]):
+        (sa, ka), (sb, kb) = a, b
+        cells.append((ka, kb) if sa == "r" else (kb, ka))
+    return [enter] + cells[::-1]
+
+
+def reference_solve(cost: np.ndarray) -> tuple[dict[tuple[int, int], int], float]:
+    """The transportation simplex as it was before it kept its tree: each
+    pivot rebuilds the potentials from the basis list and finds the cycle by
+    a BFS over the whole basis.  ``transport._solve`` must return the same
+    flow items in the same order and a bit-identical total."""
+    n, m = cost.shape
+    flow, basis = _ref_northwest_basis(n, m)
+    bland_after = 2 * n * m + 16
+    max_pivots = 50 * n * m + 1000
+    for pivot in range(max_pivots):
+        u, v = _ref_potentials(basis, cost, n, m)
+        enter = _ref_entering(cost, u, v, basis, bland=pivot > bland_after)
+        if enter is None:
+            total = sum(q * float(cost[i, j]) for (i, j), q in flow.items() if q)
+            return flow, total
+        cycle = _ref_cycle(basis, enter)
+        givers = cycle[1::2]
+        theta = min(flow[c] for c in givers)
+        leave = next(c for c in givers if flow[c] == theta)
+        flow[enter] = 0
+        for idx, cell in enumerate(cycle):
+            flow[cell] += theta if idx % 2 == 0 else -theta
+        basis = [c for c in basis if c != leave] + [enter]
+        del flow[leave]
+    raise transport.TransportError(f"no convergence after {max_pivots} pivots")
+
+
 def loop_span_sim(d1: SpanStats, d2: SpanStats, params: LshParams, weights: SimWeights) -> float:
     """``span_sim`` one pair at a time: each span hashed on its own, the
     pair put in the order of its (names, kinds, hashes) keys, and its cost

@@ -399,6 +399,13 @@ def test_bad_model_file_exits_2(drop, trained_model, small_cli_corpus, tmp_path,
         ("featurizer", "lsh", {"bogus": 1}),
         ("forest", "trees", 7),
         ("featurizer", "lsh", {"k": 4, "w": 1e-300, "seed": 42}),
+        # Numbers are never coerced: a float, string or boolean where an int
+        # is stored, or a string or boolean where a float is stored.
+        ("featurizer", "window", 3.9),
+        ("featurizer", "window", "3"),
+        ("featurizer", "lsh", {"k": 4, "w": 0.5, "seed": True}),
+        ("featurizer", "weights", {"alpha": True, "beta": 0}),
+        ("split", "train_fraction", "0.8"),
     ],
 )
 def test_ill_typed_model_file_exits_2(section, key, value, trained_model, small_cli_corpus,
@@ -430,6 +437,15 @@ BROKEN_FORESTS = {
     "no trees": lambda f: f.update(trees=[]),
     "wider than the stage": lambda f: f.update(n_features=f["n_features"] + 1),
     "renamed column": lambda f: _set(f, "feature_names", 0, "bogus"),
+    "n_features as a string": lambda f: f.update(n_features=str(f["n_features"])),
+    "fractional n_features": lambda f: f.update(n_features=f["n_features"] + 0.7),
+    "fractional n_trees": lambda f: f["config"].update(n_trees=f["config"]["n_trees"] + 0.5),
+    "thresholds as strings": lambda f: f["trees"][0].update(
+        threshold=[str(x) for x in f["trees"][0]["threshold"]]),
+    "counts as booleans": lambda f: f["trees"][0].update(
+        count=[True] * len(f["trees"][0]["count"])),
+    "fractions as booleans": lambda f: f["trees"][0].update(
+        fraction=[bool(x) for x in f["trees"][0]["fraction"]]),
 }
 
 

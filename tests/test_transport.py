@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from oracles import (
     brute_assignment_cost,
     brute_transport_cost,
+    certify_transport,
     loop_transport_cost,
+    reference_solve,
     transport_plan,
 )
 
@@ -150,8 +152,58 @@ def test_plan_satisfies_marginals():
 def test_large_instance_runs():
     rng = np.random.default_rng(1)
     cost = rng.random((120, 80))
-    value = transport_cost(cost)
-    assert 0.0 <= value <= 1.0
+    certify_transport(cost, *transport._solve(cost))
+
+
+# -- the simplex: certified optimal, and bit for bit the reference ------------
+
+THREE_LEVELS = (0.0, 0.5, 1.0)
+FIVE_LEVELS = (0.0, 0.1, 0.3, 0.6, 1.0)
+
+
+def _costs(rng: np.random.Generator, n: int, m: int, levels) -> np.ndarray:
+    if levels is None:
+        return rng.random((n, m))
+    return rng.choice(np.array(levels), size=(n, m))
+
+
+@st.composite
+def simplex_costs(draw, max_side):
+    """An n x m cost matrix on 3 or 5 levels or on floats, drawn from a seeded
+    generator: hypothesis cannot draw thousands of cells one by one."""
+    n, m = draw(st.integers(2, max_side)), draw(st.integers(2, max_side))
+    levels = draw(st.sampled_from([THREE_LEVELS, FIVE_LEVELS, None]))
+    return _costs(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m, levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplex_costs(64))
+def test_simplex_is_certified_optimal(cost):
+    certify_transport(cost, *transport._solve(cost))
+
+
+@settings(max_examples=80, deadline=None)
+@given(simplex_costs(40))
+def test_simplex_matches_reference_bitwise(cost):
+    flow, total = transport._solve(cost)
+    ref_flow, ref_total = reference_solve(cost)
+    assert list(flow.items()) == list(ref_flow.items())
+    assert total.hex() == ref_total.hex()
+
+
+@pytest.mark.parametrize("n, m", [(256, 255), (255, 256), (256, 256)])
+def test_full_width_simplex_is_certified_and_matches_reference(n, m):
+    cost = _costs(np.random.default_rng(n * 1000 + m), n, m, THREE_LEVELS)
+    flow, total = transport._solve(cost)
+    certify_transport(cost, flow, total)
+    ref_flow, ref_total = reference_solve(cost)
+    assert list(flow.items()) == list(ref_flow.items())
+    assert total.hex() == ref_total.hex()
+
+
+def test_wide_float_simplex_is_certified():
+    cost = _costs(np.random.default_rng(127), 128, 127, None)
+    certify_transport(cost, *transport._solve(cost))
 
 
 # -- transport_costs: blocks of one shape --------------------------------------
