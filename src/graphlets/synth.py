@@ -16,6 +16,12 @@ that every downstream result is checkable against the truth:
   label, and exact segmented cost, from which the Bayes-optimal balanced
   accuracy and the oracle waste-elimination ceiling are derived.
 
+Every operator run is one ``_PipelineBuild.run`` call, which appends the
+run's execution, the artifact it outputs (created when the run ends), an
+input edge from each of its inputs, then the output edge.  A run's end is
+drawn before its cost; only the transform's analyzers are drawn in between.
+The failed-pusher draw is made only for an unpushed graphlet with validators.
+
 Generation is deterministic: the same config yields byte-identical corpora.
 Pipelines draw independent RNG streams keyed by (seed, pipeline index), and
 the corpus is generated in two passes so cost calibration never perturbs the
@@ -26,9 +32,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -316,36 +322,26 @@ class _PipelineBuild:
         self.graphlets: list[tuple[str, float, bool, list[str]]] = []
         self.warmstart: bool = False
 
-    def artifact(self, node_id: str, a_type: str, created_at: int, stats=None) -> str:
-        props: dict[str, Any] = {}
-        if stats is not None:
-            props["span_stats"] = {"features": stats}
-        self.records.append(
-            {
-                "kind": "artifact",
-                "id": node_id,
-                "type": a_type,
-                "created_at": created_at,
-                "pipeline_id": self.pipeline_id,
-                "properties": props,
-            }
-        )
-        return node_id
-
-    def execution(
+    def run(
         self,
-        node_id: str,
+        name: str,
         operator: str,
         start_at: int,
         end_at: int,
         raw_cost: float,
+        inputs: Iterable[str] = (),
+        output: tuple[str, str] | None = None,
+        stats: list[dict[str, Any]] | None = None,
         state: str = "complete",
         **props: Any,
-    ) -> str:
+    ) -> tuple[str, str | None]:
+        """Append one operator run's records; return its execution and artifact ids.
+        ``output`` is the artifact's (name, type); ids prefix names with the pipeline id."""
+        exec_id = f"{self.pipeline_id}-{name}"
         self.records.append(
             {
                 "kind": "execution",
-                "id": node_id,
+                "id": exec_id,
                 "operator": operator,
                 "pipeline_id": self.pipeline_id,
                 "start_at": start_at,
@@ -355,17 +351,29 @@ class _PipelineBuild:
                 "properties": {k: v for k, v in props.items() if v is not None},
             }
         )
-        self.exec_costs[node_id] = (OPERATOR_GROUPS[OperatorKind(operator)], raw_cost)
-        return node_id
-
-    def edge(self, src: str, dst: str, role: str) -> None:
-        self.records.append({"kind": "edge", "from": src, "to": dst, "role": role})
+        self.exec_costs[exec_id] = (OPERATOR_GROUPS[OperatorKind(operator)], raw_cost)
+        edges = [{"kind": "edge", "from": src, "to": exec_id, "role": "input"} for src in inputs]
+        art_id = None
+        if output is not None:
+            art_id = f"{self.pipeline_id}-{output[0]}"
+            self.records.append(
+                {
+                    "kind": "artifact",
+                    "id": art_id,
+                    "type": output[1],
+                    "created_at": end_at,
+                    "pipeline_id": self.pipeline_id,
+                    "properties": {} if stats is None else {"span_stats": {"features": stats}},
+                }
+            )
+            edges.append({"kind": "edge", "from": exec_id, "to": art_id, "role": "output"})
+        self.records += edges
+        return exec_id, art_id
 
 
 def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
     rng = np.random.default_rng([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0x5EED, idx])
-    pid = f"pipe{idx:04d}"
-    build = _PipelineBuild(pid)
+    build = _PipelineBuild(f"pipe{idx:04d}")
 
     mix_names = sorted(cfg.model_mix)
     mix_probs = np.array([cfg.model_mix[k] for k in mix_names])
@@ -380,7 +388,6 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
 
     cursor = 1_600_000_000_000 + idx * MS_PER_HOUR
     code_version = 0
-    prev_code = 0
     spans: list[str] = []
     drift_flags: list[bool] = []
     rich_flags: list[bool] = []
@@ -398,60 +405,42 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
         rich = bool(rng.random() < cfg.rich_rate)
         state.step(drifted)
 
-        eg_start = cursor
-        eg_end = eg_start + int(rng.integers(5, 30)) * _MS_MIN
-        eg = build.execution(f"{pid}-eg-{tag}", "example_gen", eg_start, eg_end, cost())
-        span = build.artifact(f"{pid}-span-{tag}", "data_span", eg_end, stats=state.span_features())
-        build.edge(eg, span, "output")
+        eg_end = cursor + int(rng.integers(5, 30)) * _MS_MIN
+        eg, span = build.run(f"eg-{tag}", "example_gen", cursor, eg_end, cost(),
+                             output=(f"span-{tag}", "data_span"), stats=state.span_features())
 
         sg_end = eg_end + int(rng.integers(2, 12)) * _MS_MIN
-        sg = build.execution(f"{pid}-sg-{tag}", "statistics_gen", eg_end, sg_end, cost())
-        stats_art = build.artifact(f"{pid}-stats-{tag}", "statistics", sg_end)
-        build.edge(span, sg, "input")
-        build.edge(sg, stats_art, "output")
-
-        span_execs = [eg, sg]
+        sg, stats_art = build.run(f"sg-{tag}", "statistics_gen", eg_end, sg_end, cost(),
+                                  inputs=[span], output=(f"stats-{tag}", "statistics"))
+        span_exec_ids.append([eg, sg])
         if rich:
             sc_end = sg_end + int(rng.integers(1, 6)) * _MS_MIN
-            sc = build.execution(f"{pid}-scg-{tag}", "schema_gen", sg_end, sc_end, cost())
-            schema_art = build.artifact(f"{pid}-schema-{tag}", "schema", sc_end)
-            build.edge(stats_art, sc, "input")
-            build.edge(sc, schema_art, "output")
+            sc, schema_art = build.run(f"scg-{tag}", "schema_gen", sg_end, sc_end, cost(),
+                                       inputs=[stats_art], output=(f"schema-{tag}", "schema"))
             xv_end = sc_end + int(rng.integers(1, 6)) * _MS_MIN
-            xv = build.execution(f"{pid}-exv-{tag}", "example_validator", sc_end, xv_end, cost())
-            anomalies = build.artifact(f"{pid}-anom-{tag}", "other", xv_end)
-            build.edge(stats_art, xv, "input")
-            build.edge(schema_art, xv, "input")
-            build.edge(xv, anomalies, "output")
-            span_execs += [sc, xv]
+            xv, _ = build.run(f"exv-{tag}", "example_validator", sc_end, xv_end, cost(),
+                              inputs=[stats_art, schema_art], output=(f"anom-{tag}", "other"))
+            span_exec_ids[-1] += [sc, xv]
 
         spans.append(span)
         drift_flags.append(drifted)
         rich_flags.append(rich)
-        span_exec_ids.append(span_execs)
 
         window_draw = int(rng.choice([cfg.window - 1, cfg.window, cfg.window + 1], p=[0.2, 0.6, 0.2]))
         length = max(1, min(window_draw, t + 1))
         window_idx = range(t - length + 1, t + 1)
         window_spans = spans[t - length + 1 : t + 1]
 
-        tf_start = sg_end
-        tf_end = tf_start + int(rng.integers(10, 60)) * _MS_MIN
+        tf_end = sg_end + int(rng.integers(10, 60)) * _MS_MIN
         analyzer_pool = ["vocabulary", "min", "max", "mean", "variance", "custom"]
         n_analyzers = int(rng.integers(1, 5))
         analyzers = sorted(rng.choice(analyzer_pool, size=n_analyzers, replace=False).tolist())
-        tf = build.execution(
-            f"{pid}-tf-{tag}", "transform", tf_start, tf_end, cost(), analyzers=analyzers
-        )
-        tg = build.artifact(f"{pid}-tg-{tag}", "transform_graph", tf_end)
-        for s in window_spans:
-            build.edge(s, tf, "input")
-        build.edge(tf, tg, "output")
+        tf, tg = build.run(f"tf-{tag}", "transform", sg_end, tf_end, cost(), inputs=window_spans,
+                           output=(f"tg-{tag}", "transform_graph"), analyzers=analyzers)
 
-        if rng.random() > cfg.code_stability:
-            code_version += 1
-        code_changed = 1.0 if (t > 0 and code_version != prev_code) else 0.0
-        prev_code = code_version
+        code_bumped = bool(rng.random() > cfg.code_stability)
+        code_version += code_bumped
+        code_changed = 1.0 if (t > 0 and code_bumped) else 0.0
 
         has_validators = bool(rng.random() < cfg.push.validator_rate)
         exposure = float(np.mean([drift_flags[i] for i in window_idx]))
@@ -466,30 +455,19 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
         )
         label = bool(rng.random() < p)
 
-        tr_start = tf_end
-        tr_end = tr_start + int(rng.lognormal(np.log(4.0), 0.5) * MS_PER_HOUR)
-        trainer = build.execution(
-            f"{pid}-tr-{tag}",
-            "trainer",
-            tr_start,
-            tr_end,
-            cost(1.0 if label else 1.15),
-            model_type=model_type,
-            architecture=architecture,
-            code_version=f"v{code_version}",
+        # A warm-started trainer also reads the previous model.
+        warm = [prev_model] if build.warmstart and prev_model is not None else []
+        tr_end = tf_end + int(rng.lognormal(np.log(4.0), 0.5) * MS_PER_HOUR)
+        trainer, model_art = build.run(
+            f"tr-{tag}", "trainer", tf_end, tr_end, cost(1.0 if label else 1.15),
+            inputs=[*window_spans, tg, *warm], output=(f"model-{tag}", "model"),
+            model_type=model_type, architecture=architecture, code_version=f"v{code_version}",
         )
-        model_art = build.artifact(f"{pid}-model-{tag}", "model", tr_end)
-        for s in window_spans:
-            build.edge(s, trainer, "input")
-        build.edge(tg, trainer, "input")
-        if build.warmstart and prev_model is not None:
-            build.edge(prev_model, trainer, "input")
-        build.edge(trainer, model_art, "output")
 
         members = [tf, trainer]
         for i in window_idx:
             members += span_exec_ids[i]
-        if build.warmstart and prev_model is not None:
+        if warm:
             # Consuming the previous model drags its post-trainer executions in.
             members += prev_post_execs
 
@@ -497,35 +475,23 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
         end_of_graphlet = tr_end
         if has_validators:
             ev_end = tr_end + int(rng.integers(5, 25)) * _MS_MIN
-            ev = build.execution(f"{pid}-ev-{tag}", "evaluator", tr_end, ev_end, cost())
-            eval_art = build.artifact(f"{pid}-eval-{tag}", "eval_result", ev_end)
-            build.edge(model_art, ev, "input")
-            build.edge(ev, eval_art, "output")
+            ev, eval_art = build.run(f"ev-{tag}", "evaluator", tr_end, ev_end, cost(),
+                                     inputs=[model_art], output=(f"eval-{tag}", "eval_result"))
             mv_end = ev_end + int(rng.integers(1, 10)) * _MS_MIN
-            mv = build.execution(f"{pid}-mv-{tag}", "model_validator", ev_end, mv_end, cost())
-            blessing = build.artifact(f"{pid}-bless-{tag}", "other", mv_end)
-            build.edge(eval_art, mv, "input")
-            build.edge(mv, blessing, "output")
+            mv, _ = build.run(f"mv-{tag}", "model_validator", ev_end, mv_end, cost(),
+                              inputs=[eval_art], output=(f"bless-{tag}", "other"))
             post_execs += [ev, mv]
             end_of_graphlet = mv_end
 
-        if label:
+        # An unpushed graphlet with validators may still run a pusher that fails.
+        failed = not label and has_validators and rng.random() < cfg.failed_pusher_rate
+        if label or failed:
             push_end = end_of_graphlet + int(rng.integers(1, 6)) * _MS_MIN
-            push = build.execution(
-                f"{pid}-push-{tag}", "pusher", end_of_graphlet, push_end, cost()
+            push, _ = build.run(
+                f"push-{tag}", "pusher", end_of_graphlet, push_end, cost(), inputs=[model_art],
+                output=None if failed else (f"pushres-{tag}", "push_result"),
+                state="failed" if failed else "complete",
             )
-            push_art = build.artifact(f"{pid}-pushres-{tag}", "push_result", push_end)
-            build.edge(model_art, push, "input")
-            build.edge(push, push_art, "output")
-            post_execs.append(push)
-            end_of_graphlet = push_end
-        elif has_validators and rng.random() < cfg.failed_pusher_rate:
-            push_end = end_of_graphlet + int(rng.integers(1, 6)) * _MS_MIN
-            push = build.execution(
-                f"{pid}-push-{tag}", "pusher", end_of_graphlet, push_end, cost(),
-                state="failed",
-            )
-            build.edge(model_art, push, "input")
             post_execs.append(push)
             end_of_graphlet = push_end
 
@@ -553,9 +519,14 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> PlantedTruth:
     """Write a corpus directory (one trace file per pipeline plus truth.json).
 
     Deterministic given ``cfg``; regenerating with the same config produces
-    byte-identical files.
+    byte-identical files.  A directory holding a trace file that ``cfg``
+    does not write raises ``ValueError`` before anything is written.
     """
     out = Path(out_dir)
+    written = {f"pipe{idx:04d}.ndjson" for idx in range(cfg.n_pipelines)}
+    stale = sorted(path.name for path in out.glob("*.ndjson") if path.name not in written)
+    if stale:
+        raise ValueError(f"{out} already holds {stale[0]}, a trace this corpus does not write")
     out.mkdir(parents=True, exist_ok=True)
 
     raw_sums = _group_sums(cfg)
@@ -571,9 +542,8 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> PlantedTruth:
         with path.open("w", encoding="utf-8") as fh:
             for record in build.records:
                 if record["kind"] == "execution":
-                    group = OPERATOR_GROUPS[OperatorKind(record["operator"])]
-                    record = dict(record)
-                    record["cpu_cost"] = record["cpu_cost"] * scale[group]
+                    group, raw = build.exec_costs[record["id"]]
+                    record["cpu_cost"] = raw * scale[group]
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         for anchor, p, label, members in build.graphlets:
             total = 0.0
@@ -606,17 +576,7 @@ def _write_truth(truth: PlantedTruth, path: Path) -> None:
         "bayes_balanced_accuracy": truth.bayes_balanced_accuracy,
         "oracle_elimination": truth.oracle_elimination,
         "push_rate": truth.push_rate,
-        "entries": [
-            {
-                "pipeline_id": e.pipeline_id,
-                "anchor": e.anchor,
-                "p": e.p,
-                "label": e.label,
-                "cost": e.cost,
-                "warmstart": e.warmstart,
-            }
-            for e in truth.entries
-        ],
+        "entries": [asdict(e) for e in truth.entries],
     }
     path.write_text(json.dumps(payload, sort_keys=True, indent=None) + "\n", encoding="utf-8")
 

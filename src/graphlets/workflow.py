@@ -246,12 +246,14 @@ def load_model(path: str | Path) -> tuple[FeatureStage, Featurizer, SplitSpec, F
         )
         split = check_numbers("split", payload["split"],
                               train_fraction=float, train_rate=float, test_rate=float)
+        fractions = {key: float(split[key]) for key in ("train_fraction", "train_rate", "test_rate")}
+        for key, value in fractions.items():
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"split {key!r} must be within [0, 1], got {value!r}")
         spec = SplitSpec(
             train_pipeline_ids=_strings(split["train_pipeline_ids"]),
             test_pipeline_ids=_strings(split["test_pipeline_ids"]),
-            train_fraction=float(split["train_fraction"]),
-            train_rate=float(split["train_rate"]),
-            test_rate=float(split["test_rate"]),
+            **fractions,
         )
         model = forest_from_dict(payload["forest"])
         names = featurizer.full_names()[featurizer.stage_slice(stage)]

@@ -23,7 +23,8 @@ corpus as one list and build every row or sum in a single loop over it.
 The rest are test-side counterparts of the library's writers and samplers:
 a trace serializer for parse round trips, a corpus loader that holds every
 trace of a directory in one list, a truth-file reader, a Monte-Carlo
-sampler of the planted push process, and the optimal plan behind
+sampler of the planted push process, the pipeline generator with every
+operator run written out by hand, and the optimal plan behind
 ``transport_cost``.
 """
 
@@ -58,7 +59,14 @@ from graphlets.similarity import (
     hash_distributions,
     jaccard,
 )
-from graphlets.synth import GenConfig, PlantedTruth, TruthEntry
+from graphlets.synth import (
+    ARCHITECTURES,
+    _MS_MIN,
+    GenConfig,
+    PlantedTruth,
+    TruthEntry,
+    _PipelineState,
+)
 from graphlets.trace import (
     Analyzer,
     Artifact,
@@ -70,6 +78,7 @@ from graphlets.trace import (
     FeatureStats,
     ModelType,
     MS_PER_HOUR,
+    OPERATOR_GROUPS,
     OperatorGroup,
     OperatorKind,
     SpanStats,
@@ -935,6 +944,247 @@ def sample_latent_probabilities(cfg: GenConfig, n: int, seed: int = 0) -> np.nda
         logit = np.where(has_val, logit, logit + push.no_validator_shift)
         p = 1.0 / (1.0 + np.exp(-logit))
     return p
+
+
+class _RefPipelineBuild:
+    """All records of one generated pipeline plus its planted truth rows."""
+
+    def __init__(self, pipeline_id: str):
+        self.pipeline_id = pipeline_id
+        self.records: list[dict[str, Any]] = []
+        # execution id -> (group, raw cost); costs get calibrated corpus-wide.
+        self.exec_costs: dict[str, tuple[OperatorGroup, float]] = {}
+        # anchor -> (p, label, member execution ids)
+        self.graphlets: list[tuple[str, float, bool, list[str]]] = []
+        self.warmstart: bool = False
+
+    def artifact(self, node_id: str, a_type: str, created_at: int, stats=None) -> str:
+        props: dict[str, Any] = {}
+        if stats is not None:
+            props["span_stats"] = {"features": stats}
+        self.records.append(
+            {
+                "kind": "artifact",
+                "id": node_id,
+                "type": a_type,
+                "created_at": created_at,
+                "pipeline_id": self.pipeline_id,
+                "properties": props,
+            }
+        )
+        return node_id
+
+    def execution(
+        self,
+        node_id: str,
+        operator: str,
+        start_at: int,
+        end_at: int,
+        raw_cost: float,
+        state: str = "complete",
+        **props: Any,
+    ) -> str:
+        self.records.append(
+            {
+                "kind": "execution",
+                "id": node_id,
+                "operator": operator,
+                "pipeline_id": self.pipeline_id,
+                "start_at": start_at,
+                "end_at": end_at,
+                "state": state,
+                "cpu_cost": raw_cost,
+                "properties": {k: v for k, v in props.items() if v is not None},
+            }
+        )
+        self.exec_costs[node_id] = (OPERATOR_GROUPS[OperatorKind(operator)], raw_cost)
+        return node_id
+
+    def edge(self, src: str, dst: str, role: str) -> None:
+        self.records.append({"kind": "edge", "from": src, "to": dst, "role": role})
+
+
+def reference_gen_pipeline(cfg: GenConfig, idx: int) -> _RefPipelineBuild:
+    """The pipeline generator as it was before each operator run became one
+    ``_PipelineBuild.run`` call: every run writes its execution, artifact and
+    edges by hand.  ``synth._gen_pipeline`` must give the same records, costs,
+    graphlets and warmstart flag, so every corpus byte stays the same."""
+    rng = np.random.default_rng([cfg.seed & 0xFFFFFFFFFFFFFFFF, 0x5EED, idx])
+    pid = f"pipe{idx:04d}"
+    build = _RefPipelineBuild(pid)
+
+    mix_names = sorted(cfg.model_mix)
+    mix_probs = np.array([cfg.model_mix[k] for k in mix_names])
+    model_type = str(rng.choice(mix_names, p=mix_probs / mix_probs.sum()))
+    architecture = (
+        str(rng.choice(ARCHITECTURES)) if model_type in ("dnn", "dnn_linear") else None
+    )
+    build.warmstart = bool(rng.random() < cfg.warmstart_fraction)
+    lo, hi = cfg.graphlets_per_pipeline
+    n_graphlets = int(rng.integers(lo, hi + 1))
+    state = _PipelineState(rng, cfg)
+
+    cursor = 1_600_000_000_000 + idx * MS_PER_HOUR
+    code_version = 0
+    prev_code = 0
+    spans: list[str] = []
+    drift_flags: list[bool] = []
+    rich_flags: list[bool] = []
+    # per-span analysis executions, for graphlet cost accounting
+    span_exec_ids: list[list[str]] = []
+    prev_model: str | None = None
+    prev_post_execs: list[str] = []
+
+    def cost(mult: float = 1.0) -> float:
+        return float(rng.gamma(6.0) / 6.0) * mult
+
+    for t in range(n_graphlets):
+        tag = f"{t:04d}"
+        drifted = bool(rng.random() < cfg.drift_rate)
+        rich = bool(rng.random() < cfg.rich_rate)
+        state.step(drifted)
+
+        eg_start = cursor
+        eg_end = eg_start + int(rng.integers(5, 30)) * _MS_MIN
+        eg = build.execution(f"{pid}-eg-{tag}", "example_gen", eg_start, eg_end, cost())
+        span = build.artifact(f"{pid}-span-{tag}", "data_span", eg_end, stats=state.span_features())
+        build.edge(eg, span, "output")
+
+        sg_end = eg_end + int(rng.integers(2, 12)) * _MS_MIN
+        sg = build.execution(f"{pid}-sg-{tag}", "statistics_gen", eg_end, sg_end, cost())
+        stats_art = build.artifact(f"{pid}-stats-{tag}", "statistics", sg_end)
+        build.edge(span, sg, "input")
+        build.edge(sg, stats_art, "output")
+
+        span_execs = [eg, sg]
+        if rich:
+            sc_end = sg_end + int(rng.integers(1, 6)) * _MS_MIN
+            sc = build.execution(f"{pid}-scg-{tag}", "schema_gen", sg_end, sc_end, cost())
+            schema_art = build.artifact(f"{pid}-schema-{tag}", "schema", sc_end)
+            build.edge(stats_art, sc, "input")
+            build.edge(sc, schema_art, "output")
+            xv_end = sc_end + int(rng.integers(1, 6)) * _MS_MIN
+            xv = build.execution(f"{pid}-exv-{tag}", "example_validator", sc_end, xv_end, cost())
+            anomalies = build.artifact(f"{pid}-anom-{tag}", "other", xv_end)
+            build.edge(stats_art, xv, "input")
+            build.edge(schema_art, xv, "input")
+            build.edge(xv, anomalies, "output")
+            span_execs += [sc, xv]
+
+        spans.append(span)
+        drift_flags.append(drifted)
+        rich_flags.append(rich)
+        span_exec_ids.append(span_execs)
+
+        window_draw = int(rng.choice([cfg.window - 1, cfg.window, cfg.window + 1], p=[0.2, 0.6, 0.2]))
+        length = max(1, min(window_draw, t + 1))
+        window_idx = range(t - length + 1, t + 1)
+        window_spans = spans[t - length + 1 : t + 1]
+
+        tf_start = sg_end
+        tf_end = tf_start + int(rng.integers(10, 60)) * _MS_MIN
+        analyzer_pool = ["vocabulary", "min", "max", "mean", "variance", "custom"]
+        n_analyzers = int(rng.integers(1, 5))
+        analyzers = sorted(rng.choice(analyzer_pool, size=n_analyzers, replace=False).tolist())
+        tf = build.execution(
+            f"{pid}-tf-{tag}", "transform", tf_start, tf_end, cost(), analyzers=analyzers
+        )
+        tg = build.artifact(f"{pid}-tg-{tag}", "transform_graph", tf_end)
+        for s in window_spans:
+            build.edge(s, tf, "input")
+        build.edge(tf, tg, "output")
+
+        if rng.random() > cfg.code_stability:
+            code_version += 1
+        code_changed = 1.0 if (t > 0 and code_version != prev_code) else 0.0
+        prev_code = code_version
+
+        has_validators = bool(rng.random() < cfg.push.validator_rate)
+        exposure = float(np.mean([drift_flags[i] for i in window_idx]))
+        rich_exposure = float(np.mean([rich_flags[i] for i in window_idx]))
+        p = cfg.push.probability(
+            model_type=model_type,
+            drift_exposure=exposure,
+            rich_exposure=rich_exposure,
+            size=float(length - cfg.window),
+            code_changed=code_changed,
+            has_validators=has_validators,
+        )
+        label = bool(rng.random() < p)
+
+        tr_start = tf_end
+        tr_end = tr_start + int(rng.lognormal(np.log(4.0), 0.5) * MS_PER_HOUR)
+        trainer = build.execution(
+            f"{pid}-tr-{tag}",
+            "trainer",
+            tr_start,
+            tr_end,
+            cost(1.0 if label else 1.15),
+            model_type=model_type,
+            architecture=architecture,
+            code_version=f"v{code_version}",
+        )
+        model_art = build.artifact(f"{pid}-model-{tag}", "model", tr_end)
+        for s in window_spans:
+            build.edge(s, trainer, "input")
+        build.edge(tg, trainer, "input")
+        if build.warmstart and prev_model is not None:
+            build.edge(prev_model, trainer, "input")
+        build.edge(trainer, model_art, "output")
+
+        members = [tf, trainer]
+        for i in window_idx:
+            members += span_exec_ids[i]
+        if build.warmstart and prev_model is not None:
+            # Consuming the previous model drags its post-trainer executions in.
+            members += prev_post_execs
+
+        post_execs: list[str] = []
+        end_of_graphlet = tr_end
+        if has_validators:
+            ev_end = tr_end + int(rng.integers(5, 25)) * _MS_MIN
+            ev = build.execution(f"{pid}-ev-{tag}", "evaluator", tr_end, ev_end, cost())
+            eval_art = build.artifact(f"{pid}-eval-{tag}", "eval_result", ev_end)
+            build.edge(model_art, ev, "input")
+            build.edge(ev, eval_art, "output")
+            mv_end = ev_end + int(rng.integers(1, 10)) * _MS_MIN
+            mv = build.execution(f"{pid}-mv-{tag}", "model_validator", ev_end, mv_end, cost())
+            blessing = build.artifact(f"{pid}-bless-{tag}", "other", mv_end)
+            build.edge(eval_art, mv, "input")
+            build.edge(mv, blessing, "output")
+            post_execs += [ev, mv]
+            end_of_graphlet = mv_end
+
+        if label:
+            push_end = end_of_graphlet + int(rng.integers(1, 6)) * _MS_MIN
+            push = build.execution(
+                f"{pid}-push-{tag}", "pusher", end_of_graphlet, push_end, cost()
+            )
+            push_art = build.artifact(f"{pid}-pushres-{tag}", "push_result", push_end)
+            build.edge(model_art, push, "input")
+            build.edge(push, push_art, "output")
+            post_execs.append(push)
+            end_of_graphlet = push_end
+        elif has_validators and rng.random() < cfg.failed_pusher_rate:
+            push_end = end_of_graphlet + int(rng.integers(1, 6)) * _MS_MIN
+            push = build.execution(
+                f"{pid}-push-{tag}", "pusher", end_of_graphlet, push_end, cost(),
+                state="failed",
+            )
+            build.edge(model_art, push, "input")
+            post_execs.append(push)
+            end_of_graphlet = push_end
+
+        members += post_execs
+        build.graphlets.append((trainer, p, label, members))
+
+        prev_model = model_art
+        prev_post_execs = post_execs
+        gap = int(rng.lognormal(np.log(14.0), 0.6) * MS_PER_HOUR)
+        cursor = end_of_graphlet + gap
+
+    return build
+
 
 
 def transport_plan(cost: np.ndarray) -> tuple[np.ndarray, float]:

@@ -203,6 +203,21 @@ def test_bad_synth_flags_exit_2(flags, message, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_refuses_a_directory_with_stale_traces(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out", str(out), "--pipelines", "6", "--graphlets", "3"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(["synth", "--out", str(out), "--pipelines", "3", "--graphlets", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out} already holds pipe0003.ndjson, a trace this corpus does not write\n")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    # The same corpus, or a larger one, may be written over it.
+    assert main(["synth", "--out", str(out), "--pipelines", "6", "--graphlets", "3"]) == 0
+    assert main(["synth", "--out", str(out), "--pipelines", "7", "--graphlets", "3"]) == 0
+    assert main(["validate", "--corpus", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("7 traces valid\n")
+
+
 @pytest.mark.parametrize(
     "command, flag, unusable",
     [
@@ -406,6 +421,11 @@ def test_bad_model_file_exits_2(drop, trained_model, small_cli_corpus, tmp_path,
         ("featurizer", "lsh", {"k": 4, "w": 0.5, "seed": True}),
         ("featurizer", "weights", {"alpha": True, "beta": 0}),
         ("split", "train_fraction", "0.8"),
+        # The split's three fractions are finite and within [0, 1].
+        ("split", "train_fraction", float("nan")),
+        ("split", "test_rate", 7.0),
+        ("split", "train_rate", -3),
+        ("split", "test_rate", float("inf")),
     ],
 )
 def test_ill_typed_model_file_exits_2(section, key, value, trained_model, small_cli_corpus,

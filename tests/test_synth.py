@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import load_truth, sample_latent_probabilities
+from oracles import load_truth, reference_gen_pipeline, sample_latent_probabilities
 
 from graphlets.segmentation import is_warmstart, stream_corpus
 from graphlets.synth import (
     GenConfig,
+    _gen_pipeline,
     bayes_balanced_accuracy,
     bayes_reference,
     generate,
@@ -35,6 +36,34 @@ def test_same_seed_byte_identical(tmp_path):
     assert files_a == files_b
     for name in files_a:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+_SMALL = {"graphlets_per_pipeline": (5, 30)}
+
+# Each preset, and configs that reach every branch of the generator.
+REFERENCE_CASES = {
+    **{name: dataclasses.replace(preset(name, seed=5), **_SMALL)
+       for name in ("default", "weak", "strong", "geometric")},
+    "no rich spans": GenConfig(seed=11, rich_rate=0.0, **_SMALL),
+    "only rich spans": GenConfig(seed=12, rich_rate=1.0, **_SMALL),
+    "only warmstart": GenConfig(seed=13, warmstart_fraction=1.0, **_SMALL),
+    "failed pushers": GenConfig(seed=14, failed_pusher_rate=1.0, **_SMALL),
+    "one graphlet": GenConfig(seed=15, graphlets_per_pipeline=(1, 1)),
+    "window 1": GenConfig(seed=16, window=1, **_SMALL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_generator_matches_reference_bitwise(case):
+    """Every operator run written by ``_PipelineBuild.run`` gives the records,
+    costs, graphlets and warmstart flag of the hand-written generator."""
+    cfg = REFERENCE_CASES[case]
+    for idx in range(4):
+        got, want = _gen_pipeline(cfg, idx), reference_gen_pipeline(cfg, idx)
+        assert got.records == want.records
+        assert list(got.exec_costs.items()) == list(want.exec_costs.items())
+        assert got.graphlets == want.graphlets
+        assert got.warmstart == want.warmstart
 
 
 def test_different_seed_differs(tmp_path):
