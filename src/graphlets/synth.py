@@ -10,8 +10,10 @@ that every downstream result is checkable against the truth:
   analysis richness and window size (graphlet shape), and code change;
 * graphlets without validation executions never push when the validator gate
   is hard, giving policies a cleanly skippable subpopulation;
-* per-execution compute costs are calibrated so the corpus-level cost mix
-  matches ``cost_mix`` exactly;
+* per-execution compute costs are calibrated over the operator groups the
+  corpus runs: each costs exactly its ``cost_mix`` share of a unit total.  A
+  group that never runs costs nothing and its share is not renormalized, so
+  the corpus-level mix equals ``cost_mix`` only when every group runs;
 * the truth file records every graphlet's latent probability, realized
   label, and exact segmented cost, from which the Bayes-optimal balanced
   accuracy and the oracle waste-elimination ceiling are derived.
@@ -23,15 +25,21 @@ drawn before its cost; only the transform's analyzers are drawn in between.
 The failed-pusher draw is made only for an unpushed graphlet with validators.
 
 Generation is deterministic: the same config yields byte-identical corpora.
-Pipelines draw independent RNG streams keyed by (seed, pipeline index), and
-the corpus is generated in two passes so cost calibration never perturbs the
-structural draws.
+Pipelines draw independent RNG streams keyed by (seed, pipeline index).  Each
+is generated once and written with raw costs into a temporary directory inside
+the output directory, removed on every exit.  Once the corpus-wide raw sums fix
+the scales, each trace is copied into place with only its execution lines
+rescaled.  An existing ``truth.json`` is removed before the first write, so an
+interrupted run leaves no truth beside traces it does not describe.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import tempfile
+from array import array
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
@@ -506,21 +514,14 @@ def _gen_pipeline(cfg: GenConfig, idx: int) -> _PipelineBuild:
     return build
 
 
-def _group_sums(cfg: GenConfig) -> dict[OperatorGroup, float]:
-    sums = {group: 0.0 for group in OperatorGroup}
-    for idx in range(cfg.n_pipelines):
-        build = _gen_pipeline(cfg, idx)
-        for group, raw in build.exec_costs.values():
-            sums[group] += raw
-    return sums
-
-
 def generate(cfg: GenConfig, out_dir: str | Path) -> PlantedTruth:
     """Write a corpus directory (one trace file per pipeline plus truth.json).
 
     Deterministic given ``cfg``; regenerating with the same config produces
     byte-identical files.  A directory holding a trace file that ``cfg``
-    does not write raises ``ValueError`` before anything is written.
+    does not write raises ``ValueError`` before anything is written.  Then
+    ``truth.json`` is removed, and traces are written with raw costs and
+    rescaled into place (see the module docstring).
     """
     out = Path(out_dir)
     written = {f"pipe{idx:04d}.ndjson" for idx in range(cfg.n_pipelines)}
@@ -528,57 +529,56 @@ def generate(cfg: GenConfig, out_dir: str | Path) -> PlantedTruth:
     if stale:
         raise ValueError(f"{out} already holds {stale[0]}, a trace this corpus does not write")
     out.mkdir(parents=True, exist_ok=True)
+    (out / "truth.json").unlink(missing_ok=True)
 
-    raw_sums = _group_sums(cfg)
-    scale = {
-        group: (cfg.cost_mix.get(group, 0.0) / raw) if raw > 0 else 0.0
-        for group, raw in raw_sums.items()
-    }
-
+    raw_sums = {group: 0.0 for group in OperatorGroup}
+    # Per pipeline: id, warmstart, graphlets with members as execution positions.
+    pending: deque[tuple[str, bool, list[tuple[str, float, bool, array]]]] = deque()
     entries: list[TruthEntry] = []
-    for idx in range(cfg.n_pipelines):
-        build = _gen_pipeline(cfg, idx)
-        path = out / f"{build.pipeline_id}.ndjson"
-        with path.open("w", encoding="utf-8") as fh:
-            for record in build.records:
-                if record["kind"] == "execution":
-                    group, raw = build.exec_costs[record["id"]]
-                    record["cpu_cost"] = raw * scale[group]
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-        for anchor, p, label, members in build.graphlets:
-            total = 0.0
-            for ex_id in members:
-                group, raw = build.exec_costs[ex_id]
-                total += raw * scale[group]
-            entries.append(
-                TruthEntry(
-                    pipeline_id=build.pipeline_id,
-                    anchor=anchor,
-                    p=p,
-                    label=label,
-                    cost=total,
-                    warmstart=build.warmstart,
-                )
-            )
+    with tempfile.TemporaryDirectory(dir=out) as tmp:
+        for idx in range(cfg.n_pipelines):
+            build = _gen_pipeline(cfg, idx)
+            with open(Path(tmp, f"{build.pipeline_id}.ndjson"), "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(record, sort_keys=True) + "\n" for record in build.records)
+            for group, raw in build.exec_costs.values():
+                raw_sums[group] += raw
+            position = {ex_id: i for i, ex_id in enumerate(build.exec_costs)}
+            pending.append((build.pipeline_id, build.warmstart, [
+                (anchor, p, label, array("I", [position[ex_id] for ex_id in members]))
+                for anchor, p, label, members in build.graphlets
+            ]))
+        scale = {group: (cfg.cost_mix.get(group, 0.0) / raw) if raw > 0 else 0.0
+                 for group, raw in raw_sums.items()}
+
+        while pending:
+            pipeline_id, warmstart, graphlets = pending.popleft()
+            raw_path = Path(tmp, f"{pipeline_id}.ndjson")
+            costs: list[float] = []
+            with raw_path.open(encoding="utf-8") as src, \
+                    (out / raw_path.name).open("w", encoding="utf-8") as dst:
+                for line in src:
+                    # Under sort_keys only an execution's first key is cpu_cost.
+                    if line.startswith('{"cpu_cost"'):
+                        record = json.loads(line)
+                        record["cpu_cost"] *= scale[OPERATOR_GROUPS[OperatorKind(record["operator"])]]
+                        costs.append(record["cpu_cost"])
+                        line = json.dumps(record, sort_keys=True) + "\n"
+                    dst.write(line)
+            raw_path.unlink()
+            for anchor, p, label, members in graphlets:
+                total = 0.0
+                for i in members:
+                    total += costs[i]
+                entries.append(TruthEntry(pipeline_id, anchor, p, label, total, warmstart))
 
     truth = PlantedTruth(entries=entries)
     ref = bayes_reference(truth)
     truth.bayes_balanced_accuracy = ref.balanced_accuracy
     truth.oracle_elimination = ref.elimination_at_full_freshness
     truth.push_rate = ref.push_rate
-    _write_truth(truth, out / "truth.json")
+    payload = {"format": "graphlets-truth-v1", **asdict(truth)}
+    (out / "truth.json").write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
     return truth
-
-
-def _write_truth(truth: PlantedTruth, path: Path) -> None:
-    payload = {
-        "format": "graphlets-truth-v1",
-        "bayes_balanced_accuracy": truth.bayes_balanced_accuracy,
-        "oracle_elimination": truth.oracle_elimination,
-        "push_rate": truth.push_rate,
-        "entries": [asdict(e) for e in truth.entries],
-    }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=None) + "\n", encoding="utf-8")
 
 
 def bayes_balanced_accuracy(ps: np.ndarray) -> float:

@@ -24,7 +24,8 @@ The rest are test-side counterparts of the library's writers and samplers:
 a trace serializer for parse round trips, a corpus loader that holds every
 trace of a directory in one list, a truth-file reader, a Monte-Carlo
 sampler of the planted push process, the pipeline generator with every
-operator run written out by hand, and the optimal plan behind
+operator run written out by hand, the two-pass corpus writer that runs that
+generator twice per pipeline, and the optimal plan behind
 ``transport_cost``.
 """
 
@@ -34,6 +35,7 @@ import functools
 import json
 import math
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -66,6 +68,7 @@ from graphlets.synth import (
     PlantedTruth,
     TruthEntry,
     _PipelineState,
+    bayes_reference,
 )
 from graphlets.trace import (
     Analyzer,
@@ -1185,6 +1188,79 @@ def reference_gen_pipeline(cfg: GenConfig, idx: int) -> _RefPipelineBuild:
 
     return build
 
+
+def _ref_group_sums(cfg: GenConfig) -> dict[OperatorGroup, float]:
+    sums = {group: 0.0 for group in OperatorGroup}
+    for idx in range(cfg.n_pipelines):
+        build = reference_gen_pipeline(cfg, idx)
+        for group, raw in build.exec_costs.values():
+            sums[group] += raw
+    return sums
+
+
+def reference_generate(cfg: GenConfig, out_dir: str | Path) -> PlantedTruth:
+    """The corpus writer as it was before ``synth.generate`` made one pass per
+    pipeline: the cost sums come from a first run of the generator over every
+    pipeline, whose records are thrown away, and each trace is written from a
+    second run with its costs already scaled.  ``synth.generate`` must write
+    the same bytes to every file, ``truth.json`` included."""
+    out = Path(out_dir)
+    written = {f"pipe{idx:04d}.ndjson" for idx in range(cfg.n_pipelines)}
+    stale = sorted(path.name for path in out.glob("*.ndjson") if path.name not in written)
+    if stale:
+        raise ValueError(f"{out} already holds {stale[0]}, a trace this corpus does not write")
+    out.mkdir(parents=True, exist_ok=True)
+
+    raw_sums = _ref_group_sums(cfg)
+    scale = {
+        group: (cfg.cost_mix.get(group, 0.0) / raw) if raw > 0 else 0.0
+        for group, raw in raw_sums.items()
+    }
+
+    entries: list[TruthEntry] = []
+    for idx in range(cfg.n_pipelines):
+        build = reference_gen_pipeline(cfg, idx)
+        path = out / f"{build.pipeline_id}.ndjson"
+        with path.open("w", encoding="utf-8") as fh:
+            for record in build.records:
+                if record["kind"] == "execution":
+                    group, raw = build.exec_costs[record["id"]]
+                    record["cpu_cost"] = raw * scale[group]
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for anchor, p, label, members in build.graphlets:
+            total = 0.0
+            for ex_id in members:
+                group, raw = build.exec_costs[ex_id]
+                total += raw * scale[group]
+            entries.append(
+                TruthEntry(
+                    pipeline_id=build.pipeline_id,
+                    anchor=anchor,
+                    p=p,
+                    label=label,
+                    cost=total,
+                    warmstart=build.warmstart,
+                )
+            )
+
+    truth = PlantedTruth(entries=entries)
+    ref = bayes_reference(truth)
+    truth.bayes_balanced_accuracy = ref.balanced_accuracy
+    truth.oracle_elimination = ref.elimination_at_full_freshness
+    truth.push_rate = ref.push_rate
+    _ref_write_truth(truth, out / "truth.json")
+    return truth
+
+
+def _ref_write_truth(truth: PlantedTruth, path: Path) -> None:
+    payload = {
+        "format": "graphlets-truth-v1",
+        "bayes_balanced_accuracy": truth.bayes_balanced_accuracy,
+        "oracle_elimination": truth.oracle_elimination,
+        "push_rate": truth.push_rate,
+        "entries": [asdict(e) for e in truth.entries],
+    }
+    path.write_text(json.dumps(payload, sort_keys=True, indent=None) + "\n", encoding="utf-8")
 
 
 def transport_plan(cost: np.ndarray) -> tuple[np.ndarray, float]:

@@ -5,11 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import load_truth, reference_gen_pipeline, sample_latent_probabilities
+from oracles import (
+    load_truth,
+    reference_gen_pipeline,
+    reference_generate,
+    sample_latent_probabilities,
+)
 
+from graphlets import synth
 from graphlets.segmentation import is_warmstart, stream_corpus
 from graphlets.synth import (
     GenConfig,
+    TruthEntry,
     _gen_pipeline,
     bayes_balanced_accuracy,
     bayes_reference,
@@ -64,6 +71,74 @@ def test_generator_matches_reference_bitwise(case):
         assert list(got.exec_costs.items()) == list(want.exec_costs.items())
         assert got.graphlets == want.graphlets
         assert got.warmstart == want.warmstart
+
+
+def _truth_or_error(write, cfg, out):
+    try:
+        return write(cfg, out)
+    except ValueError as exc:  # an all-warmstart corpus has no truth to score
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_generate_matches_two_pass_reference_bitwise(case, tmp_path):
+    """Writing raw costs and rescaling only the execution lines gives every
+    byte of the writer that generated each pipeline twice; three pipelines
+    make the cost calibration span pipelines."""
+    cfg = dataclasses.replace(REFERENCE_CASES[case], n_pipelines=3)
+    got, want = tmp_path / "got", tmp_path / "want"
+    assert _truth_or_error(generate, cfg, got) == _truth_or_error(reference_generate, cfg, want)
+    names = sorted(path.name for path in want.iterdir())
+    assert sorted(path.name for path in got.iterdir()) == names
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_generate_runs_each_pipeline_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(cfg, idx):
+        calls.append(idx)
+        return _gen_pipeline(cfg, idx)
+
+    monkeypatch.setattr(synth, "_gen_pipeline", counted)
+    cfg = GenConfig(seed=7, n_pipelines=3, graphlets_per_pipeline=(5, 10))
+    generate(cfg, tmp_path)
+    assert calls == [0, 1, 2]
+
+
+@pytest.mark.parametrize("fails_in", ["generating pipe0003", "rescaling pipe0003"])
+def test_interrupted_regeneration_leaves_no_stale_truth(fails_in, tmp_path, monkeypatch):
+    """A regeneration that fails midway leaves no truth.json, only traces
+    calibrated by one of the two corpora, and no temporary directory."""
+    old_cfg = GenConfig(seed=21, n_pipelines=6, graphlets_per_pipeline=(5, 15))
+    new_cfg = dataclasses.replace(old_cfg, seed=22)
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    generate(old_cfg, out)
+    old = {path.name: path.read_bytes() for path in out.glob("*.ndjson")}
+    generate(new_cfg, clean)
+
+    if fails_in == "generating pipe0003":
+        def failing_gen(cfg, idx):
+            if idx == 3:
+                raise RuntimeError("injected")
+            return _gen_pipeline(cfg, idx)
+        monkeypatch.setattr(synth, "_gen_pipeline", failing_gen)
+    else:
+        def failing_entry(*args, **kwargs):
+            entry = TruthEntry(*args, **kwargs)
+            if entry.pipeline_id == "pipe0003":
+                raise RuntimeError("injected")
+            return entry
+        monkeypatch.setattr(synth, "TruthEntry", failing_entry)
+    with pytest.raises(RuntimeError, match="injected"):
+        generate(new_cfg, out)
+
+    assert not (out / "truth.json").exists()
+    assert all(path.is_file() for path in out.iterdir())
+    assert sorted(path.name for path in out.iterdir()) == sorted(old)
+    for name, old_bytes in old.items():
+        assert (out / name).read_bytes() in (old_bytes, (clean / name).read_bytes()), name
 
 
 def test_different_seed_differs(tmp_path):
